@@ -6,6 +6,17 @@ estimated with vertices 1..j-1 pinned to +.  Each marginal comes from a
 depth-truncated walk tree whose depth is chosen so every factor is within
 eps/n in log, giving |log(estimate) - log(exact)| <= eps overall whenever
 the contraction condition (degree_bound - 1) * tanh(max_coupling) < 1 holds.
+
+The sweep compiles the system once (``compile_system``): twice the field of
+every vertex and, per vertex, its edge tables oriented outward in ascending
+neighbour order, with the factors of pinned and frontier children
+precomputed.  Pinning is by rank: one per-label stop array (see
+``walk_log_ratio``) is shared by the whole sweep, and vertex j pins itself to
++ when its walk is done, so every later walk sees 1..j pinned.  Each walk
+evaluates its tree while walking it, keeping one frame per level, so the
+estimate path holds O(depth) state per vertex and builds no ``SawTree``
+and no ``Condition``.  Its output equals that of ``tree_log_ratio`` over
+``build_saw_tree`` bit for bit.
 """
 
 from __future__ import annotations
@@ -17,13 +28,12 @@ from dataclasses import dataclass
 
 from .core import (
     DecayConditionError,
-    Spin,
     SpinSystem,
     decay_condition_holds,
     system_scalars,
 )
-from .marginal import marginal_plus, tree_log_ratio
-from .sawtree import Condition, build_saw_tree
+from .marginal import PINNED_PLUS, CompiledSystem, compile_system, marginal_plus, walk_log_ratio
+from .sawtree import checked_condition
 
 __all__ = [
     "VertexEstimate",
@@ -109,6 +119,11 @@ def all_plus_log_weight(system: SpinSystem) -> float:
     )
 
 
+def _check_eps(eps: float) -> None:
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
+
+
 def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     """Walk-tree depth making every telescoping factor accurate to eps/n in log.
 
@@ -127,8 +142,7 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
         raise ValueError("coupling must be nonnegative")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     rate = (degree - 1) * math.tanh(coupling)
     if rate >= 1.0:
         raise DecayConditionError(rate, max_coupling=coupling, degree_bound=degree)
@@ -149,16 +163,31 @@ def conditional_marginal_estimate(
 ) -> float:
     """Estimated probability that ``vertex`` is + under ``condition``.
 
-    Builds the walk tree truncated at ``depth`` (at least 1) and evaluates
-    it with the given frontier value (default: unexplored region pinned to
-    minus).  The result is exact whenever the tree has no frontier.
+    Evaluates the walk tree truncated at ``depth`` (at least 1), without
+    building it, with the given frontier value (default: unexplored region
+    pinned to minus).  The result is exact whenever the tree has no frontier.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if condition is not None and vertex in condition:
         raise ValueError(f"vertex {vertex} is conditioned; its marginal is pinned")
-    tree = build_saw_tree(system, vertex, depth, condition)
-    return marginal_plus(tree_log_ratio(system, tree, frontier))
+    cond = checked_condition(system.graph.n, vertex, condition)
+    compiled = compile_system(system, frontier)
+    log_ratio, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth)
+    return marginal_plus(log_ratio)
+
+
+def _sweep(compiled: CompiledSystem, depth: int, first: int, last: int) -> list[VertexEstimate]:
+    """Estimate vertices first..last in ascending order, each with every
+    lower label pinned to +."""
+    stops = compiled.stops()
+    stops[1:first] = [PINNED_PLUS] * (first - 1)
+    estimates = []
+    for vertex in range(first, last + 1):
+        log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+        estimates.append(VertexEstimate(vertex, depth, count, marginal_plus(log_ratio)))
+        stops[vertex] = PINNED_PLUS
+    return estimates
 
 
 def fptas_log_partition(
@@ -172,21 +201,21 @@ def fptas_log_partition(
 
     Args:
         system: the spin system.
-        eps: target accuracy in log; must be positive.
+        eps: target accuracy in log; must be positive and finite.
         degree_bound: degree parameter for the depth formula; defaults to
             the maximum degree.
         frontier: log ratio for unexplored walk-tree leaves.
-        workers: per-vertex marginals are independent, so they may be
-            mapped over a thread pool; the reduction always sums in
-            ascending vertex order, so results are identical for any count.
+        workers: threads, each sweeping one block of consecutive vertices;
+            the reduction always sums in ascending vertex order, so results
+            are identical for any count.  The sweep is pure Python and holds
+            the interpreter lock, so more than one is not faster.
 
     Raises DecayConditionError when the contraction condition fails (no
     estimate is produced) and MarginalUnderflowError if a factor collapses
     to exactly 0.
     """
     started = time.perf_counter()
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     scalars = system_scalars(system, degree_bound)
     if not decay_condition_holds(scalars):
         raise DecayConditionError(
@@ -212,17 +241,17 @@ def fptas_log_partition(
         )
     depth = truncation_depth(n, scalars.max_coupling, scalars.degree_bound, eps)
 
-    def estimate_one(vertex: int) -> VertexEstimate:
-        pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
-        tree = build_saw_tree(system, vertex, depth, pinned_before)
-        p_hat = marginal_plus(tree_log_ratio(system, tree, frontier))
-        return VertexEstimate(vertex, depth, tree.node_count, p_hat)
-
+    compiled = compile_system(system, frontier)
     if workers > 1:
+        # One block of consecutive vertices per thread; each block has its
+        # own stop array.
+        size = -(-n // workers)
+        blocks = [(first, min(n, first + size - 1)) for first in range(1, n + 1, size)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(estimate_one, range(1, n + 1)))
+            parts = pool.map(lambda block: _sweep(compiled, depth, *block), blocks)
+            estimates = [est for part in parts for est in part]
     else:
-        estimates = [estimate_one(vertex) for vertex in range(1, n + 1)]
+        estimates = _sweep(compiled, depth, 1, n)
 
     log_p_total = 0.0
     for est in estimates:  # ascending vertex order: deterministic reduction

@@ -27,6 +27,7 @@ __all__ = [
     "SawTree",
     "edge_greater",
     "build_saw_tree",
+    "checked_condition",
     "frontier_count",
     "format_saw_tree",
 ]
@@ -117,6 +118,18 @@ class SawTree:
     node_count: int
 
 
+def checked_condition(n: int, root, condition: Mapping[int, Spin] | None) -> Condition:
+    """Validate a walk's root label and condition against a graph on n
+    vertices; the condition as a ``Condition``."""
+    if isinstance(root, bool) or not isinstance(root, int) or not 1 <= root <= n:
+        raise ValueError(f"unknown vertex label {root!r} (valid labels are 1..{n})")
+    cond = condition if isinstance(condition, Condition) else Condition(condition)
+    for v in cond:
+        if v > n:
+            raise ValueError(f"conditioned vertex {v} is not in the graph (n={n})")
+    return cond
+
+
 def build_saw_tree(
     system: SpinSystem,
     root: int,
@@ -135,14 +148,9 @@ def build_saw_tree(
     since no self-avoiding walk can visit more vertices than the graph has.
     """
     graph = system.graph
-    if isinstance(root, bool) or not isinstance(root, int) or not 1 <= root <= graph.n:
-        raise ValueError(f"unknown vertex label {root!r} (valid labels are 1..{graph.n})")
     if depth_limit < 0:
         raise ValueError("depth limit must be nonnegative")
-    cond = condition if isinstance(condition, Condition) else Condition(condition)
-    for v in cond:
-        if v > graph.n:
-            raise ValueError(f"conditioned vertex {v} is not in the graph (n={graph.n})")
+    cond = checked_condition(graph.n, root, condition)
 
     pinned = dict(cond)
     root_spin = pinned.get(root)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from spinz import exact_log_partition, ising_system, build_family_graph, save_system
-from spinz.cli import main, render_json
+from spinz.cli import build_parser, main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +72,11 @@ def test_estimate_runs_are_bit_identical(tmp_path, capsys):
     assert first == second
 
 
+def test_estimate_defaults_to_one_thread():
+    args = build_parser().parse_args(["estimate", "--graph", "g.json", "--eps", "0.1"])
+    assert args.threads == 1
+
+
 def test_estimate_thread_counts_agree(tmp_path, capsys):
     graph = write_triangle(tmp_path)
     _, one, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", "0.05",
@@ -80,6 +85,15 @@ def test_estimate_thread_counts_agree(tmp_path, capsys):
                          "--threads", "4")
     assert json.loads(one)["log_z_hat"] == json.loads(four)["log_z_hat"]
     assert one == four
+
+
+def test_estimate_bad_eps_exit_1(tmp_path, capsys):
+    graph = write_triangle(tmp_path)
+    for eps in ("0", "-0.1", "inf", "nan"):
+        code, out, err = run_cli(capsys, "estimate", "--graph", graph, "--eps", eps)
+        assert code == 1, eps
+        assert out == ""
+        assert "eps must be a positive finite number" in err
 
 
 def test_estimate_inapplicable_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from spinz import (
     Condition,
     DecayConditionError,
+    GenSpec,
     Graph,
     MarginalUnderflowError,
     Spin,
@@ -15,15 +17,23 @@ from spinz import (
     VertexField,
     all_plus_log_weight,
     build_family_graph,
+    build_saw_tree,
+    compile_system,
     conditional_marginal_estimate,
     exact_conditional_marginal,
     exact_log_partition,
     fptas_log_partition,
+    generate,
     ising_field,
     ising_potential,
     ising_system,
+    marginal_plus,
+    tree_log_ratio,
     truncation_depth,
+    walk_log_ratio,
 )
+import spinz.partition
+from spinz.marginal import PINNED_PLUS
 
 from .helpers import acceptance_instance, random_system
 
@@ -74,8 +84,9 @@ def test_truncation_depth_n_growth_bounded():
 def test_truncation_depth_rejects_bad_inputs():
     with pytest.raises(ValueError):
         truncation_depth(0, 0.3, 3, 0.1)
-    with pytest.raises(ValueError):
-        truncation_depth(10, 0.3, 3, 0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            truncation_depth(10, 0.3, 3, eps)
     with pytest.raises(ValueError):
         truncation_depth(10, -0.1, 3, 0.1)
     with pytest.raises(DecayConditionError):
@@ -158,8 +169,9 @@ def test_fptas_report_internal_consistency():
 
 def test_fptas_rejects_bad_eps_and_hot_instances():
     system = ising_system(build_family_graph("path", n=2), 0.3)
-    with pytest.raises(ValueError):
-        fptas_log_partition(system, 0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            fptas_log_partition(system, eps)
     hot = ising_system(build_family_graph("random_regular", n=8, degree=3, seed=2), 0.6)
     with pytest.raises(DecayConditionError) as info:
         fptas_log_partition(hot, 0.1)
@@ -242,3 +254,67 @@ def test_fptas_depth_one_at_zero_coupling():
     report = fptas_log_partition(system, 0.05)
     assert report.truncation_depth == 1
     assert abs(report.log_z_hat - exact_log_partition(system)) <= 1e-9
+
+
+WALK_SPECS = [
+    GenSpec("path", n=7),  # degree-1 vertices: expanded nodes without children
+    GenSpec("cycle", n=8),
+    GenSpec("grid", rows=3, cols=4),
+    GenSpec("complete", n=5),
+    GenSpec("random_regular", n=10, degree=3),
+    GenSpec("erdos_renyi", n=10, degree=2.5),
+    GenSpec("path", n=1),
+]
+
+
+@pytest.mark.parametrize("model,field", [("random", 0.5), ("ising", 0.5), ("ising", 0.0)])
+@pytest.mark.parametrize("index", range(len(WALK_SPECS)), ids=lambda i: WALK_SPECS[i].family)
+def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
+    # The fused walk must reproduce tree_log_ratio over the built tree, and
+    # its node count, exactly: for the sweep's pin-by-rank conditions and for
+    # conditions with minus pins, at every depth up to the complete tree.
+    # Zero-field Ising gives many edges identical compiled factors.
+    rng = np.random.default_rng(index)
+    system = generate(dataclasses.replace(
+        WALK_SPECS[index], model=model, coupling=0.4, field_strength=field, seed=3
+    ))
+    n = system.n
+    for frontier in (-math.inf, 0.0, 0.7, math.inf):
+        compiled = compile_system(system, frontier)
+        for depth in sorted({1, 2, 3, n}):
+            sweep = compiled.stops()
+            for vertex in system.graph.vertices():
+                pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
+                tree = build_saw_tree(system, vertex, depth, pinned_before)
+                log_ratio, count = walk_log_ratio(compiled, sweep, vertex, depth)
+                assert log_ratio.hex() == tree_log_ratio(system, tree, frontier).hex()
+                assert count == tree.node_count
+                sweep[vertex] = PINNED_PLUS
+            for _ in range(3):
+                spins = rng.choice([0, 1, -1], size=n)
+                cond = Condition({v: Spin(int(s)) for v, s in enumerate(spins, 1) if s})
+                for vertex in (v for v in system.graph.vertices() if v not in cond):
+                    stops = compiled.stops(cond)
+                    tree = build_saw_tree(system, vertex, depth, cond)
+                    want = tree_log_ratio(system, tree, frontier)
+                    log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+                    assert log_ratio.hex() == want.hex()
+                    assert count == tree.node_count
+                    assert stops == compiled.stops(cond)  # the walk restored its array
+                    estimate = conditional_marginal_estimate(system, vertex, cond, depth, frontier)
+                    assert estimate.hex() == marginal_plus(want).hex()
+
+
+def test_fptas_builds_no_tree_and_no_condition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the estimate path must not build trees or conditions")
+
+    system = acceptance_instance("grid", "random", 7)
+    expected = fptas_log_partition(system, 0.1)
+    for module in (spinz.partition, spinz.sawtree, spinz.marginal):
+        for name in ("Condition", "SawNode", "SawTree", "build_saw_tree", "tree_log_ratio"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for workers in (1, 3):
+        report = fptas_log_partition(system, 0.1, workers=workers)
+        assert report.log_z_hat.hex() == expected.log_z_hat.hex()
+        assert report.vertices == expected.vertices
