@@ -6,131 +6,61 @@ weak relative to the degree bound, truncation error decays geometrically
 with depth and the total log Z error is certified below eps.  An exact
 brute-force oracle and a set of property checks back every claim at small
 scale.
+
+The package re-exports each submodule's ``__all__``.  Importing it loads
+only the standard library: the oracle's names are exported lazily
+(PEP 562), so ``spinz.oracle`` and numpy load the first time one of them is
+used.
 """
 
-from .core import (
-    DecayConditionError,
-    EdgePotential,
-    Graph,
-    Spin,
-    SpinSystem,
-    SystemScalars,
-    VertexField,
-    critical_inverse_temperature,
-    decay_condition_holds,
-    decay_function,
-    external_field,
-    interaction_strength,
-    ising_field,
-    ising_potential,
-    system_scalars,
-)
-from .generate import (
-    GenSpec,
-    GraphFileError,
-    attach_spin_model,
-    build_family_graph,
-    generate,
-    ising_system,
-    load_system,
-    parse_system,
-    save_system,
-    serialize_system,
-)
-from .marginal import (
-    CompiledSystem,
-    compile_system,
-    edge_factor_log,
-    marginal_plus,
-    tree_log_ratio,
-    walk_log_ratio,
-)
-from .oracle import (
-    CheckReport,
-    check_contraction,
-    check_decay_bound,
-    check_decay_geometric,
-    check_edge_factor_lipschitz,
-    check_saw_identity,
-    check_saw_identity_exhaustive,
-    check_saw_identity_random,
-    check_telescoping,
-    connected_graphs,
-    exact_conditional_marginal,
-    exact_log_partition,
-    max_boundary_gap,
-)
-from .partition import (
-    EstimateReport,
-    MarginalUnderflowError,
-    VertexEstimate,
-    all_plus_log_weight,
-    conditional_marginal_estimate,
-    fptas_log_partition,
-    truncation_depth,
-)
-from .sawtree import Condition, SawNode, SawTree, build_saw_tree, edge_greater, format_saw_tree, frontier_count
+from . import core, marginal, partition, sawtree
+from . import generate as _generate
+from .core import *  # noqa: F401,F403
+from .sawtree import *  # noqa: F401,F403
+from .marginal import *  # noqa: F401,F403
+from .partition import *  # noqa: F401,F403
+# Last, so that ``spinz.generate`` is the function, not the module.
+from .generate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Spin",
-    "Graph",
-    "EdgePotential",
-    "VertexField",
-    "SpinSystem",
-    "SystemScalars",
-    "DecayConditionError",
-    "interaction_strength",
-    "external_field",
-    "critical_inverse_temperature",
-    "system_scalars",
-    "decay_condition_holds",
-    "decay_function",
-    "ising_potential",
-    "ising_field",
-    "Condition",
-    "SawNode",
-    "SawTree",
-    "build_saw_tree",
-    "edge_greater",
-    "format_saw_tree",
-    "frontier_count",
-    "edge_factor_log",
-    "tree_log_ratio",
-    "CompiledSystem",
-    "compile_system",
-    "walk_log_ratio",
-    "marginal_plus",
-    "MarginalUnderflowError",
-    "VertexEstimate",
-    "EstimateReport",
-    "all_plus_log_weight",
-    "truncation_depth",
-    "conditional_marginal_estimate",
-    "fptas_log_partition",
-    "GenSpec",
-    "GraphFileError",
-    "build_family_graph",
-    "attach_spin_model",
-    "ising_system",
-    "generate",
-    "parse_system",
-    "serialize_system",
-    "load_system",
-    "save_system",
+# spinz.oracle's __all__, kept here so the names can be exported without
+# importing it.
+_ORACLE_ALL = (
     "CheckReport",
     "exact_log_partition",
     "exact_conditional_marginal",
-    "max_boundary_gap",
     "check_saw_identity",
     "check_contraction",
     "check_edge_factor_lipschitz",
     "check_decay_bound",
+    "max_boundary_gap",
     "check_decay_geometric",
     "check_saw_identity_exhaustive",
     "check_saw_identity_random",
     "check_telescoping",
     "connected_graphs",
+)
+
+__all__ = [
+    *core.__all__,
+    *sawtree.__all__,
+    *marginal.__all__,
+    *partition.__all__,
+    *_generate.__all__,
+    *_ORACLE_ALL,
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_ALL:
+        from . import oracle
+
+        globals().update((key, getattr(oracle, key)) for key in _ORACLE_ALL)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,9 @@ check (applicability diagnostics), sawtree (debug dump of a walk tree).
 Reports are JSON on stdout with every float at 17 significant digits;
 diagnostics go to stderr.  Exit codes: 0 success, 1 input error or failed
 verification, 2 estimate refused because the decay condition fails.
+
+exact, verify and decay import the oracle and numpy when they run, and gen
+imports numpy, so estimate, check and sawtree use the standard library alone.
 """
 
 from __future__ import annotations
@@ -17,20 +20,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .core import DecayConditionError, Spin, decay_function, system_scalars
 from .generate import GenSpec, GraphFileError, generate, load_system, save_system
-from .oracle import (
-    check_contraction,
-    check_decay_geometric,
-    check_edge_factor_lipschitz,
-    check_saw_identity_exhaustive,
-    check_saw_identity_random,
-    check_telescoping,
-    exact_log_partition,
-    max_boundary_gap,
-)
 from .partition import MarginalUnderflowError, fptas_log_partition
 from .sawtree import Condition, build_saw_tree, format_saw_tree
 
@@ -157,6 +148,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    from .oracle import exact_log_partition
+
     system = load_system(args.graph)
     cond = _parse_condition(args.cond)
     log_z = exact_log_partition(system, cond)
@@ -174,6 +167,15 @@ def cmd_exact(args) -> int:
 
 
 def _run_suite(suite: str, trials: int | None, seed: int, tolerance: float | None) -> list:
+    from .oracle import (
+        check_contraction,
+        check_decay_geometric,
+        check_edge_factor_lipschitz,
+        check_saw_identity_exhaustive,
+        check_saw_identity_random,
+        check_telescoping,
+    )
+
     tight = 1e-12 if tolerance is None else tolerance
     loose = 1e-9 if tolerance is None else tolerance
     if suite == "contraction":
@@ -210,6 +212,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decay(args) -> int:
+    import numpy as np
+
+    from .oracle import max_boundary_gap
+
     system = load_system(args.graph)
     scalars = system_scalars(system)
     sphere = system.graph.vertices_at_distance(args.root, args.radius)

@@ -6,6 +6,8 @@ appended for the regular-graph pairing model), stream 1 draws potential
 entries per edge in sorted edge order, stream 2 draws field entries per
 vertex in label order.  Stream k of seed s is
 ``np.random.Generator(PCG64(SeedSequence(s, spawn_key=(k, ...))))``.
+numpy is imported only when a system is generated; parsing, loading and
+saving files use the standard library alone.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     EdgePotential,
@@ -25,6 +26,9 @@ from .core import (
     ising_field,
     ising_potential,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GenSpec",
@@ -54,6 +58,8 @@ class GraphFileError(ValueError):
 
 
 def _stream(seed: int, stream: int, *extra: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, *extra)))
 
 
@@ -144,6 +150,8 @@ def _random_regular(n: int, degree: int, seed: int) -> Graph:
     on any self-loop or duplicate edge with an incremented sub-stream."""
     if degree == 0:
         return Graph.from_edges(n, [])
+    import numpy as np
+
     for attempt in itertools.count():
         rng = _stream(seed, _STREAM_TOPOLOGY, attempt)
         stubs = np.repeat(np.arange(1, n + 1), degree)

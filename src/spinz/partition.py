@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import (
@@ -245,6 +244,8 @@ def fptas_log_partition(
     if workers > 1:
         # One block of consecutive vertices per thread; each block has its
         # own stop array.
+        from concurrent.futures import ThreadPoolExecutor
+
         size = -(-n // workers)
         blocks = [(first, min(n, first + size - 1)) for first in range(1, n + 1, size)]
         with ThreadPoolExecutor(max_workers=workers) as pool:

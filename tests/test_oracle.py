@@ -85,6 +85,25 @@ def test_exact_crosses_chunk_boundary():
     assert got == pytest.approx(math.log(z), rel=1e-10)
 
 
+def test_logsumexp_matches_scipy_bit_for_bit():
+    # scipy is not a dependency; where it is installed, the oracle's
+    # log-sum-exp must agree with it exactly, ties at the maximum included
+    pytest.importorskip("scipy", minversion="1.15")
+    from scipy import special
+
+    from spinz.oracle import _logsumexp
+
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        size = int(rng.integers(1, 3000))
+        weights = rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0, 100.0])), size)
+        weights += rng.uniform(-50.0, 50.0)
+        if trial % 3 == 0:
+            weights[rng.integers(0, size, 3)] = weights.max()
+        expected = float(special.logsumexp(weights))
+        assert _logsumexp(weights).hex() == expected.hex(), trial
+
+
 def test_exact_refuses_oversized_instances():
     system = ising_system(build_family_graph("cycle", n=26), 0.1)
     with pytest.raises(ValueError):

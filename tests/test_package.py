@@ -1,0 +1,155 @@
+"""The package surface: the estimate path loads only the standard library,
+and the oracle's names are exported lazily.
+
+Import boundaries are checked in a fresh interpreter, because this test
+process has long since imported numpy and the oracle.  They are checked by
+module presence, not by timing, so they cannot flake.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import spinz
+from spinz import build_family_graph, cli, fptas_log_partition, ising_system, save_system
+from spinz import core, marginal, oracle, partition, sawtree
+
+# ``spinz.generate`` is the function; this is the module.
+generate_module = importlib.import_module("spinz.generate")
+
+HEAVY = ("numpy", "scipy", "spinz.oracle", "concurrent.futures")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(spinz.__file__)))
+
+
+def run_fresh(script: str, *args: str):
+    """Run ``script`` in a new interpreter that imports this checkout's
+    spinz; its last stdout line is parsed as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    prelude = f"HEAVY = {HEAVY!r}\n"
+    done = subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def write_grid(tmp_path):
+    path = tmp_path / "grid.json"
+    save_system(ising_system(build_family_graph("grid", rows=3, cols=4), 0.2, 0.1), path)
+    return str(path)
+
+
+def estimate_text(system, eps: float) -> str:
+    payload = {"schema_version": cli.REPORT_SCHEMA_VERSION, "command": "estimate", "applicable": True}
+    payload.update(fptas_log_partition(system, eps).to_dict())
+    return cli.render_json(payload)
+
+
+def test_estimate_path_loads_no_numpy_scipy_oracle_or_pool(tmp_path):
+    path = write_grid(tmp_path)
+    result = run_fresh(
+        """
+        import json, sys
+        import spinz
+        from spinz import cli
+
+        system = spinz.load_system(sys.argv[1])
+        report = spinz.fptas_log_partition(system, 0.1)
+        payload = {"schema_version": cli.REPORT_SCHEMA_VERSION, "command": "estimate", "applicable": True}
+        payload.update(report.to_dict())
+        text = cli.render_json(payload)
+        print(json.dumps({"loaded": [m for m in HEAVY if m in sys.modules], "text": text}))
+        """,
+        path,
+    )
+    assert result["loaded"] == []
+    assert result["text"] == estimate_text(spinz.load_system(path), 0.1)
+
+
+def test_cli_estimate_loads_no_numpy_and_threads_agree(tmp_path):
+    path = write_grid(tmp_path)
+    result = run_fresh(
+        """
+        import contextlib, io, json, sys
+        from spinz import cli
+
+        def estimate(threads):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["estimate", "--graph", sys.argv[1], "--eps", "0.1", "--threads", threads])
+            return code, out.getvalue()
+
+        serial = estimate("1")
+        loaded = [m for m in HEAVY if m in sys.modules]
+        pooled = estimate("2")
+        print(json.dumps({"serial": serial, "loaded": loaded, "pooled": pooled,
+                          "pool_loaded": "concurrent.futures" in sys.modules}))
+        """,
+        path,
+    )
+    assert result["loaded"] == []
+    assert result["serial"][0] == 0
+    assert result["pooled"] == result["serial"]
+    assert result["pool_loaded"]  # the two-thread run really took the pool branch
+
+
+def test_all_is_the_submodules_all_in_order():
+    expected = [
+        *core.__all__,
+        *sawtree.__all__,
+        *marginal.__all__,
+        *partition.__all__,
+        *generate_module.__all__,
+        *oracle.__all__,
+        "__version__",
+    ]
+    assert spinz.__all__ == expected
+    assert len(set(spinz.__all__)) == len(spinz.__all__)
+
+
+def test_every_exported_name_resolves():
+    for name in spinz.__all__:
+        assert hasattr(spinz, name), name
+    assert spinz.exact_log_partition is oracle.exact_log_partition
+    assert spinz.generate is generate_module.generate
+
+
+def test_oracle_names_load_lazily():
+    result = run_fresh(
+        """
+        import json, sys
+        import spinz
+
+        listed = [name for name in spinz._ORACLE_ALL if name in dir(spinz)]
+        after_dir = "spinz.oracle" in sys.modules
+        try:
+            spinz.no_such_name
+            unknown = "resolved"
+        except AttributeError as err:
+            unknown = str(err)
+        after_unknown = "spinz.oracle" in sys.modules
+        namespace = {}
+        exec("from spinz import *", namespace)
+        missing = [name for name in spinz.__all__ if name not in namespace]
+        from spinz import oracle
+        same = all(namespace[name] is getattr(oracle, name) for name in spinz._ORACLE_ALL)
+        print(json.dumps({"listed": listed, "after_dir": after_dir, "unknown": unknown,
+                          "after_unknown": after_unknown, "missing": missing, "same": same}))
+        """
+    )
+    assert result["listed"] == list(spinz._ORACLE_ALL)
+    assert result["after_dir"] is False
+    assert result["unknown"] == "module 'spinz' has no attribute 'no_such_name'"
+    assert result["after_unknown"] is False
+    assert result["missing"] == []
+    assert result["same"] is True
