@@ -22,7 +22,7 @@ import sys
 
 from .core import DecayConditionError, Spin, decay_function, system_scalars
 from .generate import GenSpec, GraphFileError, generate, load_system, save_system
-from .partition import MarginalUnderflowError, fptas_log_partition
+from .partition import fptas_log_partition
 from .sawtree import Condition, build_saw_tree, format_saw_tree
 
 __all__ = ["main", "build_parser", "render_json"]
@@ -119,7 +119,6 @@ def cmd_estimate(args) -> int:
             system,
             args.eps,
             degree_bound=args.degree_bound,
-            frontier=args.frontier,
             workers=args.threads,
         )
     except DecayConditionError as err:
@@ -329,12 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="degree bound used by the guarantee (default: the graph's max degree)",
     )
     p.add_argument(
-        "--frontier",
-        type=float,
-        default=-math.inf,
-        help="log ratio assigned to truncated leaves (default: -inf)",
-    )
-    p.add_argument(
         "--threads",
         type=int,
         default=1,
@@ -421,9 +414,6 @@ def main(argv: list[str] | None = None) -> int:
     except DecayConditionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except MarginalUnderflowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except (GraphFileError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -353,6 +353,10 @@ def decay_function(distance: int, coupling: float, degree: int) -> float:
     given distance change:
 
         4 * coupling * degree * ((degree - 1) * tanh(coupling)) ** (distance - 1)
+
+    It bounds any change of the boundary at that distance, from all minus
+    to all plus included.  The estimator's midpoint frontier is within half
+    of it (see ``truncation_depth``).
     """
     if distance < 1:
         raise ValueError("distance must be at least 1")

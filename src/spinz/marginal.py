@@ -7,8 +7,12 @@ combines its children through
 
     log_ratio = 2 * field + sum over children of edge_factor_log(...)
 
-and free leaves sitting exactly at the depth limit take the caller-supplied
-frontier value instead (pinning the unexplored remainder of the graph).
+A free leaf sitting exactly at the depth limit stands for the unexplored
+remainder of the graph.  By default (``frontier=None``) its parent adds the
+midpoint of that edge factor's range, ``0.5 * ((pp - mp) + (pm - mm))``;
+the factor is monotone in the child's log ratio, so the midpoint is within
+half the range of the true factor whatever the subtree holds.  An explicit
+float instead gives the leaf that log ratio, e.g. -inf pins it to minus.
 
 Two evaluators share that recursion.  ``tree_log_ratio`` reads a built
 ``SawTree``; it is the reference, used by the ``sawtree`` dump and the
@@ -62,19 +66,29 @@ def edge_factor_log(potential: EdgePotential, child_log_ratio: float) -> float:
     return gain - loss
 
 
-def _edge_terms(pp: float, pm: float, mp: float, mm: float, lam: float) -> tuple[float, float]:
+def _edge_terms(
+    pp: float, pm: float, mp: float, mm: float, lam: float | None
+) -> tuple[float, float]:
     """The edge factor as the pair (gain, loss) a parent's running total
     takes as ``total += gain`` then ``total -= loss``.
 
-    Pinned children (lam = +-inf) reduce to (pp - mp, 0.0) and (pm - mm, 0.0);
-    subtracting 0.0 leaves any float unchanged, so this reproduces the two
+    Pinned children (lam = +-inf) reduce to (pp - mp, 0.0) and (pm - mm, 0.0),
+    and a midpoint frontier child (lam = None) to (midpoint, 0.0);
+    subtracting 0.0 leaves any float unchanged, so this reproduces the
     branches of ``tree_log_ratio`` exactly.
     """
+    if lam is None:
+        return _midpoint(pp, pm, mp, mm), 0.0
     if lam == _INF:
         return pp - mp, 0.0
     if lam == -_INF:
         return pm - mm, 0.0
     return _logaddexp(pp + lam, pm), _logaddexp(mp + lam, mm)
+
+
+def _midpoint(pp: float, pm: float, mp: float, mm: float) -> float:
+    """Middle of the edge factor's range, between its pinned values."""
+    return 0.5 * ((pp - mp) + (pm - mm))
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -83,24 +97,30 @@ def _logaddexp(a: float, b: float) -> float:
     return (a + math.log1p(math.exp(b - a))) if a >= b else (b + math.log1p(math.exp(a - b)))
 
 
-def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float = -_INF) -> float:
+def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = None) -> float:
     """Evaluate the log ratio at the root of a walk tree built from ``system``.
 
     Args:
         system: the spin system the tree was built from.
         tree: a walk tree whose root is free.
-        frontier: log ratio assigned to free leaves at the depth limit;
-            the default -inf pins the unexplored region to minus.
+        frontier: what free leaves at the depth limit contribute.  The
+            default None adds the midpoint of each such leaf's edge factor
+            range, so a truncated tree is off by at most half of
+            ``decay_function(depth_limit, ...)``; it needs a depth limit of
+            at least 1.  A float is the log ratio those leaves take (-inf
+            pins the unexplored region to minus).
 
     Evaluation is an explicit post-order sweep (no recursion), so tree depth
     is limited only by memory.  Trees are read-only here, and a single tree
     may be evaluated concurrently with different frontier values.
     """
-    if math.isnan(frontier):
+    if frontier is not None and math.isnan(frontier):
         raise ValueError("frontier value must not be NaN")
     root = tree.root
     if root.spin is not None:
         raise ValueError("tree root is pinned; the root marginal is not free")
+    if frontier is None and tree.depth_limit == 0:
+        raise ValueError("a midpoint frontier needs a depth limit of at least 1")
 
     n = system.graph.n
     twice_field = [0.0] * (n + 1)
@@ -143,6 +163,8 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float = -_INF) -
                     total += pp - mp
                 elif lam == -inf:
                     total += pm - mm
+                elif lam is None:  # free leaf at the depth limit, midpoint frontier
+                    total += _midpoint(pp, pm, mp, mm)
                 else:
                     a = pp + lam
                     b = pm
@@ -191,10 +213,12 @@ class CompiledSystem:
         return stops
 
 
-def compile_system(system: SpinSystem, frontier: float = -_INF) -> CompiledSystem:
+def compile_system(system: SpinSystem, frontier: float | None = None) -> CompiledSystem:
     """Flatten ``system`` into the tables ``walk_log_ratio`` reads, with the
-    factor of a frontier leaf precomputed for ``frontier``."""
-    if math.isnan(frontier):
+    factor of a frontier leaf precomputed for ``frontier``: by default the
+    midpoint of each edge factor's range, otherwise the factor at that log
+    ratio (see ``tree_log_ratio``)."""
+    if frontier is not None and math.isnan(frontier):
         raise ValueError("frontier value must not be NaN")
     graph = system.graph
     n = graph.n

@@ -3,9 +3,13 @@
 The log partition function is assembled from the all-plus configuration
 weight and a telescoping product of conditional marginals: vertex j is
 estimated with vertices 1..j-1 pinned to +.  Each marginal comes from a
-depth-truncated walk tree whose depth is chosen so every factor is within
-eps/n in log, giving |log(estimate) - log(exact)| <= eps overall whenever
-the contraction condition (degree_bound - 1) * tanh(max_coupling) < 1 holds.
+depth-truncated walk tree whose free leaves at the depth limit add the
+midpoint of their edge factor's range, and whose depth is chosen so every
+factor is within eps/n in log, giving |log(estimate) - log(exact)| <= eps
+overall whenever the contraction condition
+(degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor enters the
+sum as a log, taken from the walk's log ratio where the marginal itself is
+too small for a normal float, so no estimate leaves the log domain.
 
 The sweep compiles the system once (``compile_system``): twice the field of
 every vertex and, per vertex, its edge tables oriented outward in ascending
@@ -22,6 +26,7 @@ and no ``Condition``.  Its output equals that of ``tree_log_ratio`` over
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -37,23 +42,11 @@ from .sawtree import checked_condition
 __all__ = [
     "VertexEstimate",
     "EstimateReport",
-    "MarginalUnderflowError",
     "all_plus_log_weight",
     "truncation_depth",
     "conditional_marginal_estimate",
     "fptas_log_partition",
 ]
-
-
-class MarginalUnderflowError(RuntimeError):
-    """A conditional marginal underflowed to exactly 0, so its log is unusable."""
-
-    def __init__(self, vertex: int):
-        self.vertex = vertex
-        super().__init__(
-            f"estimated conditional marginal at vertex {vertex} underflowed to 0; "
-            "the telescoping product cannot be formed"
-        )
 
 
 @dataclass(frozen=True)
@@ -126,8 +119,11 @@ def _check_eps(eps: float) -> None:
 def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     """Walk-tree depth making every telescoping factor accurate to eps/n in log.
 
-    Computed as ceil(log(4 * n * coupling * degree / eps) / log(1 / rate) + 1)
-    with rate = (degree - 1) * tanh(coupling), floored at 1.  Natural logs
+    The smallest t with decay_function(t, coupling, degree) / 2 <= eps / n:
+    the midpoint frontier is off by at most half of each frontier edge's
+    range, so the root is off by at most half the envelope.  Computed as
+    ceil(log(2 * n * coupling * degree / eps) / log(1 / rate) + 1) with
+    rate = (degree - 1) * tanh(coupling), floored at 1.  Natural logs
     throughout.  Raises DecayConditionError when rate >= 1.
 
     Zero coupling needs no depth at all (every edge factor is constant), so
@@ -149,7 +145,7 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
         return 1
     if rate <= 0.0:
         return 2
-    raw = math.log(4.0 * n * coupling * degree / eps) / math.log(1.0 / rate) + 1.0
+    raw = math.log(2.0 * n * coupling * degree / eps) / math.log(1.0 / rate) + 1.0
     return max(1, math.ceil(raw))
 
 
@@ -158,13 +154,14 @@ def conditional_marginal_estimate(
     vertex: int,
     condition=None,
     depth: int = 1,
-    frontier: float = -math.inf,
+    frontier: float | None = None,
 ) -> float:
     """Estimated probability that ``vertex`` is + under ``condition``.
 
     Evaluates the walk tree truncated at ``depth`` (at least 1), without
-    building it, with the given frontier value (default: unexplored region
-    pinned to minus).  The result is exact whenever the tree has no frontier.
+    building it, with the given frontier (default: the midpoint of each
+    frontier edge factor's range; see ``tree_log_ratio``).  The result is
+    exact whenever the tree has no frontier.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -176,24 +173,39 @@ def conditional_marginal_estimate(
     return marginal_plus(log_ratio)
 
 
-def _sweep(compiled: CompiledSystem, depth: int, first: int, last: int) -> list[VertexEstimate]:
+_MIN_NORMAL = sys.float_info.min
+"""Below this a p_hat has lost digits or is 0, so its log comes from the
+walk's log ratio instead of ``math.log(p_hat)``."""
+
+
+def _sweep(
+    compiled: CompiledSystem, depth: int, first: int, last: int
+) -> tuple[list[VertexEstimate], dict[int, float]]:
     """Estimate vertices first..last in ascending order, each with every
-    lower label pinned to +."""
+    lower label pinned to +.
+
+    Also returns log p_hat by vertex for each p_hat below ``_MIN_NORMAL``,
+    as log(R / (1 + R)) from the log ratio (there log_ratio < -708, so exp
+    cannot overflow).
+    """
     stops = compiled.stops()
     stops[1:first] = [PINNED_PLUS] * (first - 1)
     estimates = []
+    tiny = {}
     for vertex in range(first, last + 1):
         log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
-        estimates.append(VertexEstimate(vertex, depth, count, marginal_plus(log_ratio)))
+        p_hat = marginal_plus(log_ratio)
+        if p_hat < _MIN_NORMAL:
+            tiny[vertex] = log_ratio - math.log1p(math.exp(log_ratio))
+        estimates.append(VertexEstimate(vertex, depth, count, p_hat))
         stops[vertex] = PINNED_PLUS
-    return estimates
+    return estimates, tiny
 
 
 def fptas_log_partition(
     system: SpinSystem,
     eps: float,
     degree_bound: int | None = None,
-    frontier: float = -math.inf,
     workers: int = 1,
 ) -> EstimateReport:
     """Estimate log Z with |log_z_hat - log Z| <= eps, deterministically.
@@ -203,15 +215,18 @@ def fptas_log_partition(
         eps: target accuracy in log; must be positive and finite.
         degree_bound: degree parameter for the depth formula; defaults to
             the maximum degree.
-        frontier: log ratio for unexplored walk-tree leaves.
         workers: threads, each sweeping one block of consecutive vertices;
             the reduction always sums in ascending vertex order, so results
             are identical for any count.  The sweep is pure Python and holds
             the interpreter lock, so more than one is not faster.
 
+    Free leaves at the depth limit take the midpoint frontier; the depth
+    from ``truncation_depth`` certifies eps for that frontier only.  A
+    marginal too small for a normal float still contributes an accurate
+    log (see ``_sweep``), so no finite input raises for underflow.
+
     Raises DecayConditionError when the contraction condition fails (no
-    estimate is produced) and MarginalUnderflowError if a factor collapses
-    to exactly 0.
+    estimate is produced).
     """
     started = time.perf_counter()
     _check_eps(eps)
@@ -240,7 +255,7 @@ def fptas_log_partition(
         )
     depth = truncation_depth(n, scalars.max_coupling, scalars.degree_bound, eps)
 
-    compiled = compile_system(system, frontier)
+    compiled = compile_system(system)
     if workers > 1:
         # One block of consecutive vertices per thread; each block has its
         # own stop array.
@@ -249,16 +264,16 @@ def fptas_log_partition(
         size = -(-n // workers)
         blocks = [(first, min(n, first + size - 1)) for first in range(1, n + 1, size)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(lambda block: _sweep(compiled, depth, *block), blocks)
-            estimates = [est for part in parts for est in part]
+            parts = list(pool.map(lambda block: _sweep(compiled, depth, *block), blocks))
+        estimates = [est for part, _ in parts for est in part]
+        tiny = {vertex: log_p for _, part in parts for vertex, log_p in part.items()}
     else:
-        estimates = _sweep(compiled, depth, 1, n)
+        estimates, tiny = _sweep(compiled, depth, 1, n)
 
     log_p_total = 0.0
     for est in estimates:  # ascending vertex order: deterministic reduction
-        if est.p_hat <= 0.0:
-            raise MarginalUnderflowError(est.vertex)
-        log_p_total += math.log(est.p_hat)
+        p_hat = est.p_hat
+        log_p_total += math.log(p_hat) if p_hat >= _MIN_NORMAL else tiny[est.vertex]
 
     return EstimateReport(
         log_z_hat=log_all_plus - log_p_total,

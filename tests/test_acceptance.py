@@ -21,6 +21,7 @@ from spinz import (
     check_saw_identity_exhaustive,
     check_saw_identity_random,
     check_telescoping,
+    decay_function,
     exact_log_partition,
     fptas_log_partition,
     ising_system,
@@ -120,15 +121,21 @@ def test_criterion_6_depth_formula():
     rate = 2.0 * math.tanh(0.3)
     step = math.ceil(math.log(2.0) / math.log(1.0 / rate)) + 1
     growth_ok = True
+    smallest_ok = True
     for n, eps in [(10, 0.1), (40, 0.2), (160, 0.05), (10, 0.0125)]:
         bigger_n = truncation_depth(2 * n, 0.3, 3, eps)
         smaller_eps = truncation_depth(n, 0.3, 3, eps / 2)
         here = truncation_depth(n, 0.3, 3, eps)
         growth_ok = growth_ok and (bigger_n - here <= step) and (smaller_eps - here <= step)
-    ok = base == 12 and growth_ok
+        # the smallest depth whose half envelope (midpoint frontier) fits eps/n
+        smallest_ok = smallest_ok and (
+            decay_function(here, 0.3, 3) / 2 <= eps / n < decay_function(here - 1, 0.3, 3) / 2
+        )
+    ok = base == 11 and growth_ok and smallest_ok
     announce(6, ok,
-             f"depth(n=10, J=0.3, d=3, eps=0.1) = {base} (expected 12); "
-             f"doubling n / halving eps grows depth by <= {step}")
+             f"depth(n=10, J=0.3, d=3, eps=0.1) = {base} (expected 11); "
+             f"doubling n / halving eps grows depth by <= {step}; each depth is "
+             f"the smallest with half the decay envelope <= eps/n")
     assert ok
 
 

@@ -7,7 +7,15 @@ import sys
 
 import pytest
 
-from spinz import exact_log_partition, ising_system, build_family_graph, save_system
+from spinz import (
+    Graph,
+    SpinSystem,
+    VertexField,
+    build_family_graph,
+    exact_log_partition,
+    ising_system,
+    save_system,
+)
 from spinz.cli import build_parser, main, render_json
 
 
@@ -94,6 +102,17 @@ def test_estimate_bad_eps_exit_1(tmp_path, capsys):
         assert code == 1, eps
         assert out == ""
         assert "eps must be a positive finite number" in err
+
+
+def test_estimate_underflowing_marginal_exit_0(tmp_path, capsys):
+    # The one marginal is exp(-800), 0 as a float; log Z is still 400.
+    path = tmp_path / "extreme.json"
+    save_system(SpinSystem(Graph.from_edges(1, []), {}, {1: VertexField(-400.0, 400.0)}), path)
+    code, out, err = run_cli(capsys, "estimate", "--graph", str(path), "--eps", "0.1")
+    assert code == 0, err
+    report = json.loads(out)
+    assert abs(report["log_z_hat"] - 400.0) <= 1e-9
+    assert report["vertices"][0]["p_hat"] == 0.0
 
 
 def test_estimate_inapplicable_exit_2(tmp_path, capsys):

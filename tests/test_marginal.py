@@ -14,13 +14,18 @@ from spinz import (
     VertexField,
     build_family_graph,
     build_saw_tree,
+    compile_system,
+    decay_function,
     edge_factor_log,
+    exact_log_partition,
     interaction_strength,
     ising_field,
     ising_potential,
     ising_system,
     marginal_plus,
+    system_scalars,
     tree_log_ratio,
+    walk_log_ratio,
 )
 
 from .helpers import random_system
@@ -124,6 +129,9 @@ def test_tree_ratio_rejects_pinned_root_and_nan_frontier():
     free = build_saw_tree(system, 1, 2)
     with pytest.raises(ValueError):
         tree_log_ratio(system, free, frontier=math.nan)
+    # the midpoint frontier needs an edge above the frontier leaf
+    with pytest.raises(ValueError, match="depth limit of at least 1"):
+        tree_log_ratio(system, build_saw_tree(system, 1, 0))
 
 
 def test_free_leaf_below_limit_takes_field_not_frontier():
@@ -153,7 +161,11 @@ def _reference_tree_ratio(system, node, depth_limit, frontier):
     total = (system.fields[node.origin].h_plus - system.fields[node.origin].h_minus)
     for child in node.children:
         lam = _reference_tree_ratio(system, child, depth_limit, frontier)
-        total += edge_factor_log(system.oriented_potential(node.origin, child.origin), lam)
+        pot = system.oriented_potential(node.origin, child.origin)
+        if lam is None:  # midpoint frontier: between the two pinned factors
+            total += (edge_factor_log(pot, math.inf) + edge_factor_log(pot, -math.inf)) / 2
+        else:
+            total += edge_factor_log(pot, lam)
     return total
 
 
@@ -168,6 +180,8 @@ def test_tree_ratio_matches_recursive_reference():
         tree = build_saw_tree(system, root, limit)
         expected = _reference_tree_ratio(system, tree.root, limit, frontier)
         assert tree_log_ratio(system, tree, frontier) == pytest.approx(expected, abs=1e-12)
+        midpoint = _reference_tree_ratio(system, tree.root, limit, None)
+        assert tree_log_ratio(system, tree) == pytest.approx(midpoint, abs=1e-12)
 
 
 def _flipped(system: SpinSystem) -> SpinSystem:
@@ -242,3 +256,50 @@ def test_complete_tree_frontier_independent():
         base = tree_log_ratio(system, tree, frontier=-math.inf)
         for frontier in (math.inf, 0.0, 4.2):
             assert tree_log_ratio(system, tree, frontier) == pytest.approx(base, abs=1e-12)
+
+
+ENVELOPE_GRAPHS = [
+    ("cycle", {"n": 7}),
+    ("grid", {"rows": 3, "cols": 3}),
+    ("random_regular", {"n": 8, "degree": 3, "seed": 1}),
+    ("complete", {"n": 5}),
+    ("path", {"n": 6}),
+    ("erdos_renyi", {"n": 9, "degree": 2.5, "seed": 4}),
+]
+
+
+def test_midpoint_frontier_within_half_envelope_of_exact():
+    # A midpoint frontier leaf is off by at most half its edge factor's
+    # range, so the truncated root is within decay_function(t) / 2 of the
+    # exact conditional log ratio at every depth t.  A -inf frontier is only
+    # within the whole envelope; that it breaks the half bound somewhere
+    # shows the sweep can tell the two apart.
+    rng = np.random.default_rng(43)
+    worst = {None: 0.0, -math.inf: 0.0}
+    pairs = 0
+    for family, params in ENVELOPE_GRAPHS:
+        graph = build_family_graph(family, **params)
+        for _ in range(25):
+            potentials = {e: EdgePotential(*rng.uniform(-6, 6, 4)) for e in graph.edges}
+            fields = {v: VertexField(*rng.uniform(-3, 3, 2)) for v in graph.vertices()}
+            system = SpinSystem(graph, potentials, fields)
+            scalars = system_scalars(system)
+            root = int(rng.integers(1, graph.n + 1))
+            cond = Condition({
+                v: Spin.PLUS if rng.random() < 0.5 else Spin.MINUS
+                for v in graph.vertices()
+                if v != root and rng.random() < 0.3
+            })
+            exact = exact_log_partition(system, cond.assign(root, Spin.PLUS)) - (
+                exact_log_partition(system, cond.assign(root, Spin.MINUS))
+            )
+            for depth in range(1, graph.n + 1):
+                half = decay_function(depth, scalars.max_coupling, scalars.degree_bound) / 2
+                for frontier in worst:
+                    compiled = compile_system(system, frontier)
+                    lam, _ = walk_log_ratio(compiled, compiled.stops(cond), root, depth)
+                    worst[frontier] = max(worst[frontier], abs(lam - exact) / half)
+                pairs += 1
+    assert pairs >= 1000
+    assert worst[None] <= 1.0 + 1e-9
+    assert worst[-math.inf] > 1.0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from spinz import (
     DecayConditionError,
     GenSpec,
     Graph,
-    MarginalUnderflowError,
     Spin,
     SpinSystem,
     VertexField,
@@ -24,8 +24,6 @@ from spinz import (
     exact_log_partition,
     fptas_log_partition,
     generate,
-    ising_field,
-    ising_potential,
     ising_system,
     marginal_plus,
     tree_log_ratio,
@@ -48,7 +46,7 @@ def test_all_plus_log_weight_examples():
 
 
 def test_truncation_depth_reference_value():
-    assert truncation_depth(10, 0.3, 3, 0.1) == 12
+    assert truncation_depth(10, 0.3, 3, 0.1) == 11
 
 
 def test_truncation_depth_zero_coupling():
@@ -233,20 +231,57 @@ def test_fptas_threads_match_serial():
     assert [v.p_hat for v in threaded.vertices] == [v.p_hat for v in serial.vertices]
 
 
-def test_fptas_underflow_is_loud():
-    graph = Graph.from_edges(1, [])
-    system = SpinSystem(graph, {}, {1: ising_field(-400.0)})
-    with pytest.raises(MarginalUnderflowError) as info:
-        fptas_log_partition(system, 0.1)
-    assert info.value.vertex == 1
+def test_fptas_tiny_marginal_stays_in_log_domain():
+    # log Z = h + log1p(exp(-2h)) for one vertex with fields (-h, h).  At
+    # h=400 the marginal underflows to 0; at h=360 it is subnormal, and its
+    # math.log would be off by about 3e-12.
+    for h, tolerance in ((400.0, 1e-9), (360.0, 1e-12)):
+        system = SpinSystem(Graph.from_edges(1, []), {}, {1: VertexField(-h, h)})
+        report = fptas_log_partition(system, 0.1)
+        assert abs(report.log_z_hat - h) <= tolerance
+        assert report.vertices[0].p_hat < sys.float_info.min
+    # two such vertices, one per thread
+    pair = SpinSystem(Graph.from_edges(2, []), {}, {v: VertexField(-400.0, 400.0) for v in (1, 2)})
+    for workers in (1, 2):
+        assert fptas_log_partition(pair, 0.1, workers=workers).log_z_hat == 800.0
 
 
-def test_fptas_frontier_choice_stays_within_eps():
+def test_fptas_midpoint_frontier_stays_within_eps():
     system = acceptance_instance("cycle", "ising", 512)
-    exact = exact_log_partition(system)
-    for frontier in (-math.inf, 0.0, math.inf):
-        report = fptas_log_partition(system, 0.1, frontier=frontier)
-        assert abs(report.log_z_hat - exact) <= 0.1
+    report = fptas_log_partition(system, 0.1)
+    assert abs(report.log_z_hat - exact_log_partition(system)) <= 0.1
+
+
+def _cycle_ising_log_z(n: int, coupling: float, field: float) -> float:
+    """Exact log Z of the Ising cycle: log trace of T^n for the 2x2 transfer
+    matrix T[s][r] = exp(coupling*s*r + field*(s + r)/2), in the log domain."""
+    spins = (1, -1)
+    log_t = [[coupling * s * r + field * (s + r) / 2 for r in spins] for s in spins]
+
+    def logsumexp(values):
+        peak = max(values)
+        return peak + math.log(sum(math.exp(v - peak) for v in values))
+
+    power = log_t
+    for _ in range(n - 1):
+        power = [
+            [logsumexp([power[i][k] + log_t[k][j] for k in range(2)]) for j in range(2)]
+            for i in range(2)
+        ]
+    return logsumexp([power[0][0], power[1][1]])
+
+
+def test_fptas_within_eps_at_benchmark_size():
+    # The guarantee at the size the benchmark solves, far past the
+    # brute-force oracle's reach.
+    assert _cycle_ising_log_z(3, 0.3, 0.2) == pytest.approx(
+        exact_log_partition(ising_system(build_family_graph("cycle", n=3), 0.3, 0.2)),
+        abs=1e-12,
+    )
+    eps = 0.1
+    system = ising_system(build_family_graph("cycle", n=400), 0.5, 0.1)
+    report = fptas_log_partition(system, eps)
+    assert abs(report.log_z_hat - _cycle_ising_log_z(400, 0.5, 0.1)) <= eps
 
 
 def test_fptas_depth_one_at_zero_coupling():
@@ -279,15 +314,17 @@ def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
         WALK_SPECS[index], model=model, coupling=0.4, field_strength=field, seed=3
     ))
     n = system.n
-    for frontier in (-math.inf, 0.0, 0.7, math.inf):
-        compiled = compile_system(system, frontier)
+    # None stands for the default, midpoint frontier, passed by omission.
+    for frontier in (None, -math.inf, 0.0, 0.7, math.inf):
+        given = {} if frontier is None else {"frontier": frontier}
+        compiled = compile_system(system, **given)
         for depth in sorted({1, 2, 3, n}):
             sweep = compiled.stops()
             for vertex in system.graph.vertices():
                 pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
                 tree = build_saw_tree(system, vertex, depth, pinned_before)
                 log_ratio, count = walk_log_ratio(compiled, sweep, vertex, depth)
-                assert log_ratio.hex() == tree_log_ratio(system, tree, frontier).hex()
+                assert log_ratio.hex() == tree_log_ratio(system, tree, **given).hex()
                 assert count == tree.node_count
                 sweep[vertex] = PINNED_PLUS
             for _ in range(3):
@@ -296,12 +333,12 @@ def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
                 for vertex in (v for v in system.graph.vertices() if v not in cond):
                     stops = compiled.stops(cond)
                     tree = build_saw_tree(system, vertex, depth, cond)
-                    want = tree_log_ratio(system, tree, frontier)
+                    want = tree_log_ratio(system, tree, **given)
                     log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
                     assert log_ratio.hex() == want.hex()
                     assert count == tree.node_count
                     assert stops == compiled.stops(cond)  # the walk restored its array
-                    estimate = conditional_marginal_estimate(system, vertex, cond, depth, frontier)
+                    estimate = conditional_marginal_estimate(system, vertex, cond, depth, **given)
                     assert estimate.hex() == marginal_plus(want).hex()
 
 
