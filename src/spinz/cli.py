@@ -85,7 +85,8 @@ def _print_report(payload: dict) -> None:
 
 
 def _parse_condition(text: str | None) -> Condition:
-    """Parse "1=+,5=-" into a Condition; empty or None means unconditioned."""
+    """Parse "1=+,5=-" into a condition; empty or None means unconditioned.
+    Labels are checked against the graph where the condition is used."""
     assignment: dict[int, Spin] = {}
     if text:
         for part in text.split(","):
@@ -105,7 +106,7 @@ def _parse_condition(text: str | None) -> Condition:
             if vertex in assignment:
                 raise ValueError(f"vertex {vertex} conditioned twice")
             assignment[vertex] = Spin.PLUS if spin_text == "+" else Spin.MINUS
-    return Condition(assignment)
+    return assignment
 
 
 def _condition_payload(cond: Condition) -> dict:
@@ -115,12 +116,7 @@ def _condition_payload(cond: Condition) -> dict:
 def cmd_estimate(args) -> int:
     system = load_system(args.graph)
     try:
-        report = fptas_log_partition(
-            system,
-            args.eps,
-            degree_bound=args.degree_bound,
-            workers=args.threads,
-        )
+        report = fptas_log_partition(system, args.eps, degree_bound=args.degree_bound)
     except DecayConditionError as err:
         _print_report(
             {
@@ -326,15 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="degree bound used by the guarantee (default: the graph's max degree)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help=(
-            "worker threads (default: 1; the sweep is pure Python, so more threads "
-            "are not faster; the result is identical)"
-        ),
     )
     p.set_defaults(handler=cmd_estimate)
 

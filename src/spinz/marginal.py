@@ -8,19 +8,20 @@ combines its children through
     log_ratio = 2 * field + sum over children of edge_factor_log(...)
 
 A free leaf sitting exactly at the depth limit stands for the unexplored
-remainder of the graph.  By default (``frontier=None``) its parent adds the
-midpoint of that edge factor's range, ``0.5 * ((pp - mp) + (pm - mm))``;
-the factor is monotone in the child's log ratio, so the midpoint is within
-half the range of the true factor whatever the subtree holds.  An explicit
-float instead gives the leaf that log ratio, e.g. -inf pins it to minus.
+remainder of the graph.  Its parent adds the midpoint of that edge factor's
+range, ``0.5 * ((pp - mp) + (pm - mm))``; the factor is monotone in the
+child's log ratio, so the midpoint is within half the range of the true
+factor whatever the subtree holds.
 
 Two evaluators share that recursion.  ``tree_log_ratio`` reads a built
 ``SawTree``; it is the reference, used by the ``sawtree`` dump and the
-oracle's identity checks.  ``walk_log_ratio`` walks the same tree over a
-``CompiledSystem`` without building it: it folds each subtree's value into
-its parent the moment the subtree closes, so it keeps O(depth) state and
-allocates no nodes.  Both perform the same float operations in the same
-order, so they agree bit for bit.
+oracle's identity checks, and it also takes a float frontier, the log ratio
+of every such leaf (-inf pins them to minus), which the decay tests compare
+against.  ``walk_log_ratio`` walks the same tree over a ``CompiledSystem``
+without building it: it folds each subtree's value into its parent the
+moment the subtree closes, so it keeps O(depth) state and allocates no
+nodes.  With the midpoint frontier both perform the same float operations
+in the same order, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -60,30 +61,12 @@ def edge_factor_log(potential: EdgePotential, child_log_ratio: float) -> float:
     """
     if math.isnan(child_log_ratio):
         raise ValueError("child log ratio must not be NaN")
-    gain, loss = _edge_terms(
-        potential.pp, potential.pm, potential.mp, potential.mm, child_log_ratio
-    )
-    return gain - loss
-
-
-def _edge_terms(
-    pp: float, pm: float, mp: float, mm: float, lam: float | None
-) -> tuple[float, float]:
-    """The edge factor as the pair (gain, loss) a parent's running total
-    takes as ``total += gain`` then ``total -= loss``.
-
-    Pinned children (lam = +-inf) reduce to (pp - mp, 0.0) and (pm - mm, 0.0),
-    and a midpoint frontier child (lam = None) to (midpoint, 0.0);
-    subtracting 0.0 leaves any float unchanged, so this reproduces the
-    branches of ``tree_log_ratio`` exactly.
-    """
-    if lam is None:
-        return _midpoint(pp, pm, mp, mm), 0.0
-    if lam == _INF:
-        return pp - mp, 0.0
-    if lam == -_INF:
-        return pm - mm, 0.0
-    return _logaddexp(pp + lam, pm), _logaddexp(mp + lam, mm)
+    pp, pm, mp, mm = potential.pp, potential.pm, potential.mp, potential.mm
+    if child_log_ratio == _INF:
+        return pp - mp
+    if child_log_ratio == -_INF:
+        return pm - mm
+    return _logaddexp(pp + child_log_ratio, pm) - _logaddexp(mp + child_log_ratio, mm)
 
 
 def _midpoint(pp: float, pm: float, mp: float, mm: float) -> float:
@@ -92,8 +75,8 @@ def _midpoint(pp: float, pm: float, mp: float, mm: float) -> float:
 
 
 def _logaddexp(a: float, b: float) -> float:
-    # Same branch form as the inlined copies in the evaluators below, so
-    # precomputed terms equal the ones computed during a walk bit for bit.
+    # Same branch form as the folds inlined in the evaluators below, so
+    # edge_factor_log's terms equal theirs bit for bit.
     return (a + math.log1p(math.exp(b - a))) if a >= b else (b + math.log1p(math.exp(a - b)))
 
 
@@ -184,19 +167,18 @@ no label exceeds, pins to -; see ``walk_log_ratio``."""
 
 @dataclass(frozen=True)
 class CompiledSystem:
-    """A system flattened for ``walk_log_ratio``, built once per frontier.
+    """A system flattened for ``walk_log_ratio``.
 
     ``twice_field[v]`` is ``2 * external_field`` of vertex v (index 0 unused).
     ``rows[v]`` holds one entry ``(w, factors, below)`` per neighbour w of v,
     in ascending w.  ``factors`` is the tuple ``(pinned_plus, pinned_minus,
-    frontier_gain, frontier_loss, leaf_gain, leaf_loss, pp, pm, mp, mm)``
-    of the edge read in orientation v -> w: the factors of a child w pinned
-    to + (pp - mp) and to - (pm - mm), the terms of a child at the depth
-    limit, the terms of a childless expanded w, and the table.  Edges with
-    the same table bits share one ``factors`` tuple.  ``belows[below]``
-    holds the entries of w's row other than the one back to v, that is, the
-    children of w when the walk arrives from v; ``below`` is None, and only
-    then are the leaf terms set, when w has no other neighbour.
+    midpoint, pp, pm, mp, mm)`` of the edge read in orientation v -> w: the
+    factors of a child w pinned to + (pp - mp) and to - (pm - mm), the middle
+    of that range, which a free child at the depth limit adds, and the
+    table.  Edges with the same table bits share one ``factors`` tuple.
+    ``belows[below]`` holds the entries of w's row other than the one back
+    to v, that is, the children of w when the walk arrives from v; it is
+    empty when w has no other neighbour.
     """
 
     n: int
@@ -213,13 +195,8 @@ class CompiledSystem:
         return stops
 
 
-def compile_system(system: SpinSystem, frontier: float | None = None) -> CompiledSystem:
-    """Flatten ``system`` into the tables ``walk_log_ratio`` reads, with the
-    factor of a frontier leaf precomputed for ``frontier``: by default the
-    midpoint of each edge factor's range, otherwise the factor at that log
-    ratio (see ``tree_log_ratio``)."""
-    if frontier is not None and math.isnan(frontier):
-        raise ValueError("frontier value must not be NaN")
+def compile_system(system: SpinSystem) -> CompiledSystem:
+    """Flatten ``system`` into the tables ``walk_log_ratio`` reads."""
     graph = system.graph
     n = graph.n
     adjacency = graph.adjacency
@@ -228,7 +205,7 @@ def compile_system(system: SpinSystem, frontier: float | None = None) -> Compile
         twice_field[v] = 2.0 * external_field(system.fields[v])
     shared: dict[bytes, tuple] = {}  # keyed by bits: 0.0 and -0.0 stay apart
     rows: list[tuple[tuple, ...]] = [()] * (n + 1)
-    arrivals = 0  # entries with a below so far
+    below = 0
     for v in graph.vertices():
         row = []
         for w in adjacency[v - 1]:
@@ -238,30 +215,16 @@ def compile_system(system: SpinSystem, frontier: float | None = None) -> Compile
             else:
                 pot = system.potentials[(w, v)]
                 pp, pm, mp, mm = pot.pp, pot.mp, pot.pm, pot.mm
-            childless = len(adjacency[w - 1]) == 1
-            if childless:
-                key = struct.pack("5d", pp, pm, mp, mm, twice_field[w])
-            else:
-                key = struct.pack("4d", pp, pm, mp, mm)
+            key = struct.pack("4d", pp, pm, mp, mm)
             factors = shared.get(key)
             if factors is None:
-                leaf = _edge_terms(pp, pm, mp, mm, twice_field[w]) if childless else (None, None)
-                factors = shared[key] = (
-                    pp - mp, pm - mm, *_edge_terms(pp, pm, mp, mm, frontier), *leaf,
-                    pp, pm, mp, mm,
-                )
-            if childless:
-                row.append((w, factors, None))
-            else:
-                row.append((w, factors, arrivals))
-                arrivals += 1
+                factors = shared[key] = (pp - mp, pm - mm, _midpoint(pp, pm, mp, mm), pp, pm, mp, mm)
+            row.append((w, factors, below))
+            below += 1
         rows[v] = tuple(row)
     # Same order as the numbering above.
     belows = tuple(
-        tuple(e for e in rows[w] if e[0] != v)
-        for v in graph.vertices()
-        for w, _, below in rows[v]
-        if below is not None
+        tuple(e for e in rows[w] if e[0] != v) for v in graph.vertices() for w, _, _ in rows[v]
     )
     return CompiledSystem(n, tuple(twice_field), tuple(rows), belows)
 
@@ -273,8 +236,8 @@ def walk_log_ratio(
     and the number of nodes that tree has; the tree itself is never built.
 
     The result equals ``tree_log_ratio(system, build_saw_tree(system, root,
-    depth_limit, condition), frontier)`` and that tree's ``node_count``, bit
-    for bit, when ``stops`` comes from ``compiled.stops(condition)``.
+    depth_limit, condition))`` and that tree's ``node_count``, bit for bit,
+    when ``stops`` comes from ``compiled.stops(condition)``.
 
     ``stops[w]`` is None while a walk may enter w.  Otherwise a copy of w
     ends the walk as a pinned leaf: + if the label of the vertex it is
@@ -307,8 +270,7 @@ def walk_log_ratio(
                 total += factors[0] if origin > stop else factors[1]
             elif depth == last:
                 total += factors[2]
-                total -= factors[3]
-            elif below is not None:
+            else:
                 stops[origin] = child
                 stops[child] = 0
                 frames.append((origin, children, total, factors))
@@ -319,9 +281,6 @@ def walk_log_ratio(
                 depth += 1
                 count += len(row)
                 break
-            else:  # expanded, but its only neighbour is the parent
-                total += factors[4]
-                total -= factors[5]
         else:
             stops[origin] = None
             if not frames:
@@ -335,11 +294,11 @@ def walk_log_ratio(
             elif lam == -inf:
                 total += factors[1]
             else:
-                a = factors[6] + lam
-                b = factors[7]
+                a = factors[3] + lam
+                b = factors[4]
                 total += (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
-                a = factors[8] + lam
-                b = factors[9]
+                a = factors[5] + lam
+                b = factors[6]
                 total -= (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
 
 

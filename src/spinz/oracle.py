@@ -22,6 +22,7 @@ from .core import (
     Graph,
     Spin,
     SpinSystem,
+    SystemScalars,
     decay_function,
     interaction_strength,
     system_scalars,
@@ -29,7 +30,7 @@ from .core import (
 from .generate import attach_spin_model, build_family_graph, ising_system
 from .marginal import edge_factor_log, marginal_plus, tree_log_ratio
 from .partition import all_plus_log_weight
-from .sawtree import Condition, build_saw_tree
+from .sawtree import Condition, build_saw_tree, checked_condition
 
 # The package lists these names so it can export them without importing
 # this module, which loads numpy.
@@ -74,10 +75,6 @@ def _report(name: str, trials: int, max_violation, tolerance: float, worst_case:
     )
 
 
-def _as_condition(condition) -> Condition:
-    return condition if isinstance(condition, Condition) else Condition(condition)
-
-
 def _logsumexp(weights: np.ndarray) -> float:
     """log(sum(exp(weights))) of a nonempty array of finite weights.
 
@@ -99,11 +96,8 @@ def exact_log_partition(system: SpinSystem, condition=None) -> float:
     Refuses more than 2**24 free vertices; this is a reference
     implementation, not an algorithm.
     """
-    cond = _as_condition(condition)
     graph = system.graph
-    for v in cond:
-        if v > graph.n:
-            raise ValueError(f"conditioned vertex {v} is not in the graph (n={graph.n})")
+    cond = checked_condition(graph.n, None, condition)
     free = [v for v in graph.vertices() if v not in cond]
     k = len(free)
     if k > MAX_FREE_VERTICES:
@@ -165,22 +159,37 @@ def exact_log_partition(system: SpinSystem, condition=None) -> float:
 def exact_conditional_marginal(system: SpinSystem, vertex: int, spin: Spin, condition=None) -> float:
     """Exact probability that ``vertex`` takes ``spin`` given the condition,
     as a ratio of two partition sums."""
-    cond = _as_condition(condition)
+    cond = checked_condition(system.graph.n, vertex, condition)
     if vertex in cond:
         raise ValueError(f"vertex {vertex} is conditioned; its marginal is pinned")
-    numerator = exact_log_partition(system, cond.assign(vertex, Spin(spin)))
+    numerator = exact_log_partition(system, {**cond, vertex: Spin(spin)})
     denominator = exact_log_partition(system, cond)
     return math.exp(numerator - denominator)
 
 
+def _identity_gaps(system: SpinSystem, cond: Condition, roots=None):
+    """(root, gap) at each of ``roots`` (default: every vertex free under
+    ``cond``): the gap between the exact marginal of + and the root marginal
+    of the complete walk tree."""
+    graph = system.graph
+    if roots is None:
+        roots = [v for v in graph.vertices() if v not in cond]
+    denominator = exact_log_partition(system, cond)
+    for root in roots:
+        numerator = exact_log_partition(system, {**cond, root: Spin.PLUS})
+        exact = math.exp(numerator - denominator)
+        tree = build_saw_tree(system, root, graph.n, cond)
+        walked = marginal_plus(tree_log_ratio(system, tree))
+        yield root, abs(exact - walked)
+
+
 def check_saw_identity(system: SpinSystem, vertex: int, condition=None, tolerance: float = 1e-9) -> CheckReport:
     """Root marginal of the complete walk tree vs the exact marginal."""
-    cond = _as_condition(condition)
-    exact = exact_conditional_marginal(system, vertex, Spin.PLUS, cond)
-    tree = build_saw_tree(system, vertex, system.graph.n, cond)
-    walked = marginal_plus(tree_log_ratio(system, tree))
-    gap = abs(exact - walked)
-    worst = f"vertex={vertex} n={system.graph.n} condition={dict(cond)!r}"
+    cond = checked_condition(system.graph.n, vertex, condition)
+    if vertex in cond:
+        raise ValueError(f"vertex {vertex} is conditioned; its marginal is pinned")
+    ((_, gap),) = _identity_gaps(system, cond, [vertex])
+    worst = f"vertex={vertex} n={system.graph.n} condition={cond!r}"
     return _report("saw-marginal-identity", 1, gap, tolerance, worst)
 
 
@@ -241,6 +250,8 @@ def max_boundary_gap(system: SpinSystem, vertex: int, sphere, trials: int, rng) 
     worst = ""
     largest = 0.0
     sphere = list(sphere)
+    if vertex in sphere:
+        raise ValueError(f"vertex {vertex} is already conditioned")
     for trial in range(trials):
         first = rng.integers(0, 2, len(sphere))
         second = rng.integers(0, 2, len(sphere))
@@ -249,11 +260,9 @@ def max_boundary_gap(system: SpinSystem, vertex: int, sphere, trials: int, rng) 
             second[0] ^= 1
         log_p = []
         for draw in (first, second):
-            cond = Condition(
-                {v: (Spin.PLUS if bit else Spin.MINUS) for v, bit in zip(sphere, draw)}
-            )
+            cond = {v: (Spin.PLUS if bit else Spin.MINUS) for v, bit in zip(sphere, draw)}
             log_p.append(
-                exact_log_partition(system, cond.assign(vertex, Spin.PLUS))
+                exact_log_partition(system, {**cond, vertex: Spin.PLUS})
                 - exact_log_partition(system, cond)
             )
         gap = abs(log_p[0] - log_p[1])
@@ -261,6 +270,26 @@ def max_boundary_gap(system: SpinSystem, vertex: int, sphere, trials: int, rng) 
             largest = gap
             worst = f"trial={trial}"
     return largest, worst
+
+
+def _decay_bound_report(
+    system: SpinSystem, vertex: int, radius: int, trials: int, rng,
+    scalars: SystemScalars, tolerance: float, worst_case: str,
+) -> tuple[float, CheckReport]:
+    """The largest boundary gap at ``radius`` and its boundary-decay-bound
+    report, measured / envelope - 1.  ``worst_case`` is a format string over
+    ``measured``, ``envelope`` and ``trial`` (the worst draw)."""
+    sphere = system.graph.vertices_at_distance(vertex, radius)
+    if not sphere:
+        raise ValueError(f"no vertices at distance {radius} from vertex {vertex}")
+    envelope = decay_function(radius, scalars.max_coupling, scalars.degree_bound)
+    measured, trial = max_boundary_gap(system, vertex, sphere, trials, rng)
+    if envelope > 0.0:
+        violation = measured / envelope - 1.0
+    else:
+        violation = 0.0 if measured <= 1e-12 else math.inf
+    worst = worst_case.format(measured=measured, envelope=envelope, trial=trial)
+    return measured, _report("boundary-decay-bound", trials, violation, tolerance, worst)
 
 
 def check_decay_bound(
@@ -274,22 +303,14 @@ def check_decay_bound(
 ) -> CheckReport:
     """Conditioning the sphere at ``radius`` moves the root log-marginal by
     at most the decay envelope; reports measured / envelope - 1."""
-    scalars = system_scalars(system, degree_bound)
-    sphere = system.graph.vertices_at_distance(vertex, radius)
-    if not sphere:
-        raise ValueError(f"no vertices at distance {radius} from vertex {vertex}")
-    envelope = decay_function(radius, scalars.max_coupling, scalars.degree_bound)
     rng = np.random.default_rng(seed)
-    measured, worst_trial = max_boundary_gap(system, vertex, sphere, trials, rng)
-    if envelope > 0.0:
-        violation = measured / envelope - 1.0
-    else:
-        violation = 0.0 if measured <= 1e-12 else math.inf
-    worst = (
-        f"vertex={vertex} radius={radius} measured={measured:.6e} "
-        f"envelope={envelope:.6e} seed={seed} {worst_trial}"
+    scalars = system_scalars(system, degree_bound)
+    worst_case = (
+        f"vertex={vertex} radius={radius} measured={{measured:.6e}} "
+        f"envelope={{envelope:.6e}} seed={seed} {{trial}}"
     )
-    return _report("boundary-decay-bound", trials, violation, tolerance, worst)
+    _, report = _decay_bound_report(system, vertex, radius, trials, rng, scalars, tolerance, worst_case)
+    return report
 
 
 def check_decay_geometric(
@@ -329,19 +350,14 @@ def check_decay_geometric(
         rng = np.random.default_rng(graph_seed)
         measured: dict[int, float] = {}
         for radius in radii:
-            sphere = graph.vertices_at_distance(root, radius)
-            measured[radius], _ = max_boundary_gap(system, root, sphere, pairs_per_radius, rng)
-            envelope = decay_function(radius, scalars.max_coupling, scalars.degree_bound)
-            reports.append(
-                _report(
-                    "boundary-decay-bound",
-                    pairs_per_radius,
-                    measured[radius] / envelope - 1.0,
-                    tolerance,
-                    f"graph_seed={graph_seed} root={root} radius={radius} "
-                    f"measured={measured[radius]:.6e} envelope={envelope:.6e}",
-                )
+            worst_case = (
+                f"graph_seed={graph_seed} root={root} radius={radius} "
+                "measured={measured:.6e} envelope={envelope:.6e}"
             )
+            measured[radius], report = _decay_bound_report(
+                system, root, radius, pairs_per_radius, rng, scalars, tolerance, worst_case
+            )
+            reports.append(report)
         threshold = scalars.contraction + ratio_slack
         worst_ratio = max(
             measured[radii[i + 1]] / measured[radii[i]] for i in range(len(radii) - 1)
@@ -371,7 +387,7 @@ def connected_graphs(n: int):
 
 
 def _random_condition(rng, graph: Graph) -> Condition:
-    assignment: dict[int, Spin] = {}
+    assignment: Condition = {}
     for v in graph.vertices():
         roll = rng.random()
         if roll < 0.15:
@@ -380,7 +396,7 @@ def _random_condition(rng, graph: Graph) -> Condition:
             assignment[v] = Spin.MINUS
     if len(assignment) == graph.n and assignment:
         del assignment[next(iter(assignment))]
-    return Condition(assignment)
+    return assignment
 
 
 def check_saw_identity_exhaustive(
@@ -403,15 +419,7 @@ def check_saw_identity_exhaustive(
                     graph, "random", coupling_bound, 1.0, seed=int(rng.integers(2**32))
                 )
                 cond = _random_condition(rng, graph)
-                denominator = exact_log_partition(system, cond)
-                for root in graph.vertices():
-                    if root in cond:
-                        continue
-                    numerator = exact_log_partition(system, cond.assign(root, Spin.PLUS))
-                    exact = math.exp(numerator - denominator)
-                    tree = build_saw_tree(system, root, n, cond)
-                    walked = marginal_plus(tree_log_ratio(system, tree))
-                    gap = abs(exact - walked)
+                for root, gap in _identity_gaps(system, cond):
                     checked += 1
                     if gap > max_gap:
                         max_gap = gap
@@ -434,15 +442,7 @@ def check_saw_identity_random(
         system = _random_instance(rng, max_n=max_n, min_n=6)
         graph = system.graph
         cond = _random_condition(rng, graph)
-        denominator = exact_log_partition(system, cond)
-        for root in graph.vertices():
-            if root in cond:
-                continue
-            numerator = exact_log_partition(system, cond.assign(root, Spin.PLUS))
-            exact = math.exp(numerator - denominator)
-            tree = build_saw_tree(system, root, graph.n, cond)
-            walked = marginal_plus(tree_log_ratio(system, tree))
-            gap = abs(exact - walked)
+        for root, gap in _identity_gaps(system, cond):
             checked += 1
             if gap > max_gap:
                 max_gap = gap
@@ -467,9 +467,9 @@ def check_telescoping(
         exact = exact_log_partition(system)
         log_factors = 0.0
         for vertex in range(1, n + 1):
-            pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
+            pinned_before = {i: Spin.PLUS for i in range(1, vertex)}
             log_factors += exact_log_partition(
-                system, pinned_before.assign(vertex, Spin.PLUS)
+                system, {**pinned_before, vertex: Spin.PLUS}
             ) - exact_log_partition(system, pinned_before)
         reconstructed = all_plus_log_weight(system) - log_factors
         gap = abs(reconstructed - exact)

@@ -11,16 +11,17 @@ overall whenever the contraction condition
 sum as a log, taken from the walk's log ratio where the marginal itself is
 too small for a normal float, so no estimate leaves the log domain.
 
-The sweep compiles the system once (``compile_system``): twice the field of
-every vertex and, per vertex, its edge tables oriented outward in ascending
-neighbour order, with the factors of pinned and frontier children
-precomputed.  Pinning is by rank: one per-label stop array (see
-``walk_log_ratio``) is shared by the whole sweep, and vertex j pins itself to
-+ when its walk is done, so every later walk sees 1..j pinned.  Each walk
-evaluates its tree while walking it, keeping one frame per level, so the
-estimate path holds O(depth) state per vertex and builds no ``SawTree``
-and no ``Condition``.  Its output equals that of ``tree_log_ratio`` over
-``build_saw_tree`` bit for bit.
+The estimate is one serial sweep.  It compiles the system once
+(``compile_system``): twice the field of every vertex and, per vertex, its
+edge tables oriented outward in ascending neighbour order, with the factors
+of pinned and frontier children precomputed.  Pinning is by rank: one
+per-label stop array (see ``walk_log_ratio``) serves the whole sweep, and
+vertex j pins itself to + when its walk is done, so every later walk sees
+1..j pinned.  Each walk evaluates its tree while walking it, keeping one
+frame per level, so the estimate path holds O(depth) state per vertex and
+builds no ``SawTree``.  Its output equals that of ``tree_log_ratio`` over
+``build_saw_tree`` bit for bit, and the log factors are summed in ascending
+vertex order.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
     decay_condition_holds,
     system_scalars,
 )
-from .marginal import PINNED_PLUS, CompiledSystem, compile_system, marginal_plus, walk_log_ratio
+from .marginal import PINNED_PLUS, compile_system, marginal_plus, walk_log_ratio
 from .sawtree import checked_condition
 
 __all__ = [
@@ -154,21 +155,20 @@ def conditional_marginal_estimate(
     vertex: int,
     condition=None,
     depth: int = 1,
-    frontier: float | None = None,
 ) -> float:
     """Estimated probability that ``vertex`` is + under ``condition``.
 
     Evaluates the walk tree truncated at ``depth`` (at least 1), without
-    building it, with the given frontier (default: the midpoint of each
-    frontier edge factor's range; see ``tree_log_ratio``).  The result is
-    exact whenever the tree has no frontier.
+    building it; free leaves at the depth limit add the midpoint of their
+    edge factor's range (see ``tree_log_ratio``).  The result is exact
+    whenever the tree has no frontier.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if condition is not None and vertex in condition:
-        raise ValueError(f"vertex {vertex} is conditioned; its marginal is pinned")
     cond = checked_condition(system.graph.n, vertex, condition)
-    compiled = compile_system(system, frontier)
+    if vertex in cond:
+        raise ValueError(f"vertex {vertex} is conditioned; its marginal is pinned")
+    compiled = compile_system(system)
     log_ratio, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth)
     return marginal_plus(log_ratio)
 
@@ -176,30 +176,6 @@ def conditional_marginal_estimate(
 _MIN_NORMAL = sys.float_info.min
 """Below this a p_hat has lost digits or is 0, so its log comes from the
 walk's log ratio instead of ``math.log(p_hat)``."""
-
-
-def _sweep(
-    compiled: CompiledSystem, depth: int, first: int, last: int
-) -> tuple[list[VertexEstimate], dict[int, float]]:
-    """Estimate vertices first..last in ascending order, each with every
-    lower label pinned to +.
-
-    Also returns log p_hat by vertex for each p_hat below ``_MIN_NORMAL``,
-    as log(R / (1 + R)) from the log ratio (there log_ratio < -708, so exp
-    cannot overflow).
-    """
-    stops = compiled.stops()
-    stops[1:first] = [PINNED_PLUS] * (first - 1)
-    estimates = []
-    tiny = {}
-    for vertex in range(first, last + 1):
-        log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
-        p_hat = marginal_plus(log_ratio)
-        if p_hat < _MIN_NORMAL:
-            tiny[vertex] = log_ratio - math.log1p(math.exp(log_ratio))
-        estimates.append(VertexEstimate(vertex, depth, count, p_hat))
-        stops[vertex] = PINNED_PLUS
-    return estimates, tiny
 
 
 def fptas_log_partition(
@@ -215,15 +191,16 @@ def fptas_log_partition(
         eps: target accuracy in log; must be positive and finite.
         degree_bound: degree parameter for the depth formula; defaults to
             the maximum degree.
-        workers: threads, each sweeping one block of consecutive vertices;
-            the reduction always sums in ascending vertex order, so results
-            are identical for any count.  The sweep is pure Python and holds
-            the interpreter lock, so more than one is not faster.
+        workers: ignored; the sweep is serial.  Accepted so that callers
+            that still pass it keep working.
 
-    Free leaves at the depth limit take the midpoint frontier; the depth
-    from ``truncation_depth`` certifies eps for that frontier only.  A
-    marginal too small for a normal float still contributes an accurate
-    log (see ``_sweep``), so no finite input raises for underflow.
+    Walks vertices 1..n in ascending order; each walk sees every lower label
+    pinned to +, then pins its own vertex.  Free leaves at the depth limit
+    take the midpoint frontier; the depth from ``truncation_depth``
+    certifies eps for that frontier only.  The log factors are summed in
+    the same ascending order, so reruns agree bit for bit.  A marginal too
+    small for a normal float takes its log from the walk's log ratio, so no
+    finite input raises for underflow.
 
     Raises DecayConditionError when the contraction condition fails (no
     estimate is produced).
@@ -239,42 +216,23 @@ def fptas_log_partition(
             degree_bound=scalars.degree_bound,
         )
     n = system.graph.n
-    log_all_plus = all_plus_log_weight(system)
-    if n == 0:
-        return EstimateReport(
-            log_z_hat=log_all_plus,
-            eps=eps,
-            log_weight_all_plus=log_all_plus,
-            degree_bound=scalars.degree_bound,
-            max_coupling=scalars.max_coupling,
-            critical_coupling=scalars.critical_coupling,
-            contraction=scalars.contraction,
-            truncation_depth=0,
-            vertices=(),
-            wall_time_s=time.perf_counter() - started,
-        )
-    depth = truncation_depth(n, scalars.max_coupling, scalars.degree_bound, eps)
+    depth = truncation_depth(n, scalars.max_coupling, scalars.degree_bound, eps) if n else 0
 
     compiled = compile_system(system)
-    if workers > 1:
-        # One block of consecutive vertices per thread; each block has its
-        # own stop array.
-        from concurrent.futures import ThreadPoolExecutor
-
-        size = -(-n // workers)
-        blocks = [(first, min(n, first + size - 1)) for first in range(1, n + 1, size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda block: _sweep(compiled, depth, *block), blocks))
-        estimates = [est for part, _ in parts for est in part]
-        tiny = {vertex: log_p for _, part in parts for vertex, log_p in part.items()}
-    else:
-        estimates, tiny = _sweep(compiled, depth, 1, n)
-
+    stops = compiled.stops()
+    estimates = []
     log_p_total = 0.0
-    for est in estimates:  # ascending vertex order: deterministic reduction
-        p_hat = est.p_hat
-        log_p_total += math.log(p_hat) if p_hat >= _MIN_NORMAL else tiny[est.vertex]
+    for vertex in range(1, n + 1):
+        log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+        p_hat = marginal_plus(log_ratio)
+        if p_hat >= _MIN_NORMAL:
+            log_p_total += math.log(p_hat)
+        else:  # log(R / (1 + R)); here log_ratio < -708, so exp cannot overflow
+            log_p_total += log_ratio - math.log1p(math.exp(log_ratio))
+        estimates.append(VertexEstimate(vertex, depth, count, p_hat))
+        stops[vertex] = PINNED_PLUS
 
+    log_all_plus = all_plus_log_weight(system)
     return EstimateReport(
         log_z_hat=log_all_plus - log_p_total,
         eps=eps,

@@ -16,7 +16,7 @@ controlled approximation.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .core import Spin, SpinSystem
@@ -33,49 +33,9 @@ __all__ = [
 ]
 
 
-class Condition(Mapping):
-    """Read-only partial assignment of spins to vertex labels.
-
-    An empty condition means unconditioned.  Vertex labels are validated as
-    positive integers here and against a concrete graph at the point of use.
-    """
-
-    __slots__ = ("_assignments",)
-
-    def __init__(self, assignments: Mapping[int, Spin] | Iterable[tuple[int, Spin]] | None = None):
-        if assignments is None:
-            items: Iterable[tuple[int, Spin]] = ()
-        elif isinstance(assignments, Mapping):
-            items = assignments.items()
-        else:
-            items = assignments
-        normalized: dict[int, Spin] = {}
-        for vertex, spin in items:
-            if isinstance(vertex, bool) or not isinstance(vertex, int) or vertex < 1:
-                raise ValueError(f"vertex label must be a positive integer, got {vertex!r}")
-            normalized[vertex] = Spin(spin)
-        self._assignments = normalized
-
-    def __getitem__(self, vertex: int) -> Spin:
-        return self._assignments[vertex]
-
-    def __iter__(self):
-        return iter(self._assignments)
-
-    def __len__(self) -> int:
-        return len(self._assignments)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}: {self._assignments[v]}" for v in sorted(self._assignments))
-        return f"Condition({{{inner}}})"
-
-    def assign(self, vertex: int, spin: Spin) -> "Condition":
-        """A new condition extended by one pinned vertex, which must be free."""
-        if vertex in self._assignments:
-            raise ValueError(f"vertex {vertex} is already conditioned")
-        extended = dict(self._assignments)
-        extended[vertex] = spin
-        return Condition(extended)
+Condition = dict[int, Spin]
+"""A partial assignment of spins to vertex labels; empty means unconditioned.
+Functions that take one check it with ``checked_condition``."""
 
 
 def edge_greater(first: tuple[int, int], second: tuple[int, int]) -> bool:
@@ -119,14 +79,23 @@ class SawTree:
 
 
 def checked_condition(n: int, root, condition: Mapping[int, Spin] | None) -> Condition:
-    """Validate a walk's root label and condition against a graph on n
-    vertices; the condition as a ``Condition``."""
-    if isinstance(root, bool) or not isinstance(root, int) or not 1 <= root <= n:
+    """Validate a condition, and a walk's root label unless ``root`` is None,
+    against a graph on n vertices.
+
+    Every label must be an int in 1..n (bools are refused).  Returns the
+    condition as a new dict whose values are ``Spin``.
+    """
+    if root is not None and (
+        isinstance(root, bool) or not isinstance(root, int) or not 1 <= root <= n
+    ):
         raise ValueError(f"unknown vertex label {root!r} (valid labels are 1..{n})")
-    cond = condition if isinstance(condition, Condition) else Condition(condition)
-    for v in cond:
-        if v > n:
-            raise ValueError(f"conditioned vertex {v} is not in the graph (n={n})")
+    cond: Condition = {}
+    for vertex, spin in (condition or {}).items():
+        if isinstance(vertex, bool) or not isinstance(vertex, int) or vertex < 1:
+            raise ValueError(f"vertex label must be a positive integer, got {vertex!r}")
+        if vertex > n:
+            raise ValueError(f"conditioned vertex {vertex} is not in the graph (n={n})")
+        cond[vertex] = Spin(spin)
     return cond
 
 
@@ -150,9 +119,7 @@ def build_saw_tree(
     graph = system.graph
     if depth_limit < 0:
         raise ValueError("depth limit must be nonnegative")
-    cond = checked_condition(graph.n, root, condition)
-
-    pinned = dict(cond)
+    pinned = checked_condition(graph.n, root, condition)
     root_spin = pinned.get(root)
     if root_spin is not None:
         return SawTree(SawNode(root, 0, root_spin, []), root, depth_limit, 1)

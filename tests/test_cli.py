@@ -16,7 +16,7 @@ from spinz import (
     ising_system,
     save_system,
 )
-from spinz.cli import build_parser, main, render_json
+from spinz.cli import main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -78,21 +78,6 @@ def test_estimate_runs_are_bit_identical(tmp_path, capsys):
     _, first, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", "0.05")
     _, second, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", "0.05")
     assert first == second
-
-
-def test_estimate_defaults_to_one_thread():
-    args = build_parser().parse_args(["estimate", "--graph", "g.json", "--eps", "0.1"])
-    assert args.threads == 1
-
-
-def test_estimate_thread_counts_agree(tmp_path, capsys):
-    graph = write_triangle(tmp_path)
-    _, one, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", "0.05",
-                        "--threads", "1")
-    _, four, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", "0.05",
-                         "--threads", "4")
-    assert json.loads(one)["log_z_hat"] == json.loads(four)["log_z_hat"]
-    assert one == four
 
 
 def test_estimate_bad_eps_exit_1(tmp_path, capsys):

@@ -290,14 +290,15 @@ def test_midpoint_frontier_within_half_envelope_of_exact():
                 for v in graph.vertices()
                 if v != root and rng.random() < 0.3
             })
-            exact = exact_log_partition(system, cond.assign(root, Spin.PLUS)) - (
-                exact_log_partition(system, cond.assign(root, Spin.MINUS))
+            exact = exact_log_partition(system, {**cond, root: Spin.PLUS}) - (
+                exact_log_partition(system, {**cond, root: Spin.MINUS})
             )
+            compiled = compile_system(system)
             for depth in range(1, graph.n + 1):
                 half = decay_function(depth, scalars.max_coupling, scalars.degree_bound) / 2
-                for frontier in worst:
-                    compiled = compile_system(system, frontier)
-                    lam, _ = walk_log_ratio(compiled, compiled.stops(cond), root, depth)
+                midpoint, _ = walk_log_ratio(compiled, compiled.stops(cond), root, depth)
+                minus = tree_log_ratio(system, build_saw_tree(system, root, depth, cond), -math.inf)
+                for frontier, lam in ((None, midpoint), (-math.inf, minus)):
                     worst[frontier] = max(worst[frontier], abs(lam - exact) / half)
                 pairs += 1
     assert pairs >= 1000

@@ -24,6 +24,7 @@ from spinz import (
     exact_conditional_marginal,
     exact_log_partition,
     ising_system,
+    max_boundary_gap,
 )
 
 from .helpers import random_system, reference_log_partition
@@ -146,6 +147,11 @@ def test_exact_conditional_marginal_rejects_pinned_vertex():
     system = ising_system(build_family_graph("path", n=2), 0.3)
     with pytest.raises(ValueError):
         exact_conditional_marginal(system, 1, Spin.PLUS, {1: Spin.PLUS})
+    # the other checks that extend a condition by their root refuse it too
+    with pytest.raises(ValueError, match="conditioned"):
+        check_saw_identity(system, 1, {1: Spin.PLUS})
+    with pytest.raises(ValueError, match="already conditioned"):
+        max_boundary_gap(system, 1, [2, 1], 1, np.random.default_rng(0))
 
 
 def test_check_saw_identity_tree_and_triangle():

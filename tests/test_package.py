@@ -76,31 +76,29 @@ def test_estimate_path_loads_no_numpy_scipy_oracle_or_pool(tmp_path):
     assert result["text"] == estimate_text(spinz.load_system(path), 0.1)
 
 
-def test_cli_estimate_loads_no_numpy_and_threads_agree(tmp_path):
+def test_cli_estimate_loads_no_numpy_and_has_no_threads(tmp_path):
     path = write_grid(tmp_path)
     result = run_fresh(
         """
         import contextlib, io, json, sys
         from spinz import cli
 
-        def estimate(threads):
+        def estimate(*extra):
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(["estimate", "--graph", sys.argv[1], "--eps", "0.1", "--threads", threads])
+                code = cli.main(["estimate", "--graph", sys.argv[1], "--eps", "0.1", *extra])
             return code, out.getvalue()
 
-        serial = estimate("1")
+        serial = estimate()
+        threads = estimate("--threads", "2")
         loaded = [m for m in HEAVY if m in sys.modules]
-        pooled = estimate("2")
-        print(json.dumps({"serial": serial, "loaded": loaded, "pooled": pooled,
-                          "pool_loaded": "concurrent.futures" in sys.modules}))
+        print(json.dumps({"serial": serial, "threads": threads, "loaded": loaded}))
         """,
         path,
     )
     assert result["loaded"] == []
-    assert result["serial"][0] == 0
-    assert result["pooled"] == result["serial"]
-    assert result["pool_loaded"]  # the two-thread run really took the pool branch
+    assert result["serial"] == [0, estimate_text(spinz.load_system(path), 0.1)]
+    assert result["threads"] == [1, ""]
 
 
 def test_all_is_the_submodules_all_in_order():

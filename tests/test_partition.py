@@ -223,14 +223,6 @@ def test_fptas_relabeling_stays_within_two_eps():
         assert abs(first - second) <= 2 * eps
 
 
-def test_fptas_threads_match_serial():
-    system = acceptance_instance("grid", "random", 99)
-    serial = fptas_log_partition(system, 0.05, workers=1)
-    threaded = fptas_log_partition(system, 0.05, workers=4)
-    assert threaded.log_z_hat == serial.log_z_hat
-    assert [v.p_hat for v in threaded.vertices] == [v.p_hat for v in serial.vertices]
-
-
 def test_fptas_tiny_marginal_stays_in_log_domain():
     # log Z = h + log1p(exp(-2h)) for one vertex with fields (-h, h).  At
     # h=400 the marginal underflows to 0; at h=360 it is subnormal, and its
@@ -240,10 +232,8 @@ def test_fptas_tiny_marginal_stays_in_log_domain():
         report = fptas_log_partition(system, 0.1)
         assert abs(report.log_z_hat - h) <= tolerance
         assert report.vertices[0].p_hat < sys.float_info.min
-    # two such vertices, one per thread
     pair = SpinSystem(Graph.from_edges(2, []), {}, {v: VertexField(-400.0, 400.0) for v in (1, 2)})
-    for workers in (1, 2):
-        assert fptas_log_partition(pair, 0.1, workers=workers).log_z_hat == 800.0
+    assert fptas_log_partition(pair, 0.1).log_z_hat == 800.0
 
 
 def test_fptas_midpoint_frontier_stays_within_eps():
@@ -314,32 +304,29 @@ def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
         WALK_SPECS[index], model=model, coupling=0.4, field_strength=field, seed=3
     ))
     n = system.n
-    # None stands for the default, midpoint frontier, passed by omission.
-    for frontier in (None, -math.inf, 0.0, 0.7, math.inf):
-        given = {} if frontier is None else {"frontier": frontier}
-        compiled = compile_system(system, **given)
-        for depth in sorted({1, 2, 3, n}):
-            sweep = compiled.stops()
-            for vertex in system.graph.vertices():
-                pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
-                tree = build_saw_tree(system, vertex, depth, pinned_before)
-                log_ratio, count = walk_log_ratio(compiled, sweep, vertex, depth)
-                assert log_ratio.hex() == tree_log_ratio(system, tree, **given).hex()
+    compiled = compile_system(system)
+    for depth in sorted({1, 2, 3, n}):
+        sweep = compiled.stops()
+        for vertex in system.graph.vertices():
+            pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
+            tree = build_saw_tree(system, vertex, depth, pinned_before)
+            log_ratio, count = walk_log_ratio(compiled, sweep, vertex, depth)
+            assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
+            assert count == tree.node_count
+            sweep[vertex] = PINNED_PLUS
+        for _ in range(3):
+            spins = rng.choice([0, 1, -1], size=n)
+            cond = Condition({v: Spin(int(s)) for v, s in enumerate(spins, 1) if s})
+            for vertex in (v for v in system.graph.vertices() if v not in cond):
+                stops = compiled.stops(cond)
+                tree = build_saw_tree(system, vertex, depth, cond)
+                want = tree_log_ratio(system, tree)
+                log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+                assert log_ratio.hex() == want.hex()
                 assert count == tree.node_count
-                sweep[vertex] = PINNED_PLUS
-            for _ in range(3):
-                spins = rng.choice([0, 1, -1], size=n)
-                cond = Condition({v: Spin(int(s)) for v, s in enumerate(spins, 1) if s})
-                for vertex in (v for v in system.graph.vertices() if v not in cond):
-                    stops = compiled.stops(cond)
-                    tree = build_saw_tree(system, vertex, depth, cond)
-                    want = tree_log_ratio(system, tree, **given)
-                    log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
-                    assert log_ratio.hex() == want.hex()
-                    assert count == tree.node_count
-                    assert stops == compiled.stops(cond)  # the walk restored its array
-                    estimate = conditional_marginal_estimate(system, vertex, cond, depth, **given)
-                    assert estimate.hex() == marginal_plus(want).hex()
+                assert stops == compiled.stops(cond)  # the walk restored its array
+                estimate = conditional_marginal_estimate(system, vertex, cond, depth)
+                assert estimate.hex() == marginal_plus(want).hex()
 
 
 def test_fptas_builds_no_tree_and_no_condition(monkeypatch):
@@ -351,7 +338,6 @@ def test_fptas_builds_no_tree_and_no_condition(monkeypatch):
     for module in (spinz.partition, spinz.sawtree, spinz.marginal):
         for name in ("Condition", "SawNode", "SawTree", "build_saw_tree", "tree_log_ratio"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    for workers in (1, 3):
-        report = fptas_log_partition(system, 0.1, workers=workers)
-        assert report.log_z_hat.hex() == expected.log_z_hat.hex()
-        assert report.vertices == expected.vertices
+    report = fptas_log_partition(system, 0.1)
+    assert report.log_z_hat.hex() == expected.log_z_hat.hex()
+    assert report.vertices == expected.vertices

@@ -9,7 +9,9 @@ from spinz import (
     Spin,
     build_family_graph,
     build_saw_tree,
+    checked_condition,
     edge_greater,
+    exact_log_partition,
     format_saw_tree,
     frontier_count,
     ising_system,
@@ -39,17 +41,21 @@ def test_edge_greater_requires_shared_vertex():
 
 
 def test_condition_basics():
-    cond = Condition({2: Spin.PLUS})
-    assert cond[2] is Spin.PLUS
-    assert 1 not in cond and len(cond) == 1
-    extended = cond.assign(1, Spin.MINUS)
-    assert extended[1] is Spin.MINUS and 1 not in cond
-    with pytest.raises(ValueError):
-        extended.assign(2, Spin.MINUS)
-    with pytest.raises(ValueError):
-        Condition({0: Spin.PLUS})
-    with pytest.raises(ValueError):
-        Condition({True: Spin.PLUS})
+    system = ising_system(build_family_graph("path", n=3), 0.4)
+    cond = checked_condition(3, 1, Condition({2: 1, 3: -1}))
+    assert type(cond) is dict
+    assert cond == {2: Spin.PLUS, 3: Spin.MINUS}
+    assert cond[2] is Spin.PLUS and cond[3] is Spin.MINUS
+    for label in (0, -1, True, 2.0, "2"):
+        with pytest.raises(ValueError, match="vertex label must be a positive integer"):
+            build_saw_tree(system, 1, 3, {label: Spin.PLUS})
+        with pytest.raises(ValueError, match="vertex label must be a positive integer"):
+            exact_log_partition(system, {label: Spin.PLUS})
+    for build in (lambda c: build_saw_tree(system, 1, 3, c), lambda c: exact_log_partition(system, c)):
+        with pytest.raises(ValueError, match="conditioned vertex 4 is not in the graph"):
+            build({4: Spin.PLUS})
+        with pytest.raises(ValueError):
+            build({2: 0})  # not a spin
 
 
 def test_triangle_golden_tree():
