@@ -8,57 +8,78 @@ brute-force oracle and a set of property checks back every claim at small
 scale.
 
 The package re-exports each submodule's ``__all__``.  Importing it loads
-only the standard library: the oracle's names are exported lazily
-(PEP 562), so ``spinz.oracle`` and numpy load the first time one of them is
-used.
+``core``, ``marginal``, ``partition`` and ``graphfile``, which are all the
+estimate path needs, and only standard-library modules beside them.  The
+names of ``sawtree``, ``families`` and ``oracle`` are exported lazily
+(PEP 562): each of those modules loads the first time one of its names, or
+the module itself, is looked up on the package.  So the walk-tree builder,
+the generators with dataclasses and numpy, and the oracle stay off the
+estimate path.
 """
 
-from . import core, marginal, partition, sawtree
-from . import generate as _generate
+import importlib
+
+from . import core, graphfile, marginal, partition
 from .core import *  # noqa: F401,F403
-from .sawtree import *  # noqa: F401,F403
 from .marginal import *  # noqa: F401,F403
 from .partition import *  # noqa: F401,F403
-# Last, so that ``spinz.generate`` is the function, not the module.
-from .generate import *  # noqa: F401,F403
+from .graphfile import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-# spinz.oracle's __all__, kept here so the names can be exported without
-# importing it.
-_ORACLE_ALL = (
-    "CheckReport",
-    "exact_log_partition",
-    "exact_conditional_marginal",
-    "check_saw_identity",
-    "check_contraction",
-    "check_edge_factor_lipschitz",
-    "check_decay_bound",
-    "max_boundary_gap",
-    "check_decay_geometric",
-    "check_saw_identity_exhaustive",
-    "check_saw_identity_random",
-    "check_telescoping",
-    "connected_graphs",
-)
+# The __all__ of each lazily loaded submodule.  It is kept here so that the
+# names can be exported without importing the module, and each of those
+# modules takes its __all__ from this table.
+_LAZY_ALL = {
+    "sawtree": (
+        "SawNode",
+        "SawTree",
+        "edge_greater",
+        "build_saw_tree",
+        "frontier_count",
+        "format_saw_tree",
+    ),
+    "families": (
+        "GenSpec",
+        "generate",
+        "build_family_graph",
+        "attach_spin_model",
+        "ising_system",
+    ),
+    "oracle": (
+        "CheckReport",
+        "exact_log_partition",
+        "exact_conditional_marginal",
+        "check_saw_identity",
+        "check_contraction",
+        "check_edge_factor_lipschitz",
+        "check_decay_bound",
+        "max_boundary_gap",
+        "check_decay_geometric",
+        "check_saw_identity_exhaustive",
+        "check_saw_identity_random",
+        "check_telescoping",
+        "connected_graphs",
+    ),
+}
 
 __all__ = [
     *core.__all__,
-    *sawtree.__all__,
     *marginal.__all__,
     *partition.__all__,
-    *_generate.__all__,
-    *_ORACLE_ALL,
+    *graphfile.__all__,
+    *(name for names in _LAZY_ALL.values() for name in names),
     "__version__",
 ]
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_ALL:
-        from . import oracle
-
-        globals().update((key, getattr(oracle, key)) for key in _ORACLE_ALL)
-        return globals()[name]
+    for module, names in _LAZY_ALL.items():
+        if name == module or name in names:
+            # Importing a submodule also binds it here, under its own name.
+            loaded = importlib.import_module(f"{__name__}.{module}")
+            globals().update((key, getattr(loaded, key)) for key in names)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

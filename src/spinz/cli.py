@@ -9,21 +9,26 @@ Reports are JSON on stdout with every float at 17 significant digits;
 diagnostics go to stderr.  Exit codes: 0 success, 1 input error or failed
 verification, 2 estimate refused because the decay condition fails.
 
-exact, verify and decay import the oracle and numpy when they run, and gen
-imports numpy, so estimate, check and sawtree use the standard library alone.
+Each command imports what only it needs when it runs: exact, verify and
+decay the oracle and numpy, gen the generators and numpy, sawtree the
+walk-tree builder, and ``main`` argparse.  Importing this module therefore
+loads nothing beyond the estimate path, so a caller of ``render_json`` pays
+for none of them, and estimate and check use the standard library alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 
-from .core import DecayConditionError, Spin, decay_function, system_scalars
-from .generate import GenSpec, GraphFileError, generate, load_system, save_system
+from .core import Condition, DecayConditionError, Spin, decay_function, system_scalars
+from .graphfile import GraphFileError, load_system, save_system
 from .partition import fptas_log_partition
-from .sawtree import Condition, build_saw_tree, format_saw_tree
+
+TYPE_CHECKING = False  # True to type checkers; argparse loads in build_parser
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main", "build_parser", "render_json"]
 
@@ -240,6 +245,8 @@ def cmd_decay(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .families import GenSpec, generate
+
     spec = GenSpec(
         family=args.family,
         n=args.n,
@@ -295,6 +302,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_sawtree(args) -> int:
+    from .sawtree import build_saw_tree, format_saw_tree
+
     system = load_system(args.graph)
     cond = _parse_condition(args.cond)
     depth = args.depth if args.depth is not None else system.n
@@ -305,6 +314,8 @@ def cmd_sawtree(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="spinz",
         description=(

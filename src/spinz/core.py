@@ -5,15 +5,19 @@ A spin system attaches a 2x2 table of pair log-weights to every edge and a
 tables (per-edge interaction strength, per-vertex external field, and their
 extremes) decide whether the correlation-decay machinery in the rest of the
 package applies, and how fast it converges.
+
+The records here are namedtuple subclasses rather than dataclasses: they
+are defined on every import, and a namedtuple class costs a tenth of a
+frozen dataclass to define.  Like frozen dataclasses they are immutable
+and equal only to records of the same class with equal fields.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections import deque, namedtuple
+from collections.abc import Iterable, Mapping
 
 __all__ = [
     "Spin",
@@ -23,6 +27,8 @@ __all__ = [
     "SpinSystem",
     "SystemScalars",
     "DecayConditionError",
+    "Condition",
+    "checked_condition",
     "interaction_strength",
     "external_field",
     "critical_inverse_temperature",
@@ -78,19 +84,73 @@ def _check_label(v, n: int) -> None:
         raise ValueError(f"unknown vertex label {v!r} (valid labels are 1..{n})")
 
 
-@dataclass(frozen=True)
-class Graph:
+Condition = dict[int, Spin]
+"""A partial assignment of spins to vertex labels; empty means unconditioned.
+Functions that take one check it with ``checked_condition``."""
+
+
+def checked_condition(n: int, root, condition: Mapping[int, Spin] | None) -> Condition:
+    """Validate a condition, and a walk's root label unless ``root`` is None,
+    against a graph on n vertices.
+
+    Every label must be an int in 1..n (bools are refused).  Returns the
+    condition as a new dict whose values are ``Spin``.
+    """
+    if root is not None and (
+        isinstance(root, bool) or not isinstance(root, int) or not 1 <= root <= n
+    ):
+        raise ValueError(f"unknown vertex label {root!r} (valid labels are 1..{n})")
+    cond: Condition = {}
+    for vertex, spin in (condition or {}).items():
+        if isinstance(vertex, bool) or not isinstance(vertex, int) or vertex < 1:
+            raise ValueError(f"vertex label must be a positive integer, got {vertex!r}")
+        if vertex > n:
+            raise ValueError(f"conditioned vertex {vertex} is not in the graph (n={n})")
+        cond[vertex] = Spin(spin)
+    return cond
+
+
+class Record:
+    """Base of the package's records, placed before a namedtuple in the bases.
+
+    A record equals only another record of the same class with equal fields,
+    never a plain tuple, and it takes no attributes beyond its fields.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
+        # False, not NotImplemented, or the tuple's own __eq__ would be tried.
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+
+def _finite(kind: str, name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{kind} entry {name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{kind} entry {name} must be finite, got {value!r}")
+    return float(value)
+
+
+class Graph(Record, namedtuple("Graph", "n edges adjacency")):
     """Simple undirected graph on vertices labeled 1..n.
 
     Labels are contiguous and meaningful: the cycle-closing rule of the walk
     tree and the vertex sweep of the partition estimator both read them.
     Neighbor lists are kept sorted so that constructions iterating over them
-    are deterministic.
+    are deterministic.  ``edges`` holds (u, v) pairs with u < v in sorted
+    order, and ``adjacency[v - 1]`` the sorted neighbours of v.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
@@ -162,29 +222,25 @@ class Graph:
         return len(self.distances_from(1)) == self.n
 
 
-@dataclass(frozen=True)
-class EdgePotential:
+class EdgePotential(Record, namedtuple("EdgePotential", "pp pm mp mm")):
     """Log-weights of the four spin pairs across an edge.
 
     Entries are read in a fixed orientation (first endpoint, second endpoint):
     pp is (+, +), pm is (+, -), mp is (-, +), mm is (-, -).  The reverse
     orientation of the same edge is ``transposed()``.  All entries must be
-    finite; hard constraints are out of scope.
+    finite; hard constraints are out of scope.  They are stored as floats.
     """
 
-    pp: float
-    pm: float
-    mp: float
-    mm: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("pp", "pm", "mp", "mm"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"potential entry {name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"potential entry {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+    def __new__(cls, pp: float, pm: float, mp: float, mm: float):
+        return super().__new__(
+            cls,
+            _finite("potential", "pp", pp),
+            _finite("potential", "pm", pm),
+            _finite("potential", "mp", mp),
+            _finite("potential", "mm", mm),
+        )
 
     def transposed(self) -> "EdgePotential":
         """The same table read with the endpoints swapped."""
@@ -198,56 +254,51 @@ class EdgePotential:
         return self.mp if second is Spin.PLUS else self.mm
 
 
-@dataclass(frozen=True)
-class VertexField:
-    """Log-weights of the two spins at a vertex."""
+class VertexField(Record, namedtuple("VertexField", "h_plus h_minus")):
+    """Log-weights of the two spins at a vertex, finite and stored as floats."""
 
-    h_plus: float
-    h_minus: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("h_plus", "h_minus"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"field entry {name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"field entry {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+    def __new__(cls, h_plus: float, h_minus: float):
+        return super().__new__(
+            cls, _finite("field", "h_plus", h_plus), _finite("field", "h_minus", h_minus)
+        )
 
     def value(self, spin: Spin) -> float:
         return self.h_plus if Spin(spin) is Spin.PLUS else self.h_minus
 
 
-@dataclass(frozen=True)
-class SpinSystem:
+class SpinSystem(Record, namedtuple("SpinSystem", "graph potentials fields")):
     """A graph plus one potential per edge and one field per vertex.
 
     Potentials are keyed by (u, v) with u < v and read in that orientation;
-    ``oriented_potential`` serves the reverse reading.  Instances are
-    immutable, so they can be shared freely across worker threads.
+    ``oriented_potential`` serves the reverse reading.  The two mappings are
+    copied into new dicts on construction.
     """
 
-    graph: Graph
-    potentials: Mapping[tuple[int, int], EdgePotential]
-    fields: Mapping[int, VertexField]
+    __slots__ = ()
 
-    def __post_init__(self):
-        expected = set(self.graph.edges)
-        got = set(self.potentials)
+    def __new__(
+        cls,
+        graph: Graph,
+        potentials: Mapping[tuple[int, int], EdgePotential],
+        fields: Mapping[int, VertexField],
+    ):
+        expected = set(graph.edges)
+        got = set(potentials)
         if got != expected:
             raise ValueError(
                 "potential keys must be exactly the edge set keyed (u, v) with u < v; "
                 f"missing={sorted(expected - got)}, unexpected={sorted(got - expected)}"
             )
-        expected_v = set(self.graph.vertices())
-        got_v = set(self.fields)
+        expected_v = set(graph.vertices())
+        got_v = set(fields)
         if got_v != expected_v:
             raise ValueError(
                 "field keys must be exactly the vertex set; "
                 f"missing={sorted(expected_v - got_v)}, unexpected={sorted(got_v - expected_v)}"
             )
-        object.__setattr__(self, "potentials", dict(self.potentials))
-        object.__setattr__(self, "fields", dict(self.fields))
+        return super().__new__(cls, graph, dict(potentials), dict(fields))
 
     @property
     def n(self) -> int:
@@ -261,10 +312,6 @@ class SpinSystem:
         except KeyError:
             raise ValueError(f"no edge between {u} and {v}") from None
         return stored if u < v else stored.transposed()
-
-    def field(self, v: int) -> VertexField:
-        _check_label(v, self.graph.n)
-        return self.fields[v]
 
 
 def interaction_strength(potential: EdgePotential) -> float:
@@ -296,17 +343,22 @@ def critical_inverse_temperature(degree: int) -> float:
     return 0.5 * math.log(degree / (degree - 2))
 
 
-@dataclass(frozen=True)
-class SystemScalars:
-    """Derived scalars of a system for a chosen degree bound."""
+class SystemScalars(
+    Record,
+    namedtuple(
+        "SystemScalars",
+        "interaction_by_edge field_by_vertex max_coupling max_degree degree_bound "
+        "critical_coupling contraction",
+    ),
+):
+    """Derived scalars of a system for a chosen degree bound.
 
-    interaction_by_edge: Mapping[tuple[int, int], float]
-    field_by_vertex: Mapping[int, float]
-    max_coupling: float
-    max_degree: int
-    degree_bound: int
-    critical_coupling: float
-    contraction: float
+    ``interaction_by_edge`` maps each edge to its ``interaction_strength``
+    and ``field_by_vertex`` each vertex to its ``external_field``;
+    ``contraction`` is (degree_bound - 1) * tanh(max_coupling), floored at 0.
+    """
+
+    __slots__ = ()
 
 
 def system_scalars(system: SpinSystem, degree_bound: int | None = None) -> SystemScalars:

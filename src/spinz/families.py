@@ -1,4 +1,4 @@
-"""Seeded graph families, spin-model attachment, and the JSON file format.
+"""Seeded graph families and spin-model attachment.
 
 Randomness comes from numpy's PCG64 behind named streams so outputs are
 portable and reproducible: stream 0 draws topology (with the retry attempt
@@ -6,18 +6,17 @@ appended for the regular-graph pairing model), stream 1 draws potential
 entries per edge in sorted edge order, stream 2 draws field entries per
 vertex in label order.  Stream k of seed s is
 ``np.random.Generator(PCG64(SeedSequence(s, spawn_key=(k, ...))))``.
-numpy is imported only when a system is generated; parsing, loading and
-saving files use the standard library alone.
+numpy is imported only when a system is generated.  The estimate path
+never imports this module: ``spinz`` exports its names lazily.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _LAZY_ALL
 from .core import (
     EdgePotential,
     Graph,
@@ -30,20 +29,9 @@ from .core import (
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "GenSpec",
-    "GraphFileError",
-    "generate",
-    "build_family_graph",
-    "attach_spin_model",
-    "ising_system",
-    "parse_system",
-    "serialize_system",
-    "load_system",
-    "save_system",
-]
-
-SCHEMA_VERSION = 1
+# The package lists these names so it can export them without importing
+# this module.
+__all__ = list(_LAZY_ALL["families"])
 
 _STREAM_TOPOLOGY = 0
 _STREAM_POTENTIALS = 1
@@ -51,10 +39,6 @@ _STREAM_FIELDS = 2
 
 FAMILIES = ("path", "cycle", "grid", "complete", "random_regular", "erdos_renyi")
 MODELS = ("ising", "random")
-
-
-class GraphFileError(ValueError):
-    """A graph file failed schema validation; the message names the spot."""
 
 
 def _stream(seed: int, stream: int, *extra: int) -> np.random.Generator:
@@ -235,156 +219,3 @@ def generate(spec: GenSpec) -> SpinSystem:
         seed=spec.seed,
     )
     return attach_spin_model(graph, spec.model, spec.coupling, spec.field_strength, spec.seed)
-
-
-def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise GraphFileError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise GraphFileError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _require_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphFileError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def parse_system(text: str) -> SpinSystem:
-    """Parse the JSON graph format into a SpinSystem.
-
-    The format lists vertices (with field tables) and edges (with potential
-    tables); an optional ising shorthand supplies tables for entries that
-    omit them.  Vertex ids must be exactly 1..n; files with gaps or
-    duplicates are rejected rather than relabeled.
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFileError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise GraphFileError("top level: expected an object")
-    if "schema_version" not in data:
-        raise GraphFileError("top level: missing schema_version")
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise GraphFileError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {data['schema_version']!r}"
-        )
-
-    shorthand = data.get("model")
-    default_potential = default_field = None
-    if shorthand is not None:
-        if shorthand != "ising":
-            raise GraphFileError(f"model: expected 'ising', got {shorthand!r}")
-        coupling = _require_number(data.get("J"), "J")
-        strength = _require_number(data.get("B"), "B")
-        default_potential = ising_potential(coupling)
-        default_field = ising_field(strength)
-
-    raw_vertices = data.get("vertices")
-    if not isinstance(raw_vertices, list):
-        raise GraphFileError("vertices: expected a list")
-    raw_edges = data.get("edges")
-    if not isinstance(raw_edges, list):
-        raise GraphFileError("edges: expected a list")
-
-    n = len(raw_vertices)
-    fields: dict[int, VertexField] = {}
-    for i, entry in enumerate(raw_vertices):
-        where = f"vertices[{i}]"
-        if not isinstance(entry, dict):
-            raise GraphFileError(f"{where}: expected an object")
-        vid = _require_int(entry.get("id"), f"{where}.id")
-        if not 1 <= vid <= n:
-            raise GraphFileError(
-                f"{where}.id: ids must be exactly 1..{n} with no gaps, got {vid}"
-            )
-        if vid in fields:
-            raise GraphFileError(f"{where}.id: duplicate vertex id {vid}")
-        if "h_plus" in entry or "h_minus" in entry:
-            fields[vid] = VertexField(
-                _require_number(entry.get("h_plus"), f"{where}.h_plus"),
-                _require_number(entry.get("h_minus"), f"{where}.h_minus"),
-            )
-        elif default_field is not None:
-            fields[vid] = default_field
-        else:
-            raise GraphFileError(f"{where}: missing h_plus/h_minus and no model shorthand")
-
-    edges: list[tuple[int, int]] = []
-    potentials: dict[tuple[int, int], EdgePotential] = {}
-    for i, entry in enumerate(raw_edges):
-        where = f"edges[{i}]"
-        if not isinstance(entry, dict):
-            raise GraphFileError(f"{where}: expected an object")
-        u = _require_int(entry.get("u"), f"{where}.u")
-        v = _require_int(entry.get("v"), f"{where}.v")
-        if not 1 <= u <= n or not 1 <= v <= n:
-            raise GraphFileError(f"{where}: endpoint outside 1..{n}")
-        if u == v:
-            raise GraphFileError(f"{where}: self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in potentials:
-            raise GraphFileError(f"{where}: duplicate edge {key}")
-        beta = entry.get("beta")
-        if beta is not None:
-            if not isinstance(beta, dict):
-                raise GraphFileError(f"{where}.beta: expected an object")
-            table = EdgePotential(
-                _require_number(beta.get("pp"), f"{where}.beta.pp"),
-                _require_number(beta.get("pm"), f"{where}.beta.pm"),
-                _require_number(beta.get("mp"), f"{where}.beta.mp"),
-                _require_number(beta.get("mm"), f"{where}.beta.mm"),
-            )
-            # Tables are stored for (min, max); reorient if given as (v, u).
-            potentials[key] = table if u < v else table.transposed()
-        elif default_potential is not None:
-            potentials[key] = default_potential
-        else:
-            raise GraphFileError(f"{where}: missing beta and no model shorthand")
-        edges.append(key)
-
-    graph = Graph.from_edges(n, edges)
-    return SpinSystem(graph, potentials, fields)
-
-
-def serialize_system(system: SpinSystem) -> str:
-    """Render a SpinSystem in the full JSON form; parse_system inverts this
-    exactly (float values round-trip bit-for-bit)."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "vertices": [
-            {
-                "id": v,
-                "h_plus": system.fields[v].h_plus,
-                "h_minus": system.fields[v].h_minus,
-            }
-            for v in system.graph.vertices()
-        ],
-        "edges": [
-            {
-                "u": u,
-                "v": v,
-                "beta": {
-                    "pp": system.potentials[(u, v)].pp,
-                    "pm": system.potentials[(u, v)].pm,
-                    "mp": system.potentials[(u, v)].mp,
-                    "mm": system.potentials[(u, v)].mm,
-                },
-            }
-            for (u, v) in system.graph.edges
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def load_system(path) -> SpinSystem:
-    with open(path, encoding="utf-8") as handle:
-        return parse_system(handle.read())
-
-
-def save_system(system: SpinSystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_system(system))
-        handle.write("\n")

@@ -28,11 +28,14 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 
-from .core import EdgePotential, Spin, SpinSystem, external_field
-from .sawtree import SawTree
+from .core import EdgePotential, Record, Spin, SpinSystem, external_field
+
+TYPE_CHECKING = False  # True to type checkers; the estimate path loads neither typing nor sawtree
+if TYPE_CHECKING:
+    from .sawtree import SawTree
 
 __all__ = [
     "LogRatio",
@@ -165,8 +168,7 @@ PINNED_PLUS = 0
 no label exceeds, pins to -; see ``walk_log_ratio``."""
 
 
-@dataclass(frozen=True)
-class CompiledSystem:
+class CompiledSystem(Record, namedtuple("CompiledSystem", "n twice_field rows belows")):
     """A system flattened for ``walk_log_ratio``.
 
     ``twice_field[v]`` is ``2 * external_field`` of vertex v (index 0 unused).
@@ -181,10 +183,7 @@ class CompiledSystem:
     empty when w has no other neighbour.
     """
 
-    n: int
-    twice_field: tuple[float, ...]
-    rows: tuple[tuple[tuple, ...], ...]
-    belows: tuple[tuple[tuple, ...], ...]
+    __slots__ = ()
 
     def stops(self, condition: Mapping[int, Spin] | None = None) -> list[int | None]:
         """A fresh per-label stop array for ``walk_log_ratio`` with the spins

@@ -17,24 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _ORACLE_ALL
+from . import _LAZY_ALL
 from .core import (
+    Condition,
     Graph,
     Spin,
     SpinSystem,
     SystemScalars,
+    checked_condition,
     decay_function,
     interaction_strength,
     system_scalars,
 )
-from .generate import attach_spin_model, build_family_graph, ising_system
+from .families import attach_spin_model, build_family_graph, ising_system
 from .marginal import edge_factor_log, marginal_plus, tree_log_ratio
 from .partition import all_plus_log_weight
-from .sawtree import Condition, build_saw_tree, checked_condition
+from .sawtree import build_saw_tree
 
 # The package lists these names so it can export them without importing
 # this module, which loads numpy.
-__all__ = list(_ORACLE_ALL)
+__all__ = list(_LAZY_ALL["oracle"])
 
 MAX_FREE_VERTICES = 24
 _CHUNK = 1 << 18

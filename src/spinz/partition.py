@@ -29,16 +29,17 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     DecayConditionError,
+    Record,
     SpinSystem,
+    checked_condition,
     decay_condition_holds,
     system_scalars,
 )
 from .marginal import PINNED_PLUS, compile_system, marginal_plus, walk_log_ratio
-from .sawtree import checked_condition
 
 __all__ = [
     "VertexEstimate",
@@ -50,30 +51,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VertexEstimate:
+class VertexEstimate(Record, namedtuple("VertexEstimate", "vertex depth node_count p_hat")):
     """One telescoping factor: vertex, tree depth, nodes built, estimated marginal."""
 
-    vertex: int
-    depth: int
-    node_count: int
-    p_hat: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Result of a partition-function estimate plus its work bookkeeping."""
+class EstimateReport(
+    Record,
+    namedtuple(
+        "EstimateReport",
+        "log_z_hat eps log_weight_all_plus degree_bound max_coupling critical_coupling "
+        "contraction truncation_depth vertices wall_time_s",
+    ),
+):
+    """Result of a partition-function estimate plus its work bookkeeping:
+    ``vertices`` holds one ``VertexEstimate`` per vertex in ascending order."""
 
-    log_z_hat: float
-    eps: float
-    log_weight_all_plus: float
-    degree_bound: int
-    max_coupling: float
-    critical_coupling: float
-    contraction: float
-    truncation_depth: int
-    vertices: tuple[VertexEstimate, ...]
-    wall_time_s: float
+    __slots__ = ()
 
     @property
     def total_nodes(self) -> int:
@@ -125,7 +120,8 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     range, so the root is off by at most half the envelope.  Computed as
     ceil(log(2 * n * coupling * degree / eps) / log(1 / rate) + 1) with
     rate = (degree - 1) * tanh(coupling), floored at 1.  Natural logs
-    throughout.  Raises DecayConditionError when rate >= 1.
+    throughout.  Raises DecayConditionError when rate >= 1, and ValueError
+    when eps is so small that the depth overflows.
 
     Zero coupling needs no depth at all (every edge factor is constant), so
     the answer is 1.  A degree bound of 1 contracts in a single step but the
@@ -147,6 +143,8 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     if rate <= 0.0:
         return 2
     raw = math.log(2.0 * n * coupling * degree / eps) / math.log(1.0 / rate) + 1.0
+    if not math.isfinite(raw):  # 2 * n * coupling * degree / eps overflowed
+        raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
     return max(1, math.ceil(raw))
 
 

@@ -19,23 +19,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .core import Spin, SpinSystem
+from . import _LAZY_ALL
+from .core import Spin, SpinSystem, checked_condition
 
-__all__ = [
-    "Condition",
-    "SawNode",
-    "SawTree",
-    "edge_greater",
-    "build_saw_tree",
-    "checked_condition",
-    "frontier_count",
-    "format_saw_tree",
-]
-
-
-Condition = dict[int, Spin]
-"""A partial assignment of spins to vertex labels; empty means unconditioned.
-Functions that take one check it with ``checked_condition``."""
+# The package lists these names so it can export them without importing
+# this module.
+__all__ = list(_LAZY_ALL["sawtree"])
 
 
 def edge_greater(first: tuple[int, int], second: tuple[int, int]) -> bool:
@@ -76,27 +65,6 @@ class SawTree:
     root_vertex: int
     depth_limit: int
     node_count: int
-
-
-def checked_condition(n: int, root, condition: Mapping[int, Spin] | None) -> Condition:
-    """Validate a condition, and a walk's root label unless ``root`` is None,
-    against a graph on n vertices.
-
-    Every label must be an int in 1..n (bools are refused).  Returns the
-    condition as a new dict whose values are ``Spin``.
-    """
-    if root is not None and (
-        isinstance(root, bool) or not isinstance(root, int) or not 1 <= root <= n
-    ):
-        raise ValueError(f"unknown vertex label {root!r} (valid labels are 1..{n})")
-    cond: Condition = {}
-    for vertex, spin in (condition or {}).items():
-        if isinstance(vertex, bool) or not isinstance(vertex, int) or vertex < 1:
-            raise ValueError(f"vertex label must be a positive integer, got {vertex!r}")
-        if vertex > n:
-            raise ValueError(f"conditioned vertex {vertex} is not in the graph (n={n})")
-        cond[vertex] = Spin(spin)
-    return cond
 
 
 def build_saw_tree(

@@ -87,6 +87,9 @@ def test_estimate_bad_eps_exit_1(tmp_path, capsys):
         assert code == 1, eps
         assert out == ""
         assert "eps must be a positive finite number" in err
+    code, out, err = run_cli(capsys, "estimate", "--graph", graph, "--eps", "1e-320")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: eps=1e-320 is too small")
 
 
 def test_estimate_underflowing_marginal_exit_0(tmp_path, capsys):

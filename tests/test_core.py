@@ -10,7 +10,9 @@ from spinz import (
     Graph,
     Spin,
     SpinSystem,
+    VertexEstimate,
     VertexField,
+    compile_system,
     critical_inverse_temperature,
     decay_condition_holds,
     decay_function,
@@ -18,6 +20,7 @@ from spinz import (
     interaction_strength,
     ising_field,
     ising_potential,
+    fptas_log_partition,
     system_scalars,
 )
 
@@ -228,3 +231,75 @@ def test_oriented_potential_transposes():
     backward = sys_.oriented_potential(2, 1)
     assert (forward.pp, forward.pm, forward.mp, forward.mm) == (1.0, 2.0, 3.0, 4.0)
     assert (backward.pp, backward.pm, backward.mp, backward.mm) == (1.0, 3.0, 2.0, 4.0)
+
+
+RECORD_FIELDS = {
+    "Graph": ("n", "edges", "adjacency"),
+    "EdgePotential": ("pp", "pm", "mp", "mm"),
+    "VertexField": ("h_plus", "h_minus"),
+    "SpinSystem": ("graph", "potentials", "fields"),
+    "SystemScalars": (
+        "interaction_by_edge", "field_by_vertex", "max_coupling", "max_degree",
+        "degree_bound", "critical_coupling", "contraction",
+    ),
+    "CompiledSystem": ("n", "twice_field", "rows", "belows"),
+    "VertexEstimate": ("vertex", "depth", "node_count", "p_hat"),
+    "EstimateReport": (
+        "log_z_hat", "eps", "log_weight_all_plus", "degree_bound", "max_coupling",
+        "critical_coupling", "contraction", "truncation_depth", "vertices", "wall_time_s",
+    ),
+}
+
+
+def test_records_are_immutable_values_of_their_own_class():
+    g = Graph.from_edges(3, [(1, 2), (2, 3)])
+    system = SpinSystem(
+        g, {e: ising_potential(0.2) for e in g.edges}, {v: ising_field(0.1) for v in g.vertices()}
+    )
+    report = fptas_log_partition(system, 0.1)
+    records = [
+        g, ising_potential(0.2), ising_field(0.1), system, system_scalars(system),
+        compile_system(system), report.vertices[0], report,
+    ]
+    assert sorted(type(r).__name__ for r in records) == sorted(RECORD_FIELDS)
+    for record in records:
+        cls = type(record)
+        assert record._fields == RECORD_FIELDS[cls.__name__]
+        twin = cls(**dict(zip(record._fields, record)))
+        assert twin == record and not twin != record
+        assert record != tuple(record) and tuple(record) != record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert EdgePotential(1, 2, 3, 4) != EdgePotential(1, 2, 3, 5)
+    assert hash(Graph.from_edges(2, [(2, 1)])) == hash(Graph.from_edges(2, [(1, 2)]))
+    # Equal fields, different classes: unequal, as for dataclasses.
+    assert EdgePotential(1, 2, 3, 4) != VertexEstimate(1, 2, 3, 4)
+    assert ising_potential(0.2) == EdgePotential(pp=0.2, pm=-0.2, mp=-0.2, mm=0.2)
+    entries = EdgePotential(1, np.float64(2.0), 3, 4) + VertexField(0, 1)
+    assert [type(x) for x in entries] == [float] * 6
+
+
+def test_record_validation_messages():
+    with pytest.raises(ValueError, match=r"^potential entry mp must be a number, got '1'$"):
+        EdgePotential(0, 0, "1", 0)
+    with pytest.raises(ValueError, match=r"^potential entry pp must be finite, got inf$"):
+        EdgePotential(math.inf, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"^field entry h_plus must be a number, got True$"):
+        VertexField(True, 0)
+    with pytest.raises(ValueError, match=r"^field entry h_minus must be finite, got nan$"):
+        VertexField(0.0, math.nan)
+    g = Graph.from_edges(2, [(1, 2)])
+    fields = {1: VertexField(0, 0), 2: VertexField(0, 0)}
+    with pytest.raises(ValueError) as info:
+        SpinSystem(g, {(2, 1): ising_potential(0.1)}, fields)
+    assert str(info.value) == (
+        "potential keys must be exactly the edge set keyed (u, v) with u < v; "
+        "missing=[(1, 2)], unexpected=[(2, 1)]"
+    )
+    with pytest.raises(ValueError) as info:
+        SpinSystem(g, {(1, 2): ising_potential(0.1)}, {1: fields[1], 3: fields[2]})
+    assert str(info.value) == (
+        "field keys must be exactly the vertex set; missing=[2], unexpected=[3]"
+    )

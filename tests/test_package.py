@@ -1,5 +1,6 @@
-"""The package surface: the estimate path loads only the standard library,
-and the oracle's names are exported lazily.
+"""The package surface: the estimate path loads only the standard library
+and none of the modules it does not use, and the names of the walk-tree
+builder, the generators and the oracle are exported lazily.
 
 Import boundaries are checked in a fresh interpreter, because this test
 process has long since imported numpy and the oracle.  They are checked by
@@ -8,7 +9,6 @@ module presence, not by timing, so they cannot flake.
 
 from __future__ import annotations
 
-import importlib
 import json
 import os
 import subprocess
@@ -17,12 +17,21 @@ import textwrap
 
 import spinz
 from spinz import build_family_graph, cli, fptas_log_partition, ising_system, save_system
-from spinz import core, marginal, oracle, partition, sawtree
+from spinz import core, families, graphfile, marginal, oracle, partition, sawtree
 
-# ``spinz.generate`` is the function; this is the module.
-generate_module = importlib.import_module("spinz.generate")
-
-HEAVY = ("numpy", "scipy", "spinz.oracle", "concurrent.futures")
+# Modules the estimate path must not load.  dataclasses brings inspect, and
+# ``cli.main`` alone may load argparse.
+HEAVY = (
+    "numpy",
+    "scipy",
+    "spinz.oracle",
+    "concurrent.futures",
+    "dataclasses",
+    "inspect",
+    "argparse",
+    "spinz.sawtree",
+    "spinz.families",
+)
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(spinz.__file__)))
 
 
@@ -96,7 +105,7 @@ def test_cli_estimate_loads_no_numpy_and_has_no_threads(tmp_path):
         """,
         path,
     )
-    assert result["loaded"] == []
+    assert result["loaded"] == ["argparse"]
     assert result["serial"] == [0, estimate_text(spinz.load_system(path), 0.1)]
     assert result["threads"] == [1, ""]
 
@@ -104,10 +113,11 @@ def test_cli_estimate_loads_no_numpy_and_has_no_threads(tmp_path):
 def test_all_is_the_submodules_all_in_order():
     expected = [
         *core.__all__,
-        *sawtree.__all__,
         *marginal.__all__,
         *partition.__all__,
-        *generate_module.__all__,
+        *graphfile.__all__,
+        *sawtree.__all__,
+        *families.__all__,
         *oracle.__all__,
         "__version__",
     ]
@@ -119,7 +129,24 @@ def test_every_exported_name_resolves():
     for name in spinz.__all__:
         assert hasattr(spinz, name), name
     assert spinz.exact_log_partition is oracle.exact_log_partition
-    assert spinz.generate is generate_module.generate
+    assert spinz.generate is families.generate
+    assert spinz.build_saw_tree is sawtree.build_saw_tree
+
+
+def test_generate_is_the_function_when_its_module_loads_first():
+    # Importing a submodule binds it on the package, so a module named
+    # ``generate`` would replace the function.
+    result = run_fresh(
+        """
+        import json
+        import spinz.families
+        import spinz
+
+        print(json.dumps({"same": spinz.generate is spinz.families.generate,
+                          "callable": callable(spinz.generate)}))
+        """
+    )
+    assert result == {"same": True, "callable": True}
 
 
 def test_oracle_names_load_lazily():
@@ -128,26 +155,37 @@ def test_oracle_names_load_lazily():
         import json, sys
         import spinz
 
-        listed = [name for name in spinz._ORACLE_ALL if name in dir(spinz)]
-        after_dir = "spinz.oracle" in sys.modules
+        lazy = [name for names in spinz._LAZY_ALL.values() for name in names]
+        listed = [name for name in lazy if name in dir(spinz)]
+        after_dir = [m for m in HEAVY if m in sys.modules]
         try:
             spinz.no_such_name
             unknown = "resolved"
         except AttributeError as err:
             unknown = str(err)
-        after_unknown = "spinz.oracle" in sys.modules
+        after_unknown = [m for m in HEAVY if m in sys.modules]
+        tree_module = spinz.sawtree
+        after_sawtree = [m for m in HEAVY if m in sys.modules]
         namespace = {}
         exec("from spinz import *", namespace)
         missing = [name for name in spinz.__all__ if name not in namespace]
-        from spinz import oracle
-        same = all(namespace[name] is getattr(oracle, name) for name in spinz._ORACLE_ALL)
-        print(json.dumps({"listed": listed, "after_dir": after_dir, "unknown": unknown,
-                          "after_unknown": after_unknown, "missing": missing, "same": same}))
+        same = all(
+            namespace[name] is getattr(sys.modules[f"spinz.{module}"], name)
+            for module, names in spinz._LAZY_ALL.items()
+            for name in names
+        )
+        print(json.dumps({"lazy": lazy, "listed": listed, "after_dir": after_dir,
+                          "unknown": unknown, "after_unknown": after_unknown,
+                          "after_sawtree": after_sawtree,
+                          "tree_module": tree_module.__name__,
+                          "missing": missing, "same": same}))
         """
     )
-    assert result["listed"] == list(spinz._ORACLE_ALL)
-    assert result["after_dir"] is False
+    assert result["listed"] == result["lazy"]
+    assert result["after_dir"] == []
     assert result["unknown"] == "module 'spinz' has no attribute 'no_such_name'"
-    assert result["after_unknown"] is False
+    assert result["after_unknown"] == []
+    assert result["after_sawtree"] == ["dataclasses", "inspect", "spinz.sawtree"]
+    assert result["tree_module"] == "spinz.sawtree"
     assert result["missing"] == []
     assert result["same"] is True

@@ -85,6 +85,9 @@ def test_truncation_depth_rejects_bad_inputs():
     for eps in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="eps must be a positive finite number"):
             truncation_depth(10, 0.3, 3, eps)
+    # 2 * n * coupling * degree / eps overflows to inf here.
+    with pytest.raises(ValueError, match="eps=1e-320 is too small"):
+        truncation_depth(10, 0.3, 3, 1e-320)
     with pytest.raises(ValueError):
         truncation_depth(10, -0.1, 3, 0.1)
     with pytest.raises(DecayConditionError):
