@@ -36,6 +36,7 @@ _LAZY_ALL = {
         "SawTree",
         "edge_greater",
         "build_saw_tree",
+        "tree_log_ratio",
         "frontier_count",
         "format_saw_tree",
     ),

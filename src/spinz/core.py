@@ -407,8 +407,10 @@ def decay_function(distance: int, coupling: float, degree: int) -> float:
         4 * coupling * degree * ((degree - 1) * tanh(coupling)) ** (distance - 1)
 
     It bounds any change of the boundary at that distance, from all minus
-    to all plus included.  The estimator's midpoint frontier is within half
-    of it (see ``truncation_depth``).
+    to all plus included.  The estimator truncates its walk trees at depth
+    t and lets each frontier leaf look one level further, at its children's
+    pinned factors, so its root is within half of the envelope at distance
+    t + 1 (see ``truncation_depth``).
     """
     if distance < 1:
         raise ValueError("distance must be at least 1")

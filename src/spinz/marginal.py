@@ -7,21 +7,22 @@ combines its children through
 
     log_ratio = 2 * field + sum over children of edge_factor_log(...)
 
-A free leaf sitting exactly at the depth limit stands for the unexplored
-remainder of the graph.  Its parent adds the midpoint of that edge factor's
-range, ``0.5 * ((pp - mp) + (pm - mm))``; the factor is monotone in the
-child's log ratio, so the midpoint is within half the range of the true
-factor whatever the subtree holds.
+A free leaf w sitting exactly at the depth limit stands for the unexplored
+remainder of the graph.  Each edge factor is monotone in the child's log
+ratio and lies between its two pinned values, so w's own log ratio lies in
+``[lo, hi]``: twice w's field plus, per child c of w, the smaller
+(respectively larger) of the pinned factors of the edge w -> c.  The parent
+v adds ``_frontier_factor``, the middle of the factor of v -> w over that
+interval.  It is within ``tanh|J| * (hi - lo) / 2 <= 2 * J * (d - 1) *
+tanh(J)`` of the true factor whatever the subtree holds, one contraction
+step tighter than the middle of the factor's whole range.
 
-Two evaluators share that recursion.  ``tree_log_ratio`` reads a built
-``SawTree``; it is the reference, used by the ``sawtree`` dump and the
-oracle's identity checks, and it also takes a float frontier, the log ratio
-of every such leaf (-inf pins them to minus), which the decay tests compare
-against.  ``walk_log_ratio`` walks the same tree over a ``CompiledSystem``
+``walk_log_ratio`` evaluates the walk tree over a ``CompiledSystem``
 without building it: it folds each subtree's value into its parent the
 moment the subtree closes, so it keeps O(depth) state and allocates no
-nodes.  With the midpoint frontier both perform the same float operations
-in the same order, so they agree bit for bit.
+nodes.  Its reference is ``sawtree.tree_log_ratio``, which reads a built
+``SawTree`` and performs the same float operations in the same order, so
+the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -33,14 +34,9 @@ from collections.abc import Mapping
 
 from .core import EdgePotential, Record, Spin, SpinSystem, external_field
 
-TYPE_CHECKING = False  # True to type checkers; the estimate path loads neither typing nor sawtree
-if TYPE_CHECKING:
-    from .sawtree import SawTree
-
 __all__ = [
     "LogRatio",
     "edge_factor_log",
-    "tree_log_ratio",
     "CompiledSystem",
     "compile_system",
     "PINNED_PLUS",
@@ -64,103 +60,28 @@ def edge_factor_log(potential: EdgePotential, child_log_ratio: float) -> float:
     """
     if math.isnan(child_log_ratio):
         raise ValueError("child log ratio must not be NaN")
-    pp, pm, mp, mm = potential.pp, potential.pm, potential.mp, potential.mm
-    if child_log_ratio == _INF:
+    return _factor(potential.pp, potential.pm, potential.mp, potential.mm, child_log_ratio)
+
+
+def _frontier_factor(pp: float, pm: float, mp: float, mm: float, lo: float, hi: float) -> float:
+    """What a free leaf at the depth limit adds to its parent: the middle of
+    the edge factor, table read parent -> leaf, over the leaf's log ratio
+    interval ``[lo, hi]`` (see the module docstring)."""
+    return 0.5 * (_factor(pp, pm, mp, mm, lo) + _factor(pp, pm, mp, mm, hi))
+
+
+def _factor(pp: float, pm: float, mp: float, mm: float, lam: float) -> float:
+    if lam == _INF:
         return pp - mp
-    if child_log_ratio == -_INF:
+    if lam == -_INF:
         return pm - mm
-    return _logaddexp(pp + child_log_ratio, pm) - _logaddexp(mp + child_log_ratio, mm)
-
-
-def _midpoint(pp: float, pm: float, mp: float, mm: float) -> float:
-    """Middle of the edge factor's range, between its pinned values."""
-    return 0.5 * ((pp - mp) + (pm - mm))
+    return _logaddexp(pp + lam, pm) - _logaddexp(mp + lam, mm)
 
 
 def _logaddexp(a: float, b: float) -> float:
-    # Same branch form as the folds inlined in the evaluators below, so
-    # edge_factor_log's terms equal theirs bit for bit.
+    # Same branch form as the fold inlined in the walk below, so
+    # edge_factor_log's terms equal its terms bit for bit.
     return (a + math.log1p(math.exp(b - a))) if a >= b else (b + math.log1p(math.exp(a - b)))
-
-
-def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = None) -> float:
-    """Evaluate the log ratio at the root of a walk tree built from ``system``.
-
-    Args:
-        system: the spin system the tree was built from.
-        tree: a walk tree whose root is free.
-        frontier: what free leaves at the depth limit contribute.  The
-            default None adds the midpoint of each such leaf's edge factor
-            range, so a truncated tree is off by at most half of
-            ``decay_function(depth_limit, ...)``; it needs a depth limit of
-            at least 1.  A float is the log ratio those leaves take (-inf
-            pins the unexplored region to minus).
-
-    Evaluation is an explicit post-order sweep (no recursion), so tree depth
-    is limited only by memory.  Trees are read-only here, and a single tree
-    may be evaluated concurrently with different frontier values.
-    """
-    if frontier is not None and math.isnan(frontier):
-        raise ValueError("frontier value must not be NaN")
-    root = tree.root
-    if root.spin is not None:
-        raise ValueError("tree root is pinned; the root marginal is not free")
-    if frontier is None and tree.depth_limit == 0:
-        raise ValueError("a midpoint frontier needs a depth limit of at least 1")
-
-    n = system.graph.n
-    twice_field = [0.0] * (n + 1)
-    for v in system.graph.vertices():
-        twice_field[v] = 2.0 * external_field(system.fields[v])
-    # Entries oriented parent -> child for both orientations of every edge.
-    tables: dict[tuple[int, int], tuple[float, float, float, float]] = {}
-    for (u, v), pot in system.potentials.items():
-        tables[(u, v)] = (pot.pp, pot.pm, pot.mp, pot.mm)
-        tables[(v, u)] = (pot.pp, pot.mp, pot.pm, pot.mm)
-
-    depth_limit = tree.depth_limit
-    inf = _INF
-    log1p = math.log1p
-    exp = math.exp
-    values: dict[int, float] = {}
-
-    stack: list[tuple] = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not ready:
-            spin = node.spin
-            if spin is not None:
-                values[id(node)] = inf if spin > 0 else -inf
-            elif not node.children:
-                values[id(node)] = frontier if node.depth == depth_limit else twice_field[node.origin]
-            else:
-                stack.append((node, True))
-                for child in node.children:
-                    stack.append((child, False))
-        else:
-            origin = node.origin
-            total = twice_field[origin]
-            for child in node.children:
-                pp, pm, mp, mm = tables[(origin, child.origin)]
-                lam = values.pop(id(child))
-                # Mirrors edge_factor_log; inlined to keep per-node cost low
-                # on trees with millions of nodes.
-                if lam == inf:
-                    total += pp - mp
-                elif lam == -inf:
-                    total += pm - mm
-                elif lam is None:  # free leaf at the depth limit, midpoint frontier
-                    total += _midpoint(pp, pm, mp, mm)
-                else:
-                    a = pp + lam
-                    b = pm
-                    total += (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
-                    a = mp + lam
-                    b = mm
-                    total -= (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
-            values[id(node)] = total
-
-    return values[id(root)]
 
 
 PINNED_PLUS = 0
@@ -168,19 +89,21 @@ PINNED_PLUS = 0
 no label exceeds, pins to -; see ``walk_log_ratio``."""
 
 
-class CompiledSystem(Record, namedtuple("CompiledSystem", "n twice_field rows belows")):
+class CompiledSystem(Record, namedtuple("CompiledSystem", "n twice_field rows belows frontier")):
     """A system flattened for ``walk_log_ratio``.
 
     ``twice_field[v]`` is ``2 * external_field`` of vertex v (index 0 unused).
     ``rows[v]`` holds one entry ``(w, factors, below)`` per neighbour w of v,
     in ascending w.  ``factors`` is the tuple ``(pinned_plus, pinned_minus,
-    midpoint, pp, pm, mp, mm)`` of the edge read in orientation v -> w: the
-    factors of a child w pinned to + (pp - mp) and to - (pm - mm), the middle
-    of that range, which a free child at the depth limit adds, and the
-    table.  Edges with the same table bits share one ``factors`` tuple.
-    ``belows[below]`` holds the entries of w's row other than the one back
-    to v, that is, the children of w when the walk arrives from v; it is
-    empty when w has no other neighbour.
+    pp, pm, mp, mm)`` of the edge read in orientation v -> w: the factors of
+    a child w pinned to + (pp - mp) and to - (pm - mm), and the table.
+    Edges with the same table bits share one ``factors`` tuple.  ``below``
+    numbers the directed edge v -> w.  ``belows[below]`` holds the entries
+    of w's row other than the one back to v, that is, the children of w
+    when the walk arrives from v; it is empty when w has no other
+    neighbour.  ``frontier[below]`` is what w adds to v when it is a free
+    leaf at the depth limit: ``_frontier_factor`` of the edge over w's log
+    ratio interval, which those children's pinned factors bound.
     """
 
     __slots__ = ()
@@ -217,15 +140,36 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
             key = struct.pack("4d", pp, pm, mp, mm)
             factors = shared.get(key)
             if factors is None:
-                factors = shared[key] = (pp - mp, pm - mm, _midpoint(pp, pm, mp, mm), pp, pm, mp, mm)
+                factors = shared[key] = (pp - mp, pm - mm, pp, pm, mp, mm)
             row.append((w, factors, below))
             below += 1
         rows[v] = tuple(row)
-    # Same order as the numbering above.
-    belows = tuple(
-        tuple(e for e in rows[w] if e[0] != v) for v in graph.vertices() for w, _, _ in rows[v]
-    )
-    return CompiledSystem(n, tuple(twice_field), tuple(rows), belows)
+    # Same order as the numbering above.  The interval of w sums its
+    # children in ascending order, as sawtree.tree_log_ratio does.
+    belows = []
+    frontier = []
+    shared_frontier: dict[bytes, float] = {}
+    for v in graph.vertices():
+        for w, factors, _ in rows[v]:
+            children = []
+            lo = hi = twice_field[w]
+            for child in rows[w]:
+                if child[0] != v:
+                    children.append(child)
+                    plus, minus = child[1][0], child[1][1]
+                    if plus < minus:
+                        lo += plus
+                        hi += minus
+                    else:
+                        lo += minus
+                        hi += plus
+            key = struct.pack("6d", *factors[2:], lo, hi)
+            value = shared_frontier.get(key)
+            if value is None:
+                value = shared_frontier[key] = _frontier_factor(*factors[2:], lo, hi)
+            belows.append(tuple(children))
+            frontier.append(value)
+    return CompiledSystem(n, tuple(twice_field), tuple(rows), tuple(belows), tuple(frontier))
 
 
 def walk_log_ratio(
@@ -234,9 +178,10 @@ def walk_log_ratio(
     """Log ratio at ``root`` of its walk tree truncated at ``depth_limit``,
     and the number of nodes that tree has; the tree itself is never built.
 
-    The result equals ``tree_log_ratio(system, build_saw_tree(system, root,
-    depth_limit, condition))`` and that tree's ``node_count``, bit for bit,
-    when ``stops`` comes from ``compiled.stops(condition)``.
+    The result equals ``sawtree.tree_log_ratio(system,
+    build_saw_tree(system, root, depth_limit, condition))`` and that tree's
+    ``node_count``, bit for bit, when ``stops`` comes from
+    ``compiled.stops(condition)``.
 
     ``stops[w]`` is None while a walk may enter w.  Otherwise a copy of w
     ends the walk as a pinned leaf: + if the label of the vertex it is
@@ -249,6 +194,7 @@ def walk_log_ratio(
     """
     belows = compiled.belows
     twice_field = compiled.twice_field
+    frontier = compiled.frontier
     inf = _INF
     log1p = math.log1p
     exp = math.exp
@@ -268,7 +214,7 @@ def walk_log_ratio(
             if stop is not None:
                 total += factors[0] if origin > stop else factors[1]
             elif depth == last:
-                total += factors[2]
+                total += frontier[below]
             else:
                 stops[origin] = child
                 stops[child] = 0
@@ -287,17 +233,17 @@ def walk_log_ratio(
             lam = total
             origin, children, total, factors = frames.pop()
             depth -= 1
-            # Mirrors tree_log_ratio's fold, one subtree at a time.
+            # Mirrors sawtree.tree_log_ratio's fold, one subtree at a time.
             if lam == inf:
                 total += factors[0]
             elif lam == -inf:
                 total += factors[1]
             else:
-                a = factors[3] + lam
-                b = factors[4]
+                a = factors[2] + lam
+                b = factors[3]
                 total += (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
-                a = factors[5] + lam
-                b = factors[6]
+                a = factors[4] + lam
+                b = factors[5]
                 total -= (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
 
 

@@ -30,9 +30,9 @@ from .core import (
     system_scalars,
 )
 from .families import attach_spin_model, build_family_graph, ising_system
-from .marginal import edge_factor_log, marginal_plus, tree_log_ratio
+from .marginal import edge_factor_log, marginal_plus
 from .partition import all_plus_log_weight
-from .sawtree import build_saw_tree
+from .sawtree import build_saw_tree, tree_log_ratio
 
 # The package lists these names so it can export them without importing
 # this module, which loads numpy.

@@ -4,22 +4,25 @@ The log partition function is assembled from the all-plus configuration
 weight and a telescoping product of conditional marginals: vertex j is
 estimated with vertices 1..j-1 pinned to +.  Each marginal comes from a
 depth-truncated walk tree whose free leaves at the depth limit add the
-midpoint of their edge factor's range, and whose depth is chosen so every
-factor is within eps/n in log, giving |log(estimate) - log(exact)| <= eps
-overall whenever the contraction condition
-(degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor enters the
-sum as a log, taken from the walk's log ratio where the marginal itself is
-too small for a normal float, so no estimate leaves the log domain.
+lookahead frontier (the middle of their edge factor over the log ratio
+interval their own children's pinned factors bound; see ``marginal``), and
+whose depth is chosen so every factor is within eps/n in log, giving
+|log(estimate) - log(exact)| <= eps overall whenever the contraction
+condition (degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor
+enters the sum as a log, taken from the walk's log ratio where the marginal
+itself is too small for a normal float, so no estimate leaves the log
+domain.
 
 The estimate is one serial sweep.  It compiles the system once
 (``compile_system``): twice the field of every vertex and, per vertex, its
 edge tables oriented outward in ascending neighbour order, with the factors
-of pinned and frontier children precomputed.  Pinning is by rank: one
-per-label stop array (see ``walk_log_ratio``) serves the whole sweep, and
-vertex j pins itself to + when its walk is done, so every later walk sees
-1..j pinned.  Each walk evaluates its tree while walking it, keeping one
-frame per level, so the estimate path holds O(depth) state per vertex and
-builds no ``SawTree``.  Its output equals that of ``tree_log_ratio`` over
+of pinned children precomputed per table and the frontier factor per
+directed edge.  Pinning is by rank: one per-label stop array (see
+``walk_log_ratio``) serves the whole sweep, and vertex j pins itself to +
+when its walk is done, so every later walk sees 1..j pinned.  Each walk
+evaluates its tree while walking it, keeping one frame per level, so the
+estimate path holds O(depth) state per vertex and builds no ``SawTree``.
+Its output equals that of ``sawtree.tree_log_ratio`` over
 ``build_saw_tree`` bit for bit, and the log factors are summed in ascending
 vertex order.
 """
@@ -101,10 +104,18 @@ class EstimateReport(
 
 def all_plus_log_weight(system: SpinSystem) -> float:
     """Log-weight of the configuration with every spin +: sum of pp entries
-    plus sum of h_plus entries.  Zero for the empty graph."""
-    return sum(p.pp for p in system.potentials.values()) + sum(
-        f.h_plus for f in system.fields.values()
-    )
+    plus sum of h_plus entries.  Zero for the empty graph.
+
+    Plain left-to-right float additions, not builtin ``sum``, which
+    compensates on Python 3.12 and later: the weight, and with it
+    ``log_z_hat``, is then the same on every Python version."""
+    edges = 0.0
+    for p in system.potentials.values():
+        edges += p.pp
+    fields = 0.0
+    for f in system.fields.values():
+        fields += f.h_plus
+    return edges + fields
 
 
 def _check_eps(eps: float) -> None:
@@ -115,18 +126,21 @@ def _check_eps(eps: float) -> None:
 def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     """Walk-tree depth making every telescoping factor accurate to eps/n in log.
 
-    The smallest t with decay_function(t, coupling, degree) / 2 <= eps / n:
-    the midpoint frontier is off by at most half of each frontier edge's
-    range, so the root is off by at most half the envelope.  Computed as
-    ceil(log(2 * n * coupling * degree / eps) / log(1 / rate) + 1) with
+    The smallest t >= 1 with decay_function(t + 1, coupling, degree) / 2 <=
+    eps / n: a lookahead frontier leaf is off by at most tanh(J) times half
+    its interval, 2 * J * (degree - 1) * tanh(J), one contraction step less
+    than half its edge factor's range, so the root is off by at most half
+    the envelope one level further down.  Computed as
+    ceil(log(2 * n * coupling * degree / eps) / log(1 / rate)) with
     rate = (degree - 1) * tanh(coupling), floored at 1.  Natural logs
     throughout.  Raises DecayConditionError when rate >= 1, and ValueError
     when eps is so small that the depth overflows.
 
-    Zero coupling needs no depth at all (every edge factor is constant), so
-    the answer is 1.  A degree bound of 1 contracts in a single step but the
-    envelope at depth 1 is not small, so the answer is 2, which is exact on
-    such graphs.
+    The answer is 1 when the rate is 0 or less: zero coupling makes every
+    edge factor constant, and on a graph of degree bound 1 the depth-1
+    frontier leaf has no children, so its interval is a point.  It is also
+    1 when 2 * n * coupling * degree / eps is at most 1, underflow to 0
+    included, since depth 1 then certifies eps already.
     """
     if n < 1:
         raise ValueError("vertex count must be at least 1")
@@ -138,11 +152,10 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     rate = (degree - 1) * math.tanh(coupling)
     if rate >= 1.0:
         raise DecayConditionError(rate, max_coupling=coupling, degree_bound=degree)
-    if coupling == 0:
+    scale = 2.0 * n * coupling * degree / eps
+    if rate <= 0.0 or scale <= 1.0:
         return 1
-    if rate <= 0.0:
-        return 2
-    raw = math.log(2.0 * n * coupling * degree / eps) / math.log(1.0 / rate) + 1.0
+    raw = math.log(scale) / math.log(1.0 / rate)
     if not math.isfinite(raw):  # 2 * n * coupling * degree / eps overflowed
         raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
     return max(1, math.ceil(raw))
@@ -157,9 +170,9 @@ def conditional_marginal_estimate(
     """Estimated probability that ``vertex`` is + under ``condition``.
 
     Evaluates the walk tree truncated at ``depth`` (at least 1), without
-    building it; free leaves at the depth limit add the midpoint of their
-    edge factor's range (see ``tree_log_ratio``).  The result is exact
-    whenever the tree has no frontier.
+    building it; free leaves at the depth limit add the lookahead frontier
+    (see ``marginal``).  The result is exact whenever the tree has no
+    frontier, and whenever every frontier leaf has no child.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -194,7 +207,7 @@ def fptas_log_partition(
 
     Walks vertices 1..n in ascending order; each walk sees every lower label
     pinned to +, then pins its own vertex.  Free leaves at the depth limit
-    take the midpoint frontier; the depth from ``truncation_depth``
+    take the lookahead frontier; the depth from ``truncation_depth``
     certifies eps for that frontier only.  The log factors are summed in
     the same ascending order, so reruns agree bit for bit.  A marginal too
     small for a normal float takes its log from the walk's log ratio, so no

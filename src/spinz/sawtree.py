@@ -11,16 +11,20 @@ are not constructed.
 
 The marginal of the root in this tree equals its marginal in the original
 graph, which is what makes the truncated evaluation in ``marginal`` a
-controlled approximation.
+controlled approximation.  ``tree_log_ratio`` evaluates a built tree.  It
+is the reference that ``marginal.walk_log_ratio`` reproduces bit for bit,
+and the oracle's identity checks use it.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import _LAZY_ALL
-from .core import Spin, SpinSystem, checked_condition
+from .core import Spin, SpinSystem, checked_condition, external_field
+from .marginal import _frontier_factor
 
 # The package lists these names so it can export them without importing
 # this module.
@@ -139,6 +143,101 @@ def build_saw_tree(
         count += 1
 
     return SawTree(root_node, root, depth_limit, count)
+
+
+def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = None) -> float:
+    """Evaluate the log ratio at the root of a walk tree built from ``system``.
+
+    Args:
+        system: the spin system the tree was built from.
+        tree: a walk tree whose root is free.
+        frontier: what free leaves at the depth limit contribute.  The
+            default None adds the lookahead frontier of ``marginal``: the
+            middle of the leaf's edge factor over the log ratio interval
+            that the leaf's own children's pinned factors bound.  A
+            truncated tree is then off by at most half of
+            ``decay_function(depth_limit + 1, ...)``; it needs a depth limit
+            of at least 1.  A float is the log ratio those leaves take
+            (-inf pins the unexplored region to minus).
+
+    Evaluation is an explicit post-order sweep (no recursion), so tree depth
+    is limited only by memory.  Trees are read-only here, and a single tree
+    may be evaluated concurrently with different frontier values.
+    """
+    if frontier is not None and math.isnan(frontier):
+        raise ValueError("frontier value must not be NaN")
+    root = tree.root
+    if root.spin is not None:
+        raise ValueError("tree root is pinned; the root marginal is not free")
+    if frontier is None and tree.depth_limit == 0:
+        raise ValueError("a lookahead frontier needs a depth limit of at least 1")
+
+    graph = system.graph
+    adjacency = graph.adjacency
+    twice_field = [0.0] * (graph.n + 1)
+    for v in graph.vertices():
+        twice_field[v] = 2.0 * external_field(system.fields[v])
+    # Entries oriented parent -> child for both orientations of every edge.
+    tables: dict[tuple[int, int], tuple[float, float, float, float]] = {}
+    for (u, v), pot in system.potentials.items():
+        tables[(u, v)] = (pot.pp, pot.pm, pot.mp, pot.mm)
+        tables[(v, u)] = (pot.pp, pot.mp, pot.pm, pot.mm)
+
+    depth_limit = tree.depth_limit
+    inf = math.inf
+    log1p = math.log1p
+    exp = math.exp
+    values: dict[int, float | None] = {}
+
+    stack: list[tuple] = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not ready:
+            spin = node.spin
+            if spin is not None:
+                values[id(node)] = inf if spin > 0 else -inf
+            elif not node.children:
+                values[id(node)] = frontier if node.depth == depth_limit else twice_field[node.origin]
+            else:
+                stack.append((node, True))
+                for child in node.children:
+                    stack.append((child, False))
+        else:
+            origin = node.origin
+            total = twice_field[origin]
+            for child in node.children:
+                pp, pm, mp, mm = tables[(origin, child.origin)]
+                lam = values.pop(id(child))
+                # Mirrors edge_factor_log; inlined to keep per-node cost low
+                # on trees with millions of nodes.
+                if lam == inf:
+                    total += pp - mp
+                elif lam == -inf:
+                    total += pm - mm
+                elif lam is None:  # free leaf at the depth limit, lookahead frontier
+                    leaf = child.origin
+                    lo = hi = twice_field[leaf]
+                    for grandchild in adjacency[leaf - 1]:
+                        if grandchild != origin:
+                            table = tables[(leaf, grandchild)]
+                            plus, minus = table[0] - table[2], table[1] - table[3]
+                            if plus < minus:
+                                lo += plus
+                                hi += minus
+                            else:
+                                lo += minus
+                                hi += plus
+                    total += _frontier_factor(pp, pm, mp, mm, lo, hi)
+                else:
+                    a = pp + lam
+                    b = pm
+                    total += (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
+                    a = mp + lam
+                    b = mm
+                    total -= (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
+            values[id(node)] = total
+
+    return values[id(root)]
 
 
 def frontier_count(tree: SawTree, level: int) -> int:

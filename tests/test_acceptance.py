@@ -127,15 +127,16 @@ def test_criterion_6_depth_formula():
         smaller_eps = truncation_depth(n, 0.3, 3, eps / 2)
         here = truncation_depth(n, 0.3, 3, eps)
         growth_ok = growth_ok and (bigger_n - here <= step) and (smaller_eps - here <= step)
-        # the smallest depth whose half envelope (midpoint frontier) fits eps/n
+        # the smallest depth whose half envelope one level down (the
+        # lookahead frontier) fits eps/n
         smallest_ok = smallest_ok and (
-            decay_function(here, 0.3, 3) / 2 <= eps / n < decay_function(here - 1, 0.3, 3) / 2
+            decay_function(here + 1, 0.3, 3) / 2 <= eps / n < decay_function(here, 0.3, 3) / 2
         )
-    ok = base == 11 and growth_ok and smallest_ok
+    ok = base == 10 and growth_ok and smallest_ok
     announce(6, ok,
-             f"depth(n=10, J=0.3, d=3, eps=0.1) = {base} (expected 11); "
-             f"doubling n / halving eps grows depth by <= {step}; each depth is "
-             f"the smallest with half the decay envelope <= eps/n")
+             f"depth(n=10, J=0.3, d=3, eps=0.1) = {base} (expected 10); "
+             f"doubling n / halving eps grows depth by <= {step}; each depth t is "
+             f"the smallest with half the decay envelope at t+1 <= eps/n")
     assert ok
 
 

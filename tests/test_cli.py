@@ -101,6 +101,11 @@ def test_estimate_underflowing_marginal_exit_0(tmp_path, capsys):
     report = json.loads(out)
     assert abs(report["log_z_hat"] - 400.0) <= 1e-9
     assert report["vertices"][0]["p_hat"] == 0.0
+    # 2 * n * coupling * degree / eps underflows to 0 in the depth formula.
+    graph = write_triangle(tmp_path, coupling=1e-300)
+    code, out, err = run_cli(capsys, "estimate", "--graph", graph, "--eps", "1e300")
+    assert code == 0, err
+    assert json.loads(out)["truncation_depth"] == 1
 
 
 def test_estimate_inapplicable_exit_2(tmp_path, capsys):

@@ -162,8 +162,19 @@ def _reference_tree_ratio(system, node, depth_limit, frontier):
     for child in node.children:
         lam = _reference_tree_ratio(system, child, depth_limit, frontier)
         pot = system.oriented_potential(node.origin, child.origin)
-        if lam is None:  # midpoint frontier: between the two pinned factors
-            total += (edge_factor_log(pot, math.inf) + edge_factor_log(pot, -math.inf)) / 2
+        if lam is None:
+            # lookahead frontier: the leaf's log ratio lies between twice its
+            # field plus the smaller, and plus the larger, pinned factor of
+            # each edge to its own children
+            w = child.origin
+            lo = hi = system.fields[w].h_plus - system.fields[w].h_minus
+            for c in system.graph.neighbors(w):
+                if c != node.origin:
+                    below = system.oriented_potential(w, c)
+                    pinned = (edge_factor_log(below, math.inf), edge_factor_log(below, -math.inf))
+                    lo += min(pinned)
+                    hi += max(pinned)
+            total += (edge_factor_log(pot, lo) + edge_factor_log(pot, hi)) / 2
         else:
             total += edge_factor_log(pot, lam)
     return total
@@ -180,8 +191,8 @@ def test_tree_ratio_matches_recursive_reference():
         tree = build_saw_tree(system, root, limit)
         expected = _reference_tree_ratio(system, tree.root, limit, frontier)
         assert tree_log_ratio(system, tree, frontier) == pytest.approx(expected, abs=1e-12)
-        midpoint = _reference_tree_ratio(system, tree.root, limit, None)
-        assert tree_log_ratio(system, tree) == pytest.approx(midpoint, abs=1e-12)
+        lookahead = _reference_tree_ratio(system, tree.root, limit, None)
+        assert tree_log_ratio(system, tree) == pytest.approx(lookahead, abs=1e-12)
 
 
 def _flipped(system: SpinSystem) -> SpinSystem:
@@ -258,6 +269,27 @@ def test_complete_tree_frontier_independent():
             assert tree_log_ratio(system, tree, frontier) == pytest.approx(base, abs=1e-12)
 
 
+def test_depth_one_walk_on_a_path_of_two_is_exact():
+    # The frontier leaf has no child, so its interval is a point and the
+    # lookahead frontier is its exact factor.
+    rng = np.random.default_rng(47)
+    graph = build_family_graph("path", n=2)
+    for _ in range(20):
+        system = SpinSystem(
+            graph,
+            {(1, 2): EdgePotential(*rng.uniform(-3, 3, 4))},
+            {v: VertexField(*rng.uniform(-2, 2, 2)) for v in graph.vertices()},
+        )
+        compiled = compile_system(system)
+        for root in graph.vertices():
+            exact = exact_log_partition(system, {root: Spin.PLUS}) - exact_log_partition(
+                system, {root: Spin.MINUS}
+            )
+            lam, count = walk_log_ratio(compiled, compiled.stops(), root, 1)
+            assert count == 2
+            assert lam == pytest.approx(exact, abs=1e-12)
+
+
 ENVELOPE_GRAPHS = [
     ("cycle", {"n": 7}),
     ("grid", {"rows": 3, "cols": 3}),
@@ -269,11 +301,11 @@ ENVELOPE_GRAPHS = [
 
 
 def test_midpoint_frontier_within_half_envelope_of_exact():
-    # A midpoint frontier leaf is off by at most half its edge factor's
-    # range, so the truncated root is within decay_function(t) / 2 of the
-    # exact conditional log ratio at every depth t.  A -inf frontier is only
-    # within the whole envelope; that it breaks the half bound somewhere
-    # shows the sweep can tell the two apart.
+    # A lookahead frontier leaf is off by at most tanh(J) times half its
+    # interval, so the truncated root is within decay_function(t + 1) / 2 of
+    # the exact conditional log ratio at every depth t.  A -inf frontier is
+    # only within the whole envelope at t; that it breaks the tighter bound
+    # somewhere shows the sweep can tell the two apart.
     rng = np.random.default_rng(43)
     worst = {None: 0.0, -math.inf: 0.0}
     pairs = 0
@@ -295,10 +327,10 @@ def test_midpoint_frontier_within_half_envelope_of_exact():
             )
             compiled = compile_system(system)
             for depth in range(1, graph.n + 1):
-                half = decay_function(depth, scalars.max_coupling, scalars.degree_bound) / 2
-                midpoint, _ = walk_log_ratio(compiled, compiled.stops(cond), root, depth)
+                half = decay_function(depth + 1, scalars.max_coupling, scalars.degree_bound) / 2
+                lookahead, _ = walk_log_ratio(compiled, compiled.stops(cond), root, depth)
                 minus = tree_log_ratio(system, build_saw_tree(system, root, depth, cond), -math.inf)
-                for frontier, lam in ((None, midpoint), (-math.inf, minus)):
+                for frontier, lam in ((None, lookahead), (-math.inf, minus)):
                     worst[frontier] = max(worst[frontier], abs(lam - exact) / half)
                 pairs += 1
     assert pairs >= 1000

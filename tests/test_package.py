@@ -131,6 +131,9 @@ def test_every_exported_name_resolves():
     assert spinz.exact_log_partition is oracle.exact_log_partition
     assert spinz.generate is families.generate
     assert spinz.build_saw_tree is sawtree.build_saw_tree
+    # The reference evaluator lives beside the builder, off the estimate path.
+    assert spinz.tree_log_ratio is sawtree.tree_log_ratio
+    assert "tree_log_ratio" not in marginal.__all__
 
 
 def test_generate_is_the_function_when_its_module_loads_first():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from spinz import (
     Condition,
     DecayConditionError,
+    EdgePotential,
     GenSpec,
     Graph,
     Spin,
@@ -45,20 +47,35 @@ def test_all_plus_log_weight_examples():
     assert all_plus_log_weight(triangle) == pytest.approx(0.9, abs=1e-15)
 
 
+def test_all_plus_log_weight_sums_left_to_right():
+    # Builtin sum() compensates on Python 3.12+ and gives ...cc6p+1 here;
+    # plain additions give these bits on every version.
+    graph = build_family_graph("cycle", n=10)
+    rng = random.Random(1)
+    potentials = {e: EdgePotential(*(rng.uniform(-3, 3) for _ in range(4))) for e in graph.edges}
+    fields = {v: VertexField(rng.uniform(-3, 3), rng.uniform(-3, 3)) for v in graph.vertices()}
+    weight = all_plus_log_weight(SpinSystem(graph, potentials, fields))
+    assert weight.hex() == "-0x1.460e35d425cc8p+1"
+
+
 def test_truncation_depth_reference_value():
-    assert truncation_depth(10, 0.3, 3, 0.1) == 11
+    assert truncation_depth(10, 0.3, 3, 0.1) == 10
 
 
 def test_truncation_depth_zero_coupling():
     assert truncation_depth(10, 0.0, 3, 0.1) == 1
     assert truncation_depth(1, 0.0, 50, 1e-6) == 1
+    # 2 * n * coupling * degree / eps underflows to 0 here; any depth
+    # certifies such an eps
+    assert 2.0 * 3 * 1e-300 * 2 / 1e300 == 0.0
+    assert truncation_depth(3, 1e-300, 2, 1e300) == 1
 
 
 def test_truncation_depth_degenerate_degrees():
-    # d <= 1 kills the contraction rate but not the t=1 envelope, so depth 2
-    # (exact on these graphs) is returned rather than the formula's 1
-    assert truncation_depth(5, 0.4, 1, 0.1) == 2
-    assert truncation_depth(5, 0.4, 0, 0.1) == 2
+    # d <= 1 kills the contraction rate: a depth-1 frontier leaf then has
+    # no children, so its interval is a point and depth 1 is exact
+    assert truncation_depth(5, 0.4, 1, 0.1) == 1
+    assert truncation_depth(5, 0.4, 0, 0.1) == 1
 
 
 def test_truncation_depth_eps_growth_bounded():
