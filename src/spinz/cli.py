@@ -56,24 +56,34 @@ def _format_float(x: float) -> str:
     return '"inf"' if x > 0 else '"-inf"'
 
 
-def _emit(value, level: int) -> str:
-    pad = "  " * level
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
+def _emit(value, level: int, keys: dict[str, str]) -> str:
+    # Ints and dict keys, most of a report's tokens, skip json.dumps: an int
+    # is written as json.dumps writes it (an IntEnum as its number), and
+    # ``keys`` caches the rendered str keys of one report.
+    if isinstance(value, bool) or value is None or isinstance(value, str):
         return json.dumps(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
         return _format_float(value)
+    pad = "  " * level
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = ",\n".join(
-            f"{pad}  {json.dumps(str(key))}: {_emit(item, level + 1)}"
-            for key, item in value.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
+        items = []
+        for key, item in value.items():
+            if type(key) is str:
+                text = keys.get(key)
+                if text is None:
+                    text = keys[key] = json.dumps(key)
+            else:
+                text = json.dumps(str(key))
+            items.append(f"{pad}  {text}: {_emit(item, level + 1, keys)}")
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        body = ",\n".join(f"{pad}  {_emit(item, level + 1)}" for item in value)
+        body = ",\n".join(f"{pad}  {_emit(item, level + 1, keys)}" for item in value)
         return "[\n" + body + "\n" + pad + "]"
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
@@ -82,7 +92,7 @@ def render_json(payload: dict) -> str:
     """JSON text with floats at 17 significant digits and non-finite floats
     rendered as the strings "inf", "-inf", "nan" (plain JSON has no other
     spelling for them)."""
-    return _emit(payload, 0) + "\n"
+    return _emit(payload, 0, {}) + "\n"
 
 
 def _print_report(payload: dict) -> None:
@@ -313,6 +323,19 @@ def cmd_sawtree(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    import argparse
+
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -348,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=VERIFY_SUITES + ("all",),
         help="which suite to run (default: all)",
     )
-    p.add_argument("--trials", type=int, default=None, help="override the suite's trial count")
+    p.add_argument(
+        "--trials", type=_positive_int, default=None, help="override the suite's trial count"
+    )
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
     p.add_argument("--tolerance", type=float, default=None, help="override the pass tolerance")
     p.set_defaults(handler=cmd_verify)
@@ -364,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="graph distance t of the conditioned sphere",
     )
-    p.add_argument("--trials", type=int, default=100, help="boundary pairs to draw (default: 100)")
+    p.add_argument(
+        "--trials", type=_positive_int, default=100, help="boundary pairs to draw (default: 100)"
+    )
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p.set_defaults(handler=cmd_decay)
 

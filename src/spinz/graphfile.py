@@ -29,17 +29,23 @@ class GraphFileError(ValueError):
     """A graph file failed schema validation; the message names the spot."""
 
 
-def _require_number(value, where: str) -> float:
+def _require_number(value, where: str, index: int = 0) -> float:
+    """``value`` as a finite float.  ``where`` names the spot in the error,
+    with ``{}`` standing for ``index``; it is formatted only on failure.
+    Records are built from these floats with ``_make``, which checks
+    nothing again."""
+    if type(value) is float and value - value == 0.0:  # finite: inf - inf and nan are nan
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise GraphFileError(f"{where}: expected a number, got {value!r}")
+        raise GraphFileError(f"{where.format(index)}: expected a number, got {value!r}")
     if not math.isfinite(value):
-        raise GraphFileError(f"{where}: expected a finite number, got {value!r}")
+        raise GraphFileError(f"{where.format(index)}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _require_int(value, where: str) -> int:
+def _require_int(value, where: str, index: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphFileError(f"{where}: expected an integer, got {value!r}")
+        raise GraphFileError(f"{where.format(index)}: expected an integer, got {value!r}")
     return value
 
 
@@ -84,57 +90,53 @@ def parse_system(text: str) -> SpinSystem:
     n = len(raw_vertices)
     fields: dict[int, VertexField] = {}
     for i, entry in enumerate(raw_vertices):
-        where = f"vertices[{i}]"
         if not isinstance(entry, dict):
-            raise GraphFileError(f"{where}: expected an object")
-        vid = _require_int(entry.get("id"), f"{where}.id")
+            raise GraphFileError(f"vertices[{i}]: expected an object")
+        vid = _require_int(entry.get("id"), "vertices[{}].id", i)
         if not 1 <= vid <= n:
             raise GraphFileError(
-                f"{where}.id: ids must be exactly 1..{n} with no gaps, got {vid}"
+                f"vertices[{i}].id: ids must be exactly 1..{n} with no gaps, got {vid}"
             )
         if vid in fields:
-            raise GraphFileError(f"{where}.id: duplicate vertex id {vid}")
+            raise GraphFileError(f"vertices[{i}].id: duplicate vertex id {vid}")
         if "h_plus" in entry or "h_minus" in entry:
-            fields[vid] = VertexField(
-                _require_number(entry.get("h_plus"), f"{where}.h_plus"),
-                _require_number(entry.get("h_minus"), f"{where}.h_minus"),
-            )
+            fields[vid] = VertexField._make((
+                _require_number(entry.get("h_plus"), "vertices[{}].h_plus", i),
+                _require_number(entry.get("h_minus"), "vertices[{}].h_minus", i),
+            ))
         elif default_field is not None:
             fields[vid] = default_field
         else:
-            raise GraphFileError(f"{where}: missing h_plus/h_minus and no model shorthand")
+            raise GraphFileError(f"vertices[{i}]: missing h_plus/h_minus and no model shorthand")
 
     edges: list[tuple[int, int]] = []
     potentials: dict[tuple[int, int], EdgePotential] = {}
     for i, entry in enumerate(raw_edges):
-        where = f"edges[{i}]"
         if not isinstance(entry, dict):
-            raise GraphFileError(f"{where}: expected an object")
-        u = _require_int(entry.get("u"), f"{where}.u")
-        v = _require_int(entry.get("v"), f"{where}.v")
+            raise GraphFileError(f"edges[{i}]: expected an object")
+        u = _require_int(entry.get("u"), "edges[{}].u", i)
+        v = _require_int(entry.get("v"), "edges[{}].v", i)
         if not 1 <= u <= n or not 1 <= v <= n:
-            raise GraphFileError(f"{where}: endpoint outside 1..{n}")
+            raise GraphFileError(f"edges[{i}]: endpoint outside 1..{n}")
         if u == v:
-            raise GraphFileError(f"{where}: self-loop at vertex {u}")
+            raise GraphFileError(f"edges[{i}]: self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
         if key in potentials:
-            raise GraphFileError(f"{where}: duplicate edge {key}")
+            raise GraphFileError(f"edges[{i}]: duplicate edge {key}")
         beta = entry.get("beta")
         if beta is not None:
             if not isinstance(beta, dict):
-                raise GraphFileError(f"{where}.beta: expected an object")
-            table = EdgePotential(
-                _require_number(beta.get("pp"), f"{where}.beta.pp"),
-                _require_number(beta.get("pm"), f"{where}.beta.pm"),
-                _require_number(beta.get("mp"), f"{where}.beta.mp"),
-                _require_number(beta.get("mm"), f"{where}.beta.mm"),
-            )
+                raise GraphFileError(f"edges[{i}].beta: expected an object")
+            pp = _require_number(beta.get("pp"), "edges[{}].beta.pp", i)
+            pm = _require_number(beta.get("pm"), "edges[{}].beta.pm", i)
+            mp = _require_number(beta.get("mp"), "edges[{}].beta.mp", i)
+            mm = _require_number(beta.get("mm"), "edges[{}].beta.mm", i)
             # Tables are stored for (min, max); reorient if given as (v, u).
-            potentials[key] = table if u < v else table.transposed()
+            potentials[key] = EdgePotential._make((pp, pm, mp, mm) if u < v else (pp, mp, pm, mm))
         elif default_potential is not None:
             potentials[key] = default_potential
         else:
-            raise GraphFileError(f"{where}: missing beta and no model shorthand")
+            raise GraphFileError(f"edges[{i}]: missing beta and no model shorthand")
         edges.append(key)
 
     graph = Graph.from_edges(n, edges)

@@ -20,9 +20,12 @@ step tighter than the middle of the factor's whole range.
 ``walk_log_ratio`` evaluates the walk tree over a ``CompiledSystem``
 without building it: it folds each subtree's value into its parent the
 moment the subtree closes, so it keeps O(depth) state and allocates no
-nodes.  Its reference is ``sawtree.tree_log_ratio``, which reads a built
-``SawTree`` and performs the same float operations in the same order, so
-the two agree bit for bit.
+nodes.  A free node one level above the depth limit has only leaves below
+it, so the walk sums it in place instead of entering it; when none of
+those leaves is pinned, the node's fold is a constant of the system
+(``CompiledSystem.settled``) and the walk adds that.  Its reference is
+``sawtree.tree_log_ratio``, which reads a built ``SawTree`` and performs
+the same float operations in the same order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -89,7 +92,9 @@ PINNED_PLUS = 0
 no label exceeds, pins to -; see ``walk_log_ratio``."""
 
 
-class CompiledSystem(Record, namedtuple("CompiledSystem", "n twice_field rows belows frontier")):
+class CompiledSystem(
+    Record, namedtuple("CompiledSystem", "n twice_field rows belows frontier settled")
+):
     """A system flattened for ``walk_log_ratio``.
 
     ``twice_field[v]`` is ``2 * external_field`` of vertex v (index 0 unused).
@@ -104,6 +109,13 @@ class CompiledSystem(Record, namedtuple("CompiledSystem", "n twice_field rows be
     neighbour.  ``frontier[below]`` is what w adds to v when it is a free
     leaf at the depth limit: ``_frontier_factor`` of the edge over w's log
     ratio interval, which those children's pinned factors bound.
+    ``settled[below]`` is the pair ``(x, y)`` that v adds as ``+ x - y``
+    when w is free one level above the depth limit and none of its children
+    is pinned: with ``lam`` twice w's field plus ``frontier`` of each child
+    in ascending order, x and y are the two log-sum-exp terms of the edge
+    factor at ``lam``, or the pinned factor and 0.0 when ``lam`` is
+    infinite.  Edges with the same table bits and the same bits of ``lam``
+    share one pair, as they share ``frontier`` values.
     """
 
     __slots__ = ()
@@ -122,25 +134,29 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     graph = system.graph
     n = graph.n
     adjacency = graph.adjacency
+    potentials = system.potentials
     twice_field = [0.0] * (n + 1)
     for v in graph.vertices():
         twice_field[v] = 2.0 * external_field(system.fields[v])
-    shared: dict[bytes, tuple] = {}  # keyed by bits: 0.0 and -0.0 stay apart
+    # Values are shared by the bits they are computed from, so 0.0 and -0.0
+    # stay apart; ``tables[below]`` holds the bits of the edge's table.
+    shared: dict[bytes, tuple] = {}
+    tables: list[bytes] = []
+    pack_table = struct.Struct("4d").pack
     rows: list[tuple[tuple, ...]] = [()] * (n + 1)
     below = 0
     for v in graph.vertices():
         row = []
         for w in adjacency[v - 1]:
             if v < w:
-                pot = system.potentials[(v, w)]
-                pp, pm, mp, mm = pot.pp, pot.pm, pot.mp, pot.mm
+                pp, pm, mp, mm = potentials[v, w]
             else:
-                pot = system.potentials[(w, v)]
-                pp, pm, mp, mm = pot.pp, pot.mp, pot.pm, pot.mm
-            key = struct.pack("4d", pp, pm, mp, mm)
+                pp, mp, pm, mm = potentials[w, v]
+            key = pack_table(pp, pm, mp, mm)
             factors = shared.get(key)
             if factors is None:
                 factors = shared[key] = (pp - mp, pm - mm, pp, pm, mp, mm)
+            tables.append(key)
             row.append((w, factors, below))
             below += 1
         rows[v] = tuple(row)
@@ -149,8 +165,9 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     belows = []
     frontier = []
     shared_frontier: dict[bytes, float] = {}
+    pack_interval = struct.Struct("2d").pack
     for v in graph.vertices():
-        for w, factors, _ in rows[v]:
+        for w, factors, below in rows[v]:
             children = []
             lo = hi = twice_field[w]
             for child in rows[w]:
@@ -163,13 +180,38 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
                     else:
                         lo += minus
                         hi += plus
-            key = struct.pack("6d", *factors[2:], lo, hi)
+            key = tables[below] + pack_interval(lo, hi)
             value = shared_frontier.get(key)
             if value is None:
                 value = shared_frontier[key] = _frontier_factor(*factors[2:], lo, hi)
             belows.append(tuple(children))
             frontier.append(value)
-    return CompiledSystem(n, tuple(twice_field), tuple(rows), tuple(belows), tuple(frontier))
+    # The log ratio of w with every child on the frontier sums those
+    # children in ascending order, and its pair holds the two terms of the
+    # walk's fold, kept apart so that v adds them in the walk's order.
+    settled = []
+    shared_settled: dict[bytes, tuple[float, float]] = {}
+    pack_ratio = struct.Struct("d").pack
+    for row in rows:
+        for w, factors, below in row:
+            lam = twice_field[w]
+            for child in belows[below]:
+                lam += frontier[child[2]]
+            key = tables[below] + pack_ratio(lam)
+            pair = shared_settled.get(key)
+            if pair is None:
+                if lam == _INF or lam == -_INF:
+                    pair = (factors[0] if lam > 0 else factors[1], 0.0)
+                else:
+                    pair = (
+                        _logaddexp(factors[2] + lam, factors[3]),
+                        _logaddexp(factors[4] + lam, factors[5]),
+                    )
+                shared_settled[key] = pair
+            settled.append(pair)
+    return CompiledSystem(
+        n, tuple(twice_field), tuple(rows), tuple(belows), tuple(frontier), tuple(settled)
+    )
 
 
 def walk_log_ratio(
@@ -195,10 +237,14 @@ def walk_log_ratio(
     belows = compiled.belows
     twice_field = compiled.twice_field
     frontier = compiled.frontier
+    settled = compiled.settled
     inf = _INF
     log1p = math.log1p
     exp = math.exp
-    last = depth_limit - 1  # frames at this depth have their free children on the frontier
+    # Free children of a frame at depth ``inner`` have all their children on
+    # the frontier, so they are evaluated in place and no frame sits deeper,
+    # except the root of a depth-1 walk: its free children are the frontier.
+    inner = depth_limit - 2
 
     row = compiled.rows[root]
     count = 1 + len(row)
@@ -213,9 +259,7 @@ def walk_log_ratio(
             stop = stops[child]
             if stop is not None:
                 total += factors[0] if origin > stop else factors[1]
-            elif depth == last:
-                total += frontier[below]
-            else:
+            elif depth < inner:
                 stops[origin] = child
                 stops[child] = 0
                 frames.append((origin, children, total, factors))
@@ -226,6 +270,40 @@ def walk_log_ratio(
                 depth += 1
                 count += len(row)
                 break
+            elif depth == inner:
+                # The children of child are leaves, and none is child or
+                # origin, so no stop needs writing.  With none pinned, the
+                # fold below is settled[below].
+                row = belows[below]
+                count += len(row)
+                for grandchild in row:
+                    if stops[grandchild[0]] is not None:
+                        break
+                else:
+                    x, y = settled[below]
+                    total += x
+                    total -= y
+                    continue
+                lam = twice_field[child]
+                for grandchild, pinned, edge in row:
+                    stop = stops[grandchild]
+                    if stop is None:
+                        lam += frontier[edge]
+                    else:
+                        lam += pinned[0] if child > stop else pinned[1]
+                if lam == inf:
+                    total += factors[0]
+                elif lam == -inf:
+                    total += factors[1]
+                else:
+                    a = factors[2] + lam
+                    b = factors[3]
+                    total += (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
+                    a = factors[4] + lam
+                    b = factors[5]
+                    total -= (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
+            else:
+                total += frontier[below]
         else:
             stops[origin] = None
             if not frames:

@@ -9,6 +9,7 @@ import pytest
 
 from spinz import (
     Graph,
+    Spin,
     SpinSystem,
     VertexField,
     build_family_graph,
@@ -44,6 +45,51 @@ def test_render_json_nonfinite_floats():
     text = render_json({"a": math.inf, "b": -math.inf, "c": math.nan})
     data = json.loads(text)
     assert data == {"a": "inf", "b": "-inf", "c": "nan"}
+
+
+def test_render_json_pins_every_token_type():
+    # The text json.dumps gives each scalar: IntEnum spins as their numbers,
+    # not their "+"/"-" str(); non-str keys through str().
+    payload = {
+        "true": True, "false": False, "none": None, "text": 'say "hi"\\é\n',
+        "spin": Spin.MINUS, "int": -7, "big": 2**70, "float": 0.1,
+        "empty_dict": {}, "empty_list": [], "empty_tuple": (),
+        "nonfinite": [math.inf, -math.inf, math.nan],
+        "nested": {"row": (Spin.PLUS, 3, {"leaf": None})},
+        3: "int key", Spin.PLUS: "spin key",
+    }
+    assert render_json(payload) == "\n".join([
+        "{",
+        '  "true": true,',
+        '  "false": false,',
+        '  "none": null,',
+        '  "text": "say \\"hi\\"\\\\\\u00e9\\n",',
+        '  "spin": -1,',
+        '  "int": -7,',
+        '  "big": 1180591620717411303424,',
+        '  "float": 0.10000000000000001,',
+        '  "empty_dict": {},',
+        '  "empty_list": [],',
+        '  "empty_tuple": [],',
+        '  "nonfinite": [',
+        '    "inf",',
+        '    "-inf",',
+        '    "nan"',
+        "  ],",
+        '  "nested": {',
+        '    "row": [',
+        "      1,",
+        "      3,",
+        "      {",
+        '        "leaf": null',
+        "      }",
+        "    ]",
+        "  },",
+        '  "3": "int key",',
+        '  "+": "spin key"',
+        "}",
+        "",
+    ])
 
 
 def test_estimate_report_schema(tmp_path, capsys):
@@ -219,6 +265,20 @@ def test_decay_empty_sphere_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "decay", "--graph", graph, "--root", "1",
                            "--radius", "5")
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("command,trials", [
+    ("decay", "0"),   # drew no pairs and reported within_envelope: true
+    ("decay", "-3"),  # failed inside NumPy
+    ("verify", "0"),  # ran the suite's default count
+])
+def test_nonpositive_trials_exit_1(tmp_path, capsys, command, trials):
+    args = ["--suite", "lipschitz"]
+    if command == "decay":
+        args = ["--graph", write_triangle(tmp_path), "--root", "1", "--radius", "1"]
+    code, out, err = run_cli(capsys, command, *args, "--trials", trials)
+    assert (code, out) == (1, "")
+    assert f"argument --trials: expected a positive integer, got '{trials}'" in err
 
 
 def test_sawtree_dump(tmp_path, capsys):

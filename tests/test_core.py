@@ -242,7 +242,7 @@ RECORD_FIELDS = {
         "interaction_by_edge", "field_by_vertex", "max_coupling", "max_degree",
         "degree_bound", "critical_coupling", "contraction",
     ),
-    "CompiledSystem": ("n", "twice_field", "rows", "belows", "frontier"),
+    "CompiledSystem": ("n", "twice_field", "rows", "belows", "frontier", "settled"),
     "VertexEstimate": ("vertex", "depth", "node_count", "p_hat"),
     "EstimateReport": (
         "log_z_hat", "eps", "log_weight_all_plus", "degree_bound", "max_coupling",

@@ -28,6 +28,7 @@ from spinz import (
     generate,
     ising_system,
     marginal_plus,
+    system_scalars,
     tree_log_ratio,
     truncation_depth,
     walk_log_ratio,
@@ -347,6 +348,58 @@ def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
                 assert stops == compiled.stops(cond)  # the walk restored its array
                 estimate = conditional_marginal_estimate(system, vertex, cond, depth)
                 assert estimate.hex() == marginal_plus(want).hex()
+
+
+def _assert_sweep_walks_match_trees(system, depth):
+    """Each walk of the sweep equals tree_log_ratio over its built tree,
+    bit for bit, and has that tree's node count."""
+    compiled = compile_system(system)
+    stops = compiled.stops()
+    for vertex in system.graph.vertices():
+        pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
+        tree = build_saw_tree(system, vertex, depth, pinned_before)
+        log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+        assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
+        assert count == tree.node_count
+        stops[vertex] = PINNED_PLUS
+
+
+BENCHMARK_SPECS = [
+    GenSpec("random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=16),
+    GenSpec("grid", rows=4, cols=6, coupling=0.2, field_strength=0.1, seed=1),
+]
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_SPECS, ids=["rr3-40", "grid-4x6"])
+def test_walk_matches_saw_tree_at_benchmark_size(spec):
+    # The sweep's walks at eps = 0.1, where most free nodes sit on the
+    # level evaluated in place and most of those take a settled pair.
+    system = generate(spec)
+    scalars = system_scalars(system)
+    depth = truncation_depth(system.n, scalars.max_coupling, scalars.degree_bound, 0.1)
+    assert depth >= 12
+    _assert_sweep_walks_match_trees(system, depth)
+
+
+def test_walk_matches_saw_tree_when_fields_overflow():
+    # (h_plus - h_minus) / 2 overflows to +-inf at these fields, so a node
+    # evaluated in place can have an infinite log ratio; it then adds its
+    # pinned factor, as the fold of tree_log_ratio does.
+    rng = np.random.default_rng(11)
+    graph = build_family_graph("random_regular", n=8, degree=3, seed=2)
+    for _ in range(10):
+        fields = {}
+        for v in graph.vertices():
+            draw = rng.random()
+            if draw < 0.4:
+                big = 1e308 if draw < 0.2 else -1e308
+                fields[v] = VertexField(big, -big)
+            else:
+                fields[v] = VertexField(*rng.uniform(-1, 1, 2))
+        potentials = {e: EdgePotential(*rng.uniform(-1, 1, 4)) for e in graph.edges}
+        system = SpinSystem(graph, potentials, fields)
+        for depth in (2, 3):
+            _assert_sweep_walks_match_trees(system, depth)
 
 
 def test_fptas_builds_no_tree_and_no_condition(monkeypatch):
