@@ -23,7 +23,7 @@ import math
 import sys
 
 from .core import Condition, DecayConditionError, Spin, decay_function, system_scalars
-from .graphfile import GraphFileError, load_system, save_system
+from .graphfile import load_system, save_system
 from .partition import fptas_log_partition
 
 TYPE_CHECKING = False  # True to type checkers; argparse loads in build_parser
@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     except DecayConditionError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (GraphFileError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # GraphFileError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -6,6 +6,10 @@ tables (per-edge interaction strength, per-vertex external field, and their
 extremes) decide whether the correlation-decay machinery in the rest of the
 package applies, and how fast it converges.
 
+Each fact is checked once, here, and the graph file parser shares the
+checks: ``_finite`` every number (an int beyond the float range is not
+finite), ``Graph.from_edges`` every edge's labels, self-loops and duplicates.
+
 The records here are namedtuple subclasses rather than dataclasses: they
 are defined on every import, and a namedtuple class costs a tenth of a
 frozen dataclass to define.  Like frozen dataclasses they are immutable
@@ -96,10 +100,8 @@ def checked_condition(n: int, root, condition: Mapping[int, Spin] | None) -> Con
     Every label must be an int in 1..n (bools are refused).  Returns the
     condition as a new dict whose values are ``Spin``.
     """
-    if root is not None and (
-        isinstance(root, bool) or not isinstance(root, int) or not 1 <= root <= n
-    ):
-        raise ValueError(f"unknown vertex label {root!r} (valid labels are 1..{n})")
+    if root is not None:
+        _check_label(root, n)
     cond: Condition = {}
     for vertex, spin in (condition or {}).items():
         if isinstance(vertex, bool) or not isinstance(vertex, int) or vertex < 1:
@@ -132,12 +134,21 @@ class Record:
     __hash__ = tuple.__hash__
 
 
-def _finite(kind: str, name: str, value) -> float:
+def _finite(value, where: str, index: int = 0) -> float:
+    """``value`` as a finite float.  ``where`` names the value in the error,
+    with ``{}`` standing for ``index``; it is formatted only on failure.  An
+    int beyond the float range is not finite."""
+    if type(value) is float and value - value == 0.0:  # finite: inf - inf and nan are nan
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{kind} entry {name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{kind} entry {name} must be finite, got {value!r}")
-    return float(value)
+        raise ValueError(f"{where.format(index)} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if number - number != 0.0:
+        raise ValueError(f"{where.format(index)} must be finite, got {value!r}")
+    return number
 
 
 class Graph(Record, namedtuple("Graph", "n edges adjacency")):
@@ -156,27 +167,28 @@ class Graph(Record, namedtuple("Graph", "n edges adjacency")):
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
         """Build and validate a graph from (u, v) pairs in either orientation.
 
-        Rejects labels outside 1..n, self-loops, and duplicate edges.
+        Rejects labels outside 1..n, self-loops, and duplicate edges, naming
+        the offending pair by position (``edges[3]: self-loop at vertex 2``).
         """
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        normalized: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            _check_label(u, n)
-            _check_label(v, n)
+        for i, (u, v) in enumerate(edges):
+            try:
+                _check_label(u, n)
+                _check_label(v, n)
+            except ValueError as exc:
+                raise ValueError(f"edges[{i}]: {exc}") from None
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ValueError(f"edges[{i}]: self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise ValueError(f"duplicate edge {key}")
+                raise ValueError(f"edges[{i}]: duplicate edge {key}")
             seen.add(key)
-            normalized.append(key)
             adjacency[u - 1].append(v)
             adjacency[v - 1].append(u)
-        normalized.sort()
-        return cls(n, tuple(normalized), tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
+        return cls(n, tuple(sorted(seen)), tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -236,10 +248,10 @@ class EdgePotential(Record, namedtuple("EdgePotential", "pp pm mp mm")):
     def __new__(cls, pp: float, pm: float, mp: float, mm: float):
         return super().__new__(
             cls,
-            _finite("potential", "pp", pp),
-            _finite("potential", "pm", pm),
-            _finite("potential", "mp", mp),
-            _finite("potential", "mm", mm),
+            _finite(pp, "potential entry pp"),
+            _finite(pm, "potential entry pm"),
+            _finite(mp, "potential entry mp"),
+            _finite(mm, "potential entry mm"),
         )
 
     def transposed(self) -> "EdgePotential":
@@ -261,7 +273,7 @@ class VertexField(Record, namedtuple("VertexField", "h_plus h_minus")):
 
     def __new__(cls, h_plus: float, h_minus: float):
         return super().__new__(
-            cls, _finite("field", "h_plus", h_plus), _finite("field", "h_minus", h_minus)
+            cls, _finite(h_plus, "field entry h_plus"), _finite(h_minus, "field entry h_minus")
         )
 
     def value(self, spin: Spin) -> float:
@@ -347,30 +359,24 @@ class SystemScalars(
     Record,
     namedtuple(
         "SystemScalars",
-        "interaction_by_edge field_by_vertex max_coupling max_degree degree_bound "
-        "critical_coupling contraction",
+        "max_coupling max_degree degree_bound critical_coupling contraction",
     ),
 ):
-    """Derived scalars of a system for a chosen degree bound.
-
-    ``interaction_by_edge`` maps each edge to its ``interaction_strength``
-    and ``field_by_vertex`` each vertex to its ``external_field``;
-    ``contraction`` is (degree_bound - 1) * tanh(max_coupling), floored at 0.
-    """
+    """Derived scalars of a system for a chosen degree bound: ``max_coupling``,
+    the largest ``|interaction_strength|`` of an edge (0 without edges), and
+    ``contraction``, (degree_bound - 1) * tanh(max_coupling) floored at 0."""
 
     __slots__ = ()
 
 
 def system_scalars(system: SpinSystem, degree_bound: int | None = None) -> SystemScalars:
-    """Compute per-edge couplings, per-vertex fields, and the contraction factor.
+    """Compute the largest coupling and the contraction factor.
 
     Args:
         system: the spin system.
         degree_bound: degree parameter for the guarantees; defaults to the
             maximum degree of the graph and may be larger, never smaller.
     """
-    interaction = {e: interaction_strength(p) for e, p in system.potentials.items()}
-    fields = {v: external_field(system.fields[v]) for v in system.graph.vertices()}
     max_degree = system.graph.max_degree()
     if degree_bound is None:
         degree_bound = max_degree
@@ -380,13 +386,13 @@ def system_scalars(system: SpinSystem, degree_bound: int | None = None) -> Syste
         raise ValueError(
             f"degree bound {degree_bound} is below the maximum degree {max_degree}"
         )
-    max_coupling = max((abs(j) for j in interaction.values()), default=0.0)
+    max_coupling = max(
+        (abs(interaction_strength(p)) for p in system.potentials.values()), default=0.0
+    )
     contraction = (degree_bound - 1) * math.tanh(max_coupling)
     if contraction <= 0.0:
         contraction = 0.0
     return SystemScalars(
-        interaction_by_edge=interaction,
-        field_by_vertex=fields,
         max_coupling=max_coupling,
         max_degree=max_degree,
         degree_bound=degree_bound,

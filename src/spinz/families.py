@@ -13,6 +13,7 @@ never imports this module: ``spinz`` exports its names lazily.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -107,7 +108,7 @@ def build_family_graph(
         return Graph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
     if family == "random_regular":
         n = _require_count("n", n, minimum=1)
-        if degree is None or degree != int(degree):
+        if degree is None or degree % 1 != 0:  # inf % 1 and nan % 1 are nan
             raise ValueError("random_regular requires an integer degree")
         d = int(degree)
         if not 0 <= d < n:
@@ -187,8 +188,12 @@ def attach_spin_model(
         potentials = {e: ising_potential(coupling) for e in graph.edges}
         fields = {v: ising_field(field_strength) for v in graph.vertices()}
     elif model == "random":
-        if coupling < 0 or field_strength < 0:
-            raise ValueError("random-model bounds must be nonnegative")
+        # numpy's uniform refuses a range (twice the bound) that overflows.
+        if not (0 <= 2 * coupling < math.inf and 0 <= 2 * field_strength < math.inf):
+            raise ValueError(
+                "random-model bounds must be nonnegative and at most half the largest float, "
+                f"got coupling={coupling!r}, field={field_strength!r}"
+            )
         rng_p = _stream(seed, _STREAM_POTENTIALS)
         potentials = {
             e: EdgePotential(*rng_p.uniform(-coupling, coupling, 4)) for e in graph.edges

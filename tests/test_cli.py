@@ -308,6 +308,55 @@ def test_missing_file_exit_1(capsys):
     assert code == 1 and "error:" in err
 
 
+HUGE = 10**400  # an int no float can hold
+
+
+def _table_file(pp=0.1, h_plus=0.0):
+    return json.dumps({
+        "schema_version": 1,
+        "vertices": [{"id": 1, "h_plus": h_plus, "h_minus": 0.0},
+                     {"id": 2, "h_plus": 0.0, "h_minus": 0.0}],
+        "edges": [{"u": 1, "v": 2, "beta": {"pp": pp, "pm": -0.1, "mp": -0.1, "mm": 0.1}}],
+    })
+
+
+GEN_RANDOM = ("gen", "--family", "path", "--n", "3", "--model", "random")
+
+# A str is the text of a graph file given to estimate; a tuple is a command.
+MALFORMED = {
+    "beta-pp-beyond-float": _table_file(pp=HUGE),
+    "h_plus-beyond-float": _table_file(h_plus=HUGE),
+    "J-beyond-float": json.dumps({"schema_version": 1, "model": "ising", "J": HUGE, "B": 0.0,
+                                  "vertices": [{"id": 1}, {"id": 2}], "edges": [{"u": 1, "v": 2}]}),
+    "nested-200000-deep": "[" * 200_000,
+    "gen-degree-inf": ("gen", "--family", "random_regular", "--n", "6", "--degree", "inf"),
+    "gen-coupling-inf": GEN_RANDOM + ("--coupling", "inf"),
+    "gen-coupling-1e308": GEN_RANDOM + ("--coupling", "1e308"),
+    "gen-field-inf": GEN_RANDOM + ("--field", "inf"),
+    "gen-field-1e308": GEN_RANDOM + ("--field", "1e308"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exit_1(tmp_path, capsys, case):
+    if isinstance(case, str):
+        path = tmp_path / "bad.json"
+        path.write_text(case)
+        argv = ["estimate", "--graph", str(path), "--eps", "0.1"]
+    else:
+        argv = [*case, "--out", str(tmp_path / "out.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_gen_random_model_keeps_its_largest_bound(tmp_path, capsys):
+    # Twice 8.98e307 is still finite, so numpy draws from that range.
+    code, _, _ = run_cli(capsys, *GEN_RANDOM, "--coupling", "8.98e307",
+                         "--out", str(tmp_path / "out.json"))
+    assert code == 0
+
+
 def test_bad_condition_string_exit_1(tmp_path, capsys):
     graph = write_triangle(tmp_path)
     for cond in ("1", "1=x", "0=+", "1=+,1=-"):

@@ -190,9 +190,9 @@ def test_system_scalars_fields_and_couplings():
         {1: VertexField(1.0, 0.0), 2: VertexField(0.0, 0.0)},
     )
     scalars = system_scalars(sys_)
-    assert scalars.interaction_by_edge[(1, 2)] == 0.5
-    assert scalars.field_by_vertex[1] == 0.5
-    assert scalars.field_by_vertex[2] == 0.0
+    assert interaction_strength(sys_.potentials[(1, 2)]) == 0.5
+    assert external_field(sys_.fields[1]) == 0.5
+    assert external_field(sys_.fields[2]) == 0.0
     assert scalars.max_coupling == 0.5
     assert scalars.max_degree == 1
 
@@ -239,8 +239,7 @@ RECORD_FIELDS = {
     "VertexField": ("h_plus", "h_minus"),
     "SpinSystem": ("graph", "potentials", "fields"),
     "SystemScalars": (
-        "interaction_by_edge", "field_by_vertex", "max_coupling", "max_degree",
-        "degree_bound", "critical_coupling", "contraction",
+        "max_coupling", "max_degree", "degree_bound", "critical_coupling", "contraction",
     ),
     "CompiledSystem": ("n", "twice_field", "rows", "belows", "frontier", "settled"),
     "VertexEstimate": ("vertex", "depth", "node_count", "p_hat"),
@@ -279,6 +278,14 @@ def test_records_are_immutable_values_of_their_own_class():
     assert ising_potential(0.2) == EdgePotential(pp=0.2, pm=-0.2, mp=-0.2, mm=0.2)
     entries = EdgePotential(1, np.float64(2.0), 3, 4) + VertexField(0, 1)
     assert [type(x) for x in entries] == [float] * 6
+
+
+def test_int_beyond_float_range_is_not_finite():
+    with pytest.raises(ValueError, match=r"^potential entry pp must be finite, got 1000"):
+        EdgePotential(10**400, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"^field entry h_minus must be finite, got -1000"):
+        VertexField(0, -(10**400))
+    assert EdgePotential(2**1023, 0, 0, 0).pp == 2.0**1023
 
 
 def test_record_validation_messages():

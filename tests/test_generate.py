@@ -8,6 +8,7 @@ import pytest
 
 from spinz import (
     GenSpec,
+    Graph,
     GraphFileError,
     Spin,
     attach_spin_model,
@@ -228,6 +229,39 @@ def test_parse_rejects_malformed_files():
     del missing_beta["edges"][0]["beta"]
     with pytest.raises(GraphFileError):
         parse_system(json.dumps(missing_beta))
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(1, 2), (2, 2)], "edges[1]: self-loop at vertex 2"),
+    ([(1, 2), (2, 3), (2, 1)], "edges[2]: duplicate edge (1, 2)"),
+    ([(1, 2), (3, 4)], "edges[1]: unknown vertex label 4 (valid labels are 1..3)"),
+], ids=["self-loop", "duplicate", "endpoint-out-of-range"])
+def test_edge_errors_name_the_pair_by_position(edges, message):
+    with pytest.raises(ValueError) as info:
+        Graph.from_edges(3, edges)
+    assert str(info.value) == message
+    text = json.dumps({
+        "schema_version": 1, "model": "ising", "J": 0.1, "B": 0.0,
+        "vertices": [{"id": v} for v in (1, 2, 3)],
+        "edges": [{"u": u, "v": v} for u, v in edges],
+    })
+    with pytest.raises(GraphFileError) as info:
+        parse_system(text)
+    assert str(info.value) == message
+
+
+def test_parse_reports_every_decode_failure_as_graph_file_error():
+    # Nesting too deep for the decoder, and an int literal beyond the
+    # int-to-str digit limit where the interpreter has one.
+    for text in ("[" * 200_000, '{"schema_version": ' + "9" * 5000 + "}"):
+        with pytest.raises(GraphFileError, match=r"^(invalid JSON: |schema_version: )"):
+            parse_system(text)
+    with pytest.raises(GraphFileError, match=r"^edges\[0\]\.beta\.mm must be finite, got 1000"):
+        parse_system(json.dumps({
+            "schema_version": 1, "vertices": [{"id": 1, "h_plus": 0, "h_minus": 0},
+                                              {"id": 2, "h_plus": 0, "h_minus": 0}],
+            "edges": [{"u": 1, "v": 2, "beta": {"pp": 0, "pm": 0, "mp": 0, "mm": 10**400}}],
+        }))
 
 
 def test_parse_minimal_single_vertex():
