@@ -22,7 +22,7 @@ import json
 import math
 import sys
 
-from .core import Condition, DecayConditionError, Spin, decay_function, system_scalars
+from .core import Condition, DecayConditionError, Spin, decay_condition_holds, system_scalars
 from .graphfile import load_system, save_system
 from .partition import fptas_log_partition
 
@@ -38,14 +38,16 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INAPPLICABLE = 2
 
-VERIFY_SUITES = (
-    "contraction",
-    "lipschitz",
-    "saw-exhaustive",
-    "saw-random",
-    "decay",
-    "telescoping",
-)
+# Each verify suite: its oracle check, the keyword of its count, the default
+# count and the default tolerance.  The decay check returns a list of reports.
+VERIFY_SUITES = {
+    "contraction": ("check_contraction", "trials", 100_000, 1e-12),
+    "lipschitz": ("check_edge_factor_lipschitz", "trials", 10_000, 1e-12),
+    "saw-exhaustive": ("check_saw_identity_exhaustive", "draws", 20, 1e-9),
+    "saw-random": ("check_saw_identity_random", "instances", 50, 1e-9),
+    "decay": ("check_decay_geometric", "pairs_per_radius", 100, 1e-9),
+    "telescoping": ("check_telescoping", "instances", 50, 1e-9),
+}
 
 
 def _format_float(x: float) -> str:
@@ -95,7 +97,8 @@ def render_json(payload: dict) -> str:
     return _emit(payload, 0, {}) + "\n"
 
 
-def _print_report(payload: dict) -> None:
+def _print_report(command: str, fields: dict) -> None:
+    payload = {"schema_version": REPORT_SCHEMA_VERSION, "command": command, **fields}
     sys.stdout.write(render_json(payload))
 
 
@@ -134,25 +137,18 @@ def cmd_estimate(args) -> int:
         report = fptas_log_partition(system, args.eps, degree_bound=args.degree_bound)
     except DecayConditionError as err:
         _print_report(
+            "estimate",
             {
-                "schema_version": REPORT_SCHEMA_VERSION,
-                "command": "estimate",
                 "applicable": False,
                 "reason": str(err),
                 "contraction": err.contraction,
                 "max_coupling": err.max_coupling,
                 "critical_coupling": err.critical_coupling,
                 "degree_bound": err.degree_bound,
-            }
+            },
         )
         return EXIT_INAPPLICABLE
-    payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": "estimate",
-        "applicable": True,
-    }
-    payload.update(report.to_dict())
-    _print_report(payload)
+    _print_report("estimate", {"applicable": True, **report.to_dict()})
     print(f"wall_time_s={report.wall_time_s:.6f}", file=sys.stderr)
     return EXIT_OK
 
@@ -164,59 +160,38 @@ def cmd_exact(args) -> int:
     cond = _parse_condition(args.cond)
     log_z = exact_log_partition(system, cond)
     _print_report(
+        "exact",
         {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "command": "exact",
             "n": system.n,
             "free_vertices": system.n - len(cond),
             "condition": _condition_payload(cond),
             "log_z": log_z,
-        }
+        },
     )
     return EXIT_OK
 
 
-def _run_suite(suite: str, trials: int | None, seed: int, tolerance: float | None) -> list:
-    from .oracle import (
-        check_contraction,
-        check_decay_geometric,
-        check_edge_factor_lipschitz,
-        check_saw_identity_exhaustive,
-        check_saw_identity_random,
-        check_telescoping,
-    )
-
-    tight = 1e-12 if tolerance is None else tolerance
-    loose = 1e-9 if tolerance is None else tolerance
-    if suite == "contraction":
-        return [check_contraction(trials=trials or 100_000, seed=seed, tolerance=tight)]
-    if suite == "lipschitz":
-        return [check_edge_factor_lipschitz(trials=trials or 10_000, seed=seed, tolerance=tight)]
-    if suite == "saw-exhaustive":
-        return [check_saw_identity_exhaustive(draws=trials or 20, seed=seed, tolerance=loose)]
-    if suite == "saw-random":
-        return [check_saw_identity_random(instances=trials or 50, seed=seed, tolerance=loose)]
-    if suite == "decay":
-        return check_decay_geometric(seed=seed, pairs_per_radius=trials or 100, tolerance=loose)
-    if suite == "telescoping":
-        return [check_telescoping(instances=trials or 50, seed=seed, tolerance=loose)]
-    raise ValueError(f"unknown suite {suite!r}")
-
-
 def cmd_verify(args) -> int:
+    from . import oracle
+
     suites = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for suite in suites:
-        checks.extend(_run_suite(suite, args.trials, args.seed, args.tolerance))
+        check, count_keyword, count, tolerance = VERIFY_SUITES[suite]
+        result = getattr(oracle, check)(
+            seed=args.seed,
+            tolerance=tolerance if args.tolerance is None else args.tolerance,
+            **{count_keyword: args.trials or count},
+        )
+        checks.extend(result if isinstance(result, list) else [result])
     all_passed = all(check.passed for check in checks)
     _print_report(
+        "verify",
         {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "command": "verify",
             "suites": suites,
             "all_passed": all_passed,
             "checks": [check.to_dict() for check in checks],
-        }
+        },
     )
     return EXIT_OK if all_passed else EXIT_INPUT
 
@@ -224,32 +199,29 @@ def cmd_verify(args) -> int:
 def cmd_decay(args) -> int:
     import numpy as np
 
-    from .oracle import max_boundary_gap
+    from .oracle import _decay_probe
 
     system = load_system(args.graph)
     scalars = system_scalars(system)
-    sphere = system.graph.vertices_at_distance(args.root, args.radius)
-    if not sphere:
-        raise ValueError(f"no vertices at distance {args.radius} from vertex {args.root}")
-    envelope = decay_function(args.radius, scalars.max_coupling, scalars.degree_bound)
     rng = np.random.default_rng(args.seed)
-    measured, _ = max_boundary_gap(system, args.root, sphere, args.trials, rng)
+    sphere_size, envelope, measured, _ = _decay_probe(
+        system, args.root, args.radius, args.trials, rng, scalars
+    )
     _print_report(
+        "decay",
         {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "command": "decay",
             "root": args.root,
             "radius": args.radius,
             "trials": args.trials,
             "seed": args.seed,
-            "sphere_size": len(sphere),
+            "sphere_size": sphere_size,
             "measured_max": measured,
             "envelope": envelope,
             "within_envelope": measured <= envelope * (1.0 + 1e-9),
             "max_coupling": scalars.max_coupling,
             "degree_bound": scalars.degree_bound,
             "contraction": scalars.contraction,
-        }
+        },
     )
     return EXIT_OK
 
@@ -272,9 +244,8 @@ def cmd_gen(args) -> int:
     save_system(system, args.out)
     graph = system.graph
     _print_report(
+        "gen",
         {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "command": "gen",
             "path": args.out,
             "family": args.family,
             "model": args.model,
@@ -283,7 +254,7 @@ def cmd_gen(args) -> int:
             "edge_count": len(graph.edges),
             "max_degree": graph.max_degree(),
             "connected": graph.is_connected(),
-        }
+        },
     )
     return EXIT_OK
 
@@ -292,11 +263,10 @@ def cmd_check(args) -> int:
     system = load_system(args.graph)
     scalars = system_scalars(system, args.degree_bound)
     graph = system.graph
-    applicable = scalars.contraction < 1.0
+    applicable = decay_condition_holds(scalars)
     _print_report(
+        "check",
         {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "command": "check",
             "n": graph.n,
             "edge_count": len(graph.edges),
             "max_degree": graph.max_degree(),
@@ -306,7 +276,7 @@ def cmd_check(args) -> int:
             "critical_coupling": scalars.critical_coupling,
             "contraction": scalars.contraction,
             "applicable": applicable,
-        }
+        },
     )
     return EXIT_OK if applicable else EXIT_INAPPLICABLE
 
@@ -368,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=VERIFY_SUITES + ("all",),
+        choices=[*VERIFY_SUITES, "all"],
         help="which suite to run (default: all)",
     )
     p.add_argument(

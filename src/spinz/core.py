@@ -97,7 +97,8 @@ def checked_condition(n: int, root, condition: Mapping[int, Spin] | None) -> Con
     """Validate a condition, and a walk's root label unless ``root`` is None,
     against a graph on n vertices.
 
-    Every label must be an int in 1..n (bools are refused).  Returns the
+    Every label must be an int in 1..n (bools are refused), and the root
+    must be free: a conditioned root has a pinned marginal.  Returns the
     condition as a new dict whose values are ``Spin``.
     """
     if root is not None:
@@ -109,6 +110,8 @@ def checked_condition(n: int, root, condition: Mapping[int, Spin] | None) -> Con
         if vertex > n:
             raise ValueError(f"conditioned vertex {vertex} is not in the graph (n={n})")
         cond[vertex] = Spin(spin)
+    if root in cond:
+        raise ValueError(f"vertex {root} is conditioned; its marginal is pinned")
     return cond
 
 
@@ -147,7 +150,11 @@ def _finite(value, where: str, index: int = 0) -> float:
     except OverflowError:
         number = math.inf
     if number - number != 0.0:
-        raise ValueError(f"{where.format(index)} must be finite, got {value!r}")
+        try:
+            shown = repr(value)
+        except ValueError:  # an int with more digits than str conversion allows
+            shown = f"an int of {value.bit_length()} bits"
+        raise ValueError(f"{where.format(index)} must be finite, got {shown}")
     return number
 
 

@@ -194,6 +194,8 @@ def attach_spin_model(
                 "random-model bounds must be nonnegative and at most half the largest float, "
                 f"got coupling={coupling!r}, field={field_strength!r}"
             )
+        coupling += 0.0  # -0.0 + 0.0 is 0.0: numpy refuses the range [0.0, -0.0]
+        field_strength += 0.0
         rng_p = _stream(seed, _STREAM_POTENTIALS)
         potentials = {
             e: EdgePotential(*rng_p.uniform(-coupling, coupling, 4)) for e in graph.edges

@@ -160,7 +160,11 @@ def serialize_system(system: SpinSystem) -> str:
 
 def load_system(path) -> SpinSystem:
     with open(path, encoding="utf-8") as handle:
-        return parse_system(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFileError(f"invalid JSON: {exc}") from None
+    return parse_system(text)
 
 
 def save_system(system: SpinSystem, path) -> None:

@@ -177,8 +177,6 @@ def conditional_marginal_estimate(
     if depth < 1:
         raise ValueError("depth must be at least 1")
     cond = checked_condition(system.graph.n, vertex, condition)
-    if vertex in cond:
-        raise ValueError(f"vertex {vertex} is conditioned; its marginal is pinned")
     compiled = compile_system(system)
     log_ratio, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth)
     return marginal_plus(log_ratio)

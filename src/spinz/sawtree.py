@@ -23,7 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import _LAZY_ALL
-from .core import Spin, SpinSystem, checked_condition, external_field
+from .core import Spin, SpinSystem, _check_label, checked_condition, external_field
 from .marginal import _frontier_factor
 
 # The package lists these names so it can export them without importing
@@ -91,7 +91,8 @@ def build_saw_tree(
     graph = system.graph
     if depth_limit < 0:
         raise ValueError("depth limit must be nonnegative")
-    pinned = checked_condition(graph.n, root, condition)
+    _check_label(root, graph.n)
+    pinned = checked_condition(graph.n, None, condition)
     root_spin = pinned.get(root)
     if root_spin is not None:
         return SawTree(SawNode(root, 0, root_spin, []), root, depth_limit, 1)

@@ -237,6 +237,26 @@ def test_verify_quick_suite(capsys):
     assert report["checks"][0]["trials"] == 500
 
 
+# The checks each verify suite reports, in order.
+SUITE_CHECKS = {
+    "contraction": ["contraction-inequality"],
+    "lipschitz": ["edge-factor-lipschitz"],
+    "saw-exhaustive": ["saw-marginal-identity-exhaustive"],
+    "saw-random": ["saw-marginal-identity-random"],
+    "decay": (["boundary-decay-bound"] * 3 + ["boundary-decay-geometric"]) * 3,
+    "telescoping": ["telescoping-product"],
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_CHECKS)
+def test_verify_each_suite(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--trials", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["suites"] == [suite] and report["all_passed"] is True
+    assert [check["name"] for check in report["checks"]] == SUITE_CHECKS[suite]
+
+
 def test_verify_failed_tolerance_exit_1(capsys):
     # an impossible tolerance forces a reported failure and exit code 1
     code, out, _ = run_cli(capsys, "verify", "--suite", "contraction",
@@ -329,6 +349,7 @@ MALFORMED = {
     "J-beyond-float": json.dumps({"schema_version": 1, "model": "ising", "J": HUGE, "B": 0.0,
                                   "vertices": [{"id": 1}, {"id": 2}], "edges": [{"u": 1, "v": 2}]}),
     "nested-200000-deep": "[" * 200_000,
+    "raw-0xff-byte": b'{"schema_version": 1, \xff}',
     "gen-degree-inf": ("gen", "--family", "random_regular", "--n", "6", "--degree", "inf"),
     "gen-coupling-inf": GEN_RANDOM + ("--coupling", "inf"),
     "gen-coupling-1e308": GEN_RANDOM + ("--coupling", "1e308"),
@@ -339,15 +360,17 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exit_1(tmp_path, capsys, case):
-    if isinstance(case, str):
+    if isinstance(case, (str, bytes)):
         path = tmp_path / "bad.json"
-        path.write_text(case)
+        path.write_bytes(case if isinstance(case, bytes) else case.encode())
         argv = ["estimate", "--graph", str(path), "--eps", "0.1"]
     else:
         argv = [*case, "--out", str(tmp_path / "out.json")]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "Traceback" not in err
+    if isinstance(case, bytes):
+        assert err.startswith("error: invalid JSON:")
 
 
 def test_gen_random_model_keeps_its_largest_bound(tmp_path, capsys):
@@ -355,6 +378,14 @@ def test_gen_random_model_keeps_its_largest_bound(tmp_path, capsys):
     code, _, _ = run_cli(capsys, *GEN_RANDOM, "--coupling", "8.98e307",
                          "--out", str(tmp_path / "out.json"))
     assert code == 0
+    # A bound of -0.0 is the bound 0, not the empty range [0.0, -0.0].
+    zero = tmp_path / "zero.json"
+    assert run_cli(capsys, *GEN_RANDOM, "--coupling", "0", "--out", str(zero))[0] == 0
+    for flag in ("--coupling", "--field"):
+        negative_zero = tmp_path / f"negative-zero{flag}.json"
+        code, _, _ = run_cli(capsys, *GEN_RANDOM, flag, "-0.0", "--out", str(negative_zero))
+        assert code == 0
+        assert negative_zero.read_bytes() == zero.read_bytes()
 
 
 def test_bad_condition_string_exit_1(tmp_path, capsys):

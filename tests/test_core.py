@@ -285,6 +285,9 @@ def test_int_beyond_float_range_is_not_finite():
         EdgePotential(10**400, 0, 0, 0)
     with pytest.raises(ValueError, match=r"^field entry h_minus must be finite, got -1000"):
         VertexField(0, -(10**400))
+    # Too many digits for repr: the message describes the int instead.
+    with pytest.raises(ValueError, match=r"^potential entry pp must be finite, got an int of "):
+        EdgePotential(10**5000, 0, 0, 0)
     assert EdgePotential(2**1023, 0, 0, 0).pp == 2.0**1023
 
 
