@@ -83,9 +83,18 @@ class DecayConditionError(Exception):
         )
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or a description of an int with
+    more digits than str conversion allows."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 def _check_label(v, n: int) -> None:
     if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= n:
-        raise ValueError(f"unknown vertex label {v!r} (valid labels are 1..{n})")
+        raise ValueError(f"unknown vertex label {_shown(v)} (valid labels are 1..{n})")
 
 
 Condition = dict[int, Spin]
@@ -106,9 +115,11 @@ def checked_condition(n: int, root, condition: Mapping[int, Spin] | None) -> Con
     cond: Condition = {}
     for vertex, spin in (condition or {}).items():
         if isinstance(vertex, bool) or not isinstance(vertex, int) or vertex < 1:
-            raise ValueError(f"vertex label must be a positive integer, got {vertex!r}")
+            raise ValueError(f"vertex label must be a positive integer, got {_shown(vertex)}")
         if vertex > n:
-            raise ValueError(f"conditioned vertex {vertex} is not in the graph (n={n})")
+            raise ValueError(
+                f"conditioned vertex {_shown(vertex)} is not in the graph (valid labels are 1..{n})"
+            )
         cond[vertex] = Spin(spin)
     if root in cond:
         raise ValueError(f"vertex {root} is conditioned; its marginal is pinned")
@@ -150,11 +161,7 @@ def _finite(value, where: str, index: int = 0) -> float:
     except OverflowError:
         number = math.inf
     if number - number != 0.0:
-        try:
-            shown = repr(value)
-        except ValueError:  # an int with more digits than str conversion allows
-            shown = f"an int of {value.bit_length()} bits"
-        raise ValueError(f"{where.format(index)} must be finite, got {shown}")
+        raise ValueError(f"{where.format(index)} must be finite, got {_shown(value)}")
     return number
 
 
@@ -422,8 +429,10 @@ def decay_function(distance: int, coupling: float, degree: int) -> float:
     It bounds any change of the boundary at that distance, from all minus
     to all plus included.  The estimator truncates its walk trees at depth
     t and lets each frontier leaf look one level further, at its children's
-    pinned factors, so its root is within half of the envelope at distance
-    t + 1 (see ``truncation_depth``).
+    pinned factors, so a root with k of its ``degree`` children free is
+    within k / degree of half the envelope at distance t + 1.  Over the
+    sweep those fractions sum to |E| / degree <= n / 2 (see
+    ``truncation_depth``).
     """
     if distance < 1:
         raise ValueError("distance must be at least 1")

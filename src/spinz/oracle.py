@@ -313,7 +313,8 @@ def check_decay_geometric(
     """Decay-envelope suite on 3-regular graphs with n=10 and Ising J=0.4:
     an envelope report at each radius 1, 2 and 3, plus one geometric-decay
     report per graph (each measured maximum is at most the previous one
-    times the contraction factor plus 0.1)."""
+    times the contraction factor plus 0.1; a previous maximum of 0 is
+    skipped)."""
     reports: list[CheckReport] = []
     found = 0
     attempt = 0
@@ -346,7 +347,12 @@ def check_decay_geometric(
             measured.append(gap)
             reports.append(report)
         threshold = scalars.contraction + 0.1
-        worst_ratio = max(measured[1] / measured[0], measured[2] / measured[1])
+        # A maximum of 0 (few trials, or none that moved the root) bounds
+        # no ratio, so the ratio after it is skipped.
+        worst_ratio = max(
+            (later / earlier for earlier, later in zip(measured, measured[1:]) if earlier > 0.0),
+            default=0.0,
+        )
         reports.append(
             _report(
                 "boundary-decay-geometric",

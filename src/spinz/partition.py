@@ -5,13 +5,15 @@ weight and a telescoping product of conditional marginals: vertex j is
 estimated with vertices 1..j-1 pinned to +.  Each marginal comes from a
 depth-truncated walk tree whose free leaves at the depth limit add the
 lookahead frontier (the middle of their edge factor over the log ratio
-interval their own children's pinned factors bound; see ``marginal``), and
-whose depth is chosen so every factor is within eps/n in log, giving
-|log(estimate) - log(exact)| <= eps overall whenever the contraction
-condition (degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor
-enters the sum as a log, taken from the walk's log ratio where the marginal
-itself is too small for a normal float, so no estimate leaves the log
-domain.
+interval their own children's pinned factors bound; see ``marginal``).  One
+depth serves every walk.  A factor's log error is at most proportional to
+its vertex's count of unpinned neighbours, so the errors sum over the edges,
+and the depth is chosen so that the sum is at most eps (see
+``truncation_depth``).  That gives |log(estimate) - log(exact)| <= eps
+whenever the contraction condition (degree_bound - 1) * tanh(max_coupling)
+< 1 holds.  Each factor enters the sum as a log, taken from the walk's log
+ratio where the marginal itself is too small for a normal float, so no
+estimate leaves the log domain.
 
 The estimate is one serial sweep.  It compiles the system once
 (``compile_system``): twice the field of every vertex and, per vertex, its
@@ -124,22 +126,29 @@ def _check_eps(eps: float) -> None:
 
 
 def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
-    """Walk-tree depth making every telescoping factor accurate to eps/n in log.
+    """Walk-tree depth making the telescoping factors' log errors sum to eps.
 
-    The smallest t >= 1 with decay_function(t + 1, coupling, degree) / 2 <=
-    eps / n: a lookahead frontier leaf is off by at most tanh(J) times half
-    its interval, 2 * J * (degree - 1) * tanh(J), one contraction step less
-    than half its edge factor's range, so the root is off by at most half
-    the envelope one level further down.  Computed as
-    ceil(log(2 * n * coupling * degree / eps) / log(1 / rate)) with
-    rate = (degree - 1) * tanh(coupling), floored at 1.  Natural logs
-    throughout.  Raises DecayConditionError when rate >= 1, and ValueError
-    when eps is so small that the depth overflows.
+    The smallest t >= 1 with coupling * n * degree * rate**t <= eps, that is
+    decay_function(t + 1, coupling, degree) / 2 <= 2 * eps / n, where
+    rate = (degree - 1) * tanh(coupling).  A lookahead frontier leaf is off
+    by at most tanh(J) times half its interval, 2 * J * (degree - 1) *
+    tanh(J), and each level up multiplies the error by at most rate.  In
+    the sweep, the root of vertex v has only k_v free children, its
+    neighbours with a larger label; pinned children add exact factors.  So
+    v's log ratio is off by at most 2 * J * k_v * rate**t, and so is its
+    log marginal, since log sigma is 1-Lipschitz.  Summed over the
+    vertices, sum k_v = |E| <= n * degree / 2 gives at most
+    J * n * degree * rate**t, for any degree >= the maximum degree.
+
+    Computed as ceil(log(n * coupling * degree / eps) / log(1 / rate)),
+    floored at 1.  Natural logs throughout.  Raises DecayConditionError
+    when rate >= 1, and ValueError when eps is so small that the depth
+    overflows.
 
     The answer is 1 when the rate is 0 or less: zero coupling makes every
     edge factor constant, and on a graph of degree bound 1 the depth-1
     frontier leaf has no children, so its interval is a point.  It is also
-    1 when 2 * n * coupling * degree / eps is at most 1, underflow to 0
+    1 when n * coupling * degree / eps is at most 1, underflow to 0
     included, since depth 1 then certifies eps already.
     """
     if n < 1:
@@ -152,11 +161,11 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     rate = (degree - 1) * math.tanh(coupling)
     if rate >= 1.0:
         raise DecayConditionError(rate, max_coupling=coupling, degree_bound=degree)
-    scale = 2.0 * n * coupling * degree / eps
+    scale = n * coupling * degree / eps
     if rate <= 0.0 or scale <= 1.0:
         return 1
     raw = math.log(scale) / math.log(1.0 / rate)
-    if not math.isfinite(raw):  # 2 * n * coupling * degree / eps overflowed
+    if not math.isfinite(raw):  # n * coupling * degree / eps overflowed
         raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
     return max(1, math.ceil(raw))
 

@@ -128,15 +128,16 @@ def test_criterion_6_depth_formula():
         here = truncation_depth(n, 0.3, 3, eps)
         growth_ok = growth_ok and (bigger_n - here <= step) and (smaller_eps - here <= step)
         # the smallest depth whose half envelope one level down (the
-        # lookahead frontier) fits eps/n
+        # lookahead frontier), summed over the n*d/2 edges' free ends,
+        # fits eps: J*n*d*rate^t <= eps
         smallest_ok = smallest_ok and (
-            decay_function(here + 1, 0.3, 3) / 2 <= eps / n < decay_function(here, 0.3, 3) / 2
+            decay_function(here + 1, 0.3, 3) / 2 <= 2 * eps / n < decay_function(here, 0.3, 3) / 2
         )
-    ok = base == 10 and growth_ok and smallest_ok
+    ok = base == 9 and growth_ok and smallest_ok
     announce(6, ok,
-             f"depth(n=10, J=0.3, d=3, eps=0.1) = {base} (expected 10); "
+             f"depth(n=10, J=0.3, d=3, eps=0.1) = {base} (expected 9); "
              f"doubling n / halving eps grows depth by <= {step}; each depth t is "
-             f"the smallest with half the decay envelope at t+1 <= eps/n")
+             f"the smallest with half the decay envelope at t+1 <= 2*eps/n")
     assert ok
 
 

@@ -147,7 +147,7 @@ def test_estimate_underflowing_marginal_exit_0(tmp_path, capsys):
     report = json.loads(out)
     assert abs(report["log_z_hat"] - 400.0) <= 1e-9
     assert report["vertices"][0]["p_hat"] == 0.0
-    # 2 * n * coupling * degree / eps underflows to 0 in the depth formula.
+    # n * coupling * degree / eps underflows to 0 in the depth formula.
     graph = write_triangle(tmp_path, coupling=1e-300)
     code, out, err = run_cli(capsys, "estimate", "--graph", graph, "--eps", "1e300")
     assert code == 0, err
@@ -255,6 +255,19 @@ def test_verify_each_suite(capsys, suite):
     report = json.loads(out)
     assert report["suites"] == [suite] and report["all_passed"] is True
     assert [check["name"] for check in report["checks"]] == SUITE_CHECKS[suite]
+
+
+def test_verify_decay_one_trial_ends_in_a_report(capsys):
+    # One trial per radius measures a maximum of 0 at radius 1 of the second
+    # graph; the geometric check skips the ratio after it instead of
+    # dividing by 0.  Other one-pair ratios may fail the check (exit 1).
+    code, out, err = run_cli(capsys, "verify", "--suite", "decay", "--trials", "1")
+    report = json.loads(out)
+    assert (code, err) == (0 if report["all_passed"] else 1, "")
+    checks = report["checks"]
+    assert [check["name"] for check in checks] == SUITE_CHECKS["decay"]
+    assert "radius=1 measured=0.000000e+00" in checks[4]["worst_case"]
+    assert "worst_ratio=0.901202" in checks[7]["worst_case"]
 
 
 def test_verify_failed_tolerance_exit_1(capsys):

@@ -250,6 +250,16 @@ def test_edge_errors_name_the_pair_by_position(edges, message):
     assert str(info.value) == message
 
 
+def test_edge_label_too_long_to_print_states_the_rule():
+    # No file can hold this label: the decoder refuses the literal first.
+    huge = 10**5000
+    with pytest.raises(ValueError) as info:
+        Graph.from_edges(3, [(1, huge)])
+    assert str(info.value) == (
+        f"edges[0]: unknown vertex label an int of {huge.bit_length()} bits (valid labels are 1..3)"
+    )
+
+
 def test_parse_reports_every_decode_failure_as_graph_file_error():
     # Nesting too deep for the decoder, and an int literal beyond the
     # int-to-str digit limit where the interpreter has one.

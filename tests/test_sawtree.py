@@ -56,6 +56,16 @@ def test_condition_basics():
             build({4: Spin.PLUS})
         with pytest.raises(ValueError):
             build({2: 0})  # not a spin
+    # Labels with more digits than str conversion allows are described.
+    huge = 10**5000
+    for label, message in (
+        (huge, f"conditioned vertex an int of {huge.bit_length()} bits is not in the graph "
+               "(valid labels are 1..3)"),
+        (-huge, f"vertex label must be a positive integer, got an int of {huge.bit_length()} bits"),
+    ):
+        with pytest.raises(ValueError) as info:
+            checked_condition(3, None, {label: 1})
+        assert str(info.value) == message
 
 
 def test_triangle_golden_tree():
