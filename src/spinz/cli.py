@@ -306,6 +306,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of a pass tolerance: a finite number, at least 0."""
+    import argparse
+
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -345,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=_positive_int, default=None, help="override the suite's trial count"
     )
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
-    p.add_argument("--tolerance", type=float, default=None, help="override the pass tolerance")
+    p.add_argument(
+        "--tolerance", type=_tolerance, default=None, help="override the pass tolerance (>= 0)"
+    )
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("decay", help="measure boundary influence at a graph distance")

@@ -429,10 +429,12 @@ def decay_function(distance: int, coupling: float, degree: int) -> float:
     It bounds any change of the boundary at that distance, from all minus
     to all plus included.  The estimator truncates its walk trees at depth
     t and lets each frontier leaf look one level further, at its children's
-    pinned factors, so a root with k of its ``degree`` children free is
-    within k / degree of half the envelope at distance t + 1.  Over the
-    sweep those fractions sum to |E| / degree <= n / 2 (see
-    ``truncation_depth``).
+    pinned factors.  It charges such a leaf the exact half-range
+    a = atanh(tanh(coupling) * tanh((degree - 1) * coupling)) of its edge
+    factor, not the linearised coupling * (degree - 1) * tanh(coupling),
+    so a root with k of its ``degree`` children free is within
+    2 * a * k * rate**(t - 1), at most k / degree of half the envelope at
+    distance t + 1 (see ``truncation_depth``).
     """
     if distance < 1:
         raise ValueError("distance must be at least 1")

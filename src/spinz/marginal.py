@@ -13,9 +13,11 @@ ratio and lies between its two pinned values, so w's own log ratio lies in
 ``[lo, hi]``: twice w's field plus, per child c of w, the smaller
 (respectively larger) of the pinned factors of the edge w -> c.  The parent
 v adds ``_frontier_factor``, the middle of the factor of v -> w over that
-interval.  It is within ``tanh|J| * (hi - lo) / 2 <= 2 * J * (d - 1) *
-tanh(J)`` of the true factor whatever the subtree holds, one contraction
-step tighter than the middle of the factor's whole range.
+interval.  The factor is a shifted Ising factor of w's log ratio, so it is
+within half its range there, ``2 * atanh(tanh|J| * tanh((hi - lo) / 4))
+<= 2 * atanh(tanh(J) * tanh((d - 1) * J))``, of the true factor whatever
+the subtree holds, one contraction step tighter than the middle of the
+factor's whole range.
 
 ``walk_log_ratio`` evaluates the walk tree over a ``CompiledSystem``
 without building it: it folds each subtree's value into its parent the

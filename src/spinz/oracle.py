@@ -212,8 +212,15 @@ def check_contraction(trials: int = 100_000, seed: int = 0, tolerance: float = 1
 
 
 def check_edge_factor_lipschitz(trials: int = 10_000, seed: int = 0, tolerance: float = 1e-12) -> CheckReport:
-    """edge_factor_log moves at most tanh(|interaction_strength|) per unit of
-    child log ratio, measured over random tables and ratio pairs."""
+    """edge_factor_log moves at most 4 * atanh(tanh|J| * tanh(|delta| / 4))
+    when the child log ratio moves by delta, J = interaction_strength,
+    measured over random tables and ratio pairs.
+
+    Every edge factor is a shifted Ising factor of the child's log ratio,
+    so this is its exact range over an interval of width |delta| centred on
+    its steepest point, and at most tanh|J| * |delta|: the report checks the
+    Lipschitz bound and the frontier half-range that ``truncation_depth``
+    rests on."""
     from .core import EdgePotential
 
     rng = np.random.default_rng(seed)
@@ -226,7 +233,7 @@ def check_edge_factor_lipschitz(trials: int = 10_000, seed: int = 0, tolerance: 
         slope = math.tanh(abs(interaction_strength(potential)))
         first, second = ratios[i]
         lhs = abs(edge_factor_log(potential, first) - edge_factor_log(potential, second))
-        rhs = slope * abs(first - second)
+        rhs = 4.0 * math.atanh(slope * math.tanh(abs(first - second) / 4.0))
         violation = (lhs - rhs) / max(1.0, rhs)
         if violation > max_violation:
             max_violation = violation
@@ -313,8 +320,8 @@ def check_decay_geometric(
     """Decay-envelope suite on 3-regular graphs with n=10 and Ising J=0.4:
     an envelope report at each radius 1, 2 and 3, plus one geometric-decay
     report per graph (each measured maximum is at most the previous one
-    times the contraction factor plus 0.1; a previous maximum of 0 is
-    skipped)."""
+    times the contraction factor plus 0.1; a previous maximum of at most
+    ``tolerance`` is skipped)."""
     reports: list[CheckReport] = []
     found = 0
     attempt = 0
@@ -347,10 +354,15 @@ def check_decay_geometric(
             measured.append(gap)
             reports.append(report)
         threshold = scalars.contraction + 0.1
-        # A maximum of 0 (few trials, or none that moved the root) bounds
-        # no ratio, so the ratio after it is skipped.
+        # A maximum within tolerance of 0 (few trials, or none that moved
+        # the root beyond rounding) bounds no ratio, so the ratio after it
+        # is skipped.
         worst_ratio = max(
-            (later / earlier for earlier, later in zip(measured, measured[1:]) if earlier > 0.0),
+            (
+                later / earlier
+                for earlier, later in zip(measured, measured[1:])
+                if earlier > tolerance
+            ),
             default=0.0,
         )
         reports.append(

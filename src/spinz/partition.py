@@ -128,28 +128,32 @@ def _check_eps(eps: float) -> None:
 def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     """Walk-tree depth making the telescoping factors' log errors sum to eps.
 
-    The smallest t >= 1 with coupling * n * degree * rate**t <= eps, that is
-    decay_function(t + 1, coupling, degree) / 2 <= 2 * eps / n, where
-    rate = (degree - 1) * tanh(coupling).  A lookahead frontier leaf is off
-    by at most tanh(J) times half its interval, 2 * J * (degree - 1) *
-    tanh(J), and each level up multiplies the error by at most rate.  In
-    the sweep, the root of vertex v has only k_v free children, its
-    neighbours with a larger label; pinned children add exact factors.  So
-    v's log ratio is off by at most 2 * J * k_v * rate**t, and so is its
-    log marginal, since log sigma is 1-Lipschitz.  Summed over the
-    vertices, sum k_v = |E| <= n * degree / 2 gives at most
-    J * n * degree * rate**t, for any degree >= the maximum degree.
+    The smallest t >= 1 with n * degree * rate**(t - 1) * a <= eps, where
+    rate = (degree - 1) * tanh(coupling) and
+    a = atanh(tanh(coupling) * tanh((degree - 1) * coupling)).  Every edge
+    factor is a shifted Ising factor of the child's log ratio: over an
+    interval of width W its range is at most
+    4 * atanh(tanh(J) * tanh(W / 4)) <= tanh(J) * W.  A lookahead frontier
+    leaf's interval has width at most 4 * J * (degree - 1), so the middle
+    of its factor is off by at most 2 * a, and each level up multiplies the
+    error by at most rate.  In the sweep, the root of vertex v has only k_v
+    free children, its neighbours with a larger label; pinned children add
+    exact factors.  So v's log ratio is off by at most
+    2 * a * k_v * rate**(t - 1), and so is its log marginal, since
+    log sigma is 1-Lipschitz.  Summed over the vertices,
+    sum k_v = |E| <= n * degree / 2 gives at most
+    n * degree * a * rate**(t - 1), for any degree >= the maximum degree.
 
-    Computed as ceil(log(n * coupling * degree / eps) / log(1 / rate)),
-    floored at 1.  Natural logs throughout.  Raises DecayConditionError
-    when rate >= 1, and ValueError when eps is so small that the depth
-    overflows.
+    Computed as 1 + ceil(log(n * degree * a / eps) / log(1 / rate)).
+    Natural logs throughout.  Raises DecayConditionError when rate >= 1,
+    before a is computed, so atanh never sees 1, and ValueError when eps is
+    so small that the depth overflows.
 
     The answer is 1 when the rate is 0 or less: zero coupling makes every
     edge factor constant, and on a graph of degree bound 1 the depth-1
     frontier leaf has no children, so its interval is a point.  It is also
-    1 when n * coupling * degree / eps is at most 1, underflow to 0
-    included, since depth 1 then certifies eps already.
+    1 when n * degree * a / eps is at most 1, underflow to 0 included,
+    since depth 1 then certifies eps already.
     """
     if n < 1:
         raise ValueError("vertex count must be at least 1")
@@ -158,16 +162,20 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     _check_eps(eps)
-    rate = (degree - 1) * math.tanh(coupling)
+    slope = math.tanh(coupling)
+    rate = (degree - 1) * slope
     if rate >= 1.0:
         raise DecayConditionError(rate, max_coupling=coupling, degree_bound=degree)
-    scale = n * coupling * degree / eps
-    if rate <= 0.0 or scale <= 1.0:
+    if rate <= 0.0:
+        return 1
+    half_range = math.atanh(slope * math.tanh((degree - 1) * coupling))
+    scale = n * degree * half_range / eps
+    if scale <= 1.0:
         return 1
     raw = math.log(scale) / math.log(1.0 / rate)
-    if not math.isfinite(raw):  # n * coupling * degree / eps overflowed
+    if not math.isfinite(raw):  # n * degree * a / eps overflowed
         raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
-    return max(1, math.ceil(raw))
+    return 1 + math.ceil(raw)
 
 
 def conditional_marginal_estimate(

@@ -156,9 +156,10 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
             default None adds the lookahead frontier of ``marginal``: the
             middle of the leaf's edge factor over the log ratio interval
             that the leaf's own children's pinned factors bound.  A
-            truncated tree is then off by at most half of
-            ``decay_function(depth_limit + 1, ...)``; it needs a depth limit
-            of at least 1.  A float is the log ratio those leaves take
+            truncated tree whose root has k free children is then off by
+            at most ``2 * a * k * rate**(depth_limit - 1)``, with a and
+            rate as in ``partition.truncation_depth``; it needs a depth
+            limit of at least 1.  A float is the log ratio those leaves take
             (-inf pins the unexplored region to minus).
 
     Evaluation is an explicit post-order sweep (no recursion), so tree depth

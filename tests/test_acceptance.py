@@ -21,7 +21,6 @@ from spinz import (
     check_saw_identity_exhaustive,
     check_saw_identity_random,
     check_telescoping,
-    decay_function,
     exact_log_partition,
     fptas_log_partition,
     ising_system,
@@ -119,6 +118,7 @@ def test_criterion_5_telescoping_product():
 def test_criterion_6_depth_formula():
     base = truncation_depth(10, 0.3, 3, 0.1)
     rate = 2.0 * math.tanh(0.3)
+    half_range = math.atanh(math.tanh(0.3) * math.tanh(2 * 0.3))
     step = math.ceil(math.log(2.0) / math.log(1.0 / rate)) + 1
     growth_ok = True
     smallest_ok = True
@@ -127,17 +127,18 @@ def test_criterion_6_depth_formula():
         smaller_eps = truncation_depth(n, 0.3, 3, eps / 2)
         here = truncation_depth(n, 0.3, 3, eps)
         growth_ok = growth_ok and (bigger_n - here <= step) and (smaller_eps - here <= step)
-        # the smallest depth whose half envelope one level down (the
-        # lookahead frontier), summed over the n*d/2 edges' free ends,
-        # fits eps: J*n*d*rate^t <= eps
+        # the smallest depth whose frontier half-range a, carried up t-1
+        # levels and summed over the n*d/2 edges' free ends, fits eps:
+        # n*d*a*rate^(t-1) <= eps
         smallest_ok = smallest_ok and (
-            decay_function(here + 1, 0.3, 3) / 2 <= 2 * eps / n < decay_function(here, 0.3, 3) / 2
+            n * 3 * half_range * rate ** (here - 1) <= eps
+            < n * 3 * half_range * rate ** (here - 2)
         )
     ok = base == 9 and growth_ok and smallest_ok
     announce(6, ok,
              f"depth(n=10, J=0.3, d=3, eps=0.1) = {base} (expected 9); "
              f"doubling n / halving eps grows depth by <= {step}; each depth t is "
-             f"the smallest with half the decay envelope at t+1 <= 2*eps/n")
+             f"the smallest with n*d*a*rate^(t-1) <= eps")
     assert ok
 
 

@@ -147,7 +147,8 @@ def test_estimate_underflowing_marginal_exit_0(tmp_path, capsys):
     report = json.loads(out)
     assert abs(report["log_z_hat"] - 400.0) <= 1e-9
     assert report["vertices"][0]["p_hat"] == 0.0
-    # n * coupling * degree / eps underflows to 0 in the depth formula.
+    # The frontier half-range a, and with it n * degree * a / eps,
+    # underflows to 0 in the depth formula.
     graph = write_triangle(tmp_path, coupling=1e-300)
     code, out, err = run_cli(capsys, "estimate", "--graph", graph, "--eps", "1e300")
     assert code == 0, err
@@ -271,11 +272,33 @@ def test_verify_decay_one_trial_ends_in_a_report(capsys):
 
 
 def test_verify_failed_tolerance_exit_1(capsys):
-    # an impossible tolerance forces a reported failure and exit code 1
-    code, out, _ = run_cli(capsys, "verify", "--suite", "contraction",
-                           "--trials", "200", "--tolerance", "-1.0")
+    # tolerance 0 leaves no room for the rounding of the reconstructed
+    # log Z, so the check reports a failure and exits with code 1
+    code, out, _ = run_cli(capsys, "verify", "--suite", "telescoping",
+                           "--trials", "3", "--tolerance", "0")
     assert code == 1
     assert json.loads(out)["all_passed"] is False
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1.0", "1e400", "tight"])
+def test_verify_rejects_a_tolerance_no_check_can_use(capsys, tolerance):
+    # inf passed every check, nan failed every one, and a negative value
+    # failed checks that hold
+    code, out, err = run_cli(capsys, "verify", "--suite", "contraction",
+                             "--trials", "1", "--tolerance", tolerance)
+    assert (code, out) == (1, "")
+    assert f"argument --tolerance: expected a finite number >= 0, got '{tolerance}'" in err
+
+
+def test_verify_decay_geometric_ratio_skips_rounding_noise(capsys):
+    # One trial measures 4.4e-16 at radius 2 of the first graph, within the
+    # suite's tolerance of 0; the ratio after it was once 1.4e15.
+    code, out, _ = run_cli(capsys, "verify", "--suite", "decay", "--trials", "1")
+    checks = json.loads(out)["checks"]
+    assert "radius=2 measured=4.440892e-16" in checks[1]["worst_case"]
+    ratios = [float(check["worst_case"].split("worst_ratio=")[1].split()[0])
+              for check in checks if check["name"] == "boundary-decay-geometric"]
+    assert len(ratios) == 3 and max(ratios) < 1e3
 
 
 def test_decay_command(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from spinz import (
     Condition,
+    EdgePotential,
     Graph,
     Spin,
     SpinSystem,
@@ -21,8 +22,10 @@ from spinz import (
     check_saw_identity_random,
     check_telescoping,
     connected_graphs,
+    edge_factor_log,
     exact_conditional_marginal,
     exact_log_partition,
+    interaction_strength,
     ising_system,
     max_boundary_gap,
 )
@@ -181,6 +184,27 @@ def test_check_contraction_small_run():
 def test_check_edge_factor_lipschitz_small_run():
     report = check_edge_factor_lipschitz(trials=2_000, seed=3)
     assert report.passed
+
+
+def test_edge_factor_range_is_attained_at_its_steepest_point():
+    # Over an interval of width W centred where the factor is steepest,
+    # lambda = -(pp - pm + mp - mm) / 2, the factor's range equals the
+    # lipschitz check's bound 4*atanh(tanh|J|*tanh(W/4)), which is below
+    # the linear tanh|J|*W: the check cannot be loosened unnoticed.
+    rng = np.random.default_rng(11)
+    for entries in rng.uniform(-2.0, 2.0, size=(50, 4)):
+        potential = EdgePotential(*entries)
+        pp, pm, mp, mm = entries
+        slope = math.tanh(abs(interaction_strength(potential)))
+        centre = -(pp - pm + mp - mm) / 2
+        for width in (0.1, 1.0, 5.0, 20.0):
+            moved = abs(
+                edge_factor_log(potential, centre + width / 2)
+                - edge_factor_log(potential, centre - width / 2)
+            )
+            bound = 4 * math.atanh(slope * math.tanh(width / 4))
+            assert moved == pytest.approx(bound, rel=1e-9, abs=1e-12)
+            assert bound < slope * width
 
 
 def test_check_decay_bound_smoke():
