@@ -14,7 +14,10 @@ names of ``sawtree``, ``families`` and ``oracle`` are exported lazily
 (PEP 562): each of those modules loads the first time one of its names, or
 the module itself, is looked up on the package.  So the walk-tree builder,
 the generators with dataclasses and numpy, and the oracle stay off the
-estimate path.
+estimate path, and so does every function it never calls: one edge factor
+and one conditional marginal live in ``sawtree``, the file writer in
+``families``, the decay envelope in ``oracle``, and the command-line
+parser and commands in ``commands``, which ``cli.main`` loads when it runs.
 """
 
 import importlib
@@ -34,9 +37,11 @@ _LAZY_ALL = {
     "sawtree": (
         "SawNode",
         "SawTree",
+        "edge_factor_log",
         "edge_greater",
         "build_saw_tree",
         "tree_log_ratio",
+        "conditional_marginal_estimate",
         "frontier_count",
         "format_saw_tree",
     ),
@@ -46,6 +51,8 @@ _LAZY_ALL = {
         "build_family_graph",
         "attach_spin_model",
         "ising_system",
+        "serialize_system",
+        "save_system",
     ),
     "oracle": (
         "CheckReport",
@@ -54,6 +61,7 @@ _LAZY_ALL = {
         "check_saw_identity",
         "check_contraction",
         "check_edge_factor_lipschitz",
+        "decay_function",
         "check_decay_bound",
         "max_boundary_gap",
         "check_decay_geometric",

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: ``main`` and the JSON report format.
 
 Subcommands: estimate (approximate log Z with an additive guarantee),
 exact (brute-force log Z), verify (property-check suites), decay (measure
@@ -9,11 +9,10 @@ Reports are JSON on stdout with every float at 17 significant digits;
 diagnostics go to stderr.  Exit codes: 0 success, 1 input error or failed
 verification, 2 estimate refused because the decay condition fails.
 
-Each command imports what only it needs when it runs: exact, verify and
-decay the oracle and numpy, gen the generators and numpy, sawtree the
-walk-tree builder, and ``main`` argparse.  Importing this module therefore
-loads nothing beyond the estimate path, so a caller of ``render_json`` pays
-for none of them, and estimate and check use the standard library alone.
+The parser and the seven commands live in ``commands``, which ``main``
+imports when it runs.  Importing this module therefore compiles only the
+report format and loads nothing beyond the estimate path, so a caller of
+``render_json`` pays for no command it does not run.
 """
 
 from __future__ import annotations
@@ -22,33 +21,15 @@ import json
 import math
 import sys
 
-from .core import Condition, DecayConditionError, Spin, decay_condition_holds, system_scalars
-from .graphfile import load_system, save_system
-from .partition import fptas_log_partition
+from .core import DecayConditionError
 
-TYPE_CHECKING = False  # True to type checkers; argparse loads in build_parser
-if TYPE_CHECKING:
-    import argparse
-
-__all__ = ["main", "build_parser", "render_json"]
+__all__ = ["main", "render_json"]
 
 REPORT_SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INAPPLICABLE = 2
-
-# Each verify suite: its oracle check, the keyword of its count, the default
-# count and the default tolerance.  The decay check returns a list of reports.
-VERIFY_SUITES = {
-    "contraction": ("check_contraction", "trials", 100_000, 1e-12),
-    "lipschitz": ("check_edge_factor_lipschitz", "trials", 10_000, 1e-12),
-    "saw-exhaustive": ("check_saw_identity_exhaustive", "draws", 20, 1e-9),
-    "saw-random": ("check_saw_identity_random", "instances", 50, 1e-9),
-    "decay": ("check_decay_geometric", "pairs_per_radius", 100, 1e-9),
-    "telescoping": ("check_telescoping", "instances", 50, 1e-9),
-}
-
 
 def _format_float(x: float) -> str:
     if math.isfinite(x):
@@ -102,318 +83,9 @@ def _print_report(command: str, fields: dict) -> None:
     sys.stdout.write(render_json(payload))
 
 
-def _parse_condition(text: str | None) -> Condition:
-    """Parse "1=+,5=-" into a condition; empty or None means unconditioned.
-    Labels are checked against the graph where the condition is used."""
-    assignment: dict[int, Spin] = {}
-    if text:
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            vertex_text, sep, spin_text = part.partition("=")
-            spin_text = spin_text.strip()
-            if not sep or spin_text not in {"+", "-"}:
-                raise ValueError(
-                    f"bad condition term {part!r}; expected 'vertex=+' or 'vertex=-'"
-                )
-            try:
-                vertex = int(vertex_text.strip())
-            except ValueError:
-                raise ValueError(f"bad vertex label in condition term {part!r}") from None
-            if vertex in assignment:
-                raise ValueError(f"vertex {vertex} conditioned twice")
-            assignment[vertex] = Spin.PLUS if spin_text == "+" else Spin.MINUS
-    return assignment
-
-
-def _condition_payload(cond: Condition) -> dict:
-    return {str(v): str(cond[v]) for v in sorted(cond)}
-
-
-def cmd_estimate(args) -> int:
-    system = load_system(args.graph)
-    try:
-        report = fptas_log_partition(system, args.eps, degree_bound=args.degree_bound)
-    except DecayConditionError as err:
-        _print_report(
-            "estimate",
-            {
-                "applicable": False,
-                "reason": str(err),
-                "contraction": err.contraction,
-                "max_coupling": err.max_coupling,
-                "critical_coupling": err.critical_coupling,
-                "degree_bound": err.degree_bound,
-            },
-        )
-        return EXIT_INAPPLICABLE
-    _print_report("estimate", {"applicable": True, **report.to_dict()})
-    print(f"wall_time_s={report.wall_time_s:.6f}", file=sys.stderr)
-    return EXIT_OK
-
-
-def cmd_exact(args) -> int:
-    from .oracle import exact_log_partition
-
-    system = load_system(args.graph)
-    cond = _parse_condition(args.cond)
-    log_z = exact_log_partition(system, cond)
-    _print_report(
-        "exact",
-        {
-            "n": system.n,
-            "free_vertices": system.n - len(cond),
-            "condition": _condition_payload(cond),
-            "log_z": log_z,
-        },
-    )
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    from . import oracle
-
-    suites = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
-    checks = []
-    for suite in suites:
-        check, count_keyword, count, tolerance = VERIFY_SUITES[suite]
-        result = getattr(oracle, check)(
-            seed=args.seed,
-            tolerance=tolerance if args.tolerance is None else args.tolerance,
-            **{count_keyword: args.trials or count},
-        )
-        checks.extend(result if isinstance(result, list) else [result])
-    all_passed = all(check.passed for check in checks)
-    _print_report(
-        "verify",
-        {
-            "suites": suites,
-            "all_passed": all_passed,
-            "checks": [check.to_dict() for check in checks],
-        },
-    )
-    return EXIT_OK if all_passed else EXIT_INPUT
-
-
-def cmd_decay(args) -> int:
-    import numpy as np
-
-    from .oracle import _decay_probe
-
-    system = load_system(args.graph)
-    scalars = system_scalars(system)
-    rng = np.random.default_rng(args.seed)
-    sphere_size, envelope, measured, _ = _decay_probe(
-        system, args.root, args.radius, args.trials, rng, scalars
-    )
-    _print_report(
-        "decay",
-        {
-            "root": args.root,
-            "radius": args.radius,
-            "trials": args.trials,
-            "seed": args.seed,
-            "sphere_size": sphere_size,
-            "measured_max": measured,
-            "envelope": envelope,
-            "within_envelope": measured <= envelope * (1.0 + 1e-9),
-            "max_coupling": scalars.max_coupling,
-            "degree_bound": scalars.degree_bound,
-            "contraction": scalars.contraction,
-        },
-    )
-    return EXIT_OK
-
-
-def cmd_gen(args) -> int:
-    from .families import GenSpec, generate
-
-    spec = GenSpec(
-        family=args.family,
-        n=args.n,
-        rows=args.rows,
-        cols=args.cols,
-        degree=args.degree,
-        model=args.model,
-        coupling=args.coupling,
-        field_strength=args.field,
-        seed=args.seed,
-    )
-    system = generate(spec)
-    save_system(system, args.out)
-    graph = system.graph
-    _print_report(
-        "gen",
-        {
-            "path": args.out,
-            "family": args.family,
-            "model": args.model,
-            "seed": args.seed,
-            "n": graph.n,
-            "edge_count": len(graph.edges),
-            "max_degree": graph.max_degree(),
-            "connected": graph.is_connected(),
-        },
-    )
-    return EXIT_OK
-
-
-def cmd_check(args) -> int:
-    system = load_system(args.graph)
-    scalars = system_scalars(system, args.degree_bound)
-    graph = system.graph
-    applicable = decay_condition_holds(scalars)
-    _print_report(
-        "check",
-        {
-            "n": graph.n,
-            "edge_count": len(graph.edges),
-            "max_degree": graph.max_degree(),
-            "connected": graph.is_connected(),
-            "degree_bound": scalars.degree_bound,
-            "max_coupling": scalars.max_coupling,
-            "critical_coupling": scalars.critical_coupling,
-            "contraction": scalars.contraction,
-            "applicable": applicable,
-        },
-    )
-    return EXIT_OK if applicable else EXIT_INAPPLICABLE
-
-
-def cmd_sawtree(args) -> int:
-    from .sawtree import build_saw_tree, format_saw_tree
-
-    system = load_system(args.graph)
-    cond = _parse_condition(args.cond)
-    depth = args.depth if args.depth is not None else system.n
-    tree = build_saw_tree(system, args.root, depth, cond)
-    sys.stdout.write(format_saw_tree(tree) + "\n")
-    print(f"nodes={tree.node_count}", file=sys.stderr)
-    return EXIT_OK
-
-
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    import argparse
-
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of a pass tolerance: a finite number, at least 0."""
-    import argparse
-
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="spinz",
-        description=(
-            "Deterministic partition-function approximation for two-state "
-            "spin systems, with exact brute-force references and property checks."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("estimate", help="approximate log Z to additive accuracy eps")
-    p.add_argument("--graph", required=True, help="instance file (JSON)")
-    p.add_argument("--eps", type=float, required=True, help="additive accuracy in log Z (> 0)")
-    p.add_argument(
-        "--degree-bound",
-        type=int,
-        default=None,
-        help="degree bound used by the guarantee (default: the graph's max degree)",
-    )
-    p.set_defaults(handler=cmd_estimate)
-
-    p = sub.add_parser("exact", help="brute-force log Z (small instances only)")
-    p.add_argument("--graph", required=True, help="instance file (JSON)")
-    p.add_argument("--cond", default=None, help="pinned spins, e.g. '1=+,5=-'")
-    p.set_defaults(handler=cmd_exact)
-
-    p = sub.add_parser("verify", help="run property-check suites against the oracle")
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=[*VERIFY_SUITES, "all"],
-        help="which suite to run (default: all)",
-    )
-    p.add_argument(
-        "--trials", type=_positive_int, default=None, help="override the suite's trial count"
-    )
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
-    p.add_argument(
-        "--tolerance", type=_tolerance, default=None, help="override the pass tolerance (>= 0)"
-    )
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("decay", help="measure boundary influence at a graph distance")
-    p.add_argument("--graph", required=True, help="instance file (JSON)")
-    p.add_argument("--root", type=int, required=True, help="vertex whose marginal is probed")
-    p.add_argument(
-        "--radius",
-        "--t",
-        dest="radius",
-        type=int,
-        required=True,
-        help="graph distance t of the conditioned sphere",
-    )
-    p.add_argument(
-        "--trials", type=_positive_int, default=100, help="boundary pairs to draw (default: 100)"
-    )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    p.set_defaults(handler=cmd_decay)
-
-    p = sub.add_parser("gen", help="generate an instance file from a named family")
-    p.add_argument("--family", required=True, help="path, cycle, grid, complete, random_regular, erdos_renyi")
-    p.add_argument("--n", type=int, default=None, help="vertex count (families other than grid)")
-    p.add_argument("--rows", type=int, default=None, help="grid rows")
-    p.add_argument("--cols", type=int, default=None, help="grid cols")
-    p.add_argument("--degree", type=float, default=None, help="regular degree or expected degree")
-    p.add_argument("--model", default="ising", help="ising or random (default: ising)")
-    p.add_argument("--coupling", type=float, default=0.0, help="interaction strength / bound (default: 0)")
-    p.add_argument("--field", type=float, default=0.0, help="field strength / bound (default: 0)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    p.add_argument("--out", required=True, help="output path for the instance file")
-    p.set_defaults(handler=cmd_gen)
-
-    p = sub.add_parser("check", help="report the decay condition for an instance")
-    p.add_argument("--graph", required=True, help="instance file (JSON)")
-    p.add_argument(
-        "--degree-bound",
-        type=int,
-        default=None,
-        help="degree bound used by the guarantee (default: the graph's max degree)",
-    )
-    p.set_defaults(handler=cmd_check)
-
-    p = sub.add_parser("sawtree", help="print a walk tree as indented text (debug)")
-    p.add_argument("--graph", required=True, help="instance file (JSON)")
-    p.add_argument("--root", type=int, required=True, help="root vertex")
-    p.add_argument("--depth", type=int, default=None, help="depth limit (default: n, the complete tree)")
-    p.add_argument("--cond", default=None, help="pinned spins, e.g. '1=+,5=-'")
-    p.set_defaults(handler=cmd_sawtree)
-
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
+    from .commands import build_parser
+
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

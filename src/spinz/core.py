@@ -4,7 +4,9 @@ A spin system attaches a 2x2 table of pair log-weights to every edge and a
 2-entry log-weight table to every vertex.  The scalars derived from those
 tables (per-edge interaction strength, per-vertex external field, and their
 extremes) decide whether the correlation-decay machinery in the rest of the
-package applies, and how fast it converges.
+package applies, and how fast it converges.  The decay envelope they give,
+``oracle.decay_function``, lives with the checks that measure it, off the
+estimate path.
 
 Each fact is checked once, here, and the graph file parser shares the
 checks: ``_finite`` every number (an int beyond the float range is not
@@ -38,7 +40,6 @@ __all__ = [
     "critical_inverse_temperature",
     "system_scalars",
     "decay_condition_holds",
-    "decay_function",
     "ising_potential",
     "ising_field",
 ]
@@ -400,6 +401,8 @@ def system_scalars(system: SpinSystem, degree_bound: int | None = None) -> Syste
         raise ValueError(
             f"degree bound {degree_bound} is below the maximum degree {max_degree}"
         )
+    else:
+        _finite(degree_bound, "degree bound")  # the contraction is a float
     max_coupling = max(
         (abs(interaction_strength(p)) for p in system.potentials.values()), default=0.0
     )
@@ -418,32 +421,6 @@ def system_scalars(system: SpinSystem, degree_bound: int | None = None) -> Syste
 def decay_condition_holds(scalars: SystemScalars) -> bool:
     """Whether the contraction factor is strictly below 1."""
     return scalars.contraction < 1.0
-
-
-def decay_function(distance: int, coupling: float, degree: int) -> float:
-    """Envelope on how far the root log-marginal can move when spins at a
-    given distance change:
-
-        4 * coupling * degree * ((degree - 1) * tanh(coupling)) ** (distance - 1)
-
-    It bounds any change of the boundary at that distance, from all minus
-    to all plus included.  The estimator truncates its walk trees at depth
-    t and lets each frontier leaf look one level further, at its children's
-    pinned factors.  It charges such a leaf the exact half-range
-    a = atanh(tanh(coupling) * tanh((degree - 1) * coupling)) of its edge
-    factor, not the linearised coupling * (degree - 1) * tanh(coupling),
-    so a root with k of its ``degree`` children free is within
-    2 * a * k * rate**(t - 1), at most k / degree of half the envelope at
-    distance t + 1 (see ``truncation_depth``).
-    """
-    if distance < 1:
-        raise ValueError("distance must be at least 1")
-    if coupling < 0:
-        raise ValueError("coupling must be nonnegative")
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    rate = (degree - 1) * math.tanh(coupling)
-    return 4.0 * coupling * degree * rate ** (distance - 1)
 
 
 def ising_potential(coupling: float) -> EdgePotential:

@@ -6,13 +6,16 @@ appended for the regular-graph pairing model), stream 1 draws potential
 entries per edge in sorted edge order, stream 2 draws field entries per
 vertex in label order.  Stream k of seed s is
 ``np.random.Generator(PCG64(SeedSequence(s, spawn_key=(k, ...))))``.
-numpy is imported only when a system is generated.  The estimate path
-never imports this module: ``spinz`` exports its names lazily.
+numpy is imported only when a system is generated.
+``serialize_system`` and ``save_system`` write a system in the full form
+of the ``graphfile`` format.  The estimate path never imports this module:
+``spinz`` exports its names lazily.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -26,6 +29,7 @@ from .core import (
     ising_field,
     ising_potential,
 )
+from .graphfile import SCHEMA_VERSION
 
 if TYPE_CHECKING:
     import numpy as np
@@ -226,3 +230,39 @@ def generate(spec: GenSpec) -> SpinSystem:
         seed=spec.seed,
     )
     return attach_spin_model(graph, spec.model, spec.coupling, spec.field_strength, spec.seed)
+
+
+def serialize_system(system: SpinSystem) -> str:
+    """Render a SpinSystem in the full JSON form; parse_system inverts this
+    exactly (float values round-trip bit-for-bit)."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "vertices": [
+            {
+                "id": v,
+                "h_plus": system.fields[v].h_plus,
+                "h_minus": system.fields[v].h_minus,
+            }
+            for v in system.graph.vertices()
+        ],
+        "edges": [
+            {
+                "u": u,
+                "v": v,
+                "beta": {
+                    "pp": system.potentials[(u, v)].pp,
+                    "pm": system.potentials[(u, v)].pm,
+                    "mp": system.potentials[(u, v)].mp,
+                    "mm": system.potentials[(u, v)].mm,
+                },
+            }
+            for (u, v) in system.graph.edges
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+def save_system(system: SpinSystem, path) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(serialize_system(system))
+        handle.write("\n")

@@ -2,9 +2,10 @@
 
 The format lists vertices (with field tables) and edges (with potential
 tables); an optional ising shorthand supplies tables for entries that omit
-them.  ``serialize_system`` writes the full form; ``parse_system`` reads
-either form and inverts ``serialize_system`` bit for bit.  Only the
-standard library is used.
+them.  ``parse_system`` and ``load_system`` read either form and invert
+``families.serialize_system``, which writes the full form, bit for bit.
+The writer sits beside the generators, off the estimate path, which only
+reads.  Only the standard library is used.
 
 The parser checks the file's shape and vertex ids; ``core._finite`` checks
 its numbers and ``Graph.from_edges`` its edges, with located errors such as
@@ -20,9 +21,7 @@ from .core import EdgePotential, Graph, SpinSystem, VertexField, _finite, ising_
 __all__ = [
     "GraphFileError",
     "parse_system",
-    "serialize_system",
     "load_system",
-    "save_system",
 ]
 
 SCHEMA_VERSION = 1
@@ -128,36 +127,6 @@ def _system_from(data) -> SpinSystem:
     return SpinSystem._make((graph, potentials, fields))
 
 
-def serialize_system(system: SpinSystem) -> str:
-    """Render a SpinSystem in the full JSON form; parse_system inverts this
-    exactly (float values round-trip bit-for-bit)."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "vertices": [
-            {
-                "id": v,
-                "h_plus": system.fields[v].h_plus,
-                "h_minus": system.fields[v].h_minus,
-            }
-            for v in system.graph.vertices()
-        ],
-        "edges": [
-            {
-                "u": u,
-                "v": v,
-                "beta": {
-                    "pp": system.potentials[(u, v)].pp,
-                    "pm": system.potentials[(u, v)].pm,
-                    "mp": system.potentials[(u, v)].mp,
-                    "mm": system.potentials[(u, v)].mm,
-                },
-            }
-            for (u, v) in system.graph.edges
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
 def load_system(path) -> SpinSystem:
     with open(path, encoding="utf-8") as handle:
         try:
@@ -165,9 +134,3 @@ def load_system(path) -> SpinSystem:
         except UnicodeDecodeError as exc:
             raise GraphFileError(f"invalid JSON: {exc}") from None
     return parse_system(text)
-
-
-def save_system(system: SpinSystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_system(system))
-        handle.write("\n")

@@ -5,7 +5,7 @@ extended values +inf and -inf are first-class and encode copies pinned to +
 and -; NaN is always a bug and is rejected at the boundaries.  A free node
 combines its children through
 
-    log_ratio = 2 * field + sum over children of edge_factor_log(...)
+    log_ratio = 2 * field + sum over children of sawtree.edge_factor_log(...)
 
 A free leaf w sitting exactly at the depth limit stands for the unexplored
 remainder of the graph.  Each edge factor is monotone in the child's log
@@ -37,11 +37,10 @@ import struct
 from collections import namedtuple
 from collections.abc import Mapping
 
-from .core import EdgePotential, Record, Spin, SpinSystem, external_field
+from .core import Record, Spin, SpinSystem, external_field
 
 __all__ = [
     "LogRatio",
-    "edge_factor_log",
     "CompiledSystem",
     "compile_system",
     "PINNED_PLUS",
@@ -53,19 +52,6 @@ LogRatio = float
 """Extended-real log of the plus/minus marginal ratio; +-inf encode pinned spins."""
 
 _INF = math.inf
-
-
-def edge_factor_log(potential: EdgePotential, child_log_ratio: float) -> float:
-    """Log of the edge factor (a*R + b) / (c*R + d) for child ratio R.
-
-    Here a, b, c, d exponentiate the table entries pp, pm, mp, mm read in
-    orientation parent -> child, and R = exp(child_log_ratio).  The two
-    pinned extremes reduce exactly: +inf gives pp - mp, -inf gives pm - mm.
-    Output is finite for finite table entries, whatever the child value.
-    """
-    if math.isnan(child_log_ratio):
-        raise ValueError("child log ratio must not be NaN")
-    return _factor(potential.pp, potential.pm, potential.mp, potential.mm, child_log_ratio)
 
 
 def _frontier_factor(pp: float, pm: float, mp: float, mm: float, lo: float, hi: float) -> float:

@@ -4,8 +4,8 @@
 capped at 2**24 free vertices) and is the ground truth every approximation
 in this package is judged against.  The ``check_*`` functions exercise the
 quantitative guarantees at desk scale: the root-marginal identity of the
-walk tree, the per-edge contraction inequality, the boundary-decay envelope,
-and the telescoping product.  Each returns a CheckReport that fails exactly
+walk tree, the per-edge contraction inequality, the boundary-decay envelope
+(``decay_function``), and the telescoping product.  Each returns a CheckReport that fails exactly
 when its worst violation exceeds its tolerance.
 """
 
@@ -26,14 +26,13 @@ from .core import (
     SpinSystem,
     SystemScalars,
     checked_condition,
-    decay_function,
     interaction_strength,
     system_scalars,
 )
 from .families import attach_spin_model, build_family_graph, ising_system
-from .marginal import edge_factor_log, marginal_plus
+from .marginal import marginal_plus
 from .partition import all_plus_log_weight
-from .sawtree import build_saw_tree, tree_log_ratio
+from .sawtree import build_saw_tree, edge_factor_log, tree_log_ratio
 
 # The package lists these names so it can export them without importing
 # this module, which loads numpy.
@@ -239,6 +238,32 @@ def check_edge_factor_lipschitz(trials: int = 10_000, seed: int = 0, tolerance: 
             max_violation = violation
             worst = f"seed={seed} trial={i} entries={np.array2string(entries[i], precision=6)}"
     return _report("edge-factor-lipschitz", trials, max_violation, tolerance, worst)
+
+
+def decay_function(distance: int, coupling: float, degree: int) -> float:
+    """Envelope on how far the root log-marginal can move when spins at a
+    given distance change:
+
+        4 * coupling * degree * ((degree - 1) * tanh(coupling)) ** (distance - 1)
+
+    It bounds any change of the boundary at that distance, from all minus
+    to all plus included.  The estimator truncates its walk trees at depth
+    t and lets each frontier leaf look one level further, at its children's
+    pinned factors.  It charges such a leaf the exact half-range
+    a = atanh(tanh(coupling) * tanh((degree - 1) * coupling)) of its edge
+    factor, not the linearised coupling * (degree - 1) * tanh(coupling),
+    so a root with k of its ``degree`` children free is within
+    2 * a * k * rate**(t - 1), at most k / degree of half the envelope at
+    distance t + 1 (see ``truncation_depth``).
+    """
+    if distance < 1:
+        raise ValueError("distance must be at least 1")
+    if coupling < 0:
+        raise ValueError("coupling must be nonnegative")
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    rate = (degree - 1) * math.tanh(coupling)
+    return 4.0 * coupling * degree * rate ** (distance - 1)
 
 
 def max_boundary_gap(system: SpinSystem, vertex: int, sphere, trials: int, rng) -> tuple[float, str]:

@@ -40,7 +40,6 @@ from .core import (
     DecayConditionError,
     Record,
     SpinSystem,
-    checked_condition,
     decay_condition_holds,
     system_scalars,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "EstimateReport",
     "all_plus_log_weight",
     "truncation_depth",
-    "conditional_marginal_estimate",
     "fptas_log_partition",
 ]
 
@@ -176,27 +174,6 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     if not math.isfinite(raw):  # n * degree * a / eps overflowed
         raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
     return 1 + math.ceil(raw)
-
-
-def conditional_marginal_estimate(
-    system: SpinSystem,
-    vertex: int,
-    condition=None,
-    depth: int = 1,
-) -> float:
-    """Estimated probability that ``vertex`` is + under ``condition``.
-
-    Evaluates the walk tree truncated at ``depth`` (at least 1), without
-    building it; free leaves at the depth limit add the lookahead frontier
-    (see ``marginal``).  The result is exact whenever the tree has no
-    frontier, and whenever every frontier leaf has no child.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    cond = checked_condition(system.graph.n, vertex, condition)
-    compiled = compile_system(system)
-    log_ratio, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth)
-    return marginal_plus(log_ratio)
 
 
 _MIN_NORMAL = sys.float_info.min

@@ -13,7 +13,9 @@ The marginal of the root in this tree equals its marginal in the original
 graph, which is what makes the truncated evaluation in ``marginal`` a
 controlled approximation.  ``tree_log_ratio`` evaluates a built tree.  It
 is the reference that ``marginal.walk_log_ratio`` reproduces bit for bit,
-and the oracle's identity checks use it.
+and the oracle's identity checks use it.  ``edge_factor_log`` is one edge
+factor of that recursion, and ``conditional_marginal_estimate`` one
+truncated marginal under a condition, walked without building the tree.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import _LAZY_ALL
-from .core import Spin, SpinSystem, _check_label, checked_condition, external_field
-from .marginal import _frontier_factor
+from .core import EdgePotential, Spin, SpinSystem, _check_label, checked_condition, external_field
+from .marginal import _factor, _frontier_factor, compile_system, marginal_plus, walk_log_ratio
 
 # The package lists these names so it can export them without importing
 # this module.
@@ -69,6 +71,19 @@ class SawTree:
     root_vertex: int
     depth_limit: int
     node_count: int
+
+
+def edge_factor_log(potential: EdgePotential, child_log_ratio: float) -> float:
+    """Log of the edge factor (a*R + b) / (c*R + d) for child ratio R.
+
+    Here a, b, c, d exponentiate the table entries pp, pm, mp, mm read in
+    orientation parent -> child, and R = exp(child_log_ratio).  The two
+    pinned extremes reduce exactly: +inf gives pp - mp, -inf gives pm - mm.
+    Output is finite for finite table entries, whatever the child value.
+    """
+    if math.isnan(child_log_ratio):
+        raise ValueError("child log ratio must not be NaN")
+    return _factor(potential.pp, potential.pm, potential.mp, potential.mm, child_log_ratio)
 
 
 def build_saw_tree(
@@ -240,6 +255,27 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
             values[id(node)] = total
 
     return values[id(root)]
+
+
+def conditional_marginal_estimate(
+    system: SpinSystem,
+    vertex: int,
+    condition=None,
+    depth: int = 1,
+) -> float:
+    """Estimated probability that ``vertex`` is + under ``condition``.
+
+    Evaluates the walk tree truncated at ``depth`` (at least 1), without
+    building it; free leaves at the depth limit add the lookahead frontier
+    (see ``marginal``).  The result is exact whenever the tree has no
+    frontier, and whenever every frontier leaf has no child.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    cond = checked_condition(system.graph.n, vertex, condition)
+    compiled = compile_system(system)
+    log_ratio, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth)
+    return marginal_plus(log_ratio)
 
 
 def frontier_count(tree: SawTree, level: int) -> int:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 
@@ -452,3 +454,111 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["log_z"] == pytest.approx(1.430635131045831, abs=1e-12)
+
+
+# Option values that must end in a report or an error line, never a
+# traceback.  Huge values go only to options whose work does not grow with
+# the value: labels, --radius and --depth (on a graph of 6 vertices), --eps,
+# --degree-bound, --seed, --tolerance, and gen's --degree, --coupling and
+# --field.  A huge --n, --rows, --cols or --trials asks for that much work
+# (``spinz gen --family path --n 99999999999999999999999`` does not finish
+# in 10 s), so those options get only the other values.
+MUTATED = ("0", "-1", "-12", "nan", "inf", "-inf", "-0.0", "1e-320", "x", "")
+HUGE_VALUES = ("99999999999999999999999", "1e300", str(HUGE))
+
+# Per subcommand, each option with a valid value and whether huge values
+# apply.  A --cond value is mutated in its vertex label.
+OPTIONS = {
+    "estimate": [("--eps", "0.1", True), ("--degree-bound", "3", True)],
+    "exact": [("--cond", "1=+", True)],
+    "verify": [("--suite", "lipschitz", False), ("--trials", "1", False),
+               ("--seed", "0", True), ("--tolerance", "1e-9", True)],
+    "decay": [("--root", "1", True), ("--radius", "1", True), ("--trials", "2", False),
+              ("--seed", "0", True)],
+    "gen": [("--family", "random_regular", False), ("--n", "6", False), ("--rows", "2", False),
+            ("--cols", "3", False), ("--degree", "3", True), ("--model", "ising", False),
+            ("--coupling", "0.3", True), ("--field", "0.1", True), ("--seed", "0", True)],
+    "check": [("--degree-bound", "3", True)],
+    "sawtree": [("--root", "1", True), ("--depth", "2", True), ("--cond", "2=-", True)],
+}
+# saw-exhaustive walks every connected graph up to 5 vertices whatever the
+# trial count, so it stays out to keep the test near 5 s.
+FAST_SUITES = ("contraction", "lipschitz", "saw-random", "decay", "telescoping")
+FAMILIES = ("path", "cycle", "grid", "complete", "random_regular", "erdos_renyi")
+SAWTREE_LINE = re.compile(r"( {2})*[0-9]+ depth=[0-9]+ (free|\+|-)")
+
+
+def _mutated_argv(command, graph, out, rng, mutations):
+    """The argv of ``command`` with its valid options, each in mutations
+    replaced by the value given there."""
+    argv = [command]
+    if command == "gen":
+        argv += ["--out", out]
+    elif command != "verify":
+        argv += ["--graph", graph]
+    for option, valid, _ in OPTIONS[command]:
+        if option == "--suite":
+            valid = rng.choice(FAST_SUITES)
+        elif option == "--family":
+            valid = rng.choice(FAMILIES)
+        value = mutations.get(option, valid)
+        if option == "--cond" and option in mutations:
+            value = f"{value}={rng.choice('+-')}"
+        argv.append(f"{option}={value}")
+    return argv
+
+
+def _outcome_problem(command, code, out, err):
+    """Why a run did not end in one report (exit 0, 1 or 2) or one error
+    line (exit 1 or 2, nothing on stdout); None when it did."""
+    if "Traceback" in err:
+        return "traceback"
+    errors = [line for line in err.splitlines() if "error:" in line]
+    if not out:
+        return None if code in (1, 2) and len(errors) == 1 else f"exit {code}, errors {errors}"
+    if errors or code not in (0, 1, 2):
+        return f"exit {code} with a report and errors {errors}"
+    if command == "sawtree":
+        lines = out.rstrip("\n").split("\n")
+        return None if all(SAWTREE_LINE.fullmatch(line) for line in lines) else "bad dump"
+    try:
+        report = json.loads(out)
+    except ValueError:
+        return "stdout is not one JSON report"
+    return None if report.get("command") == command else "report of another command"
+
+
+def test_mutated_options_end_in_one_report_or_one_error_line(tmp_path, capsys):
+    # Every option of every subcommand alone, then seeded mixes of several.
+    graph = tmp_path / "rr6.json"
+    save_system(
+        ising_system(build_family_graph("random_regular", n=6, degree=3, seed=2), 0.3, 0.1),
+        graph,
+    )
+    out = str(tmp_path / "gen.json")
+    rng = random.Random(20261019)
+    cases = []
+    for command, options in OPTIONS.items():
+        for option, _, huge in options:
+            for value in MUTATED + (HUGE_VALUES if huge else ()):
+                cases.append(_mutated_argv(command, str(graph), out, rng, {option: value}))
+    for _ in range(800):
+        command = rng.choice(list(OPTIONS))
+        mutations = {}
+        for option, _, huge in OPTIONS[command]:
+            if rng.random() < 1 / 3:
+                mutations[option] = rng.choice(MUTATED + (HUGE_VALUES if huge else ()))
+        cases.append(_mutated_argv(command, str(graph), out, rng, mutations))
+
+    failures = []
+    for argv in cases:
+        try:
+            code, stdout, stderr = run_cli(capsys, *argv)
+            problem = _outcome_problem(argv[0], code, stdout, stderr)
+        except Exception as exc:  # every escape from main is a failure to report
+            problem = f"raised {exc!r}"
+        if problem:
+            shown = " ".join(arg if len(arg) < 40 else arg[:30] + "..." for arg in argv)
+            failures.append(f"{shown}: {problem}")
+    assert not failures, "\n".join(failures)
+

@@ -204,6 +204,9 @@ def test_system_scalars_degree_bound_override():
     assert system_scalars(sys_, degree_bound=5).degree_bound == 5
     with pytest.raises(ValueError):
         system_scalars(sys_, degree_bound=1)
+    # Found by the CLI's option mutation test: OverflowError escaped.
+    with pytest.raises(ValueError, match="degree bound must be finite, got 1000"):
+        system_scalars(sys_, degree_bound=10**400)
 
 
 def test_spin_system_validates_keys():

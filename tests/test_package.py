@@ -1,6 +1,8 @@
 """The package surface: the estimate path loads only the standard library
 and none of the modules it does not use, and the names of the walk-tree
-builder, the generators and the oracle are exported lazily.
+builder, the generators and the oracle are exported lazily.  Every function
+the estimate never calls lives off its path, so it compiles only what it
+runs.
 
 Import boundaries are checked in a fresh interpreter, because this test
 process has long since imported numpy and the oracle.  They are checked by
@@ -17,10 +19,10 @@ import textwrap
 
 import spinz
 from spinz import build_family_graph, cli, fptas_log_partition, ising_system, save_system
-from spinz import core, families, graphfile, marginal, oracle, partition, sawtree
+from spinz import commands, core, families, graphfile, marginal, oracle, partition, sawtree
 
 # Modules the estimate path must not load.  dataclasses brings inspect, and
-# ``cli.main`` alone may load argparse.
+# ``cli.main`` alone may load argparse and the commands.
 HEAVY = (
     "numpy",
     "scipy",
@@ -31,7 +33,13 @@ HEAVY = (
     "argparse",
     "spinz.sawtree",
     "spinz.families",
+    "spinz.commands",
 )
+# The spinz modules that ``load_system``, ``fptas_log_partition`` and
+# ``cli.render_json`` load; ``cli.main(["estimate", ...])`` adds the commands.
+ESTIMATE_MODULES = [
+    "spinz", "spinz.cli", "spinz.core", "spinz.graphfile", "spinz.marginal", "spinz.partition",
+]
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(spinz.__file__)))
 
 
@@ -40,7 +48,12 @@ def run_fresh(script: str, *args: str):
     spinz; its last stdout line is parsed as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    prelude = f"HEAVY = {HEAVY!r}\n"
+    prelude = (
+        f"HEAVY = {HEAVY!r}\n"
+        "def spinz_modules():\n"
+        "    import sys\n"
+        "    return sorted(m for m in sys.modules if m == 'spinz' or m.startswith('spinz.'))\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", prelude + textwrap.dedent(script), *args],
         capture_output=True,
@@ -77,11 +90,13 @@ def test_estimate_path_loads_no_numpy_scipy_oracle_or_pool(tmp_path):
         payload = {"schema_version": cli.REPORT_SCHEMA_VERSION, "command": "estimate", "applicable": True}
         payload.update(report.to_dict())
         text = cli.render_json(payload)
-        print(json.dumps({"loaded": [m for m in HEAVY if m in sys.modules], "text": text}))
+        print(json.dumps({"loaded": [m for m in HEAVY if m in sys.modules],
+                          "spinz": spinz_modules(), "text": text}))
         """,
         path,
     )
     assert result["loaded"] == []
+    assert result["spinz"] == ESTIMATE_MODULES
     assert result["text"] == estimate_text(spinz.load_system(path), 0.1)
 
 
@@ -101,11 +116,13 @@ def test_cli_estimate_loads_no_numpy_and_has_no_threads(tmp_path):
         serial = estimate()
         threads = estimate("--threads", "2")
         loaded = [m for m in HEAVY if m in sys.modules]
-        print(json.dumps({"serial": serial, "threads": threads, "loaded": loaded}))
+        print(json.dumps({"serial": serial, "threads": threads, "loaded": loaded,
+                          "spinz": spinz_modules()}))
         """,
         path,
     )
-    assert result["loaded"] == ["argparse"]
+    assert result["loaded"] == ["argparse", "spinz.commands"]
+    assert result["spinz"] == sorted([*ESTIMATE_MODULES, "spinz.commands"])
     assert result["serial"] == [0, estimate_text(spinz.load_system(path), 0.1)]
     assert result["threads"] == [1, ""]
 
@@ -134,6 +151,19 @@ def test_every_exported_name_resolves():
     # The reference evaluator lives beside the builder, off the estimate path.
     assert spinz.tree_log_ratio is sawtree.tree_log_ratio
     assert "tree_log_ratio" not in marginal.__all__
+    # So does every function the estimate never calls.
+    moved = {
+        "decay_function": (oracle, core),
+        "edge_factor_log": (sawtree, marginal),
+        "conditional_marginal_estimate": (sawtree, partition),
+        "serialize_system": (families, graphfile),
+        "save_system": (families, graphfile),
+    }
+    for name, (home, old_home) in moved.items():
+        assert getattr(spinz, name) is getattr(home, name), name
+        assert name in home.__all__ and not hasattr(old_home, name), name
+    assert cli.__all__ == ["main", "render_json"]
+    assert commands.__all__ == ["build_parser"] and not hasattr(cli, "build_parser")
 
 
 def test_generate_is_the_function_when_its_module_loads_first():
