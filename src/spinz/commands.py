@@ -223,30 +223,41 @@ def cmd_sawtree(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, rule: str, holds):
+    """An argparse type: ``convert`` the text, and refuse it, naming ``rule``,
+    when that fails or the value does not satisfy ``holds``.  argparse then
+    names the option in its error line."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of a pass tolerance: a finite number, at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
+_positive_int = _checked(int, "a positive integer", lambda value: value >= 1)
+# numpy's SeedSequence refuses a negative seed without naming the option
+_seed = _checked(int, "a nonnegative integer", lambda value: value >= 0)
+# gen's tables refuse a non-finite entry, which names no option
+_finite = _checked(float, "a finite number", math.isfinite)
+_tolerance = _checked(float, "a finite number >= 0", lambda value: math.isfinite(value) and value >= 0.0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with one ``error:`` line, as every other
+    refusal of the CLI starts, then the usage."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinz",
         description=(
             "Deterministic partition-function approximation for two-state "
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trials", type=_positive_int, default=None, help="override the suite's trial count"
     )
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="base RNG seed (default: 0)")
     p.add_argument(
         "--tolerance", type=_tolerance, default=None, help="override the pass tolerance (>= 0)"
     )
@@ -294,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--radius",
         "--t",
         dest="radius",
-        type=int,
+        type=_positive_int,
         required=True,
         help="graph distance t of the conditioned sphere",
     )
     p.add_argument(
         "--trials", type=_positive_int, default=100, help="boundary pairs to draw (default: 100)"
     )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default: 0)")
     p.set_defaults(handler=cmd_decay)
 
     p = sub.add_parser("gen", help="generate an instance file from a named family")
@@ -311,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=None, help="grid cols")
     p.add_argument("--degree", type=float, default=None, help="regular degree or expected degree")
     p.add_argument("--model", default="ising", help="ising or random (default: ising)")
-    p.add_argument("--coupling", type=float, default=0.0, help="interaction strength / bound (default: 0)")
-    p.add_argument("--field", type=float, default=0.0, help="field strength / bound (default: 0)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    p.add_argument("--coupling", type=_finite, default=0.0, help="interaction strength / bound (default: 0)")
+    p.add_argument("--field", type=_finite, default=0.0, help="field strength / bound (default: 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default: 0)")
     p.add_argument("--out", required=True, help="output path for the instance file")
     p.set_defaults(handler=cmd_gen)
 

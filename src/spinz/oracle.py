@@ -254,7 +254,10 @@ def decay_function(distance: int, coupling: float, degree: int) -> float:
     factor, not the linearised coupling * (degree - 1) * tanh(coupling),
     so a root with k of its ``degree`` children free is within
     2 * a * k * rate**(t - 1), at most k / degree of half the envelope at
-    distance t + 1 (see ``truncation_depth``).
+    distance t + 1, in its log ratio.  Its log marginal is within that
+    times sigma(2 * a * k * rate**(t - 1) - x_hat), about 1/2 when the
+    estimated log ratio x_hat is nonnegative; the sweep's start depth
+    counts on that halving (see ``truncation_depth``).
     """
     if distance < 1:
         raise ValueError("distance must be at least 1")

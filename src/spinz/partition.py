@@ -6,16 +6,20 @@ estimated with vertices 1..j-1 pinned to +.  Each marginal comes from a
 depth-truncated walk tree whose free leaves at the depth limit add the
 lookahead frontier (the middle of their edge factor over the log ratio
 interval their own children's pinned factors bound; see ``marginal``).  One
-depth serves every walk.  A factor's log error is at most proportional to
-its vertex's count of unpinned neighbours, so the errors sum over the edges,
-and the depth is chosen so that the sum is at most eps (see
-``truncation_depth``).  That gives |log(estimate) - log(exact)| <= eps
-whenever the contraction condition (degree_bound - 1) * tanh(max_coupling)
-< 1 holds.  Each factor enters the sum as a log, taken from the walk's log
-ratio where the marginal itself is too small for a normal float, so no
-estimate leaves the log domain.
+depth serves every walk.  A factor's log-ratio error is at most
+proportional to its vertex's count of unpinned neighbours, so the errors
+sum over the edges.  Its log-marginal error is that error times the
+largest slope of log sigma within it, about 1/2 when the estimated log
+ratio is nonnegative.  The sweep starts at the depth where that halved sum
+fits eps (see ``truncation_depth``); when some estimated log ratio is
+negative it sums each vertex's own bound, and if that exceeds eps it
+sweeps again at the depth where the whole edge sum fits eps.  That gives
+|log(estimate) - log(exact)| <= eps whenever the contraction condition
+(degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor enters the
+sum as a log, taken from the walk's log ratio where the marginal itself is
+too small for a normal float, so no estimate leaves the log domain.
 
-The estimate is one serial sweep.  It compiles the system once
+The estimate is one serial sweep, two at most.  It compiles the system once
 (``compile_system``): twice the field of every vertex and, per vertex, its
 edge tables oriented outward in ascending neighbour order, with the factors
 of pinned children precomputed per table and the frontier factor per
@@ -123,11 +127,35 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be a positive finite number, got {eps!r}")
 
 
-def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
-    """Walk-tree depth making the telescoping factors' log errors sum to eps.
+def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int, float]:
+    """The start depth of ``truncation_depth``, the a-priori depth (the
+    smallest t with n * degree * a * rate**(t - 1) <= eps) and
+    2 * a * rate**(start - 1), the start depth's log-ratio error per free
+    root child.  Inputs are checked by the callers."""
+    slope = math.tanh(coupling)
+    rate = (degree - 1) * slope
+    if rate >= 1.0:
+        raise DecayConditionError(rate, max_coupling=coupling, degree_bound=degree)
+    if rate <= 0.0:
+        return 1, 1, 0.0
+    half_range = math.atanh(slope * math.tanh((degree - 1) * coupling))
+    depths = []
+    # D = 4 * eps / (1 + sqrt(1 + 4 * eps)) in a form that cannot overflow
+    for budget in (eps / (0.25 + 0.5 * math.sqrt(0.25 + eps)), eps):
+        scale = n * degree * half_range / budget
+        raw = 0.0 if scale <= 1.0 else math.log(scale) / math.log(1.0 / rate)
+        if not math.isfinite(raw):  # n * degree * a / budget overflowed
+            raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
+        depths.append(1 + math.ceil(raw))
+    return depths[0], depths[1], 2.0 * half_range * rate ** (depths[0] - 1)
 
-    The smallest t >= 1 with n * degree * rate**(t - 1) * a <= eps, where
-    rate = (degree - 1) * tanh(coupling) and
+
+def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
+    """Walk-tree depth at which the sweep starts: the smallest t >= 1 with
+    n * degree * a * rate**(t - 1) <= D, where D = 4 * eps / (1 + sqrt(1 +
+    4 * eps)) solves D * (1/2 + D/4) = eps.
+
+    Here rate = (degree - 1) * tanh(coupling) and
     a = atanh(tanh(coupling) * tanh((degree - 1) * coupling)).  Every edge
     factor is a shifted Ising factor of the child's log ratio: over an
     interval of width W its range is at most
@@ -136,13 +164,19 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     of its factor is off by at most 2 * a, and each level up multiplies the
     error by at most rate.  In the sweep, the root of vertex v has only k_v
     free children, its neighbours with a larger label; pinned children add
-    exact factors.  So v's log ratio is off by at most
-    2 * a * k_v * rate**(t - 1), and so is its log marginal, since
-    log sigma is 1-Lipschitz.  Summed over the vertices,
-    sum k_v = |E| <= n * degree / 2 gives at most
-    n * degree * a * rate**(t - 1), for any degree >= the maximum degree.
+    exact factors.  So v's log ratio x_v is off by at most
+    delta_v = 2 * a * k_v * rate**(t - 1), and sum k_v = |E| <= n * degree
+    / 2 makes the deltas sum to at most n * degree * a * rate**(t - 1), for
+    any degree >= the maximum degree.  The slope of log sigma is
+    sigma(-x), so v's log marginal is off by at most
+    delta_v * sigma(delta_v - x_hat_v), with x_hat_v the estimated log
+    ratio.  When every x_hat_v >= 0 that sums to at most D * sigma(D)
+    <= D * (1/2 + D/4) = eps at this depth.  ``fptas_log_partition``
+    checks the sum otherwise, and falls back on the a-priori depth, the
+    smallest t with n * degree * a * rate**(t - 1) <= eps (log sigma is
+    1-Lipschitz), when it exceeds eps.
 
-    Computed as 1 + ceil(log(n * degree * a / eps) / log(1 / rate)).
+    Computed as 1 + ceil(log(n * degree * a / D) / log(1 / rate)).
     Natural logs throughout.  Raises DecayConditionError when rate >= 1,
     before a is computed, so atanh never sees 1, and ValueError when eps is
     so small that the depth overflows.
@@ -150,7 +184,7 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     The answer is 1 when the rate is 0 or less: zero coupling makes every
     edge factor constant, and on a graph of degree bound 1 the depth-1
     frontier leaf has no children, so its interval is a point.  It is also
-    1 when n * degree * a / eps is at most 1, underflow to 0 included,
+    1 when n * degree * a / D is at most 1, underflow to 0 included,
     since depth 1 then certifies eps already.
     """
     if n < 1:
@@ -160,20 +194,7 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     _check_eps(eps)
-    slope = math.tanh(coupling)
-    rate = (degree - 1) * slope
-    if rate >= 1.0:
-        raise DecayConditionError(rate, max_coupling=coupling, degree_bound=degree)
-    if rate <= 0.0:
-        return 1
-    half_range = math.atanh(slope * math.tanh((degree - 1) * coupling))
-    scale = n * degree * half_range / eps
-    if scale <= 1.0:
-        return 1
-    raw = math.log(scale) / math.log(1.0 / rate)
-    if not math.isfinite(raw):  # n * degree * a / eps overflowed
-        raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
-    return 1 + math.ceil(raw)
+    return _depths(n, coupling, degree, eps)[0]
 
 
 _MIN_NORMAL = sys.float_info.min
@@ -199,11 +220,13 @@ def fptas_log_partition(
 
     Walks vertices 1..n in ascending order; each walk sees every lower label
     pinned to +, then pins its own vertex.  Free leaves at the depth limit
-    take the lookahead frontier; the depth from ``truncation_depth``
-    certifies eps for that frontier only.  The log factors are summed in
-    the same ascending order, so reruns agree bit for bit.  A marginal too
-    small for a normal float takes its log from the walk's log ratio, so no
-    finite input raises for underflow.
+    take the lookahead frontier.  The sweep runs at ``truncation_depth``.
+    If an estimated log ratio is negative, it sums the log-marginal bounds
+    delta_v * sigma(delta_v - x_hat_v) described there, and when they
+    exceed eps it reports a second sweep at the a-priori depth.  The log
+    factors are summed in the same ascending order, so reruns agree bit
+    for bit.  A marginal too small for a normal float takes its log from
+    the walk's log ratio, so no finite input raises for underflow.
 
     Raises DecayConditionError when the contraction condition fails (no
     estimate is produced).
@@ -219,21 +242,32 @@ def fptas_log_partition(
             degree_bound=scalars.degree_bound,
         )
     n = system.graph.n
-    depth = truncation_depth(n, scalars.max_coupling, scalars.degree_bound, eps) if n else 0
+    start, a_priori, unit = _depths(n, scalars.max_coupling, scalars.degree_bound, eps) if n else (0, 0, 0.0)
 
     compiled = compile_system(system)
-    stops = compiled.stops()
-    estimates = []
-    log_p_total = 0.0
-    for vertex in range(1, n + 1):
-        log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
-        p_hat = marginal_plus(log_ratio)
-        if p_hat >= _MIN_NORMAL:
-            log_p_total += math.log(p_hat)
-        else:  # log(R / (1 + R)); here log_ratio < -708, so exp cannot overflow
-            log_p_total += log_ratio - math.log1p(math.exp(log_ratio))
-        estimates.append(VertexEstimate(vertex, depth, count, p_hat))
-        stops[vertex] = PINNED_PLUS
+    for depth in (start, a_priori):
+        stops = compiled.stops()
+        estimates = []
+        log_ratios = []
+        log_p_total = 0.0
+        for vertex in range(1, n + 1):
+            log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+            p_hat = marginal_plus(log_ratio)
+            if p_hat >= _MIN_NORMAL:
+                log_p_total += math.log(p_hat)
+            else:  # log(R / (1 + R)); here log_ratio < -708, so exp cannot overflow
+                log_p_total += log_ratio - math.log1p(math.exp(log_ratio))
+            estimates.append(VertexEstimate(vertex, depth, count, p_hat))
+            log_ratios.append(log_ratio)
+            stops[vertex] = PINNED_PLUS
+        if depth == a_priori or min(log_ratios, default=0.0) >= 0.0:
+            break  # certified a priori, or by D * sigma(D) <= eps
+        bound = 0.0
+        for vertex, log_ratio in enumerate(log_ratios, 1):
+            delta = unit * sum(w > vertex for w in system.graph.adjacency[vertex - 1])
+            bound += delta * marginal_plus(delta - log_ratio)
+        if bound <= eps:
+            break
 
     log_all_plus = all_plus_log_weight(system)
     return EstimateReport(

@@ -128,17 +128,20 @@ def test_criterion_6_depth_formula():
         here = truncation_depth(n, 0.3, 3, eps)
         growth_ok = growth_ok and (bigger_n - here <= step) and (smaller_eps - here <= step)
         # the smallest depth whose frontier half-range a, carried up t-1
-        # levels and summed over the n*d/2 edges' free ends, fits eps:
-        # n*d*a*rate^(t-1) <= eps
+        # levels and summed over the n*d/2 edges' free ends, fits the
+        # budget D that solves D * (1/2 + D/4) = eps:
+        # n*d*a*rate^(t-1) <= D
+        budget = 4 * eps / (1 + math.sqrt(1 + 4 * eps))
+        assert budget * (0.5 + budget / 4) == pytest.approx(eps, rel=1e-12)
         smallest_ok = smallest_ok and (
-            n * 3 * half_range * rate ** (here - 1) <= eps
+            n * 3 * half_range * rate ** (here - 1) <= budget
             < n * 3 * half_range * rate ** (here - 2)
         )
-    ok = base == 9 and growth_ok and smallest_ok
+    ok = base == 8 and growth_ok and smallest_ok
     announce(6, ok,
-             f"depth(n=10, J=0.3, d=3, eps=0.1) = {base} (expected 9); "
+             f"depth(n=10, J=0.3, d=3, eps=0.1) = {base} (expected 8); "
              f"doubling n / halving eps grows depth by <= {step}; each depth t is "
-             f"the smallest with n*d*a*rate^(t-1) <= eps")
+             f"the smallest with n*d*a*rate^(t-1) <= D, D*(1/2 + D/4) = eps")
     assert ok
 
 

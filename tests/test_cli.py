@@ -10,14 +10,17 @@ import sys
 import pytest
 
 from spinz import (
+    GenSpec,
     Graph,
     Spin,
     SpinSystem,
     VertexField,
     build_family_graph,
     exact_log_partition,
+    generate,
     ising_system,
     save_system,
+    serialize_system,
 )
 from spinz.cli import main, render_json
 
@@ -486,6 +489,9 @@ OPTIONS = {
 FAST_SUITES = ("contraction", "lipschitz", "saw-random", "decay", "telescoping")
 FAMILIES = ("path", "cycle", "grid", "complete", "random_regular", "erdos_renyi")
 SAWTREE_LINE = re.compile(r"( {2})*[0-9]+ depth=[0-9]+ (free|\+|-)")
+# Options whose values the parser checks in full: each of them refused
+# alone with a MUTATED value must be named in the error line.
+PARSER_CHECKED = ("--seed", "--coupling", "--field", "--radius", "--trials", "--tolerance")
 
 
 def _mutated_argv(command, graph, out, rng, mutations):
@@ -537,28 +543,151 @@ def test_mutated_options_end_in_one_report_or_one_error_line(tmp_path, capsys):
     )
     out = str(tmp_path / "gen.json")
     rng = random.Random(20261019)
-    cases = []
+    cases = []  # (argv, the option its error line must name, or None)
     for command, options in OPTIONS.items():
         for option, _, huge in options:
             for value in MUTATED + (HUGE_VALUES if huge else ()):
-                cases.append(_mutated_argv(command, str(graph), out, rng, {option: value}))
+                named = option if option in PARSER_CHECKED and value in MUTATED else None
+                cases.append((_mutated_argv(command, str(graph), out, rng, {option: value}), named))
     for _ in range(800):
         command = rng.choice(list(OPTIONS))
         mutations = {}
         for option, _, huge in OPTIONS[command]:
             if rng.random() < 1 / 3:
                 mutations[option] = rng.choice(MUTATED + (HUGE_VALUES if huge else ()))
-        cases.append(_mutated_argv(command, str(graph), out, rng, mutations))
+        cases.append((_mutated_argv(command, str(graph), out, rng, mutations), None))
 
     failures = []
-    for argv in cases:
+    refusals_named = 0
+    for argv, named in cases:
         try:
             code, stdout, stderr = run_cli(capsys, *argv)
             problem = _outcome_problem(argv[0], code, stdout, stderr)
+            if not problem and named and not stdout:
+                refusals_named += 1
+                if f"argument {named}" not in stderr:
+                    problem = f"error line does not name {named}: {stderr.splitlines()[0]}"
         except Exception as exc:  # every escape from main is a failure to report
             problem = f"raised {exc!r}"
         if problem:
             shown = " ".join(arg if len(arg) < 40 else arg[:30] + "..." for arg in argv)
             failures.append(f"{shown}: {problem}")
     assert not failures, "\n".join(failures)
+    assert refusals_named > 50, refusals_named
 
+
+# Graph files that must end in a report or an error line, never a
+# traceback: two valid files, one with full tables and one in the ising
+# shorthand with a few tables of its own, under seeded byte flips,
+# truncations, type swaps, extreme numbers, duplicate and missing keys and
+# deep nesting.  Number tokens are written as text, so they include ints
+# beyond the float range and the str-conversion limit, and the Infinity
+# and NaN that Python's json reads.
+EXTREME_NUMBERS = (
+    "1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 5000, "1e308", "-1e308", "1e400",
+    "Infinity", "-Infinity", "NaN", "-0.0", "5e-324", "-1", "0", "1", "2", "7", "0.5", "3.5",
+)
+SWAPPED = (None, True, False, "x", "", [], {}, [1], [[1]], {"id": 1}, 0.3, -2, 10**30)
+NESTING = (2, 50, 900, 990, 1200, 100_000)
+
+
+def _json_nodes(value, path=()):
+    """Every (path, value) of a parsed JSON document, the root included."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_nodes(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _json_nodes(item, path + (index,))
+
+
+def _replace_node(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
+def _mutated_graph_file(rng, base) -> bytes:
+    """``base``, a parsed graph file, after 1-3 seeded edits of its values
+    and keys and then, or only, a byte flip or a truncation."""
+    doc = json.loads(json.dumps(base))
+    raw = []  # the text each "@raw<i>@" placeholder string stands for
+
+    def token(text):
+        raw.append(text)
+        return f"@raw{len(raw) - 1}@"
+
+    def new_value():
+        kind = rng.choice(("swap", "number", "nest", "copy"))
+        if kind == "swap":
+            return json.loads(json.dumps(rng.choice(SWAPPED)))
+        if kind == "number":
+            return token(rng.choice(EXTREME_NUMBERS))
+        if kind == "nest":
+            depth = rng.choice(NESTING)
+            inner = rng.choice(EXTREME_NUMBERS)
+            return token("[" * depth + inner + "]" * depth if rng.random() < 0.5
+                         else '{"a": ' * depth + inner + "}" * depth)
+        return json.loads(json.dumps(rng.choice(list(_json_nodes(doc)))[1]))
+
+    edits = rng.randint(1, 3) if rng.random() < 0.85 else 0
+    for _ in range(edits):
+        nodes = list(_json_nodes(doc))
+        numbers = [node for node in nodes if type(node[1]) in (int, float)]
+        objects = [value for _, value in nodes if isinstance(value, dict) and value]
+        kind = rng.choice(("number", "replace", "duplicate", "missing"))
+        if kind == "number" and numbers:  # most of a file's values are numbers
+            doc = _replace_node(doc, rng.choice(numbers)[0], new_value())
+        elif kind in ("number", "replace") or not objects:
+            doc = _replace_node(doc, rng.choice(nodes)[0], new_value())
+        elif kind == "duplicate":  # the later key wins in Python's json
+            target = rng.choice(objects)
+            target[token(json.dumps(rng.choice(list(target))))] = new_value()
+        else:
+            target = rng.choice(objects)
+            del target[rng.choice(list(target))]
+    text = json.dumps(doc, indent=rng.choice((None, 2)))
+    for index in reversed(range(len(raw))):  # a later text may hold an earlier placeholder
+        text = text.replace(f'"@raw{index}@"', raw[index])
+    data = bytearray(text.encode())
+    if not edits or rng.random() < 0.1:
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        else:
+            del data[rng.randrange(len(data)):]
+    return bytes(data)
+
+
+def test_mutated_graph_files_end_in_one_report_or_one_error_line(tmp_path, capsys):
+    tables = generate(GenSpec("random_regular", n=6, degree=3, model="random",
+                              coupling=0.3, field_strength=0.2, seed=1))
+    shorthand = {
+        "schema_version": 1, "model": "ising", "J": 0.3, "B": 0.1,
+        "vertices": [{"id": 1}, {"id": 2, "h_plus": 0.2, "h_minus": -0.1}, {"id": 3}, {"id": 4}],
+        "edges": [{"u": 1, "v": 2}, {"u": 3, "v": 2, "beta": {"pp": 0.2, "pm": -0.1, "mp": 0.0, "mm": 0.1}},
+                  {"u": 3, "v": 4}, {"u": 4, "v": 1}],
+    }
+    bases = (json.loads(serialize_system(tables)), shorthand)
+    path = tmp_path / "mutated.json"
+    rng = random.Random(20261019)
+    failures = []
+    for _ in range(1500):
+        data = _mutated_graph_file(rng, rng.choice(bases))
+        path.write_bytes(data)
+        command = rng.choice(("estimate", "check", "exact"))
+        argv = [command, "--graph", str(path)] + (["--eps", "0.1"] if command == "estimate" else [])
+        try:
+            code, stdout, stderr = run_cli(capsys, *argv)
+            problem = _outcome_problem(command, code, stdout, stderr)
+        except Exception as exc:  # every escape from main is a failure to report
+            problem = f"raised {exc!r}"
+        if problem:
+            shown = data if len(data) < 300 else data[:150] + b"..." + data[-100:]
+            failures.append(f"{command} {shown!r}: {problem}")
+    assert not failures, "\n".join(failures)

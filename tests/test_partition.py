@@ -59,8 +59,24 @@ def test_all_plus_log_weight_sums_left_to_right():
     assert weight.hex() == "-0x1.460e35d425cc8p+1"
 
 
+def _start_budget(eps: float) -> float:
+    """The D that solves D * (1/2 + D/4) = eps, so that D * sigma(D) <= eps."""
+    return 4 * eps / (1 + math.sqrt(1 + 4 * eps))
+
+
+def _rate_and_half_range(coupling: float, degree: int) -> tuple[float, float]:
+    rate = (degree - 1) * math.tanh(coupling)
+    return rate, math.atanh(math.tanh(coupling) * math.tanh((degree - 1) * coupling))
+
+
 def test_truncation_depth_reference_value():
-    assert truncation_depth(10, 0.3, 3, 0.1) == 9
+    # the smallest t with n*d*a*rate^(t-1) <= D; the a-priori rule, with
+    # eps in place of D, needs one level more here
+    assert truncation_depth(10, 0.3, 3, 0.1) == 8
+    rate, half_range = _rate_and_half_range(0.3, 3)
+    budget = _start_budget(0.1)
+    assert 30 * half_range * rate ** 7 <= budget < 30 * half_range * rate ** 6
+    assert 30 * half_range * rate ** 8 <= 0.1 < 30 * half_range * rate ** 7
 
 
 def test_truncation_depth_zero_coupling():
@@ -281,8 +297,13 @@ def test_sweep_errors_within_the_edge_budget():
     # neighbours with a larger label (free in the sweep), and the sweep's
     # log-marginal errors sum to at most n*d*a*rate^(t-1).  Checked at
     # every depth up to the complete tree, with tables strong enough that
-    # the rate exceeds 1 as well as contracting ones.
+    # the rate exceeds 1 as well as contracting ones.  The log-marginal
+    # errors also sum to at most the certificate fptas_log_partition
+    # computes from the estimates, sum of delta_v * sigma(delta_v - x_hat_v)
+    # with delta_v the per-vertex bound; random tables make some x_hat_v
+    # negative, where that sigma exceeds 1/2.
     worst_vertex = worst_sum = 0.0
+    negative = 0
     for scale in (6.0, 1.0, 0.3):
         for seed in range(5):
             for spec in BUDGET_SPECS:
@@ -304,7 +325,7 @@ def test_sweep_errors_within_the_edge_budget():
                 compiled = compile_system(system)
                 for depth in range(1, n + 1):
                     stops = compiled.stops()
-                    total = 0.0
+                    total = certificate = 0.0
                     for v in range(1, n + 1):
                         log_ratio, _ = walk_log_ratio(compiled, stops, v, depth)
                         stops[v] = PINNED_PLUS
@@ -314,12 +335,16 @@ def test_sweep_errors_within_the_edge_budget():
                         if bound > 1e-7:
                             worst_vertex = max(worst_vertex, error / bound)
                         total += abs(_log_sigmoid(log_ratio) - _log_sigmoid(exact[v]))
+                        certificate += bound * marginal_plus(bound - log_ratio)
+                        negative += log_ratio < 0
+                    assert total <= certificate + 1e-9, (spec, scale, seed, depth)
                     bound = n * degree * half_range * rate ** (depth - 1)
                     assert total <= bound + 1e-9, (spec, scale, seed, depth)
                     if bound > 1e-7:
                         worst_sum = max(worst_sum, total / bound)
     # A budget twice too tight would fail above.
     assert worst_vertex > 0.5, (worst_vertex, worst_sum)
+    assert negative > 0
 
 
 def test_fptas_relabeling_stays_within_two_eps():
@@ -389,6 +414,48 @@ def test_fptas_within_eps_at_benchmark_size():
         exact = ising_strip_log_z(rows, cols, coupling, 0.1, periodic)
         for eps in (0.1, 0.01):
             assert abs(fptas_log_partition(system, eps).log_z_hat - exact) <= eps, (rows, cols, eps)
+
+
+def test_fptas_sweeps_again_at_the_a_priori_depth():
+    # Negative estimated log ratios make the summed certificate exceed eps
+    # at the start depth, so the estimate is the sweep at the a-priori
+    # depth, the smallest t with n*d*a*rate^(t-1) <= eps.
+    eps = 0.1
+    system = generate(GenSpec(
+        "random_regular", n=10, degree=3, model="random", coupling=0.5, field_strength=1.0, seed=2
+    ))
+    n = system.n
+    scalars = system_scalars(system)
+    degree = scalars.degree_bound
+    rate, half_range = _rate_and_half_range(scalars.max_coupling, degree)
+    start = truncation_depth(n, scalars.max_coupling, degree, eps)
+    a_priori = next(t for t in range(1, 100) if n * degree * half_range * rate ** (t - 1) <= eps)
+    assert (start, a_priori) == (5, 6)
+    compiled = compile_system(system)
+    stops = compiled.stops()
+    certificate = 0.0
+    for v in range(1, n + 1):
+        log_ratio, _ = walk_log_ratio(compiled, stops, v, start)
+        stops[v] = PINNED_PLUS
+        delta = 2 * half_range * sum(w > v for w in system.graph.neighbors(v)) * rate ** (start - 1)
+        certificate += delta * marginal_plus(delta - log_ratio)
+    assert certificate > eps
+    report = fptas_log_partition(system, eps)
+    assert report.truncation_depth == a_priori
+    assert all(v.depth == a_priori for v in report.vertices)
+    assert abs(report.log_z_hat - exact_log_partition(system)) <= eps
+
+
+def test_fptas_positive_field_ising_keeps_the_start_depth():
+    # Ferromagnetic couplings and a positive field keep every estimated
+    # log ratio of the +-pinned sweep nonnegative, so no second sweep.
+    system = ising_system(build_family_graph("random_regular", n=12, degree=3, seed=4), 0.3, 0.1)
+    scalars = system_scalars(system)
+    report = fptas_log_partition(system, 0.1)
+    start = truncation_depth(system.n, scalars.max_coupling, scalars.degree_bound, 0.1)
+    assert report.truncation_depth == start
+    assert all(v.p_hat >= 0.5 for v in report.vertices)
+    assert abs(report.log_z_hat - exact_log_partition(system)) <= 0.1
 
 
 def test_fptas_depth_one_at_zero_coupling():
@@ -467,16 +534,21 @@ BENCHMARK_SPECS = [
 
 
 @pytest.mark.parametrize(
-    "spec, least_depth", zip(BENCHMARK_SPECS, (11, 10)), ids=["rr3-40", "grid-4x6"]
+    "spec, least_depth", zip(BENCHMARK_SPECS, (10, 9)), ids=["rr3-40", "grid-4x6"]
 )
 def test_walk_matches_saw_tree_at_benchmark_size(spec, least_depth):
     # The sweep's walks at eps = 0.1, where most free nodes sit on the
     # level evaluated in place and most of those take a settled pair, and
-    # at every depth up to 13.
+    # at 11, 12 and 13.  The start depth is the smallest that fits the
+    # budget D of eps = 0.1.
     system = generate(spec)
     scalars = system_scalars(system)
-    depth = truncation_depth(system.n, scalars.max_coupling, scalars.degree_bound, 0.1)
-    assert depth >= least_depth
+    degree = scalars.degree_bound
+    depth = truncation_depth(system.n, scalars.max_coupling, degree, 0.1)
+    assert depth == least_depth
+    rate, half_range = _rate_and_half_range(scalars.max_coupling, degree)
+    edge_sum = system.n * degree * half_range
+    assert edge_sum * rate ** (depth - 1) <= _start_budget(0.1) < edge_sum * rate ** (depth - 2)
     for walked in sorted({depth, 11, 12, 13}):
         _assert_sweep_walks_match_trees(system, walked)
 
