@@ -35,11 +35,16 @@ petersen = Graph.from_edges(10, [
     (1, 6), (2, 7), (3, 8), (4, 9), (5, 10),
     (6, 8), (8, 10), (7, 10), (7, 9), (6, 9),
 ])
+# The tree cut uniformly at each depth limit, and the tree the estimate
+# walks, which splits the root's error allowance over the free branches
+# and stops a branch once its share needs no further look.
 system = ising_system(petersen, 0.3)
 print("\nPetersen graph, tree size and open frontier by depth limit:")
-print(f"  {'depth':>5}  {'nodes':>6}  {'frontier':>8}")
+print(f"  {'depth':>5}  {'nodes':>6}  {'frontier':>8}  {'split':>6}")
 for depth in range(1, 9):
-    tree = build_saw_tree(system, root=1, depth_limit=depth)
-    print(f"  {depth:>5}  {tree.node_count:>6}  {frontier_count(tree, depth):>8}")
-full = build_saw_tree(system, root=1, depth_limit=10**6)
+    tree = build_saw_tree(system, root=1, depth_limit=depth, uniform=True)
+    split = build_saw_tree(system, root=1, depth_limit=depth)
+    print(f"  {depth:>5}  {tree.node_count:>6}  {frontier_count(tree, depth):>8}"
+          f"  {split.node_count:>6}")
+full = build_saw_tree(system, root=1, depth_limit=10**6, uniform=True)
 print(f"untruncated tree: {full.node_count} nodes, every leaf a pinned cycle-closing copy")

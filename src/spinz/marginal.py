@@ -19,12 +19,25 @@ within half its range there, ``2 * atanh(tanh|J| * tanh((hi - lo) / 4))
 the subtree holds, one contraction step tighter than the middle of the
 factor's whole range.
 
+Above the depth limit t, a hard cap, a tree splits an error allowance
+over its free branches.  In units of 2a, the error of a frontier leaf, a
+node hands its allowance A to its children in ascending order: with R
+left (at first A) and r children not yet handled, a pinned or
+cycle-closing child takes nothing, and a free child takes share = R / r.
+At a share of 1 or more the child is a frontier leaf; otherwise it gets
+share / tanh(J), J the largest coupling, which its edge factor shrinks
+back to the share.  So a node is off by at most 2a * A.  With
+rate**(t - 1) per free root child (``split_scales``), a full
+(degree - 1)-ary tree is the uniform tree, and branches that end early
+leave their shares to the others: the split tree prunes the uniform one.
+
 ``walk_log_ratio`` evaluates the walk tree over a ``CompiledSystem``
 without building it: it folds each subtree's value into its parent the
 moment the subtree closes, so it keeps O(depth) state and allocates no
-nodes.  A free node one level above the depth limit has only leaves below
-it, so the walk sums it in place instead of entering it; when none of
-those leaves is pinned, the node's fold is a constant of the system
+nodes.  A free node whose children are all leaves, because it sits one
+level above the depth limit or its allowance is at least its number of
+children, is summed in place instead of entered; when none of those
+leaves is pinned, the node's fold is a constant of the system
 (``CompiledSystem.settled``) and the walk adds that.  Its reference is
 ``sawtree.tree_log_ratio``, which reads a built ``SawTree`` and performs
 the same float operations in the same order, so the two agree bit for bit.
@@ -34,16 +47,18 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from collections import namedtuple
 from collections.abc import Mapping
 
-from .core import Record, Spin, SpinSystem, external_field
+from .core import Record, Spin, SpinSystem, SystemScalars, external_field
 
 __all__ = [
     "LogRatio",
     "CompiledSystem",
     "compile_system",
     "PINNED_PLUS",
+    "split_scales",
     "walk_log_ratio",
     "marginal_plus",
 ]
@@ -202,16 +217,36 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     )
 
 
+def split_scales(scalars: SystemScalars, depth_limit: int) -> tuple[float, float]:
+    """The share per free root child, rate**(depth_limit - 1) with rate the
+    contraction, and the stretch 1 / tanh(max_coupling): a root with k free
+    children is then off by at most 2 * a * k * rate**(depth_limit - 1), as
+    ``partition.truncation_depth`` assumes.  (0.0, 1.0), the uniform tree,
+    at degree bound 2 or less, where the split gives the uniform tree
+    anyway, and when the contraction is not in (0, 1)."""
+    rate = scalars.contraction
+    if scalars.degree_bound <= 2 or not 0.0 < rate < 1.0:
+        return 0.0, 1.0
+    # An exponent beyond the float range underflows the share to 0.0, as
+    # the largest float exponent does, instead of raising OverflowError.
+    exponent = min(depth_limit - 1, sys.float_info.max)
+    return rate**exponent, 1.0 / math.tanh(scalars.max_coupling)
+
+
 def walk_log_ratio(
-    compiled: CompiledSystem, stops: list, root: int, depth_limit: int
+    compiled: CompiledSystem, stops: list, root: int, depth_limit: int,
+    allowance: float = 0.0, stretch: float = 1.0,
 ) -> tuple[float, int]:
     """Log ratio at ``root`` of its walk tree truncated at ``depth_limit``,
     and the number of nodes that tree has; the tree itself is never built.
 
-    The result equals ``sawtree.tree_log_ratio(system,
+    ``allowance`` is the root's, split as the module docstring says, and
+    ``stretch`` is 1 / tanh(J); an allowance of 0.0 cuts every branch at
+    ``depth_limit``.  The result equals ``sawtree.tree_log_ratio(system,
     build_saw_tree(system, root, depth_limit, condition))`` and that tree's
     ``node_count``, bit for bit, when ``stops`` comes from
-    ``compiled.stops(condition)``.
+    ``compiled.stops(condition)`` and the allowance is the ``split_scales``
+    share times the free root children (0.0 for ``uniform=True``).
 
     ``stops[w]`` is None while a walk may enter w.  Otherwise a copy of w
     ends the walk as a pinned leaf: + if the label of the vertex it is
@@ -232,6 +267,9 @@ def walk_log_ratio(
     # Free children of a frame at depth ``inner`` have all their children on
     # the frontier, so they are evaluated in place and no frame sits deeper,
     # except the root of a depth-1 walk: its free children are the frontier.
+    # Above that a free child takes its share of the allowance ``left`` (r
+    # is the iterator's length hint plus one), and is summed in place too
+    # when its own allowance ``grow`` gives each of its children a share of 1.
     inner = depth_limit - 2
 
     row = compiled.rows[root]
@@ -240,6 +278,7 @@ def walk_log_ratio(
     origin = root
     total = twice_field[root]
     children = iter(row)
+    left = allowance
     depth = 0
     frames: list[tuple] = []
     while True:
@@ -247,57 +286,67 @@ def walk_log_ratio(
             stop = stops[child]
             if stop is not None:
                 total += factors[0] if origin > stop else factors[1]
-            elif depth < inner:
+                continue
+            if depth > inner:
+                total += frontier[below]
+                continue
+            if left:
+                share = left / (children.__length_hint__() + 1)
+                left -= share
+                if share >= 1.0:
+                    total += frontier[below]
+                    continue
+                grow = share * stretch
+            else:
+                grow = 0.0
+            row = belows[below]
+            if depth < inner and (not grow or grow < len(row)):
                 stops[origin] = child
                 stops[child] = 0
-                frames.append((origin, children, total, factors))
-                row = belows[below]
+                frames.append((origin, children, total, factors, left))
                 origin = child
                 children = iter(row)
                 total = twice_field[child]
+                left = grow
                 depth += 1
                 count += len(row)
                 break
-            elif depth == inner:
-                # The children of child are leaves, and none is child or
-                # origin, so no stop needs writing.  With none pinned, the
-                # fold below is settled[below].
-                row = belows[below]
-                count += len(row)
-                for grandchild in row:
-                    if stops[grandchild[0]] is not None:
-                        break
-                else:
-                    x, y = settled[below]
-                    total += x
-                    total -= y
-                    continue
-                lam = twice_field[child]
-                for grandchild, pinned, edge in row:
-                    stop = stops[grandchild]
-                    if stop is None:
-                        lam += frontier[edge]
-                    else:
-                        lam += pinned[0] if child > stop else pinned[1]
-                if lam == inf:
-                    total += factors[0]
-                elif lam == -inf:
-                    total += factors[1]
-                else:
-                    a = factors[2] + lam
-                    b = factors[3]
-                    total += (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
-                    a = factors[4] + lam
-                    b = factors[5]
-                    total -= (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
+            # The children of child are leaves, and none is child or
+            # origin, so no stop needs writing.  With none pinned, the
+            # fold below is settled[below].
+            count += len(row)
+            for grandchild in row:
+                if stops[grandchild[0]] is not None:
+                    break
             else:
-                total += frontier[below]
+                x, y = settled[below]
+                total += x
+                total -= y
+                continue
+            lam = twice_field[child]
+            for grandchild, pinned, edge in row:
+                stop = stops[grandchild]
+                if stop is None:
+                    lam += frontier[edge]
+                else:
+                    lam += pinned[0] if child > stop else pinned[1]
+            if lam == inf:
+                total += factors[0]
+            elif lam == -inf:
+                total += factors[1]
+            else:
+                a = factors[2] + lam
+                b = factors[3]
+                total += (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
+                a = factors[4] + lam
+                b = factors[5]
+                total -= (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
         else:
             stops[origin] = None
             if not frames:
                 return total, count
             lam = total
-            origin, children, total, factors = frames.pop()
+            origin, children, total, factors, left = frames.pop()
             depth -= 1
             # Mirrors sawtree.tree_log_ratio's fold, one subtree at a time.
             if lam == inf:

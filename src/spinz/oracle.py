@@ -168,7 +168,7 @@ def _identity_gaps(system: SpinSystem, cond: Condition, roots=None):
     for root in roots:
         numerator = exact_log_partition(system, {**cond, root: Spin.PLUS})
         exact = math.exp(numerator - denominator)
-        tree = build_saw_tree(system, root, graph.n, cond)
+        tree = build_saw_tree(system, root, graph.n, cond, uniform=True)
         walked = marginal_plus(tree_log_ratio(system, tree))
         yield root, abs(exact - walked)
 

@@ -3,17 +3,18 @@
 The log partition function is assembled from the all-plus configuration
 weight and a telescoping product of conditional marginals: vertex j is
 estimated with vertices 1..j-1 pinned to +.  Each marginal comes from a
-depth-truncated walk tree whose free leaves at the depth limit add the
-lookahead frontier (the middle of their edge factor over the log ratio
-interval their own children's pinned factors bound; see ``marginal``).  One
-depth serves every walk.  A factor's log-ratio error is at most
-proportional to its vertex's count of unpinned neighbours, so the errors
-sum over the edges.  Its log-marginal error is that error times the
-largest slope of log sigma within it, about 1/2 when the estimated log
-ratio is nonnegative.  The sweep starts at the depth where that halved sum
-fits eps (see ``truncation_depth``); when some estimated log ratio is
-negative it sums each vertex's own bound, and if that exceeds eps it
-sweeps again at the depth where the whole edge sum fits eps.  That gives
+walk tree whose stopped free leaves add the lookahead frontier (the middle
+of their edge factor over the log ratio interval their own children's
+pinned factors bound; see ``marginal``).  One depth caps every walk, and
+above it each walk splits its root's error allowance over the free
+branches.  A factor's log-ratio error is at most proportional to its
+vertex's count of unpinned neighbours, so the errors sum over the edges.
+Its log-marginal error is that error times the largest slope of log sigma
+within it, about 1/2 when the estimated log ratio is nonnegative.  The
+sweep starts at the depth where that halved sum fits eps (see
+``truncation_depth``); when some estimated log ratio is negative it sums
+each vertex's own bound, and if that exceeds eps it sweeps again at the
+depth where the whole edge sum fits eps.  That gives
 |log(estimate) - log(exact)| <= eps whenever the contraction condition
 (degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor enters the
 sum as a log, taken from the walk's log ratio where the marginal itself is
@@ -23,11 +24,13 @@ The estimate is one serial sweep, two at most.  It compiles the system once
 (``compile_system``): twice the field of every vertex and, per vertex, its
 edge tables oriented outward in ascending neighbour order, with the factors
 of pinned children precomputed per table and the frontier factor per
-directed edge.  Pinning is by rank: one per-label stop array (see
-``walk_log_ratio``) serves the whole sweep, and vertex j pins itself to +
-when its walk is done, so every later walk sees 1..j pinned.  Each walk
-evaluates its tree while walking it, keeping one frame per level, so the
-estimate path holds O(depth) state per vertex and builds no ``SawTree``.
+directed edge; it counts each vertex's neighbours with a larger label once,
+for the root allowances and the certificate.  Pinning is by rank: one
+per-label stop array (see ``walk_log_ratio``) serves the whole sweep, and
+vertex j pins itself to + when its walk is done, so every later walk sees
+1..j pinned.  Each walk evaluates its tree while walking it, keeping one
+frame per level, so the estimate path holds O(depth) state per vertex and
+builds no ``SawTree``.
 Its output equals that of ``sawtree.tree_log_ratio`` over
 ``build_saw_tree`` bit for bit, and the log factors are summed in ascending
 vertex order.
@@ -47,7 +50,7 @@ from .core import (
     decay_condition_holds,
     system_scalars,
 )
-from .marginal import PINNED_PLUS, compile_system, marginal_plus, walk_log_ratio
+from .marginal import PINNED_PLUS, compile_system, marginal_plus, split_scales, walk_log_ratio
 
 __all__ = [
     "VertexEstimate",
@@ -165,7 +168,9 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     error by at most rate.  In the sweep, the root of vertex v has only k_v
     free children, its neighbours with a larger label; pinned children add
     exact factors.  So v's log ratio x_v is off by at most
-    delta_v = 2 * a * k_v * rate**(t - 1), and sum k_v = |E| <= n * degree
+    delta_v = 2 * a * k_v * rate**(t - 1); the walk that splits v's
+    allowance delta_v / (2 * a) over its free branches (see ``marginal``),
+    with t as the cap, keeps that bound.  And sum k_v = |E| <= n * degree
     / 2 makes the deltas sum to at most n * degree * a * rate**(t - 1), for
     any degree >= the maximum degree.  The slope of log sigma is
     sigma(-x), so v's log marginal is off by at most
@@ -219,8 +224,10 @@ def fptas_log_partition(
             that still pass it keep working.
 
     Walks vertices 1..n in ascending order; each walk sees every lower label
-    pinned to +, then pins its own vertex.  Free leaves at the depth limit
-    take the lookahead frontier.  The sweep runs at ``truncation_depth``.
+    pinned to +, then pins its own vertex.  The sweep runs at
+    ``truncation_depth``, a hard cap: each walk splits its root's allowance,
+    ``split_scales`` per free root child, over its free branches, and the
+    free leaves it stops take the lookahead frontier.
     If an estimated log ratio is negative, it sums the log-marginal bounds
     delta_v * sigma(delta_v - x_hat_v) described there, and when they
     exceed eps it reports a second sweep at the a-priori depth.  The log
@@ -243,15 +250,21 @@ def fptas_log_partition(
         )
     n = system.graph.n
     start, a_priori, unit = _depths(n, scalars.max_coupling, scalars.degree_bound, eps) if n else (0, 0, 0.0)
+    # k_v, the neighbours of v with a larger label: free at v's root
+    larger = [0] * (n + 1)
+    for u, _ in system.graph.edges:
+        larger[u] += 1
 
     compiled = compile_system(system)
     for depth in (start, a_priori):
+        share, stretch = split_scales(scalars, depth)
         stops = compiled.stops()
         estimates = []
         log_ratios = []
         log_p_total = 0.0
         for vertex in range(1, n + 1):
-            log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+            allowance = share * larger[vertex]
+            log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth, allowance, stretch)
             p_hat = marginal_plus(log_ratio)
             if p_hat >= _MIN_NORMAL:
                 log_p_total += math.log(p_hat)
@@ -264,7 +277,7 @@ def fptas_log_partition(
             break  # certified a priori, or by D * sigma(D) <= eps
         bound = 0.0
         for vertex, log_ratio in enumerate(log_ratios, 1):
-            delta = unit * sum(w > vertex for w in system.graph.adjacency[vertex - 1])
+            delta = unit * larger[vertex]
             bound += delta * marginal_plus(delta - log_ratio)
         if bound <= eps:
             break

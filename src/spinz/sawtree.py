@@ -6,8 +6,11 @@ terminates in a leaf pinned to + or -, decided by comparing the label sum of
 the edge that closes the cycle with that of the edge by which the walk first
 left the revisited vertex (larger sum closes to +).  Copies of conditioned
 vertices terminate walks the same way, pinned to their assigned spin.  Free
-nodes sitting exactly at the depth limit form the frontier: their subtrees
-are not constructed.
+nodes that the truncation stops form the frontier: their subtrees are not
+constructed.  By default the truncation is the one the estimate walks: the
+root's allowance split over the free branches (see ``marginal``), with the
+depth limit as a hard cap, so a branch may stop above the limit; with
+``uniform=True`` every branch stops exactly at the depth limit.
 
 The marginal of the root in this tree equals its marginal in the original
 graph, which is what makes the truncated evaluation in ``marginal`` a
@@ -25,8 +28,23 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import _LAZY_ALL
-from .core import EdgePotential, Spin, SpinSystem, _check_label, checked_condition, external_field
-from .marginal import _factor, _frontier_factor, compile_system, marginal_plus, walk_log_ratio
+from .core import (
+    EdgePotential,
+    Spin,
+    SpinSystem,
+    _check_label,
+    checked_condition,
+    external_field,
+    system_scalars,
+)
+from .marginal import (
+    _factor,
+    _frontier_factor,
+    compile_system,
+    marginal_plus,
+    split_scales,
+    walk_log_ratio,
+)
 
 # The package lists these names so it can export them without importing
 # this module.
@@ -51,8 +69,11 @@ class SawNode:
     """One walk position, a copy of a graph vertex.
 
     ``spin`` is None while the node is free; pinned leaves carry their spin
-    and never have children.  Children are ordered by ascending neighbor
-    label, and their origins are distinct neighbors of this node's origin.
+    and never have children.  ``stopped`` marks a free leaf that the
+    truncation stopped, which stands for its unexplored subtree (the
+    frontier); a free node without it has all its children.  Children are
+    ordered by ascending neighbor label, and their origins are distinct
+    neighbors of this node's origin.
     Treat nodes as immutable once the tree is built.
     """
 
@@ -60,6 +81,7 @@ class SawNode:
     depth: int
     spin: Spin | None
     children: list["SawNode"]
+    stopped: bool = False
 
 
 @dataclass(frozen=True)
@@ -86,22 +108,48 @@ def edge_factor_log(potential: EdgePotential, child_log_ratio: float) -> float:
     return _factor(potential.pp, potential.pm, potential.mp, potential.mm, child_log_ratio)
 
 
+def _root_allowance(
+    system: SpinSystem, root: int, depth_limit: int, pinned: Mapping[int, Spin]
+) -> tuple[float, float]:
+    """The root allowance and the stretch that ``walk_log_ratio`` takes for
+    the default tree of ``build_saw_tree``: ``split_scales`` at the
+    system's scalars, with the share times the root's unconditioned
+    neighbours."""
+    graph = system.graph
+    if graph.max_degree() <= 2:
+        # split_scales returns the uniform tree here; this skips the
+        # scalars, a pass over every edge, on each tree of a sweep.
+        return 0.0, 1.0
+    share, stretch = split_scales(system_scalars(system), depth_limit)
+    return share * sum(w not in pinned for w in graph.adjacency[root - 1]), stretch
+
+
 def build_saw_tree(
     system: SpinSystem,
     root: int,
     depth_limit: int,
     condition: Mapping[int, Spin] | None = None,
+    *,
+    uniform: bool = False,
 ) -> SawTree:
-    """Build the walk tree from ``root`` down to ``depth_limit``.
+    """Build the walk tree from ``root``, truncated at ``depth_limit``.
 
     Conditioned vertices become pinned leaves wherever a walk reaches them;
-    revisits close cycles into pinned leaves; free nodes at the depth limit
-    stay unexpanded.  Construction is iterative (explicit stack), so deep
-    trees do not hit the interpreter recursion limit, and deterministic:
-    children follow sorted neighbor order.
+    revisits close cycles into pinned leaves.  Free nodes that the
+    truncation stops are frontier leaves (``stopped``); their subtrees are
+    not constructed.  By default the truncation splits the root's allowance
+    as ``marginal`` describes: the share per free root child is
+    ``split_scales`` of ``system_scalars(system)`` at ``depth_limit``, and
+    ``depth_limit`` is a hard cap.  That is the tree whose log ratio
+    ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
+    pins the lower labels to +.  With ``uniform=True`` every free node
+    above ``depth_limit`` is expanded, and setting ``depth_limit`` to the
+    vertex count then produces the complete tree, since no self-avoiding
+    walk can visit more vertices than the graph has.
 
-    Setting ``depth_limit`` to the vertex count produces the complete tree,
-    since no self-avoiding walk can visit more vertices than the graph has.
+    Construction is iterative (explicit stack), so deep trees do not hit
+    the interpreter recursion limit, and deterministic: children follow
+    sorted neighbor order.
     """
     graph = system.graph
     if depth_limit < 0:
@@ -111,10 +159,10 @@ def build_saw_tree(
     root_spin = pinned.get(root)
     if root_spin is not None:
         return SawTree(SawNode(root, 0, root_spin, []), root, depth_limit, 1)
-    root_node = SawNode(root, 0, None, [])
-    count = 1
+    root_node = SawNode(root, 0, None, [], stopped=depth_limit == 0)
     if depth_limit == 0:
-        return SawTree(root_node, root, depth_limit, count)
+        return SawTree(root_node, root, depth_limit, 1)
+    left, stretch = (0.0, 1.0) if uniform else _root_allowance(system, root, depth_limit, pinned)
 
     adjacency = graph.adjacency
     on_walk = bytearray(graph.n + 1)
@@ -124,39 +172,50 @@ def build_saw_tree(
     left_toward = [0] * (graph.n + 1)
     get_pinned = pinned.get
     plus, minus = Spin.PLUS, Spin.MINUS
+    count = 1
 
-    stack = [(root_node, 0, iter(adjacency[root - 1]))]
+    # One frame per node being expanded: the node, its child labels, the
+    # position of the next one and the allowance it has left, which is None
+    # when every free child stops (the nodes the walk sums in place).
+    stack = [[root_node, adjacency[root - 1], 0, left]]
     while stack:
-        node, entered_from, remaining = stack[-1]
-        child_label = next(remaining, 0)
-        if child_label == 0:
+        frame = stack[-1]
+        node, labels, position, left = frame
+        if position == len(labels):
             stack.pop()
             on_walk[node.origin] = 0
             continue
-        if child_label == entered_from:
-            continue
+        frame[2] = position + 1
+        child_label = labels[position]
         origin = node.origin
         child_depth = node.depth + 1
         spin = get_pinned(child_label)
-        if spin is not None:
-            child = SawNode(child_label, child_depth, spin, [])
-        elif on_walk[child_label]:
+        if spin is None and on_walk[child_label]:
             closing = (origin, child_label)
             opening = (child_label, left_toward[child_label])
-            child = SawNode(
-                child_label,
-                child_depth,
-                plus if edge_greater(closing, opening) else minus,
-                [],
-            )
-        else:
-            child = SawNode(child_label, child_depth, None, [])
-            if child_depth < depth_limit:
-                on_walk[child_label] = 1
-                left_toward[origin] = child_label
-                stack.append((child, origin, iter(adjacency[child_label - 1])))
+            spin = plus if edge_greater(closing, opening) else minus
+        child = SawNode(child_label, child_depth, spin, [])
         node.children.append(child)
         count += 1
+        if spin is not None:
+            continue
+        if left is None or child_depth == depth_limit:
+            child.stopped = True
+            continue
+        grow = 0.0
+        if left:
+            share = left / (len(labels) - position)
+            frame[3] = left - share
+            if share >= 1.0:
+                child.stopped = True
+                continue
+            grow = share * stretch
+        below = [w for w in adjacency[child_label - 1] if w != origin]
+        if child_depth == depth_limit - 1 or (grow and grow >= len(below)):
+            grow = None
+        on_walk[child_label] = 1
+        left_toward[origin] = child_label
+        stack.append([child, below, 0, grow])
 
     return SawTree(root_node, root, depth_limit, count)
 
@@ -167,15 +226,16 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
     Args:
         system: the spin system the tree was built from.
         tree: a walk tree whose root is free.
-        frontier: what free leaves at the depth limit contribute.  The
-            default None adds the lookahead frontier of ``marginal``: the
-            middle of the leaf's edge factor over the log ratio interval
-            that the leaf's own children's pinned factors bound.  A
-            truncated tree whose root has k free children is then off by
-            at most ``2 * a * k * rate**(depth_limit - 1)``, with a and
-            rate as in ``partition.truncation_depth``; it needs a depth
-            limit of at least 1.  A float is the log ratio those leaves take
-            (-inf pins the unexplored region to minus).
+        frontier: what the free leaves the truncation stopped (``stopped``)
+            contribute.  The default None adds the lookahead frontier of
+            ``marginal``: the middle of the leaf's edge factor over the log
+            ratio interval that the leaf's own children's pinned factors
+            bound.  A tree from ``build_saw_tree`` whose root has k free
+            children is then off by at most
+            ``2 * a * k * rate**(depth_limit - 1)``, with a and rate as in
+            ``partition.truncation_depth``, whether it is split or uniform;
+            it needs a depth limit of at least 1.  A float is the log ratio
+            those leaves take (-inf pins the unexplored region to minus).
 
     Evaluation is an explicit post-order sweep (no recursion), so tree depth
     is limited only by memory.  Trees are read-only here, and a single tree
@@ -200,7 +260,6 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
         tables[(u, v)] = (pot.pp, pot.pm, pot.mp, pot.mm)
         tables[(v, u)] = (pot.pp, pot.mp, pot.pm, pot.mm)
 
-    depth_limit = tree.depth_limit
     inf = math.inf
     log1p = math.log1p
     exp = math.exp
@@ -214,7 +273,7 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
             if spin is not None:
                 values[id(node)] = inf if spin > 0 else -inf
             elif not node.children:
-                values[id(node)] = frontier if node.depth == depth_limit else twice_field[node.origin]
+                values[id(node)] = frontier if node.stopped else twice_field[node.origin]
             else:
                 stack.append((node, True))
                 for child in node.children:
@@ -265,16 +324,19 @@ def conditional_marginal_estimate(
 ) -> float:
     """Estimated probability that ``vertex`` is + under ``condition``.
 
-    Evaluates the walk tree truncated at ``depth`` (at least 1), without
-    building it; free leaves at the depth limit add the lookahead frontier
-    (see ``marginal``).  The result is exact whenever the tree has no
-    frontier, and whenever every frontier leaf has no child.
+    Evaluates the default tree of ``build_saw_tree`` at ``depth`` (at least
+    1), the root's allowance split over its free branches with ``depth``
+    as the cap, without building it; the leaves the truncation stops add
+    the lookahead frontier (see ``marginal``).  The result is exact
+    whenever the tree has no frontier, and whenever every frontier leaf has
+    no child.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     cond = checked_condition(system.graph.n, vertex, condition)
     compiled = compile_system(system)
-    log_ratio, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth)
+    allowance, stretch = _root_allowance(system, vertex, depth, cond)
+    log_ratio, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth, allowance, stretch)
     return marginal_plus(log_ratio)
 
 
@@ -299,7 +361,10 @@ def format_saw_tree(tree: SawTree) -> str:
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        status = "free" if node.spin is None else str(node.spin)
+        if node.spin is not None:
+            status = str(node.spin)
+        else:
+            status = "frontier" if node.stopped else "free"
         lines.append(f"{'  ' * node.depth}{node.origin} depth={node.depth} {status}")
         stack.extend(reversed(node.children))
     return "\n".join(lines)

@@ -488,7 +488,7 @@ OPTIONS = {
 # trial count, so it stays out to keep the test near 5 s.
 FAST_SUITES = ("contraction", "lipschitz", "saw-random", "decay", "telescoping")
 FAMILIES = ("path", "cycle", "grid", "complete", "random_regular", "erdos_renyi")
-SAWTREE_LINE = re.compile(r"( {2})*[0-9]+ depth=[0-9]+ (free|\+|-)")
+SAWTREE_LINE = re.compile(r"( {2})*[0-9]+ depth=[0-9]+ (free|frontier|\+|-)")
 # Options whose values the parser checks in full: each of them refused
 # alone with a MUTATED value must be named in the error line.
 PARSER_CHECKED = ("--seed", "--coupling", "--field", "--radius", "--trials", "--tolerance")

@@ -188,7 +188,7 @@ def test_tree_ratio_matches_recursive_reference():
         root = int(rng.integers(1, n + 1))
         limit = int(rng.integers(1, n + 1))
         frontier = float(rng.choice([-math.inf, -2.0, 0.0, 1.5, math.inf]))
-        tree = build_saw_tree(system, root, limit)
+        tree = build_saw_tree(system, root, limit, uniform=True)
         expected = _reference_tree_ratio(system, tree.root, limit, frontier)
         assert tree_log_ratio(system, tree, frontier) == pytest.approx(expected, abs=1e-12)
         lookahead = _reference_tree_ratio(system, tree.root, limit, None)
@@ -212,9 +212,11 @@ def test_global_spin_flip_negates_ratio():
         system = random_system(rng, n, edge_prob=0.5)
         cond = Condition({n: Spin.PLUS}) if n > 1 and rng.random() < 0.5 else Condition()
         flipped_cond = Condition({v: -cond[v] for v in cond})
-        lam = tree_log_ratio(system, build_saw_tree(system, 1, n, cond))
+        lam = tree_log_ratio(system, build_saw_tree(system, 1, n, cond, uniform=True))
         flipped = _flipped(system)
-        lam_flipped = tree_log_ratio(flipped, build_saw_tree(flipped, 1, n, flipped_cond))
+        lam_flipped = tree_log_ratio(
+            flipped, build_saw_tree(flipped, 1, n, flipped_cond, uniform=True)
+        )
         assert lam_flipped == pytest.approx(-lam, abs=1e-10)
 
 
@@ -233,7 +235,7 @@ def test_boundary_sensitivity_bound():
             continue
         root = int(rng.integers(1, n + 1))
         limit = int(rng.integers(1, 5))
-        tree = build_saw_tree(system, root, limit)
+        tree = build_saw_tree(system, root, limit, uniform=True)
         s = _free_frontier_leaves(tree)
         if s == 0:
             continue
@@ -263,7 +265,7 @@ def test_complete_tree_frontier_independent():
         n = int(rng.integers(2, 7))
         system = random_system(rng, n, edge_prob=0.6)
         cond = Condition({n: Spin.MINUS}) if rng.random() < 0.5 else Condition()
-        tree = build_saw_tree(system, 1, n, cond)
+        tree = build_saw_tree(system, 1, n, cond, uniform=True)
         base = tree_log_ratio(system, tree, frontier=-math.inf)
         for frontier in (math.inf, 0.0, 4.2):
             assert tree_log_ratio(system, tree, frontier) == pytest.approx(base, abs=1e-12)
@@ -329,7 +331,8 @@ def test_midpoint_frontier_within_half_envelope_of_exact():
             for depth in range(1, graph.n + 1):
                 half = decay_function(depth + 1, scalars.max_coupling, scalars.degree_bound) / 2
                 lookahead, _ = walk_log_ratio(compiled, compiled.stops(cond), root, depth)
-                minus = tree_log_ratio(system, build_saw_tree(system, root, depth, cond), -math.inf)
+                tree = build_saw_tree(system, root, depth, cond, uniform=True)
+                minus = tree_log_ratio(system, tree, -math.inf)
                 for frontier, lam in ((None, lookahead), (-math.inf, minus)):
                     worst[frontier] = max(worst[frontier], abs(lam - exact) / half)
                 pairs += 1

@@ -26,8 +26,10 @@ from spinz import (
     exact_log_partition,
     fptas_log_partition,
     generate,
+    format_saw_tree,
     ising_system,
     marginal_plus,
+    split_scales,
     system_scalars,
     tree_log_ratio,
     truncation_depth,
@@ -223,6 +225,39 @@ def test_fptas_empty_graph():
     assert report.vertices == ()
 
 
+def test_fptas_degenerate_instances_end_in_a_finite_estimate():
+    # The counts of larger-labelled neighbours feed the root allowances and
+    # the certificate.  Neither may divide by zero or make a nan on the
+    # empty graph, at depth 1, at zero coupling (where 1 / tanh(J) is
+    # infinite) or at degree 1.  Negative fields make the estimated log
+    # ratios negative, so the certificate is summed too.
+    cases = [
+        (SpinSystem(Graph.from_edges(0, []), {}, {}), None),
+        (SpinSystem(Graph.from_edges(1, []), {}, {1: VertexField(-0.3, 0.3)}), None),
+        (ising_system(build_family_graph("grid", rows=2, cols=3), 0.0, -0.2), None),
+        (ising_system(build_family_graph("grid", rows=2, cols=3), 0.0, -0.2), 4),
+        (ising_system(build_family_graph("path", n=2), 0.4, -0.3), None),
+        (ising_system(build_family_graph("path", n=4), 0.3, -0.3), 3),
+        (ising_system(build_family_graph("random_regular", n=8, degree=3, seed=1), 1e-9, -0.2), None),
+    ]
+    for system, bound in cases:
+        exact = exact_log_partition(system)
+        for eps in (0.1, 1e-6):
+            report = fptas_log_partition(system, eps, degree_bound=bound)
+            assert math.isfinite(report.log_z_hat), (system.n, bound, eps)
+            assert abs(report.log_z_hat - exact) <= eps, (system.n, bound, eps)
+            if system.n and bound is None and system.graph.max_degree() != 2:
+                assert report.truncation_depth == 1
+    # Depths the sweep never picks at zero coupling: split_scales gives the
+    # uniform tree there, so 1 / tanh(0) is never taken, and every factor
+    # is exact anyway.
+    system = cases[2][0]
+    for depth in (1, 2, 5):
+        for v in system.graph.vertices():
+            estimate = conditional_marginal_estimate(system, v, depth=depth)
+            assert estimate == pytest.approx(exact_conditional_marginal(system, v, Spin.PLUS))
+
+
 def test_fptas_report_internal_consistency():
     rng = np.random.default_rng(31)
     system = random_system(rng, 7, edge_prob=0.35, coupling=0.25)
@@ -301,7 +336,9 @@ def test_sweep_errors_within_the_edge_budget():
     # errors also sum to at most the certificate fptas_log_partition
     # computes from the estimates, sum of delta_v * sigma(delta_v - x_hat_v)
     # with delta_v the per-vertex bound; random tables make some x_hat_v
-    # negative, where that sigma exceeds 1/2.
+    # negative, where that sigma exceeds 1/2.  The walks split each root's
+    # allowance free[v] * rate^(t-1) over its free branches, as the sweep
+    # does, at every degree and rate.
     worst_vertex = worst_sum = 0.0
     negative = 0
     for scale in (6.0, 1.0, 0.3):
@@ -323,11 +360,15 @@ def test_sweep_errors_within_the_edge_budget():
                         exact_log_partition(system, {**pinned, v: Spin.MINUS})
                     )
                 compiled = compile_system(system)
+                stretch = 1 / math.tanh(coupling)
                 for depth in range(1, n + 1):
                     stops = compiled.stops()
                     total = certificate = 0.0
+                    share = rate ** (depth - 1)
                     for v in range(1, n + 1):
-                        log_ratio, _ = walk_log_ratio(compiled, stops, v, depth)
+                        log_ratio, _ = walk_log_ratio(
+                            compiled, stops, v, depth, free[v] * share, stretch
+                        )
                         stops[v] = PINNED_PLUS
                         error = abs(log_ratio - exact[v])
                         bound = 2 * half_range * free[v] * rate ** (depth - 1)
@@ -345,6 +386,74 @@ def test_sweep_errors_within_the_edge_budget():
     # A budget twice too tight would fail above.
     assert worst_vertex > 0.5, (worst_vertex, worst_sum)
     assert negative > 0
+
+
+def _assert_prunes(split, uniform):
+    """``split`` is ``uniform`` with some subtrees cut off: every split node
+    matches its uniform node, and has all its children unless it stopped."""
+    stack = [(split, uniform)]
+    while stack:
+        node, full = stack.pop()
+        assert (node.origin, node.depth, node.spin) == (full.origin, full.depth, full.spin)
+        if node.stopped:
+            assert node.children == []
+        else:
+            assert not full.stopped and len(node.children) == len(full.children)
+            stack.extend(zip(node.children, full.children))
+
+
+def test_split_tree_prunes_the_uniform_tree():
+    # The allowance split never goes deeper than the depth cap and never
+    # keeps a node the uniform tree lacks, at every depth of every sweep
+    # walk, and it cuts nodes where branches end early.
+    fewer = 0
+    for model in ("ising", "random"):
+        for spec in BUDGET_SPECS:
+            system = generate(dataclasses.replace(
+                spec, model=model, coupling=0.3, field_strength=0.2, seed=3
+            ))
+            for depth in range(1, system.n + 1):
+                for v in system.graph.vertices():
+                    pinned_before = {i: Spin.PLUS for i in range(1, v)}
+                    split = build_saw_tree(system, v, depth, pinned_before)
+                    uniform = build_saw_tree(system, v, depth, pinned_before, uniform=True)
+                    _assert_prunes(split.root, uniform.root)
+                    assert split.node_count <= uniform.node_count
+                    fewer += split.node_count < uniform.node_count
+    assert fewer > 0
+
+
+def test_split_tree_is_the_uniform_tree_at_degree_two():
+    # Every node but the root has at most one child, so the split spends
+    # each share on the one branch and stops it only at the depth cap:
+    # walks with the split allowance equal the uniform walks bit for bit,
+    # and the estimate, which skips the split there, reports them.
+    for graph, coupling, eps in (
+        (build_family_graph("cycle", n=400), 0.5, 0.1),
+        (build_family_graph("cycle", n=9), 0.7, 0.01),
+        (build_family_graph("path", n=12), 0.9, 0.1),
+        (build_family_graph("path", n=3), 0.3, 0.001),
+    ):
+        system = ising_system(graph, coupling, 0.1)
+        report = fptas_log_partition(system, eps)
+        depth = report.truncation_depth
+        rate = math.tanh(coupling)
+        share, stretch = rate ** (depth - 1), 1 / math.tanh(coupling)
+        compiled = compile_system(system)
+        split_stops, uniform_stops = compiled.stops(), compiled.stops()
+        for entry in report.vertices:
+            v = entry.vertex
+            free = sum(w > v for w in graph.neighbors(v))
+            split = walk_log_ratio(compiled, split_stops, v, depth, free * share, stretch)
+            uniform = walk_log_ratio(compiled, uniform_stops, v, depth)
+            assert split[0].hex() == uniform[0].hex() and split[1] == uniform[1]
+            assert (entry.p_hat, entry.node_count) == (marginal_plus(split[0]), split[1])
+            split_stops[v] = uniform_stops[v] = PINNED_PLUS
+            if graph.n < 20:
+                pinned_before = {i: Spin.PLUS for i in range(1, v)}
+                assert format_saw_tree(build_saw_tree(system, v, depth, pinned_before)) == (
+                    format_saw_tree(build_saw_tree(system, v, depth, pinned_before, uniform=True))
+                )
 
 
 def test_fptas_relabeling_stays_within_two_eps():
@@ -405,7 +514,10 @@ def test_ising_strip_log_z_matches_enumeration():
 def test_fptas_within_eps_at_benchmark_size():
     # The guarantee at and beyond the sizes the benchmark solves, far past
     # the brute-force oracle's reach.
-    for rows, cols, coupling, periodic in ((1, 400, 0.5, True), (4, 6, 0.2, False), (4, 12, 0.2, False)):
+    # The 6x8 strip is where the allowance split prunes the most nodes.
+    for rows, cols, coupling, periodic in (
+        (1, 400, 0.5, True), (4, 6, 0.2, False), (4, 12, 0.2, False), (6, 8, 0.2, False)
+    ):
         if periodic:
             graph = build_family_graph("cycle", n=cols)
         else:
@@ -435,7 +547,7 @@ def test_fptas_sweeps_again_at_the_a_priori_depth():
     stops = compiled.stops()
     certificate = 0.0
     for v in range(1, n + 1):
-        log_ratio, _ = walk_log_ratio(compiled, stops, v, start)
+        log_ratio, _ = _split_walk(system, compiled, stops, v, start, range(1, v))
         stops[v] = PINNED_PLUS
         delta = 2 * half_range * sum(w > v for w in system.graph.neighbors(v)) * rate ** (start - 1)
         certificate += delta * marginal_plus(delta - log_ratio)
@@ -476,27 +588,40 @@ WALK_SPECS = [
 ]
 
 
+def _split_walk(system, compiled, stops, vertex, depth, pinned):
+    """walk_log_ratio with the root allowance of build_saw_tree's default
+    tree: the split_scales share times the neighbours not in ``pinned``."""
+    share, stretch = split_scales(system_scalars(system), depth)
+    free = sum(w not in pinned for w in system.graph.neighbors(vertex))
+    return walk_log_ratio(compiled, stops, vertex, depth, share * free, stretch)
+
+
 @pytest.mark.parametrize("model,field", [("random", 0.5), ("ising", 0.5), ("ising", 0.0)])
 @pytest.mark.parametrize("index", range(len(WALK_SPECS)), ids=lambda i: WALK_SPECS[i].family)
 def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
     # The fused walk must reproduce tree_log_ratio over the built tree, and
     # its node count, exactly: for the sweep's pin-by-rank conditions and for
-    # conditions with minus pins, at every depth up to the complete tree.
-    # Zero-field Ising gives many edges identical compiled factors.
+    # conditions with minus pins, at every depth up to the complete tree,
+    # both for the split tree and for the uniform one.  Zero-field Ising
+    # gives many edges identical compiled factors.
     rng = np.random.default_rng(index)
     system = generate(dataclasses.replace(
         WALK_SPECS[index], model=model, coupling=0.4, field_strength=field, seed=3
     ))
     n = system.n
     compiled = compile_system(system)
-    for depth in sorted({1, 2, 3, n}):
+    for depth in sorted({1, 2, 3, 5, n}):
         sweep = compiled.stops()
         for vertex in system.graph.vertices():
             pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
             tree = build_saw_tree(system, vertex, depth, pinned_before)
-            log_ratio, count = walk_log_ratio(compiled, sweep, vertex, depth)
+            log_ratio, count = _split_walk(system, compiled, sweep, vertex, depth, pinned_before)
             assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
             assert count == tree.node_count
+            uniform = build_saw_tree(system, vertex, depth, pinned_before, uniform=True)
+            log_ratio, count = walk_log_ratio(compiled, sweep, vertex, depth)
+            assert log_ratio.hex() == tree_log_ratio(system, uniform).hex()
+            assert count == uniform.node_count
             sweep[vertex] = PINNED_PLUS
         for _ in range(3):
             spins = rng.choice([0, 1, -1], size=n)
@@ -505,23 +630,27 @@ def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
                 stops = compiled.stops(cond)
                 tree = build_saw_tree(system, vertex, depth, cond)
                 want = tree_log_ratio(system, tree)
-                log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+                log_ratio, count = _split_walk(system, compiled, stops, vertex, depth, cond)
                 assert log_ratio.hex() == want.hex()
                 assert count == tree.node_count
                 assert stops == compiled.stops(cond)  # the walk restored its array
                 estimate = conditional_marginal_estimate(system, vertex, cond, depth)
                 assert estimate.hex() == marginal_plus(want).hex()
+                uniform = build_saw_tree(system, vertex, depth, cond, uniform=True)
+                log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+                assert log_ratio.hex() == tree_log_ratio(system, uniform).hex()
+                assert count == uniform.node_count
 
 
 def _assert_sweep_walks_match_trees(system, depth):
-    """Each walk of the sweep equals tree_log_ratio over its built tree,
-    bit for bit, and has that tree's node count."""
+    """Each split walk of the sweep equals tree_log_ratio over its built
+    tree, bit for bit, and has that tree's node count."""
     compiled = compile_system(system)
     stops = compiled.stops()
     for vertex in system.graph.vertices():
         pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
         tree = build_saw_tree(system, vertex, depth, pinned_before)
-        log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+        log_ratio, count = _split_walk(system, compiled, stops, vertex, depth, pinned_before)
         assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
         assert count == tree.node_count
         stops[vertex] = PINNED_PLUS

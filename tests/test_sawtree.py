@@ -85,7 +85,7 @@ def test_tree_graph_gives_isomorphic_tree():
     # a graph with no cycles reproduces itself rooted at the chosen vertex
     g = Graph.from_edges(6, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)])
     system = ising_system(g, 0.3, 0.1)
-    tree = build_saw_tree(system, 1, 6)
+    tree = build_saw_tree(system, 1, 6, uniform=True)
     assert tree.node_count == 6
     dump = format_saw_tree(tree)
     assert dump.count("free") == 6 and "+" not in dump
@@ -121,10 +121,38 @@ def test_depth_limit_zero_and_frontier():
         frontier_count(deeper, -1)
 
 
+def test_stopped_leaves_print_as_frontier():
+    # Free leaves the truncation stopped print as frontier: at the depth
+    # limit in the uniform tree, and above it where the split stops a
+    # branch.  A free node that has all its children prints as free.
+    cycle = ising_system(build_family_graph("cycle", n=4), 0.2)
+    assert format_saw_tree(build_saw_tree(cycle, 1, 2)) == "\n".join([
+        "1 depth=0 free",
+        "  2 depth=1 free",
+        "    3 depth=2 frontier",
+        "  4 depth=1 free",
+        "    3 depth=2 frontier",
+    ])
+    petersen = ising_system(petersen_graph(), 0.3)
+    tree = build_saw_tree(petersen, 1, 7)
+    stopped = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.stopped:
+            assert node.spin is None and node.children == []
+            stopped.append(node.depth)
+        stack.extend(node.children)
+    lines = format_saw_tree(tree).splitlines()
+    assert sum(line.endswith(" frontier") for line in lines) == len(stopped)
+    assert min(stopped) < tree.depth_limit == max(stopped)
+    assert build_saw_tree(petersen, 1, 0).root.stopped
+
+
 def test_frontier_count_regular_girth():
     # 3-regular girth-5 graph: levels below the girth count d*(d-1)^(l-1)
     system = ising_system(petersen_graph(), 0.2)
-    tree = build_saw_tree(system, 1, 4)
+    tree = build_saw_tree(system, 1, 4, uniform=True)
     assert frontier_count(tree, 1) == 3
     assert frontier_count(tree, 2) == 6
     assert frontier_count(tree, 0) == 1
@@ -171,7 +199,7 @@ def test_complete_tree_expands_every_free_node():
         cond = Condition({6: Spin.PLUS}) if rng.random() < 0.5 else Condition()
         if 1 in cond:
             continue
-        tree = build_saw_tree(system, 1, 6, cond)
+        tree = build_saw_tree(system, 1, 6, cond, uniform=True)
         stack = [(tree.root, True)]
         while stack:
             node, is_root = stack.pop()
