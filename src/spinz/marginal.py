@@ -7,36 +7,37 @@ combines its children through
 
     log_ratio = 2 * field + sum over children of sawtree.edge_factor_log(...)
 
-A free leaf w sitting exactly at the depth limit stands for the unexplored
-remainder of the graph.  Each edge factor is monotone in the child's log
-ratio and lies between its two pinned values, so w's own log ratio lies in
-``[lo, hi]``: twice w's field plus, per child c of w, the smaller
-(respectively larger) of the pinned factors of the edge w -> c.  The parent
-v adds ``_frontier_factor``, the middle of the factor of v -> w over that
-interval.  The factor is a shifted Ising factor of w's log ratio, so it is
-within half its range there, ``2 * atanh(tanh|J| * tanh((hi - lo) / 4))
-<= 2 * atanh(tanh(J) * tanh((d - 1) * J))``, of the true factor whatever
-the subtree holds, one contraction step tighter than the middle of the
-factor's whole range.
+A free leaf w that the truncation stops (the frontier) stands for the
+unexplored remainder of the graph.  Each edge factor is monotone in the
+child's log ratio and lies between its two pinned values, so w's own log
+ratio lies in ``[lo, hi]``: twice w's field plus, per child c of w, the
+smaller (respectively larger) of the pinned factors of the edge w -> c.
+The parent v adds the middle of the factor of v -> w over that interval,
+which is within e_vw, half the factor's range there, of the true factor
+whatever the subtree holds.  The factor is a shifted Ising factor of w's
+log ratio, so e_vw <= 2 * atanh(tanh|J_vw| * tanh((hi - lo) / 4)) <= 2a,
+with 2a = 2 * atanh(tanh(J) * tanh((d - 1) * J)) for the largest J.
 
 Above the depth limit t, a hard cap, a tree splits an error allowance
-over its free branches.  In units of 2a, the error of a frontier leaf, a
-node hands its allowance A to its children in ascending order: with R
-left (at first A) and r children not yet handled, a pinned or
-cycle-closing child takes nothing, and a free child takes share = R / r.
-At a share of 1 or more the child is a frontier leaf; otherwise it gets
-share / tanh(J), J the largest coupling, which its edge factor shrinks
-back to the share.  So a node is off by at most 2a * A.  With
-rate**(t - 1) per free root child (``split_scales``), a full
-(degree - 1)-ary tree is the uniform tree, and branches that end early
-leave their shares to the others: the split tree prunes the uniform one.
+over its free branches, in log-ratio units.  A node hands its allowance to
+its children in ascending order: with R left and r children not yet
+handled, a pinned or cycle-closing child takes nothing, and a free child w
+over the edge v -> w takes share = R / r.  A share of e_vw or more stops
+w as a frontier leaf.  Otherwise w gets share / tanh|J_vw|, which its
+edge factor, tanh|J_vw|-Lipschitz, shrinks back to the share; an edge
+with J_vw = 0 has e_vw = 0 and always stops.  So a node is off by at most
+its allowance.  Since e_vw <= 2a and tanh|J_vw| <= tanh(J), a root
+allowance of 2a * rate**(t - 1) per free child leaves every share at
+least 2a at the cap: the tree prunes the one that the worst-case scales
+2a and tanh(J) give, which on a full (degree - 1)-ary tree is the
+uniform tree.
 
 ``walk_log_ratio`` evaluates the walk tree over a ``CompiledSystem``
 without building it: it folds each subtree's value into its parent the
 moment the subtree closes, so it keeps O(depth) state and allocates no
 nodes.  A free node whose children are all leaves, because it sits one
-level above the depth limit or its allowance is at least its number of
-children, is summed in place instead of entered; when none of those
+level above the depth limit or its allowance reaches its edge's
+threshold, is summed in place instead of entered; when none of those
 leaves is pinned, the node's fold is a constant of the system
 (``CompiledSystem.settled``) and the walk adds that.  Its reference is
 ``sawtree.tree_log_ratio``, which reads a built ``SawTree`` and performs
@@ -47,18 +48,16 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from collections import namedtuple
 from collections.abc import Mapping
 
-from .core import Record, Spin, SpinSystem, SystemScalars, external_field
+from .core import Record, Spin, SpinSystem, external_field
 
 __all__ = [
     "LogRatio",
     "CompiledSystem",
     "compile_system",
     "PINNED_PLUS",
-    "split_scales",
     "walk_log_ratio",
     "marginal_plus",
 ]
@@ -69,11 +68,13 @@ LogRatio = float
 _INF = math.inf
 
 
-def _frontier_factor(pp: float, pm: float, mp: float, mm: float, lo: float, hi: float) -> float:
-    """What a free leaf at the depth limit adds to its parent: the middle of
-    the edge factor, table read parent -> leaf, over the leaf's log ratio
-    interval ``[lo, hi]`` (see the module docstring)."""
-    return 0.5 * (_factor(pp, pm, mp, mm, lo) + _factor(pp, pm, mp, mm, hi))
+def _frontier(pp: float, pm: float, mp: float, mm: float, lo: float, hi: float) -> tuple[float, float]:
+    """The middle and the half-range of the edge factor, table read parent
+    -> leaf, over the leaf's log ratio interval ``[lo, hi]``: what a
+    frontier leaf adds to its parent, and how far that can be off."""
+    low = _factor(pp, pm, mp, mm, lo)
+    high = _factor(pp, pm, mp, mm, hi)
+    return 0.5 * (low + high), abs(high - low) / 2.0
 
 
 def _factor(pp: float, pm: float, mp: float, mm: float, lam: float) -> float:
@@ -96,29 +97,32 @@ no label exceeds, pins to -; see ``walk_log_ratio``."""
 
 
 class CompiledSystem(
-    Record, namedtuple("CompiledSystem", "n twice_field rows belows frontier settled")
+    Record,
+    namedtuple("CompiledSystem", "n twice_field rows belows frontier errors thresholds settled"),
 ):
     """A system flattened for ``walk_log_ratio``.
 
     ``twice_field[v]`` is ``2 * external_field`` of vertex v (index 0 unused).
     ``rows[v]`` holds one entry ``(w, factors, below)`` per neighbour w of v,
     in ascending w.  ``factors`` is the tuple ``(pinned_plus, pinned_minus,
-    pp, pm, mp, mm)`` of the edge read in orientation v -> w: the factors of
-    a child w pinned to + (pp - mp) and to - (pm - mm), and the table.
+    pp, pm, mp, mm, stretch)`` of the edge read in orientation v -> w: the
+    factors of a child w pinned to + (pp - mp) and to - (pm - mm), the
+    table, and 1 / tanh|J| (inf at J = 0), J = ((pp + mm) - (pm + mp)) / 4.
     Edges with the same table bits share one ``factors`` tuple.  ``below``
     numbers the directed edge v -> w.  ``belows[below]`` holds the entries
-    of w's row other than the one back to v, that is, the children of w
-    when the walk arrives from v; it is empty when w has no other
-    neighbour.  ``frontier[below]`` is what w adds to v when it is a free
-    leaf at the depth limit: ``_frontier_factor`` of the edge over w's log
-    ratio interval, which those children's pinned factors bound.
+    of w's row other than the one back to v, the children of w when the
+    walk arrives from v.  ``frontier[below]`` and ``errors[below]`` are
+    the middle and the half-range e_vw (0.0 at J = 0) of the edge factor
+    over w's log ratio interval, which those children's pinned factors
+    bound.  ``thresholds[below]`` is their number times their largest
+    error: from that allowance on, the split stops every free child of w.
     ``settled[below]`` is the pair ``(x, y)`` that v adds as ``+ x - y``
-    when w is free one level above the depth limit and none of its children
-    is pinned: with ``lam`` twice w's field plus ``frontier`` of each child
-    in ascending order, x and y are the two log-sum-exp terms of the edge
-    factor at ``lam``, or the pinned factor and 0.0 when ``lam`` is
-    infinite.  Edges with the same table bits and the same bits of ``lam``
-    share one pair, as they share ``frontier`` values.
+    when every free child of w stops and none is pinned: with ``lam``
+    twice w's field plus ``frontier`` of each child in ascending order, x
+    and y are the two log-sum-exp terms of the edge factor at ``lam``, or
+    the pinned factor and 0.0 when ``lam`` is infinite.  Edges with the
+    same table bits share ``frontier``, ``errors`` and ``settled`` values
+    computed from the same bits.
     """
 
     __slots__ = ()
@@ -138,9 +142,8 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     n = graph.n
     adjacency = graph.adjacency
     potentials = system.potentials
-    twice_field = [0.0] * (n + 1)
-    for v in graph.vertices():
-        twice_field[v] = 2.0 * external_field(system.fields[v])
+    fields = system.fields
+    twice_field = [0.0] + [2.0 * external_field(fields[v]) for v in graph.vertices()]
     # Values are shared by the bits they are computed from, so 0.0 and -0.0
     # stay apart; ``tables[below]`` holds the bits of the edge's table.
     shared: dict[bytes, tuple] = {}
@@ -148,9 +151,9 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     pack_table = struct.Struct("4d").pack
     rows: list[tuple[tuple, ...]] = [()] * (n + 1)
     below = 0
-    for v in graph.vertices():
+    for v, neighbours in enumerate(adjacency, 1):
         row = []
-        for w in adjacency[v - 1]:
+        for w in neighbours:
             if v < w:
                 pp, pm, mp, mm = potentials[v, w]
             else:
@@ -158,7 +161,9 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
             key = pack_table(pp, pm, mp, mm)
             factors = shared.get(key)
             if factors is None:
-                factors = shared[key] = (pp - mp, pm - mm, pp, pm, mp, mm)
+                slope = math.tanh(abs((pp + mm) - (pm + mp)) / 4.0)
+                stretch = 1.0 / slope if slope else _INF
+                factors = shared[key] = (pp - mp, pm - mm, pp, pm, mp, mm, stretch)
             tables.append(key)
             row.append((w, factors, below))
             below += 1
@@ -166,11 +171,11 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     # Same order as the numbering above.  The interval of w sums its
     # children in ascending order, as sawtree.tree_log_ratio does.
     belows = []
-    frontier = []
-    shared_frontier: dict[bytes, float] = {}
+    bounds = []
+    shared_frontier: dict[bytes, tuple[float, float]] = {}
     pack_interval = struct.Struct("2d").pack
-    for v in graph.vertices():
-        for w, factors, below in rows[v]:
+    for v, row in enumerate(rows):
+        for w, factors, below in row:
             children = []
             lo = hi = twice_field[w]
             for child in rows[w]:
@@ -184,23 +189,39 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
                         lo += minus
                         hi += plus
             key = tables[below] + pack_interval(lo, hi)
-            value = shared_frontier.get(key)
-            if value is None:
-                value = shared_frontier[key] = _frontier_factor(*factors[2:], lo, hi)
+            bound = shared_frontier.get(key)
+            if bound is None:
+                bound = _frontier(*factors[2:6], lo, hi)
+                if factors[6] == _INF:
+                    bound = (bound[0], 0.0)
+                shared_frontier[key] = bound
             belows.append(tuple(children))
-            frontier.append(value)
+            bounds.append(bound)
+    frontier, errors = zip(*bounds) if bounds else ((), ())
     # The log ratio of w with every child on the frontier sums those
     # children in ascending order, and its pair holds the two terms of the
-    # walk's fold, kept apart so that v adds them in the walk's order.
+    # walk's fold, kept apart so that v adds them in the walk's order.  Its
+    # key takes lam by value, which tells floats apart as their bits do
+    # except for the zeros, so a zero lam goes in as its bits.
+    thresholds = []
     settled = []
-    shared_settled: dict[bytes, tuple[float, float]] = {}
+    shared_settled: dict[tuple, tuple[float, float]] = {}
     pack_ratio = struct.Struct("d").pack
     for row in rows:
         for w, factors, below in row:
             lam = twice_field[w]
-            for child in belows[below]:
-                lam += frontier[child[2]]
-            key = tables[below] + pack_ratio(lam)
+            largest = 0.0
+            children = belows[below]
+            for child in children:
+                edge = child[2]
+                lam += frontier[edge]
+                if errors[edge] > largest:
+                    largest = errors[edge]
+            # With one child the threshold is that child's error object
+            # itself, so chains allocate no float per edge.
+            count = len(children)
+            thresholds.append(count * largest if count > 1 else largest)
+            key = (tables[below], lam) if lam else (tables[below], pack_ratio(lam))
             pair = shared_settled.get(key)
             if pair is None:
                 if lam == _INF or lam == -_INF:
@@ -213,40 +234,25 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
                 shared_settled[key] = pair
             settled.append(pair)
     return CompiledSystem(
-        n, tuple(twice_field), tuple(rows), tuple(belows), tuple(frontier), tuple(settled)
+        n, tuple(twice_field), tuple(rows), tuple(belows), frontier, errors,
+        tuple(thresholds), tuple(settled),
     )
 
 
-def split_scales(scalars: SystemScalars, depth_limit: int) -> tuple[float, float]:
-    """The share per free root child, rate**(depth_limit - 1) with rate the
-    contraction, and the stretch 1 / tanh(max_coupling): a root with k free
-    children is then off by at most 2 * a * k * rate**(depth_limit - 1), as
-    ``partition.truncation_depth`` assumes.  (0.0, 1.0), the uniform tree,
-    at degree bound 2 or less, where the split gives the uniform tree
-    anyway, and when the contraction is not in (0, 1)."""
-    rate = scalars.contraction
-    if scalars.degree_bound <= 2 or not 0.0 < rate < 1.0:
-        return 0.0, 1.0
-    # An exponent beyond the float range underflows the share to 0.0, as
-    # the largest float exponent does, instead of raising OverflowError.
-    exponent = min(depth_limit - 1, sys.float_info.max)
-    return rate**exponent, 1.0 / math.tanh(scalars.max_coupling)
-
-
 def walk_log_ratio(
-    compiled: CompiledSystem, stops: list, root: int, depth_limit: int,
-    allowance: float = 0.0, stretch: float = 1.0,
+    compiled: CompiledSystem, stops: list, root: int, depth_limit: int, allowance: float = 0.0
 ) -> tuple[float, int]:
     """Log ratio at ``root`` of its walk tree truncated at ``depth_limit``,
     and the number of nodes that tree has; the tree itself is never built.
 
-    ``allowance`` is the root's, split as the module docstring says, and
-    ``stretch`` is 1 / tanh(J); an allowance of 0.0 cuts every branch at
+    ``allowance`` is the root's, in log-ratio units, split as the module
+    docstring says; an allowance of 0.0 cuts every branch at
     ``depth_limit``.  The result equals ``sawtree.tree_log_ratio(system,
     build_saw_tree(system, root, depth_limit, condition))`` and that tree's
     ``node_count``, bit for bit, when ``stops`` comes from
-    ``compiled.stops(condition)`` and the allowance is the ``split_scales``
-    share times the free root children (0.0 for ``uniform=True``).
+    ``compiled.stops(condition)`` and the allowance is that tree's
+    (``partition.root_share`` times the free root children, 0.0 at degree
+    2 or less and for ``uniform=True``).
 
     ``stops[w]`` is None while a walk may enter w.  Otherwise a copy of w
     ends the walk as a pinned leaf: + if the label of the vertex it is
@@ -257,10 +263,7 @@ def walk_log_ratio(
     entry it changes, so one array serves a whole sweep, but not two walks
     at once; ``root`` must be free and ``depth_limit`` at least 1.
     """
-    belows = compiled.belows
-    twice_field = compiled.twice_field
-    frontier = compiled.frontier
-    settled = compiled.settled
+    _, twice_field, rows, belows, frontier, errors, thresholds, settled = compiled
     inf = _INF
     log1p = math.log1p
     exp = math.exp
@@ -269,10 +272,10 @@ def walk_log_ratio(
     # except the root of a depth-1 walk: its free children are the frontier.
     # Above that a free child takes its share of the allowance ``left`` (r
     # is the iterator's length hint plus one), and is summed in place too
-    # when its own allowance ``grow`` gives each of its children a share of 1.
+    # when its own allowance ``grow`` reaches its edge's threshold.
     inner = depth_limit - 2
 
-    row = compiled.rows[root]
+    row = rows[root]
     count = 1 + len(row)
     stops[root] = 0  # on the walk; rewritten on departure, before any read
     origin = root
@@ -293,14 +296,14 @@ def walk_log_ratio(
             if left:
                 share = left / (children.__length_hint__() + 1)
                 left -= share
-                if share >= 1.0:
+                if share >= errors[below]:
                     total += frontier[below]
                     continue
-                grow = share * stretch
+                grow = share * factors[6]
             else:
                 grow = 0.0
             row = belows[below]
-            if depth < inner and (not grow or grow < len(row)):
+            if depth < inner and (not grow or grow < thresholds[below]):
                 stops[origin] = child
                 stops[child] = 0
                 frames.append((origin, children, total, factors, left))

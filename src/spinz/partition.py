@@ -3,37 +3,28 @@
 The log partition function is assembled from the all-plus configuration
 weight and a telescoping product of conditional marginals: vertex j is
 estimated with vertices 1..j-1 pinned to +.  Each marginal comes from a
-walk tree whose stopped free leaves add the lookahead frontier (the middle
-of their edge factor over the log ratio interval their own children's
-pinned factors bound; see ``marginal``).  One depth caps every walk, and
-above it each walk splits its root's error allowance over the free
-branches.  A factor's log-ratio error is at most proportional to its
-vertex's count of unpinned neighbours, so the errors sum over the edges.
-Its log-marginal error is that error times the largest slope of log sigma
-within it, about 1/2 when the estimated log ratio is nonnegative.  The
-sweep starts at the depth where that halved sum fits eps (see
-``truncation_depth``); when some estimated log ratio is negative it sums
-each vertex's own bound, and if that exceeds eps it sweeps again at the
-depth where the whole edge sum fits eps.  That gives
+walk tree whose stopped free leaves add the lookahead frontier (see
+``marginal``).  One depth caps every walk, and above it each walk splits
+its root's log-ratio error allowance over the free branches, stopping
+each branch once its share covers that edge's frontier error.  The errors
+sum over the edges, and the sweep starts at the depth where they fit eps
+when every estimated log ratio is nonnegative; otherwise it sums each
+vertex's own bound and, if that exceeds eps, sweeps again at the depth
+where the whole sum fits eps (see ``truncation_depth``).  That gives
 |log(estimate) - log(exact)| <= eps whenever the contraction condition
-(degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor enters the
-sum as a log, taken from the walk's log ratio where the marginal itself is
-too small for a normal float, so no estimate leaves the log domain.
+(degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor enters the sum as a log, taken
+from the walk's log ratio where the marginal itself is too small for a
+normal float, so no estimate leaves the log domain.
 
-The estimate is one serial sweep, two at most.  It compiles the system once
-(``compile_system``): twice the field of every vertex and, per vertex, its
-edge tables oriented outward in ascending neighbour order, with the factors
-of pinned children precomputed per table and the frontier factor per
-directed edge; it counts each vertex's neighbours with a larger label once,
-for the root allowances and the certificate.  Pinning is by rank: one
-per-label stop array (see ``walk_log_ratio``) serves the whole sweep, and
-vertex j pins itself to + when its walk is done, so every later walk sees
-1..j pinned.  Each walk evaluates its tree while walking it, keeping one
-frame per level, so the estimate path holds O(depth) state per vertex and
-builds no ``SawTree``.
-Its output equals that of ``sawtree.tree_log_ratio`` over
-``build_saw_tree`` bit for bit, and the log factors are summed in ascending
-vertex order.
+The estimate is one serial sweep, two at most, over the tables of one
+``compile_system``; it counts each vertex's neighbours with a larger label
+once, for the root allowances and the certificate.  Pinning is by rank:
+one per-label stop array (see ``walk_log_ratio``) serves the whole sweep,
+and vertex j pins itself to + when its walk is done, so every later walk
+sees 1..j pinned.  Each walk evaluates its tree while walking it and
+builds no ``SawTree``; its output equals that of
+``sawtree.tree_log_ratio`` over ``build_saw_tree`` bit for bit, and the
+log factors are summed in ascending vertex order.
 """
 
 from __future__ import annotations
@@ -47,16 +38,18 @@ from .core import (
     DecayConditionError,
     Record,
     SpinSystem,
+    SystemScalars,
     decay_condition_holds,
     system_scalars,
 )
-from .marginal import PINNED_PLUS, compile_system, marginal_plus, split_scales, walk_log_ratio
+from .marginal import PINNED_PLUS, compile_system, marginal_plus, walk_log_ratio
 
 __all__ = [
     "VertexEstimate",
     "EstimateReport",
     "all_plus_log_weight",
     "truncation_depth",
+    "root_share",
     "fptas_log_partition",
 ]
 
@@ -85,28 +78,13 @@ class EstimateReport(
         return sum(v.node_count for v in self.vertices)
 
     def to_dict(self) -> dict:
-        # wall_time_s stays out: the serialized report must be identical
-        # across reruns with the same inputs.
-        return {
-            "log_z_hat": self.log_z_hat,
-            "eps": self.eps,
-            "log_weight_all_plus": self.log_weight_all_plus,
-            "degree_bound": self.degree_bound,
-            "max_coupling": self.max_coupling,
-            "critical_coupling": self.critical_coupling,
-            "contraction": self.contraction,
-            "truncation_depth": self.truncation_depth,
-            "total_nodes": self.total_nodes,
-            "vertices": [
-                {
-                    "vertex": e.vertex,
-                    "depth": e.depth,
-                    "node_count": e.node_count,
-                    "p_hat": e.p_hat,
-                }
-                for e in self.vertices
-            ],
-        }
+        # Every field but the vertices and wall_time_s, which stays out: the
+        # serialized report must be identical across reruns with the same
+        # inputs.
+        data = dict(zip(self._fields[:8], self))
+        data["total_nodes"] = self.total_nodes
+        data["vertices"] = [e._asdict() for e in self.vertices]
+        return data
 
 
 def all_plus_log_weight(system: SpinSystem) -> float:
@@ -130,18 +108,21 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be a positive finite number, got {eps!r}")
 
 
-def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int, float]:
-    """The start depth of ``truncation_depth``, the a-priori depth (the
-    smallest t with n * degree * a * rate**(t - 1) <= eps) and
-    2 * a * rate**(start - 1), the start depth's log-ratio error per free
-    root child.  Inputs are checked by the callers."""
-    slope = math.tanh(coupling)
-    rate = (degree - 1) * slope
+def _half_range(coupling: float, degree: int) -> float:
+    """a = atanh(tanh(J) * tanh((degree - 1) * J)), see ``truncation_depth``."""
+    return math.atanh(math.tanh(coupling) * math.tanh((degree - 1) * coupling))
+
+
+def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int]:
+    """The start depth of ``truncation_depth`` and the a-priori depth, the
+    smallest t with n * degree * a * rate**(t - 1) <= eps.  Inputs are
+    checked by the callers."""
+    rate = (degree - 1) * math.tanh(coupling)
     if rate >= 1.0:
         raise DecayConditionError(rate, max_coupling=coupling, degree_bound=degree)
     if rate <= 0.0:
-        return 1, 1, 0.0
-    half_range = math.atanh(slope * math.tanh((degree - 1) * coupling))
+        return 1, 1
+    half_range = _half_range(coupling, degree)
     depths = []
     # D = 4 * eps / (1 + sqrt(1 + 4 * eps)) in a form that cannot overflow
     for budget in (eps / (0.25 + 0.5 * math.sqrt(0.25 + eps)), eps):
@@ -150,7 +131,20 @@ def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int,
         if not math.isfinite(raw):  # n * degree * a / budget overflowed
             raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
         depths.append(1 + math.ceil(raw))
-    return depths[0], depths[1], 2.0 * half_range * rate ** (depths[0] - 1)
+    return depths[0], depths[1]
+
+
+def root_share(scalars: SystemScalars, depth_limit: int) -> float:
+    """The log-ratio error allowed per free root child at ``depth_limit``,
+    2 * a * rate**(depth_limit - 1) as in ``truncation_depth``, so delta_v
+    for k_v free children; 0.0 when the rate is not in (0, 1)."""
+    rate = scalars.contraction
+    if not 0.0 < rate < 1.0:
+        return 0.0
+    half_range = _half_range(scalars.max_coupling, scalars.degree_bound)
+    # An exponent beyond the float range underflows the share to 0.0, as
+    # the largest float exponent does, instead of raising OverflowError.
+    return 2.0 * half_range * rate ** min(depth_limit - 1, sys.float_info.max)
 
 
 def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
@@ -168,9 +162,9 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     error by at most rate.  In the sweep, the root of vertex v has only k_v
     free children, its neighbours with a larger label; pinned children add
     exact factors.  So v's log ratio x_v is off by at most
-    delta_v = 2 * a * k_v * rate**(t - 1); the walk that splits v's
-    allowance delta_v / (2 * a) over its free branches (see ``marginal``),
-    with t as the cap, keeps that bound.  And sum k_v = |E| <= n * degree
+    delta_v = 2 * a * k_v * rate**(t - 1); the walk that splits delta_v
+    over its free branches, edge by edge (see ``marginal``), with t as the
+    cap, keeps that bound.  And sum k_v = |E| <= n * degree
     / 2 makes the deltas sum to at most n * degree * a * rate**(t - 1), for
     any degree >= the maximum degree.  The slope of log sigma is
     sigma(-x), so v's log marginal is off by at most
@@ -225,9 +219,11 @@ def fptas_log_partition(
 
     Walks vertices 1..n in ascending order; each walk sees every lower label
     pinned to +, then pins its own vertex.  The sweep runs at
-    ``truncation_depth``, a hard cap: each walk splits its root's allowance,
-    ``split_scales`` per free root child, over its free branches, and the
-    free leaves it stops take the lookahead frontier.
+    ``truncation_depth``, a hard cap: each walk splits its root's allowance
+    delta_v, ``root_share`` per free root child, over its free branches,
+    and the free leaves it stops take the lookahead frontier.  At degree
+    bound 2 or less the walks keep the uniform tree, so the cycle's walks
+    skip the split's bookkeeping.
     If an estimated log ratio is negative, it sums the log-marginal bounds
     delta_v * sigma(delta_v - x_hat_v) described there, and when they
     exceed eps it reports a second sweep at the a-priori depth.  The log
@@ -249,7 +245,7 @@ def fptas_log_partition(
             degree_bound=scalars.degree_bound,
         )
     n = system.graph.n
-    start, a_priori, unit = _depths(n, scalars.max_coupling, scalars.degree_bound, eps) if n else (0, 0, 0.0)
+    start, a_priori = _depths(n, scalars.max_coupling, scalars.degree_bound, eps) if n else (0, 0)
     # k_v, the neighbours of v with a larger label: free at v's root
     larger = [0] * (n + 1)
     for u, _ in system.graph.edges:
@@ -257,14 +253,14 @@ def fptas_log_partition(
 
     compiled = compile_system(system)
     for depth in (start, a_priori):
-        share, stretch = split_scales(scalars, depth)
+        unit = root_share(scalars, depth)
+        share = unit if scalars.degree_bound > 2 else 0.0
         stops = compiled.stops()
         estimates = []
         log_ratios = []
         log_p_total = 0.0
         for vertex in range(1, n + 1):
-            allowance = share * larger[vertex]
-            log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth, allowance, stretch)
+            log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth, share * larger[vertex])
             p_hat = marginal_plus(log_ratio)
             if p_hat >= _MIN_NORMAL:
                 log_p_total += math.log(p_hat)

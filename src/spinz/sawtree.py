@@ -8,9 +8,11 @@ left the revisited vertex (larger sum closes to +).  Copies of conditioned
 vertices terminate walks the same way, pinned to their assigned spin.  Free
 nodes that the truncation stops form the frontier: their subtrees are not
 constructed.  By default the truncation is the one the estimate walks: the
-root's allowance split over the free branches (see ``marginal``), with the
-depth limit as a hard cap, so a branch may stop above the limit; with
-``uniform=True`` every branch stops exactly at the depth limit.
+root's log-ratio error allowance split over the free branches, each free
+child stopping once its share covers its own edge's frontier error (see
+``marginal``), with the depth limit as a hard cap, so a branch may stop
+above the limit; with ``uniform=True`` every branch stops exactly at the
+depth limit.
 
 The marginal of the root in this tree equals its marginal in the original
 graph, which is what makes the truncated evaluation in ``marginal`` a
@@ -37,14 +39,8 @@ from .core import (
     external_field,
     system_scalars,
 )
-from .marginal import (
-    _factor,
-    _frontier_factor,
-    compile_system,
-    marginal_plus,
-    split_scales,
-    walk_log_ratio,
-)
+from .marginal import _factor, _frontier, compile_system, marginal_plus, walk_log_ratio
+from .partition import root_share
 
 # The package lists these names so it can export them without importing
 # this module.
@@ -110,18 +106,16 @@ def edge_factor_log(potential: EdgePotential, child_log_ratio: float) -> float:
 
 def _root_allowance(
     system: SpinSystem, root: int, depth_limit: int, pinned: Mapping[int, Spin]
-) -> tuple[float, float]:
-    """The root allowance and the stretch that ``walk_log_ratio`` takes for
-    the default tree of ``build_saw_tree``: ``split_scales`` at the
-    system's scalars, with the share times the root's unconditioned
-    neighbours."""
+) -> float:
+    """The root allowance that ``walk_log_ratio`` takes for the default tree
+    of ``build_saw_tree``: ``partition.root_share`` at the system's scalars
+    times the root's unconditioned neighbours, or 0.0, the uniform tree, at
+    degree 2 or less, as in ``partition.fptas_log_partition``."""
     graph = system.graph
     if graph.max_degree() <= 2:
-        # split_scales returns the uniform tree here; this skips the
-        # scalars, a pass over every edge, on each tree of a sweep.
-        return 0.0, 1.0
-    share, stretch = split_scales(system_scalars(system), depth_limit)
-    return share * sum(w not in pinned for w in graph.adjacency[root - 1]), stretch
+        return 0.0
+    share = root_share(system_scalars(system), depth_limit)
+    return share * sum(w not in pinned for w in graph.adjacency[root - 1])
 
 
 def build_saw_tree(
@@ -138,9 +132,11 @@ def build_saw_tree(
     revisits close cycles into pinned leaves.  Free nodes that the
     truncation stops are frontier leaves (``stopped``); their subtrees are
     not constructed.  By default the truncation splits the root's allowance
-    as ``marginal`` describes: the share per free root child is
-    ``split_scales`` of ``system_scalars(system)`` at ``depth_limit``, and
-    ``depth_limit`` is a hard cap.  That is the tree whose log ratio
+    as ``marginal`` describes, reading the edges' frontier errors and
+    thresholds from ``compile_system(system)``: the share per free root
+    child is ``partition.root_share`` of ``system_scalars(system)`` at
+    ``depth_limit`` (none at degree 2 or less), and ``depth_limit`` is a
+    hard cap.  That is the tree whose log ratio
     ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
     pins the lower labels to +.  With ``uniform=True`` every free node
     above ``depth_limit`` is expanded, and setting ``depth_limit`` to the
@@ -162,9 +158,18 @@ def build_saw_tree(
     root_node = SawNode(root, 0, None, [], stopped=depth_limit == 0)
     if depth_limit == 0:
         return SawTree(root_node, root, depth_limit, 1)
-    left, stretch = (0.0, 1.0) if uniform else _root_allowance(system, root, depth_limit, pinned)
+    left = 0.0 if uniform else _root_allowance(system, root, depth_limit, pinned)
+    # Each node's children as the entries (w, factors, below) of the
+    # compiled rows the estimate walks; without an allowance every branch
+    # runs to the depth limit and only the labels matter.
+    if left:
+        compiled = compile_system(system)
+        rows, belows = compiled.rows, compiled.belows
+        errors, thresholds = compiled.errors, compiled.thresholds
+    else:
+        rows = [()] + [tuple((w, None, None) for w in labels) for labels in graph.adjacency]
+        belows = None
 
-    adjacency = graph.adjacency
     on_walk = bytearray(graph.n + 1)
     on_walk[root] = 1
     # First-departure neighbor for each vertex on the current walk; rewritten
@@ -174,19 +179,19 @@ def build_saw_tree(
     plus, minus = Spin.PLUS, Spin.MINUS
     count = 1
 
-    # One frame per node being expanded: the node, its child labels, the
+    # One frame per node being expanded: the node, its child entries, the
     # position of the next one and the allowance it has left, which is None
     # when every free child stops (the nodes the walk sums in place).
-    stack = [[root_node, adjacency[root - 1], 0, left]]
+    stack = [[root_node, rows[root], 0, left]]
     while stack:
         frame = stack[-1]
-        node, labels, position, left = frame
-        if position == len(labels):
+        node, entries, position, left = frame
+        if position == len(entries):
             stack.pop()
             on_walk[node.origin] = 0
             continue
         frame[2] = position + 1
-        child_label = labels[position]
+        child_label, factors, below = entries[position]
         origin = node.origin
         child_depth = node.depth + 1
         spin = get_pinned(child_label)
@@ -204,18 +209,21 @@ def build_saw_tree(
             continue
         grow = 0.0
         if left:
-            share = left / (len(labels) - position)
+            share = left / (len(entries) - position)
             frame[3] = left - share
-            if share >= 1.0:
+            if share >= errors[below]:
                 child.stopped = True
                 continue
-            grow = share * stretch
-        below = [w for w in adjacency[child_label - 1] if w != origin]
-        if child_depth == depth_limit - 1 or (grow and grow >= len(below)):
+            grow = share * factors[6]
+        if belows is None:
+            grandchildren = tuple(entry for entry in rows[child_label] if entry[0] != origin)
+        else:
+            grandchildren = belows[below]
+        if child_depth == depth_limit - 1 or (grow and not grow < thresholds[below]):
             grow = None
         on_walk[child_label] = 1
         left_toward[origin] = child_label
-        stack.append([child, below, 0, grow])
+        stack.append([child, grandchildren, 0, grow])
 
     return SawTree(root_node, root, depth_limit, count)
 
@@ -303,7 +311,7 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
                             else:
                                 lo += minus
                                 hi += plus
-                    total += _frontier_factor(pp, pm, mp, mm, lo, hi)
+                    total += _frontier(pp, pm, mp, mm, lo, hi)[0]
                 else:
                     a = pp + lam
                     b = pm
@@ -335,8 +343,8 @@ def conditional_marginal_estimate(
         raise ValueError("depth must be at least 1")
     cond = checked_condition(system.graph.n, vertex, condition)
     compiled = compile_system(system)
-    allowance, stretch = _root_allowance(system, vertex, depth, cond)
-    log_ratio, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth, allowance, stretch)
+    allowance = _root_allowance(system, vertex, depth, cond)
+    log_ratio, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth, allowance)
     return marginal_plus(log_ratio)
 
 

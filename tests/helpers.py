@@ -2,15 +2,18 @@
 
 reference_log_partition is a deliberately plain itertools enumeration kept
 independent of the package's vectorized oracle, so the two can cross-check
-each other.  ising_strip_log_z is exact where enumeration cannot reach:
-long cycles and grid strips of a few rows.  The instance builders
+each other.  ising_strip_log_z and strip_log_z are exact where enumeration
+cannot reach: long cycles and grid strips of a few rows, the first for one
+coupling and field, the second for any tables.  The instance builders
 centralize the seeded recipes used by several test modules.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import random
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from spinz import (
     build_family_graph,
     critical_inverse_temperature,
     ising_potential,
+    parse_system,
 )
 
 PETERSEN_EDGES = [
@@ -90,6 +94,92 @@ def ising_strip_log_z(rows: int, cols: int, coupling: float, field: float, perio
         last = sweep([inside[i] if i == first else -math.inf for i in range(count)])
         closed.append(_logsumexp([last[j] + across[j][first] for j in range(count)]))
     return _logsumexp(closed)
+
+
+def strip_log_z(system: SpinSystem, rows: int, cols: int, periodic: bool = False) -> float:
+    """Exact log Z of ``system`` on the rows x cols grid, any table per edge
+    and any field per vertex, by a transfer matrix over the 2**rows spin
+    states of one column, in the log domain.
+
+    Vertex (r, c), counted from 0, has label r * cols + c + 1, as in
+    ``build_family_graph("grid", ...)``; ``periodic`` joins the last column
+    to the first, so rows=1 gives the cycle.  Every grid edge must be an
+    edge of the system.  Pure Python, like ``ising_strip_log_z``.
+    """
+    states = list(itertools.product((1, -1), repeat=rows))
+    fields = {v: {1: f.h_plus, -1: f.h_minus} for v, f in system.fields.items()}
+    tables = {}
+    for (u, v), p in system.potentials.items():
+        entries = {(1, 1): p.pp, (1, -1): p.pm, (-1, 1): p.mp, (-1, -1): p.mm}
+        tables[u, v] = entries
+        tables[v, u] = {(b, a): weight for (a, b), weight in entries.items()}
+
+    def label(r, c):
+        return r * cols + c + 1
+
+    def inside(c):
+        # fields of column c and the edges within it
+        column = [label(r, c) for r in range(rows)]
+        weights = []
+        for s in states:
+            weight = sum(fields[v][x] for v, x in zip(column, s))
+            weight += sum(tables[u, v][x, y] for u, v, x, y in zip(column, column[1:], s, s[1:]))
+            weights.append(weight)
+        return weights
+
+    def across(c, d):
+        # edges from column c to column d
+        pairs = [(label(r, c), label(r, d)) for r in range(rows)]
+        return [
+            [sum(tables[pair][x, y] for pair, x, y in zip(pairs, s, t)) for t in states]
+            for s in states
+        ]
+
+    count = len(states)
+    columns = [inside(c) for c in range(cols)]
+    steps = [across(c, c + 1) for c in range(cols - 1)]
+
+    def sweep(vector):
+        # log weight of the columns so far, by the state of the last one
+        for step, column in zip(steps, columns[1:]):
+            vector = [
+                _logsumexp([vector[i] + step[i][j] for i in range(count)]) + column[j]
+                for j in range(count)
+            ]
+        return vector
+
+    if not periodic:
+        return _logsumexp(sweep(columns[0]))
+    close = across(cols - 1, 0)
+    closed = []
+    for first in range(count):
+        last = sweep([columns[0][i] if i == first else -math.inf for i in range(count)])
+        closed.append(_logsumexp([last[j] + close[j][first] for j in range(count)]))
+    return _logsumexp(closed)
+
+
+def identity_instance() -> SpinSystem:
+    """The 5x6 random-table grid that CI estimates on every Python version
+    and compares byte for byte, drawn the same way from random.Random(1)."""
+    rng = random.Random(1)
+    rows, cols = 5, 6
+
+    def label(r, c):
+        return r * cols + c + 1
+
+    def entry(bound):
+        return rng.uniform(-bound, bound)
+
+    edges = [(label(r, c), label(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(label(r, c), label(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return parse_system(json.dumps({
+        "schema_version": 1,
+        "vertices": [{"id": v, "h_plus": entry(0.3), "h_minus": entry(0.3)}
+                     for v in range(1, rows * cols + 1)],
+        "edges": [{"u": u, "v": v, "beta": dict(pp=entry(0.15), pm=entry(0.15),
+                                                mp=entry(0.15), mm=entry(0.15))}
+                  for u, v in edges],
+    }))
 
 
 def random_system(rng, n: int, edge_prob: float = 0.5, coupling: float = 1.0, field: float = 1.0) -> SpinSystem:

@@ -244,7 +244,9 @@ RECORD_FIELDS = {
     "SystemScalars": (
         "max_coupling", "max_degree", "degree_bound", "critical_coupling", "contraction",
     ),
-    "CompiledSystem": ("n", "twice_field", "rows", "belows", "frontier", "settled"),
+    "CompiledSystem": (
+        "n", "twice_field", "rows", "belows", "frontier", "errors", "thresholds", "settled",
+    ),
     "VertexEstimate": ("vertex", "depth", "node_count", "p_hat"),
     "EstimateReport": (
         "log_z_hat", "eps", "log_weight_all_plus", "degree_bound", "max_coupling",

@@ -292,6 +292,62 @@ def test_depth_one_walk_on_a_path_of_two_is_exact():
             assert lam == pytest.approx(exact, abs=1e-12)
 
 
+def test_compiled_frontier_errors_are_exact_half_ranges():
+    # errors[below] is how far frontier[below] can be from the factor of
+    # the edge v -> w at any log ratio in w's interval, and no more: the
+    # half-range at the interval's ends.  It is at most 2a, the worst case
+    # for the system's largest coupling and degree, and 0.0 for an edge of
+    # interaction strength 0, whose stretch is inf.  thresholds[below] is
+    # w's number of children times their largest error.
+    rng = np.random.default_rng(53)
+    zero_edges = 0
+    for family, params in (
+        ("grid", {"rows": 3, "cols": 4}),
+        ("random_regular", {"n": 10, "degree": 3, "seed": 2}),
+        ("path", {"n": 4}),
+    ):
+        graph = build_family_graph(family, **params)
+        for _ in range(10):
+            potentials = {}
+            for e in graph.edges:
+                pp, pm, mp, mm = rng.uniform(-0.4, 0.4, 4)
+                decoupled = rng.random() < 0.2
+                potentials[e] = EdgePotential(pp, pm, pp, pm) if decoupled else EdgePotential(pp, pm, mp, mm)
+            fields = {v: VertexField(*rng.uniform(-1, 1, 2)) for v in graph.vertices()}
+            system = SpinSystem(graph, potentials, fields)
+            scalars = system_scalars(system)
+            coupling, degree = scalars.max_coupling, scalars.degree_bound
+            worst = 2 * math.atanh(math.tanh(coupling) * math.tanh((degree - 1) * coupling))
+            compiled = compile_system(system)
+            for v in graph.vertices():
+                for w, factors, below in compiled.rows[v]:
+                    potential = system.oriented_potential(v, w)
+                    # interaction_strength summed in an order that both
+                    # orientations share
+                    strength = abs((potential.pp + potential.mm) - (potential.pm + potential.mp)) / 4
+                    assert strength == pytest.approx(abs(interaction_strength(potential)), abs=1e-15)
+                    error = compiled.errors[below]
+                    children = compiled.belows[below]
+                    if strength == 0.0:
+                        zero_edges += 1
+                        assert factors[6] == math.inf and error == 0.0
+                    else:
+                        assert factors[6] == pytest.approx(1 / math.tanh(strength), rel=1e-12)
+                    assert error <= worst + 1e-15
+                    lo = hi = compiled.twice_field[w]
+                    for child in children:
+                        lo += min(child[1][0], child[1][1])
+                        hi += max(child[1][0], child[1][1])
+                    ends = [edge_factor_log(potential, lam) for lam in (lo, hi)]
+                    assert error == pytest.approx(abs(ends[1] - ends[0]) / 2, abs=1e-15)
+                    for lam in rng.uniform(lo, hi, 5):
+                        gap = abs(compiled.frontier[below] - edge_factor_log(potential, lam))
+                        assert gap <= error + 1e-12
+                    largest = max((compiled.errors[child[2]] for child in children), default=0.0)
+                    assert compiled.thresholds[below] == len(children) * largest
+    assert zero_edges > 0
+
+
 ENVELOPE_GRAPHS = [
     ("cycle", {"n": 7}),
     ("grid", {"rows": 3, "cols": 3}),

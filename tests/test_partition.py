@@ -29,7 +29,7 @@ from spinz import (
     format_saw_tree,
     ising_system,
     marginal_plus,
-    split_scales,
+    root_share,
     system_scalars,
     tree_log_ratio,
     truncation_depth,
@@ -38,7 +38,13 @@ from spinz import (
 import spinz.partition
 from spinz.marginal import PINNED_PLUS
 
-from .helpers import acceptance_instance, ising_strip_log_z, random_system
+from .helpers import (
+    acceptance_instance,
+    identity_instance,
+    ising_strip_log_z,
+    random_system,
+    strip_log_z,
+)
 
 
 def test_all_plus_log_weight_examples():
@@ -325,6 +331,20 @@ def _log_sigmoid(lam: float) -> float:
     return -math.log1p(math.exp(-lam)) if lam >= 0 else lam - math.log1p(math.exp(lam))
 
 
+def _decoupled(system: SpinSystem) -> SpinSystem:
+    """``system`` with every third edge given a table whose interaction
+    strength is 0: alternately one with pp = mp and pm = mm, whose factor
+    is 0.0 at every child ratio, and one whose factor is constant only up
+    to rounding."""
+    potentials = dict(system.potentials)
+    for i, (edge, p) in enumerate(sorted(potentials.items())):
+        if i % 3 == 0:
+            potentials[edge] = EdgePotential(p.pp, p.pm, p.pp, p.pm)
+        elif i % 3 == 1:
+            potentials[edge] = EdgePotential(p.pp + p.pm, p.pp, p.pm, 0.0)
+    return SpinSystem(system.graph, potentials, system.fields)
+
+
 def test_sweep_errors_within_the_edge_budget():
     # The budget truncation_depth spends.  At depth t, with rate = (d-1) *
     # tanh(J) and a = atanh(tanh(J) * tanh((d-1)*J)), vertex v's log ratio
@@ -337,16 +357,20 @@ def test_sweep_errors_within_the_edge_budget():
     # computes from the estimates, sum of delta_v * sigma(delta_v - x_hat_v)
     # with delta_v the per-vertex bound; random tables make some x_hat_v
     # negative, where that sigma exceeds 1/2.  The walks split each root's
-    # allowance free[v] * rate^(t-1) over its free branches, as the sweep
-    # does, at every degree and rate.
+    # allowance, its bound, over its free branches edge by edge, as the
+    # sweep does, at every degree and rate.  In the decoupled systems every
+    # third edge has interaction strength 0 (see _decoupled), so its
+    # frontier error is 0.
     worst_vertex = worst_sum = 0.0
     negative = 0
-    for scale in (6.0, 1.0, 0.3):
+    for scale, decoupled in ((6.0, False), (1.0, False), (0.3, False), (0.3, True)):
         for seed in range(5):
             for spec in BUDGET_SPECS:
                 system = generate(dataclasses.replace(
                     spec, model="random", coupling=scale, field_strength=scale, seed=seed
                 ))
+                if decoupled:
+                    system = _decoupled(system)
                 n = system.n
                 scalars = system_scalars(system)
                 coupling, degree = scalars.max_coupling, scalars.degree_bound
@@ -360,18 +384,15 @@ def test_sweep_errors_within_the_edge_budget():
                         exact_log_partition(system, {**pinned, v: Spin.MINUS})
                     )
                 compiled = compile_system(system)
-                stretch = 1 / math.tanh(coupling)
                 for depth in range(1, n + 1):
                     stops = compiled.stops()
                     total = certificate = 0.0
-                    share = rate ** (depth - 1)
                     for v in range(1, n + 1):
-                        log_ratio, _ = walk_log_ratio(
-                            compiled, stops, v, depth, free[v] * share, stretch
-                        )
-                        stops[v] = PINNED_PLUS
-                        error = abs(log_ratio - exact[v])
                         bound = 2 * half_range * free[v] * rate ** (depth - 1)
+                        log_ratio, _ = walk_log_ratio(compiled, stops, v, depth, bound)
+                        stops[v] = PINNED_PLUS
+                        assert not math.isnan(log_ratio), (spec, scale, seed, depth, v)
+                        error = abs(log_ratio - exact[v])
                         assert error <= bound + 1e-9, (spec, scale, seed, depth, v)
                         if bound > 1e-7:
                             worst_vertex = max(worst_vertex, error / bound)
@@ -386,6 +407,42 @@ def test_sweep_errors_within_the_edge_budget():
     # A budget twice too tight would fail above.
     assert worst_vertex > 0.5, (worst_vertex, worst_sum)
     assert negative > 0
+
+
+def test_zero_coupling_edges_always_stop():
+    # An edge of interaction strength 0 has frontier error 0, so the split
+    # stops every free copy it reaches over such an edge, at any share, and
+    # the walk it matches bit for bit stays finite.
+    stopped = 0
+    for spec in BUDGET_SPECS:
+        system = _decoupled(generate(dataclasses.replace(
+            spec, model="random", coupling=0.3, field_strength=0.3, seed=2
+        )))
+        if system.graph.max_degree() <= 2:
+            continue
+        zero = {e for e, p in system.potentials.items() if p.pp + p.mm == p.pm + p.mp}
+        assert zero
+        compiled = compile_system(system)
+        for depth in range(1, system.n + 1):
+            stops = compiled.stops()
+            for v in system.graph.vertices():
+                pinned_before = {i: Spin.PLUS for i in range(1, v)}
+                tree = build_saw_tree(system, v, depth, pinned_before)
+                stack = [tree.root]
+                while stack:
+                    node = stack.pop()
+                    for child in node.children:
+                        edge = (min(node.origin, child.origin), max(node.origin, child.origin))
+                        if child.spin is None and edge in zero:
+                            assert child.stopped, (spec, depth, v)
+                            stopped += 1
+                    stack.extend(node.children)
+                log_ratio, count = _split_walk(system, compiled, stops, v, depth, pinned_before)
+                assert math.isfinite(log_ratio)
+                assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
+                assert count == tree.node_count
+                stops[v] = PINNED_PLUS
+    assert stopped > 0
 
 
 def _assert_prunes(split, uniform):
@@ -424,10 +481,13 @@ def test_split_tree_prunes_the_uniform_tree():
 
 
 def test_split_tree_is_the_uniform_tree_at_degree_two():
-    # Every node but the root has at most one child, so the split spends
-    # each share on the one branch and stops it only at the depth cap:
-    # walks with the split allowance equal the uniform walks bit for bit,
-    # and the estimate, which skips the split there, reports them.
+    # Every node but the root has at most one child, and on these Ising
+    # chains every edge's frontier error exceeds the share it gets above
+    # the depth cap, so the split stops a branch only at the cap or where
+    # the chain ends (a path's end has no child, so its error is 0): walks
+    # with the split allowance have the uniform walks' nodes, and on the
+    # cycles their bits.  The estimate, which skips the split there,
+    # reports the uniform walks.
     for graph, coupling, eps in (
         (build_family_graph("cycle", n=400), 0.5, 0.1),
         (build_family_graph("cycle", n=9), 0.7, 0.01),
@@ -437,17 +497,21 @@ def test_split_tree_is_the_uniform_tree_at_degree_two():
         system = ising_system(graph, coupling, 0.1)
         report = fptas_log_partition(system, eps)
         depth = report.truncation_depth
-        rate = math.tanh(coupling)
-        share, stretch = rate ** (depth - 1), 1 / math.tanh(coupling)
+        share = root_share(system_scalars(system), depth)
+        assert share > 0.0
         compiled = compile_system(system)
         split_stops, uniform_stops = compiled.stops(), compiled.stops()
         for entry in report.vertices:
             v = entry.vertex
             free = sum(w > v for w in graph.neighbors(v))
-            split = walk_log_ratio(compiled, split_stops, v, depth, free * share, stretch)
+            split = walk_log_ratio(compiled, split_stops, v, depth, free * share)
             uniform = walk_log_ratio(compiled, uniform_stops, v, depth)
-            assert split[0].hex() == uniform[0].hex() and split[1] == uniform[1]
-            assert (entry.p_hat, entry.node_count) == (marginal_plus(split[0]), split[1])
+            assert split[1] == uniform[1]
+            if graph.n == len(graph.edges):  # a cycle
+                assert split[0].hex() == uniform[0].hex()
+            else:
+                assert split[0] == pytest.approx(uniform[0], abs=1e-12)
+            assert (entry.p_hat, entry.node_count) == (marginal_plus(uniform[0]), uniform[1])
             split_stops[v] = uniform_stops[v] = PINNED_PLUS
             if graph.n < 20:
                 pinned_before = {i: Spin.PLUS for i in range(1, v)}
@@ -499,22 +563,41 @@ def test_fptas_midpoint_frontier_stays_within_eps():
 
 
 def test_ising_strip_log_z_matches_enumeration():
+    # Both transfer matrices: ising_strip_log_z against brute force, and
+    # strip_log_z, which reads the system's own tables, against it on Ising
+    # inputs and against brute force on random tables.  (4, 3) reads the
+    # 3x4 grid transposed, which only the Ising formula can.
     for rows, cols, periodic, graph in (
         (1, 5, True, build_family_graph("cycle", n=5)),
         (3, 4, False, build_family_graph("grid", rows=3, cols=4)),
         (4, 3, False, build_family_graph("grid", rows=3, cols=4)),
         (1, 6, False, build_family_graph("path", n=6)),
+        (4, 6, False, build_family_graph("grid", rows=4, cols=6)),
     ):
         for coupling, field in ((0.3, 0.2), (-0.4, -0.1)):
-            want = exact_log_partition(ising_system(graph, coupling, field))
+            system = ising_system(graph, coupling, field)
             got = ising_strip_log_z(rows, cols, coupling, field, periodic)
-            assert got == pytest.approx(want, abs=1e-12)
+            if graph.n <= 12:
+                assert got == pytest.approx(exact_log_partition(system), abs=1e-12)
+            if (rows, cols) != (4, 3):
+                assert strip_log_z(system, rows, cols, periodic) == pytest.approx(got, abs=1e-12)
+    for family, rows, cols, periodic in (("cycle", 1, 7, True), ("grid", 3, 4, False)):
+        for seed in range(3):
+            size = {"n": cols} if family == "cycle" else {"rows": rows, "cols": cols}
+            system = generate(GenSpec(
+                family, **size, model="random", coupling=0.8, field_strength=0.5, seed=seed
+            ))
+            want = exact_log_partition(system)
+            assert strip_log_z(system, rows, cols, periodic) == pytest.approx(want, abs=1e-12)
 
 
 def test_fptas_within_eps_at_benchmark_size():
     # The guarantee at and beyond the sizes the benchmark solves, far past
-    # the brute-force oracle's reach.
-    # The 6x8 strip is where the allowance split prunes the most nodes.
+    # the brute-force oracle's reach: on Ising strips (the 6x8 one is where
+    # the allowance split prunes the most nodes), on random-table strips,
+    # where the edges' frontier errors differ, and on the 5x6 random-table
+    # grid that CI estimates on every Python version.
+    cases = []
     for rows, cols, coupling, periodic in (
         (1, 400, 0.5, True), (4, 6, 0.2, False), (4, 12, 0.2, False), (6, 8, 0.2, False)
     ):
@@ -522,10 +605,40 @@ def test_fptas_within_eps_at_benchmark_size():
             graph = build_family_graph("cycle", n=cols)
         else:
             graph = build_family_graph("grid", rows=rows, cols=cols)
-        system = ising_system(graph, coupling, 0.1)
         exact = ising_strip_log_z(rows, cols, coupling, 0.1, periodic)
+        cases.append((ising_system(graph, coupling, 0.1), exact, (rows, cols)))
+    for rows, cols in ((4, 12), (6, 8)):
+        for seed in range(1, 4):
+            system = generate(GenSpec(
+                "grid", rows=rows, cols=cols, model="random", coupling=0.2,
+                field_strength=0.3, seed=seed,
+            ))
+            cases.append((system, strip_log_z(system, rows, cols), (rows, cols, seed)))
+    system = identity_instance()
+    cases.append((system, strip_log_z(system, 5, 6), "identity"))
+    for system, exact, name in cases:
         for eps in (0.1, 0.01):
-            assert abs(fptas_log_partition(system, eps).log_z_hat - exact) <= eps, (rows, cols, eps)
+            assert abs(fptas_log_partition(system, eps).log_z_hat - exact) <= eps, (name, eps)
+
+
+def test_uniform_ising_reports_stay_byte_identical():
+    # On a 3-regular Ising graph every edge's frontier error is one and the
+    # same, close to the worst case 2a, and at degree 2 the walks keep the
+    # uniform tree, so the per-edge split leaves these reports (the first
+    # rr3-deep and the cycle-sweep benchmark instances) as the worst-case
+    # split left them, bit for bit.
+    for system, log_z_hat, nodes in (
+        (
+            generate(GenSpec(
+                "random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=16
+            )),
+            "0x1.f03d4d4ed4846p+4",
+            8318,
+        ),
+        (ising_system(build_family_graph("cycle", n=400), 0.5, 0.1), "0x1.4aa781d5930f6p+8", 4764),
+    ):
+        report = fptas_log_partition(system, 0.1)
+        assert (report.log_z_hat.hex(), report.total_nodes) == (log_z_hat, nodes)
 
 
 def test_fptas_sweeps_again_at_the_a_priori_depth():
@@ -590,10 +703,11 @@ WALK_SPECS = [
 
 def _split_walk(system, compiled, stops, vertex, depth, pinned):
     """walk_log_ratio with the root allowance of build_saw_tree's default
-    tree: the split_scales share times the neighbours not in ``pinned``."""
-    share, stretch = split_scales(system_scalars(system), depth)
+    tree: the root_share times the neighbours not in ``pinned``, or 0.0 at
+    degree 2 or less."""
+    share = root_share(system_scalars(system), depth) if system.graph.max_degree() > 2 else 0.0
     free = sum(w not in pinned for w in system.graph.neighbors(vertex))
-    return walk_log_ratio(compiled, stops, vertex, depth, share * free, stretch)
+    return walk_log_ratio(compiled, stops, vertex, depth, share * free)
 
 
 @pytest.mark.parametrize("model,field", [("random", 0.5), ("ising", 0.5), ("ising", 0.0)])
