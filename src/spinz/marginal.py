@@ -23,14 +23,18 @@ over its free branches, in log-ratio units.  A node hands its allowance to
 its children in ascending order: with R left and r children not yet
 handled, a pinned or cycle-closing child takes nothing, and a free child w
 over the edge v -> w takes share = R / r.  A share of e_vw or more stops
-w as a frontier leaf.  Otherwise w gets share / tanh|J_vw|, which its
-edge factor, tanh|J_vw|-Lipschitz, shrinks back to the share; an edge
-with J_vw = 0 has e_vw = 0 and always stops.  So a node is off by at most
-its allowance.  Since e_vw <= 2a and tanh|J_vw| <= tanh(J), a root
-allowance of 2a * rate**(t - 1) per free child leaves every share at
-least 2a at the cap: the tree prunes the one that the worst-case scales
-2a and tanh(J) give, which on a full (degree - 1)-ary tree is the
-uniform tree.
+w as a frontier leaf, unless w has no children: that w is a leaf in any
+tree, and it adds its exact factor, as in the uniform tree.  Otherwise w
+gets share / tanh|J_vw|, which its edge factor, tanh|J_vw|-Lipschitz,
+shrinks back to the share; an edge with J_vw = 0 has e_vw = 0 and always
+stops.  So a node is off by at most its allowance.  Since e_vw <= 2a and
+tanh|J_vw| <= tanh(J), a root allowance of 2a * rate**(t - 1) per free
+child (``root_share``) leaves every share at least 2a at the cap: the
+tree prunes the one that the worst-case scales 2a and tanh(J) give, which
+on a full (degree - 1)-ary tree is the uniform tree.  At degree bound 2
+or less ``root_share`` is 0.0 and the walks keep the uniform tree, which
+they walk with less bookkeeping per node; on a chain whose edges share
+one Ising table the split gives that very tree.
 
 ``walk_log_ratio`` evaluates the walk tree over a ``CompiledSystem``
 without building it: it folds each subtree's value into its parent the
@@ -48,16 +52,18 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from collections import namedtuple
 from collections.abc import Mapping
 
-from .core import Record, Spin, SpinSystem, external_field
+from .core import Record, Spin, SpinSystem, SystemScalars, external_field
 
 __all__ = [
     "LogRatio",
     "CompiledSystem",
     "compile_system",
     "PINNED_PLUS",
+    "root_share",
     "walk_log_ratio",
     "marginal_plus",
 ]
@@ -142,8 +148,9 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     n = graph.n
     adjacency = graph.adjacency
     potentials = system.potentials
-    fields = system.fields
-    twice_field = [0.0] + [2.0 * external_field(fields[v]) for v in graph.vertices()]
+    twice_field = [0.0] * (n + 1)
+    for v in graph.vertices():
+        twice_field[v] = 2.0 * external_field(system.fields[v])
     # Values are shared by the bits they are computed from, so 0.0 and -0.0
     # stay apart; ``tables[below]`` holds the bits of the edge's table.
     shared: dict[bytes, tuple] = {}
@@ -151,9 +158,9 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     pack_table = struct.Struct("4d").pack
     rows: list[tuple[tuple, ...]] = [()] * (n + 1)
     below = 0
-    for v, neighbours in enumerate(adjacency, 1):
+    for v in graph.vertices():
         row = []
-        for w in neighbours:
+        for w in adjacency[v - 1]:
             if v < w:
                 pp, pm, mp, mm = potentials[v, w]
             else:
@@ -174,8 +181,8 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     bounds = []
     shared_frontier: dict[bytes, tuple[float, float]] = {}
     pack_interval = struct.Struct("2d").pack
-    for v, row in enumerate(rows):
-        for w, factors, below in row:
+    for v in graph.vertices():
+        for w, factors, below in rows[v]:
             children = []
             lo = hi = twice_field[w]
             for child in rows[w]:
@@ -200,12 +207,10 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     frontier, errors = zip(*bounds) if bounds else ((), ())
     # The log ratio of w with every child on the frontier sums those
     # children in ascending order, and its pair holds the two terms of the
-    # walk's fold, kept apart so that v adds them in the walk's order.  Its
-    # key takes lam by value, which tells floats apart as their bits do
-    # except for the zeros, so a zero lam goes in as its bits.
+    # walk's fold, kept apart so that v adds them in the walk's order.
     thresholds = []
     settled = []
-    shared_settled: dict[tuple, tuple[float, float]] = {}
+    shared_settled: dict[bytes, tuple[float, float]] = {}
     pack_ratio = struct.Struct("d").pack
     for row in rows:
         for w, factors, below in row:
@@ -221,7 +226,7 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
             # itself, so chains allocate no float per edge.
             count = len(children)
             thresholds.append(count * largest if count > 1 else largest)
-            key = (tables[below], lam) if lam else (tables[below], pack_ratio(lam))
+            key = tables[below] + pack_ratio(lam)
             pair = shared_settled.get(key)
             if pair is None:
                 if lam == _INF or lam == -_INF:
@@ -239,6 +244,29 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     )
 
 
+def _half_range(coupling: float, degree: int) -> float:
+    """a = atanh(tanh(J) * tanh((degree - 1) * J)) for the largest coupling
+    J and the degree bound: every frontier error e_vw is at most 2a."""
+    return math.atanh(math.tanh(coupling) * math.tanh((degree - 1) * coupling))
+
+
+def root_share(scalars: SystemScalars, depth_limit: int) -> float:
+    """The allowance ``walk_log_ratio`` takes per free root child at
+    ``depth_limit``: 2 * a * rate**(depth_limit - 1), with rate the
+    contraction, so a root with k free children is off by at most
+    delta_v = 2 * a * k * rate**(depth_limit - 1), as
+    ``partition.truncation_depth`` assumes.  0.0, the uniform tree, at
+    degree bound 2 or less (see the module docstring) and when the rate is
+    not in (0, 1)."""
+    rate = scalars.contraction
+    if scalars.degree_bound <= 2 or not 0.0 < rate < 1.0:
+        return 0.0
+    # An exponent beyond the float range underflows the share to 0.0, as
+    # the largest float exponent does, instead of raising OverflowError.
+    exponent = min(depth_limit - 1, sys.float_info.max)
+    return 2.0 * _half_range(scalars.max_coupling, scalars.degree_bound) * rate**exponent
+
+
 def walk_log_ratio(
     compiled: CompiledSystem, stops: list, root: int, depth_limit: int, allowance: float = 0.0
 ) -> tuple[float, int]:
@@ -251,8 +279,8 @@ def walk_log_ratio(
     build_saw_tree(system, root, depth_limit, condition))`` and that tree's
     ``node_count``, bit for bit, when ``stops`` comes from
     ``compiled.stops(condition)`` and the allowance is that tree's
-    (``partition.root_share`` times the free root children, 0.0 at degree
-    2 or less and for ``uniform=True``).
+    (``root_share`` times the free root children, 0.0 for
+    ``uniform=True``).
 
     ``stops[w]`` is None while a walk may enter w.  Otherwise a copy of w
     ends the walk as a pinned leaf: + if the label of the vertex it is
@@ -272,7 +300,10 @@ def walk_log_ratio(
     # except the root of a depth-1 walk: its free children are the frontier.
     # Above that a free child takes its share of the allowance ``left`` (r
     # is the iterator's length hint plus one), and is summed in place too
-    # when its own allowance ``grow`` reaches its edge's threshold.
+    # when its own allowance ``grow`` reaches its edge's threshold.  A child
+    # without children (``row`` empty) is never stopped by its share; its
+    # threshold is 0.0, so it is summed in place, exactly, as in the
+    # uniform walk.
     inner = depth_limit - 2
 
     row = rows[root]
@@ -293,16 +324,16 @@ def walk_log_ratio(
             if depth > inner:
                 total += frontier[below]
                 continue
+            row = belows[below]
             if left:
                 share = left / (children.__length_hint__() + 1)
                 left -= share
-                if share >= errors[below]:
+                if share >= errors[below] and row:
                     total += frontier[below]
                     continue
                 grow = share * factors[6]
             else:
                 grow = 0.0
-            row = belows[below]
             if depth < inner and (not grow or grow < thresholds[below]):
                 stops[origin] = child
                 stops[child] = 0

@@ -12,9 +12,9 @@ when every estimated log ratio is nonnegative; otherwise it sums each
 vertex's own bound and, if that exceeds eps, sweeps again at the depth
 where the whole sum fits eps (see ``truncation_depth``).  That gives
 |log(estimate) - log(exact)| <= eps whenever the contraction condition
-(degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor enters the sum as a log, taken
-from the walk's log ratio where the marginal itself is too small for a
-normal float, so no estimate leaves the log domain.
+(degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor enters the
+sum as a log, taken from the walk's log ratio where the marginal itself is
+too small for a normal float, so no estimate leaves the log domain.
 
 The estimate is one serial sweep, two at most, over the tables of one
 ``compile_system``; it counts each vertex's neighbours with a larger label
@@ -38,18 +38,23 @@ from .core import (
     DecayConditionError,
     Record,
     SpinSystem,
-    SystemScalars,
     decay_condition_holds,
     system_scalars,
 )
-from .marginal import PINNED_PLUS, compile_system, marginal_plus, walk_log_ratio
+from .marginal import (
+    PINNED_PLUS,
+    _half_range,
+    compile_system,
+    marginal_plus,
+    root_share,
+    walk_log_ratio,
+)
 
 __all__ = [
     "VertexEstimate",
     "EstimateReport",
     "all_plus_log_weight",
     "truncation_depth",
-    "root_share",
     "fptas_log_partition",
 ]
 
@@ -78,13 +83,28 @@ class EstimateReport(
         return sum(v.node_count for v in self.vertices)
 
     def to_dict(self) -> dict:
-        # Every field but the vertices and wall_time_s, which stays out: the
-        # serialized report must be identical across reruns with the same
-        # inputs.
-        data = dict(zip(self._fields[:8], self))
-        data["total_nodes"] = self.total_nodes
-        data["vertices"] = [e._asdict() for e in self.vertices]
-        return data
+        # wall_time_s stays out: the serialized report must be identical
+        # across reruns with the same inputs.
+        return {
+            "log_z_hat": self.log_z_hat,
+            "eps": self.eps,
+            "log_weight_all_plus": self.log_weight_all_plus,
+            "degree_bound": self.degree_bound,
+            "max_coupling": self.max_coupling,
+            "critical_coupling": self.critical_coupling,
+            "contraction": self.contraction,
+            "truncation_depth": self.truncation_depth,
+            "total_nodes": self.total_nodes,
+            "vertices": [
+                {
+                    "vertex": e.vertex,
+                    "depth": e.depth,
+                    "node_count": e.node_count,
+                    "p_hat": e.p_hat,
+                }
+                for e in self.vertices
+            ],
+        }
 
 
 def all_plus_log_weight(system: SpinSystem) -> float:
@@ -108,20 +128,16 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be a positive finite number, got {eps!r}")
 
 
-def _half_range(coupling: float, degree: int) -> float:
-    """a = atanh(tanh(J) * tanh((degree - 1) * J)), see ``truncation_depth``."""
-    return math.atanh(math.tanh(coupling) * math.tanh((degree - 1) * coupling))
-
-
-def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int]:
-    """The start depth of ``truncation_depth`` and the a-priori depth, the
-    smallest t with n * degree * a * rate**(t - 1) <= eps.  Inputs are
-    checked by the callers."""
+def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int, float]:
+    """The start depth of ``truncation_depth``, the a-priori depth (the
+    smallest t with n * degree * a * rate**(t - 1) <= eps) and
+    2 * a * rate**(start - 1), the start depth's log-ratio error per free
+    root child.  Inputs are checked by the callers."""
     rate = (degree - 1) * math.tanh(coupling)
     if rate >= 1.0:
         raise DecayConditionError(rate, max_coupling=coupling, degree_bound=degree)
     if rate <= 0.0:
-        return 1, 1
+        return 1, 1, 0.0
     half_range = _half_range(coupling, degree)
     depths = []
     # D = 4 * eps / (1 + sqrt(1 + 4 * eps)) in a form that cannot overflow
@@ -131,20 +147,7 @@ def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int]
         if not math.isfinite(raw):  # n * degree * a / budget overflowed
             raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
         depths.append(1 + math.ceil(raw))
-    return depths[0], depths[1]
-
-
-def root_share(scalars: SystemScalars, depth_limit: int) -> float:
-    """The log-ratio error allowed per free root child at ``depth_limit``,
-    2 * a * rate**(depth_limit - 1) as in ``truncation_depth``, so delta_v
-    for k_v free children; 0.0 when the rate is not in (0, 1)."""
-    rate = scalars.contraction
-    if not 0.0 < rate < 1.0:
-        return 0.0
-    half_range = _half_range(scalars.max_coupling, scalars.degree_bound)
-    # An exponent beyond the float range underflows the share to 0.0, as
-    # the largest float exponent does, instead of raising OverflowError.
-    return 2.0 * half_range * rate ** min(depth_limit - 1, sys.float_info.max)
+    return depths[0], depths[1], 2.0 * half_range * rate ** (depths[0] - 1)
 
 
 def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
@@ -221,9 +224,8 @@ def fptas_log_partition(
     pinned to +, then pins its own vertex.  The sweep runs at
     ``truncation_depth``, a hard cap: each walk splits its root's allowance
     delta_v, ``root_share`` per free root child, over its free branches,
-    and the free leaves it stops take the lookahead frontier.  At degree
-    bound 2 or less the walks keep the uniform tree, so the cycle's walks
-    skip the split's bookkeeping.
+    and the free leaves it stops take the lookahead frontier (at degree
+    bound 2 or less the walks keep the uniform tree; see ``marginal``).
     If an estimated log ratio is negative, it sums the log-marginal bounds
     delta_v * sigma(delta_v - x_hat_v) described there, and when they
     exceed eps it reports a second sweep at the a-priori depth.  The log
@@ -245,7 +247,7 @@ def fptas_log_partition(
             degree_bound=scalars.degree_bound,
         )
     n = system.graph.n
-    start, a_priori = _depths(n, scalars.max_coupling, scalars.degree_bound, eps) if n else (0, 0)
+    start, a_priori, unit = _depths(n, scalars.max_coupling, scalars.degree_bound, eps) if n else (0, 0, 0.0)
     # k_v, the neighbours of v with a larger label: free at v's root
     larger = [0] * (n + 1)
     for u, _ in system.graph.edges:
@@ -253,8 +255,7 @@ def fptas_log_partition(
 
     compiled = compile_system(system)
     for depth in (start, a_priori):
-        unit = root_share(scalars, depth)
-        share = unit if scalars.degree_bound > 2 else 0.0
+        share = root_share(scalars, depth)
         stops = compiled.stops()
         estimates = []
         log_ratios = []

@@ -9,10 +9,10 @@ vertices terminate walks the same way, pinned to their assigned spin.  Free
 nodes that the truncation stops form the frontier: their subtrees are not
 constructed.  By default the truncation is the one the estimate walks: the
 root's log-ratio error allowance split over the free branches, each free
-child stopping once its share covers its own edge's frontier error (see
-``marginal``), with the depth limit as a hard cap, so a branch may stop
-above the limit; with ``uniform=True`` every branch stops exactly at the
-depth limit.
+child with children of its own stopping once its share covers its own
+edge's frontier error (see ``marginal``), with the depth limit as a hard
+cap, so a branch may stop above the limit; with ``uniform=True`` every
+branch stops exactly at the depth limit.
 
 The marginal of the root in this tree equals its marginal in the original
 graph, which is what makes the truncated evaluation in ``marginal`` a
@@ -39,8 +39,7 @@ from .core import (
     external_field,
     system_scalars,
 )
-from .marginal import _factor, _frontier, compile_system, marginal_plus, walk_log_ratio
-from .partition import root_share
+from .marginal import _factor, _frontier, compile_system, marginal_plus, root_share, walk_log_ratio
 
 # The package lists these names so it can export them without importing
 # this module.
@@ -108,11 +107,13 @@ def _root_allowance(
     system: SpinSystem, root: int, depth_limit: int, pinned: Mapping[int, Spin]
 ) -> float:
     """The root allowance that ``walk_log_ratio`` takes for the default tree
-    of ``build_saw_tree``: ``partition.root_share`` at the system's scalars
-    times the root's unconditioned neighbours, or 0.0, the uniform tree, at
-    degree 2 or less, as in ``partition.fptas_log_partition``."""
+    of ``build_saw_tree``: ``marginal.root_share`` at the system's scalars
+    times the root's unconditioned neighbours, as in
+    ``partition.fptas_log_partition``."""
     graph = system.graph
     if graph.max_degree() <= 2:
+        # root_share is 0.0 at this degree bound; this skips the scalars, a
+        # pass over every edge, on each tree of a sweep.
         return 0.0
     share = root_share(system_scalars(system), depth_limit)
     return share * sum(w not in pinned for w in graph.adjacency[root - 1])
@@ -134,7 +135,7 @@ def build_saw_tree(
     not constructed.  By default the truncation splits the root's allowance
     as ``marginal`` describes, reading the edges' frontier errors and
     thresholds from ``compile_system(system)``: the share per free root
-    child is ``partition.root_share`` of ``system_scalars(system)`` at
+    child is ``marginal.root_share`` of ``system_scalars(system)`` at
     ``depth_limit`` (none at degree 2 or less), and ``depth_limit`` is a
     hard cap.  That is the tree whose log ratio
     ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
@@ -161,14 +162,15 @@ def build_saw_tree(
     left = 0.0 if uniform else _root_allowance(system, root, depth_limit, pinned)
     # Each node's children as the entries (w, factors, below) of the
     # compiled rows the estimate walks; without an allowance every branch
-    # runs to the depth limit and only the labels matter.
+    # runs to the depth limit and only the labels matter, so each node's
+    # entries come from the adjacency when it is pushed.
+    adjacency = graph.adjacency
     if left:
         compiled = compile_system(system)
-        rows, belows = compiled.rows, compiled.belows
+        entries, belows = compiled.rows[root], compiled.belows
         errors, thresholds = compiled.errors, compiled.thresholds
     else:
-        rows = [()] + [tuple((w, None, None) for w in labels) for labels in graph.adjacency]
-        belows = None
+        entries, belows = [(w, None, None) for w in adjacency[root - 1]], None
 
     on_walk = bytearray(graph.n + 1)
     on_walk[root] = 1
@@ -182,7 +184,7 @@ def build_saw_tree(
     # One frame per node being expanded: the node, its child entries, the
     # position of the next one and the allowance it has left, which is None
     # when every free child stops (the nodes the walk sums in place).
-    stack = [[root_node, rows[root], 0, left]]
+    stack = [[root_node, entries, 0, left]]
     while stack:
         frame = stack[-1]
         node, entries, position, left = frame
@@ -211,12 +213,12 @@ def build_saw_tree(
         if left:
             share = left / (len(entries) - position)
             frame[3] = left - share
-            if share >= errors[below]:
+            if share >= errors[below] and belows[below]:
                 child.stopped = True
                 continue
             grow = share * factors[6]
         if belows is None:
-            grandchildren = tuple(entry for entry in rows[child_label] if entry[0] != origin)
+            grandchildren = [(w, None, None) for w in adjacency[child_label - 1] if w != origin]
         else:
             grandchildren = belows[below]
         if child_depth == depth_limit - 1 or (grow and not grow < thresholds[below]):

@@ -254,9 +254,10 @@ def test_fptas_degenerate_instances_end_in_a_finite_estimate():
             assert abs(report.log_z_hat - exact) <= eps, (system.n, bound, eps)
             if system.n and bound is None and system.graph.max_degree() != 2:
                 assert report.truncation_depth == 1
-    # Depths the sweep never picks at zero coupling: split_scales gives the
-    # uniform tree there, so 1 / tanh(0) is never taken, and every factor
-    # is exact anyway.
+    # Depths the sweep never picks at zero coupling: root_share is 0.0
+    # there, since the rate is 0, so the walks keep the uniform tree and
+    # never stretch a share by an edge's infinite 1 / tanh(0), and every
+    # factor is exact anyway.
     system = cases[2][0]
     for depth in (1, 2, 5):
         for v in system.graph.vertices():
@@ -482,12 +483,13 @@ def test_split_tree_prunes_the_uniform_tree():
 
 def test_split_tree_is_the_uniform_tree_at_degree_two():
     # Every node but the root has at most one child, and on these Ising
-    # chains every edge's frontier error exceeds the share it gets above
-    # the depth cap, so the split stops a branch only at the cap or where
-    # the chain ends (a path's end has no child, so its error is 0): walks
-    # with the split allowance have the uniform walks' nodes, and on the
-    # cycles their bits.  The estimate, which skips the split there,
-    # reports the uniform walks.
+    # chains every edge with a child beyond it has frontier error 2a (up to
+    # rounding), more than the share it gets above the depth cap, so the
+    # split spends each share on the one branch and stops it only at the
+    # cap; a path's end, which has no child, is folded exactly in both.
+    # Walks with the split allowance 2a * rate**(t - 1) per free root child
+    # equal the uniform walks bit for bit, and the estimate, where
+    # root_share is 0.0 at degree 2, reports them.
     for graph, coupling, eps in (
         (build_family_graph("cycle", n=400), 0.5, 0.1),
         (build_family_graph("cycle", n=9), 0.7, 0.01),
@@ -497,8 +499,9 @@ def test_split_tree_is_the_uniform_tree_at_degree_two():
         system = ising_system(graph, coupling, 0.1)
         report = fptas_log_partition(system, eps)
         depth = report.truncation_depth
-        share = root_share(system_scalars(system), depth)
-        assert share > 0.0
+        assert root_share(system_scalars(system), depth) == 0.0
+        rate, half_range = _rate_and_half_range(coupling, 2)
+        share = 2 * half_range * rate ** (depth - 1)
         compiled = compile_system(system)
         split_stops, uniform_stops = compiled.stops(), compiled.stops()
         for entry in report.vertices:
@@ -506,12 +509,8 @@ def test_split_tree_is_the_uniform_tree_at_degree_two():
             free = sum(w > v for w in graph.neighbors(v))
             split = walk_log_ratio(compiled, split_stops, v, depth, free * share)
             uniform = walk_log_ratio(compiled, uniform_stops, v, depth)
-            assert split[1] == uniform[1]
-            if graph.n == len(graph.edges):  # a cycle
-                assert split[0].hex() == uniform[0].hex()
-            else:
-                assert split[0] == pytest.approx(uniform[0], abs=1e-12)
-            assert (entry.p_hat, entry.node_count) == (marginal_plus(uniform[0]), uniform[1])
+            assert split[0].hex() == uniform[0].hex() and split[1] == uniform[1]
+            assert (entry.p_hat, entry.node_count) == (marginal_plus(split[0]), split[1])
             split_stops[v] = uniform_stops[v] = PINNED_PLUS
             if graph.n < 20:
                 pinned_before = {i: Spin.PLUS for i in range(1, v)}
@@ -703,9 +702,8 @@ WALK_SPECS = [
 
 def _split_walk(system, compiled, stops, vertex, depth, pinned):
     """walk_log_ratio with the root allowance of build_saw_tree's default
-    tree: the root_share times the neighbours not in ``pinned``, or 0.0 at
-    degree 2 or less."""
-    share = root_share(system_scalars(system), depth) if system.graph.max_degree() > 2 else 0.0
+    tree: the root_share times the neighbours not in ``pinned``."""
+    share = root_share(system_scalars(system), depth)
     free = sum(w not in pinned for w in system.graph.neighbors(vertex))
     return walk_log_ratio(compiled, stops, vertex, depth, share * free)
 
