@@ -216,8 +216,10 @@ def cmd_sawtree(args) -> int:
 
     system = load_system(args.graph)
     cond = _parse_condition(args.cond)
-    depth = args.depth if args.depth is not None else system.n
-    tree = build_saw_tree(system, args.root, depth, cond)
+    if args.depth is None:
+        tree = build_saw_tree(system, args.root, system.n, cond, uniform=True)
+    else:
+        tree = build_saw_tree(system, args.root, args.depth, cond)
     sys.stdout.write(format_saw_tree(tree) + "\n")
     print(f"nodes={tree.node_count}", file=sys.stderr)
     return EXIT_OK

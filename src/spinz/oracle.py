@@ -30,9 +30,9 @@ from .core import (
     system_scalars,
 )
 from .families import attach_spin_model, build_family_graph, ising_system
-from .marginal import marginal_plus
+from .marginal import compile_system, marginal_plus, walk_log_ratio
 from .partition import all_plus_log_weight
-from .sawtree import build_saw_tree, edge_factor_log, tree_log_ratio
+from .sawtree import edge_factor_log
 
 # The package lists these names so it can export them without importing
 # this module, which loads numpy.
@@ -160,17 +160,19 @@ def exact_conditional_marginal(system: SpinSystem, vertex: int, spin: Spin, cond
 def _identity_gaps(system: SpinSystem, cond: Condition, roots=None):
     """(root, gap) at each of ``roots`` (default: every vertex free under
     ``cond``): the gap between the exact marginal of + and the root marginal
-    of the complete walk tree."""
+    of the complete walk tree, which ``walk_log_ratio`` walks without an
+    allowance to the vertex count, over the system compiled once."""
     graph = system.graph
     if roots is None:
         roots = [v for v in graph.vertices() if v not in cond]
     denominator = exact_log_partition(system, cond)
+    compiled = compile_system(system)
+    stops = compiled.stops(cond)
     for root in roots:
         numerator = exact_log_partition(system, {**cond, root: Spin.PLUS})
         exact = math.exp(numerator - denominator)
-        tree = build_saw_tree(system, root, graph.n, cond, uniform=True)
-        walked = marginal_plus(tree_log_ratio(system, tree))
-        yield root, abs(exact - walked)
+        log_ratio, _ = walk_log_ratio(compiled, stops, root, graph.n)
+        yield root, abs(exact - marginal_plus(log_ratio))
 
 
 def check_saw_identity(system: SpinSystem, vertex: int, condition=None) -> CheckReport:

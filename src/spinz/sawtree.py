@@ -17,10 +17,11 @@ branch stops exactly at the depth limit.
 The marginal of the root in this tree equals its marginal in the original
 graph, which is what makes the truncated evaluation in ``marginal`` a
 controlled approximation.  ``tree_log_ratio`` evaluates a built tree.  It
-is the reference that ``marginal.walk_log_ratio`` reproduces bit for bit,
-and the oracle's identity checks use it.  ``edge_factor_log`` is one edge
-factor of that recursion, and ``conditional_marginal_estimate`` one
-truncated marginal under a condition, walked without building the tree.
+is the reference that ``marginal.walk_log_ratio`` reproduces bit for bit;
+the oracle's identity checks run that walk on the complete tree.
+``edge_factor_log`` is one edge factor of that recursion, and
+``conditional_marginal_estimate`` one truncated marginal under a
+condition, walked without building the tree.
 """
 
 from __future__ import annotations
@@ -110,13 +111,8 @@ def _root_allowance(
     of ``build_saw_tree``: ``marginal.root_share`` at the system's scalars
     times the root's unconditioned neighbours, as in
     ``partition.fptas_log_partition``."""
-    graph = system.graph
-    if graph.max_degree() <= 2:
-        # root_share is 0.0 at this degree bound; this skips the scalars, a
-        # pass over every edge, on each tree of a sweep.
-        return 0.0
     share = root_share(system_scalars(system), depth_limit)
-    return share * sum(w not in pinned for w in graph.adjacency[root - 1])
+    return share * sum(w not in pinned for w in system.graph.adjacency[root - 1])
 
 
 def build_saw_tree(
@@ -132,12 +128,13 @@ def build_saw_tree(
     Conditioned vertices become pinned leaves wherever a walk reaches them;
     revisits close cycles into pinned leaves.  Free nodes that the
     truncation stops are frontier leaves (``stopped``); their subtrees are
-    not constructed.  By default the truncation splits the root's allowance
-    as ``marginal`` describes, reading the edges' frontier errors and
-    thresholds from ``compile_system(system)``: the share per free root
+    not constructed.  Every node takes its children, and every split its
+    frontier errors and thresholds, from ``compile_system(system)``, the
+    rows that the estimate walks.  By default the truncation splits the
+    root's allowance as ``marginal`` describes: the share per free root
     child is ``marginal.root_share`` of ``system_scalars(system)`` at
-    ``depth_limit`` (none at degree 2 or less), and ``depth_limit`` is a
-    hard cap.  That is the tree whose log ratio
+    ``depth_limit``, which keeps the uniform tree where it is 0.0, and
+    ``depth_limit`` is a hard cap.  That is the tree whose log ratio
     ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
     pins the lower labels to +.  With ``uniform=True`` every free node
     above ``depth_limit`` is expanded, and setting ``depth_limit`` to the
@@ -160,17 +157,10 @@ def build_saw_tree(
     if depth_limit == 0:
         return SawTree(root_node, root, depth_limit, 1)
     left = 0.0 if uniform else _root_allowance(system, root, depth_limit, pinned)
-    # Each node's children as the entries (w, factors, below) of the
-    # compiled rows the estimate walks; without an allowance every branch
-    # runs to the depth limit and only the labels matter, so each node's
-    # entries come from the adjacency when it is pushed.
-    adjacency = graph.adjacency
-    if left:
-        compiled = compile_system(system)
-        entries, belows = compiled.rows[root], compiled.belows
-        errors, thresholds = compiled.errors, compiled.thresholds
-    else:
-        entries, belows = [(w, None, None) for w in adjacency[root - 1]], None
+    # Each node's children are the entries (w, factors, below) of the
+    # compiled rows that the estimate walks.
+    compiled = compile_system(system)
+    belows, errors, thresholds = compiled.belows, compiled.errors, compiled.thresholds
 
     on_walk = bytearray(graph.n + 1)
     on_walk[root] = 1
@@ -184,7 +174,7 @@ def build_saw_tree(
     # One frame per node being expanded: the node, its child entries, the
     # position of the next one and the allowance it has left, which is None
     # when every free child stops (the nodes the walk sums in place).
-    stack = [[root_node, entries, 0, left]]
+    stack = [[root_node, compiled.rows[root], 0, left]]
     while stack:
         frame = stack[-1]
         node, entries, position, left = frame
@@ -217,15 +207,11 @@ def build_saw_tree(
                 child.stopped = True
                 continue
             grow = share * factors[6]
-        if belows is None:
-            grandchildren = [(w, None, None) for w in adjacency[child_label - 1] if w != origin]
-        else:
-            grandchildren = belows[below]
         if child_depth == depth_limit - 1 or (grow and not grow < thresholds[below]):
             grow = None
         on_walk[child_label] = 1
         left_toward[origin] = child_label
-        stack.append([child, grandchildren, 0, grow])
+        stack.append([child, belows[below], 0, grow])
 
     return SawTree(root_node, root, depth_limit, count)
 

@@ -16,6 +16,7 @@ from spinz import (
     SpinSystem,
     VertexField,
     build_family_graph,
+    build_saw_tree,
     exact_log_partition,
     generate,
     ising_system,
@@ -349,6 +350,20 @@ def test_sawtree_dump(tmp_path, capsys):
     assert out.splitlines()[0] == "1 depth=0 free"
     assert "1 depth=3 +" in out and "1 depth=3 -" in out
     assert "nodes=7" in err
+
+
+def test_sawtree_without_depth_prints_the_complete_tree(tmp_path, capsys):
+    # A degree-3 graph, where the default split tree stops branches early:
+    # without --depth the dump is the complete tree, with no frontier leaf.
+    system = generate(GenSpec(family="random_regular", n=10, degree=3, coupling=0.3, seed=5))
+    path = tmp_path / "rr.json"
+    save_system(system, path)
+    code, out, err = run_cli(capsys, "sawtree", "--graph", str(path), "--root", "1")
+    assert code == 0
+    assert "frontier" not in out
+    complete = build_saw_tree(system, 1, system.graph.n, uniform=True)
+    assert f"nodes={complete.node_count}" in err.split()
+    assert build_saw_tree(system, 1, system.graph.n).node_count < complete.node_count
 
 
 def test_sawtree_condition_and_depth(tmp_path, capsys):
