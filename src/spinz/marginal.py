@@ -19,31 +19,42 @@ log ratio, so e_vw <= 2 * atanh(tanh|J_vw| * tanh((hi - lo) / 4)) <= 2a,
 with 2a = 2 * atanh(tanh(J) * tanh((d - 1) * J)) for the largest J.
 
 Above the depth limit t, a hard cap, a tree splits an error allowance
-over its free branches, in log-ratio units.  A node hands its allowance to
-its children in ascending order: with R left and r children not yet
-handled, a pinned or cycle-closing child takes nothing, and a free child w
-over the edge v -> w takes share = R / r.  A share of e_vw or more stops
-w as a frontier leaf, unless w has no children: that w is a leaf in any
-tree, and it adds its exact factor, as in the uniform tree.  Otherwise w
-gets share / tanh|J_vw|, which its edge factor, tanh|J_vw|-Lipschitz,
-shrinks back to the share; an edge with J_vw = 0 has e_vw = 0 and always
-stops.  So a node is off by at most its allowance.  Since e_vw <= 2a and
-tanh|J_vw| <= tanh(J), a root allowance of 2a * rate**(t - 1) per free
-child (``root_share``) leaves every share at least 2a at the cap: the
-tree prunes the one that the worst-case scales 2a and tanh(J) give, which
-on a full (degree - 1)-ary tree is the uniform tree.  At degree bound 2
-or less ``root_share`` is 0.0 and the walks keep the uniform tree, which
-they walk with less bookkeeping per node; on a chain whose edges share
-one Ising table the split gives that very tree.
+over its free branches, in log-ratio units, and charges each branch only
+the error it leaves.  A node offers its allowance to its children in
+ascending order: with R left and r children not yet handled, a pinned or
+cycle-closing child takes nothing, and a free child w over the edge
+v -> w is offered share = R / r.  A share of e_vw or more stops w as a
+frontier leaf, charged e_vw, unless w has no children: that w is a leaf
+in any tree and adds its exact factor, as in the uniform tree, at no
+charge.  A share of ``spent`` or more, tanh|J_vw| times the summed errors
+of w's children, sums w in place with its children on the frontier,
+charged tanh|J_vw| times the errors of the free ones.  Otherwise w is
+entered with share / tanh|J_vw|, which its tanh|J_vw|-Lipschitz edge
+factor shrinks back to the share, and charged the share, less
+rest * tanh|J_vw| handed back when its branch closes with rest unspent;
+v's later children split that, and what v leaves goes on up.  An edge
+with J_vw = 0 has e_vw = 0 and always stops.  Each branch is off by at
+most its charge and no charge exceeds its share, so a node is off by at
+most its allowance, and each share is at least the equal split R / r of
+the node's allowance.  Since e_vw <= 2a and tanh|J_vw| <= tanh(J), a root
+allowance of 2a * rate**(t - 1) per free child (``root_share``) leaves
+every share at depth k at least 2a * rate**(t - k).  That covers the
+cap's forced stops: a node at depth t - 1, summed in place, is charged at
+most tanh(J) times d - 1 errors, 2a * rate.  So the tree prunes the one
+that the worst-case scales 2a and tanh(J) give, which on a full
+(degree - 1)-ary tree is the uniform tree.  At degree bound 2 or less
+``root_share`` is 0.0 and the walks keep the uniform tree, which they walk
+with less bookkeeping per node; on a chain whose edges share one Ising
+table the split gives that very tree.
 
 ``walk_log_ratio`` evaluates the walk tree over a ``CompiledSystem``
 without building it: it folds each subtree's value into its parent the
 moment the subtree closes, so it keeps O(depth) state and allocates no
 nodes.  A free node whose children are all leaves, because it sits one
-level above the depth limit or its allowance reaches its edge's
-threshold, is summed in place instead of entered; when none of those
-leaves is pinned, the node's fold is a constant of the system
-(``CompiledSystem.settled``) and the walk adds that.  Its reference is
+level above the depth limit or its share reaches its edge's ``spent``, is
+summed in place instead of entered; when none of those leaves is pinned,
+the node's fold is a constant of the system (``CompiledSystem.settled``)
+and the walk adds that, charged ``spent``.  Its reference is
 ``sawtree.tree_log_ratio``, which reads a built ``SawTree`` and performs
 the same float operations in the same order, so the two agree bit for bit.
 """
@@ -104,7 +115,7 @@ no label exceeds, pins to -; see ``walk_log_ratio``."""
 
 class CompiledSystem(
     Record,
-    namedtuple("CompiledSystem", "n twice_field rows belows frontier errors thresholds settled"),
+    namedtuple("CompiledSystem", "n twice_field rows belows frontier errors spent settled"),
 ):
     """A system flattened for ``walk_log_ratio``.
 
@@ -120,15 +131,18 @@ class CompiledSystem(
     walk arrives from v.  ``frontier[below]`` and ``errors[below]`` are
     the middle and the half-range e_vw (0.0 at J = 0) of the edge factor
     over w's log ratio interval, which those children's pinned factors
-    bound.  ``thresholds[below]`` is their number times their largest
-    error: from that allowance on, the split stops every free child of w.
+    bound.  ``spent[below]`` is the sum of their errors, in ascending order
+    with plain ``+=``, over the stretch of v -> w (0.0 at J = 0): how far w
+    summed in place, every child free and on the frontier, can put v off,
+    and so the share from which the split sums w in place.
     ``settled[below]`` is the pair ``(x, y)`` that v adds as ``+ x - y``
     when every free child of w stops and none is pinned: with ``lam``
     twice w's field plus ``frontier`` of each child in ascending order, x
     and y are the two log-sum-exp terms of the edge factor at ``lam``, or
     the pinned factor and 0.0 when ``lam`` is infinite.  Edges with the
     same table bits share ``frontier``, ``errors`` and ``settled`` values
-    computed from the same bits.
+    computed from the same bits, and equal ``spent`` values are one
+    object.
     """
 
     __slots__ = ()
@@ -207,25 +221,26 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     frontier, errors = zip(*bounds) if bounds else ((), ())
     # The log ratio of w with every child on the frontier sums those
     # children in ascending order, and its pair holds the two terms of the
-    # walk's fold, kept apart so that v adds them in the walk's order.
-    thresholds = []
+    # walk's fold, kept apart so that v adds them in the walk's order.  The
+    # children's errors are summed in that order too, with plain +=, as the
+    # walk sums them where a child is pinned.
+    spent = []
     settled = []
+    share_spent = {}.setdefault
     shared_settled: dict[bytes, tuple[float, float]] = {}
     pack_ratio = struct.Struct("d").pack
     for row in rows:
         for w, factors, below in row:
             lam = twice_field[w]
-            largest = 0.0
-            children = belows[below]
-            for child in children:
+            charge = 0.0
+            for child in belows[below]:
                 edge = child[2]
                 lam += frontier[edge]
-                if errors[edge] > largest:
-                    largest = errors[edge]
-            # With one child the threshold is that child's error object
-            # itself, so chains allocate no float per edge.
-            count = len(children)
-            thresholds.append(count * largest if count > 1 else largest)
+                charge += errors[edge]
+            # Shared by value: a charge is never -0.0, so equal values have
+            # equal bits.
+            charge /= factors[6]
+            spent.append(share_spent(charge, charge))
             key = tables[below] + pack_ratio(lam)
             pair = shared_settled.get(key)
             if pair is None:
@@ -240,7 +255,7 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
             settled.append(pair)
     return CompiledSystem(
         n, tuple(twice_field), tuple(rows), tuple(belows), frontier, errors,
-        tuple(thresholds), tuple(settled),
+        tuple(spent), tuple(settled),
     )
 
 
@@ -273,8 +288,9 @@ def walk_log_ratio(
     """Log ratio at ``root`` of its walk tree truncated at ``depth_limit``,
     and the number of nodes that tree has; the tree itself is never built.
 
-    ``allowance`` is the root's, in log-ratio units, split as the module
-    docstring says; an allowance of 0.0 cuts every branch at
+    ``allowance`` is the root's, in log-ratio units, spent as the module
+    docstring says, in plain ``-=``, ``+=`` and ``/`` so that every Python
+    version gets the same bits; an allowance of 0.0 cuts every branch at
     ``depth_limit``.  The result equals ``sawtree.tree_log_ratio(system,
     build_saw_tree(system, root, depth_limit, condition))`` and that tree's
     ``node_count``, bit for bit, when ``stops`` comes from
@@ -291,18 +307,21 @@ def walk_log_ratio(
     entry it changes, so one array serves a whole sweep, but not two walks
     at once; ``root`` must be free and ``depth_limit`` at least 1.
     """
-    _, twice_field, rows, belows, frontier, errors, thresholds, settled = compiled
+    _, twice_field, rows, belows, frontier, errors, spent, settled = compiled
     inf = _INF
     log1p = math.log1p
     exp = math.exp
     # Free children of a frame at depth ``inner`` have all their children on
     # the frontier, so they are evaluated in place and no frame sits deeper,
     # except the root of a depth-1 walk: its free children are the frontier.
-    # Above that a free child takes its share of the allowance ``left`` (r
-    # is the iterator's length hint plus one), and is summed in place too
-    # when its own allowance ``grow`` reaches its edge's threshold.  A child
+    # Above that a free child is offered its share of the allowance ``left``
+    # (r is the iterator's length hint plus one).  A frontier stop is
+    # charged its error.  Any other free child is charged the share and
+    # hands back what it leaves unspent: at once when it is summed in place
+    # (its share reaches ``spent[below]``, or the cap forces it), at its
+    # close when it is entered with the allowance ``grow``.  A child
     # without children (``row`` empty) is never stopped by its share; its
-    # threshold is 0.0, so it is summed in place, exactly, as in the
+    # ``spent`` is 0.0, so it is summed in place, exactly, as in the
     # uniform walk.
     inner = depth_limit - 2
 
@@ -327,14 +346,15 @@ def walk_log_ratio(
             row = belows[below]
             if left:
                 share = left / (children.__length_hint__() + 1)
-                left -= share
                 if share >= errors[below] and row:
+                    left -= errors[below]
                     total += frontier[below]
                     continue
+                left -= share
                 grow = share * factors[6]
             else:
                 grow = 0.0
-            if depth < inner and (not grow or grow < thresholds[below]):
+            if depth < inner and (not grow or share < spent[below]):
                 stops[origin] = child
                 stops[child] = 0
                 frames.append((origin, children, total, factors, left))
@@ -347,7 +367,7 @@ def walk_log_ratio(
                 break
             # The children of child are leaves, and none is child or
             # origin, so no stop needs writing.  With none pinned, the
-            # fold below is settled[below].
+            # fold below is settled[below], and its charge spent[below].
             count += len(row)
             for grandchild in row:
                 if stops[grandchild[0]] is not None:
@@ -356,6 +376,8 @@ def walk_log_ratio(
                 x, y = settled[below]
                 total += x
                 total -= y
+                if grow:
+                    left += share - spent[below]
                 continue
             lam = twice_field[child]
             for grandchild, pinned, edge in row:
@@ -375,12 +397,23 @@ def walk_log_ratio(
                 a = factors[4] + lam
                 b = factors[5]
                 total -= (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
+            if grow:
+                charge = 0.0
+                for grandchild, _, edge in row:
+                    if stops[grandchild] is None:
+                        charge += errors[edge]
+                left += share - charge / factors[6]
         else:
             stops[origin] = None
             if not frames:
                 return total, count
             lam = total
-            origin, children, total, factors, left = frames.pop()
+            if left:
+                rest = left
+                origin, children, total, factors, left = frames.pop()
+                left += rest / factors[6]
+            else:
+                origin, children, total, factors, left = frames.pop()
             depth -= 1
             # Mirrors sawtree.tree_log_ratio's fold, one subtree at a time.
             if lam == inf:

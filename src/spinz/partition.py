@@ -6,9 +6,11 @@ estimated with vertices 1..j-1 pinned to +.  Each marginal comes from a
 walk tree whose stopped free leaves add the lookahead frontier (see
 ``marginal``).  One depth caps every walk, and above it each walk splits
 its root's log-ratio error allowance over the free branches, stopping
-each branch once its share covers that edge's frontier error.  The errors
-sum over the edges, and the sweep starts at the depth where they fit eps
-when every estimated log ratio is nonnegative; otherwise it sums each
+each branch once its share covers that edge's frontier error, and
+charging each branch only the error it leaves, so that later branches
+split what earlier ones did not spend.  The errors sum over the edges,
+and the sweep starts at the depth where they fit eps when every
+estimated log ratio is nonnegative; otherwise it sums each
 vertex's own bound and, if that exceeds eps, sweeps again at the depth
 where the whole sum fits eps (see ``truncation_depth``).  That gives
 |log(estimate) - log(exact)| <= eps whenever the contraction condition
@@ -167,9 +169,10 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     exact factors.  So v's log ratio x_v is off by at most
     delta_v = 2 * a * k_v * rate**(t - 1); the walk that splits delta_v
     over its free branches, edge by edge (see ``marginal``), with t as the
-    cap, keeps that bound.  And sum k_v = |E| <= n * degree
-    / 2 makes the deltas sum to at most n * degree * a * rate**(t - 1), for
-    any degree >= the maximum degree.  The slope of log sigma is
+    cap, keeps that bound: each branch is off by at most what it is
+    charged, and a node's charges never exceed its allowance.  And
+    sum k_v = |E| <= n * degree / 2 makes the deltas sum to at most
+    n * degree * a * rate**(t - 1), for any degree >= the maximum degree.  The slope of log sigma is
     sigma(-x), so v's log marginal is off by at most
     delta_v * sigma(delta_v - x_hat_v), with x_hat_v the estimated log
     ratio.  When every x_hat_v >= 0 that sums to at most D * sigma(D)

@@ -10,9 +10,11 @@ nodes that the truncation stops form the frontier: their subtrees are not
 constructed.  By default the truncation is the one the estimate walks: the
 root's log-ratio error allowance split over the free branches, each free
 child with children of its own stopping once its share covers its own
-edge's frontier error (see ``marginal``), with the depth limit as a hard
-cap, so a branch may stop above the limit; with ``uniform=True`` every
-branch stops exactly at the depth limit.
+edge's frontier error, and each branch charged only the error it leaves,
+so that what it does not spend passes to its later siblings (see
+``marginal``), with the depth limit as a hard cap, so a branch may stop
+above the limit; with ``uniform=True`` every branch stops exactly at the
+depth limit.
 
 The marginal of the root in this tree equals its marginal in the original
 graph, which is what makes the truncated evaluation in ``marginal`` a
@@ -129,12 +131,16 @@ def build_saw_tree(
     revisits close cycles into pinned leaves.  Free nodes that the
     truncation stops are frontier leaves (``stopped``); their subtrees are
     not constructed.  Every node takes its children, and every split its
-    frontier errors and thresholds, from ``compile_system(system)``, the
-    rows that the estimate walks.  By default the truncation splits the
-    root's allowance as ``marginal`` describes: the share per free root
+    frontier errors and ``spent`` charges, from ``compile_system(system)``,
+    the rows that the estimate walks.  By default the truncation splits
+    the root's allowance as ``marginal`` describes: the share per free root
     child is ``marginal.root_share`` of ``system_scalars(system)`` at
     ``depth_limit``, which keeps the uniform tree where it is 0.0, and
-    ``depth_limit`` is a hard cap.  That is the tree whose log ratio
+    ``depth_limit`` is a hard cap.  A frontier stop is charged its error, a
+    node summed in place what its free children leave, and an entered node
+    its share, of which it hands back what it leaves unspent when it
+    closes, with the same float operations in the same order as
+    ``marginal.walk_log_ratio``.  That is the tree whose log ratio
     ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
     pins the lower labels to +.  With ``uniform=True`` every free node
     above ``depth_limit`` is expanded, and setting ``depth_limit`` to the
@@ -160,7 +166,7 @@ def build_saw_tree(
     # Each node's children are the entries (w, factors, below) of the
     # compiled rows that the estimate walks.
     compiled = compile_system(system)
-    belows, errors, thresholds = compiled.belows, compiled.errors, compiled.thresholds
+    belows, errors, spent = compiled.belows, compiled.errors, compiled.spent
 
     on_walk = bytearray(graph.n + 1)
     on_walk[root] = 1
@@ -172,15 +178,19 @@ def build_saw_tree(
     count = 1
 
     # One frame per node being expanded: the node, its child entries, the
-    # position of the next one and the allowance it has left, which is None
-    # when every free child stops (the nodes the walk sums in place).
-    stack = [[root_node, compiled.rows[root], 0, left]]
+    # position of the next one, the allowance it has left, which is None
+    # when every free child stops (the nodes the walk sums in place), and
+    # the stretch of the edge into it, by which a closing node's unspent
+    # allowance is handed back to its parent.
+    stack = [[root_node, compiled.rows[root], 0, left, None]]
     while stack:
         frame = stack[-1]
-        node, entries, position, left = frame
+        node, entries, position, left, stretch = frame
         if position == len(entries):
             stack.pop()
             on_walk[node.origin] = 0
+            if left and stack:
+                stack[-1][3] += left / stretch
             continue
         frame[2] = position + 1
         child_label, factors, below = entries[position]
@@ -202,16 +212,24 @@ def build_saw_tree(
         grow = 0.0
         if left:
             share = left / (len(entries) - position)
-            frame[3] = left - share
             if share >= errors[below] and belows[below]:
+                frame[3] = left - errors[below]
                 child.stopped = True
                 continue
+            frame[3] = left - share
             grow = share * factors[6]
-        if child_depth == depth_limit - 1 or (grow and not grow < thresholds[below]):
+        if child_depth == depth_limit - 1 or (grow and not share < spent[below]):
+            if grow:
+                # Folded in place: charged what its free children leave.
+                charge = 0.0
+                for grandchild, _, edge in belows[below]:
+                    if get_pinned(grandchild) is None and not on_walk[grandchild]:
+                        charge += errors[edge]
+                frame[3] += share - charge / factors[6]
             grow = None
         on_walk[child_label] = 1
         left_toward[origin] = child_label
-        stack.append([child, belows[below], 0, grow])
+        stack.append([child, belows[below], 0, grow, factors[6]])
 
     return SawTree(root_node, root, depth_limit, count)
 

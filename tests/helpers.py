@@ -4,8 +4,10 @@ reference_log_partition is a deliberately plain itertools enumeration kept
 independent of the package's vectorized oracle, so the two can cross-check
 each other.  ising_strip_log_z and strip_log_z are exact where enumeration
 cannot reach: long cycles and grid strips of a few rows, the first for one
-coupling and field, the second for any tables.  The instance builders
-centralize the seeded recipes used by several test modules.
+coupling and field, the second for any tables.  equal_split_depths
+counts the walk tree of the equal allowance split, against which the
+estimator's spent split is checked.  The instance builders centralize the
+seeded recipes used by several test modules.
 """
 
 from __future__ import annotations
@@ -156,6 +158,44 @@ def strip_log_z(system: SpinSystem, rows: int, cols: int, periodic: bool = False
         last = sweep([columns[0][i] if i == first else -math.inf for i in range(count)])
         closed.append(_logsumexp([last[j] + close[j][first] for j in range(count)]))
     return _logsumexp(closed)
+
+
+def equal_split_depths(compiled, stops, root: int, depth_limit: int, allowance: float) -> list[int]:
+    """Depths of the nodes of the walk tree under the equal allowance split,
+    the reference that ``walk_log_ratio``'s spent split must never exceed:
+    each free child is charged its whole share R / r whatever it spends,
+    and is summed in place once its share times the edge's stretch reaches
+    its number of children times their largest error.  ``stops`` is read
+    as ``walk_log_ratio`` reads it and left as it is; the root's row
+    counts at depth 1, as in the walk."""
+    errors, belows = compiled.errors, compiled.belows
+    inner = depth_limit - 2
+    path = {root}
+    depths = [0]
+
+    def expand(row, depth, left):
+        for position, (child, factors, below) in enumerate(row):
+            depths.append(depth + 1)
+            if stops[child] is not None or child in path or depth > inner:
+                continue
+            children = belows[below]
+            grow = 0.0
+            if left:
+                share = left / (len(row) - position)
+                left -= share
+                if share >= errors[below] and children:
+                    continue
+                grow = share * factors[6]
+            threshold = len(children) * max((errors[c[2]] for c in children), default=0.0)
+            if depth < inner and (not grow or grow < threshold):
+                path.add(child)
+                expand(children, depth + 1, grow)
+                path.remove(child)
+            else:
+                depths.extend([depth + 2] * len(children))
+
+    expand(compiled.rows[root], 0, allowance)
+    return depths
 
 
 def identity_instance() -> SpinSystem:

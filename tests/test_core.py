@@ -245,7 +245,7 @@ RECORD_FIELDS = {
         "max_coupling", "max_degree", "degree_bound", "critical_coupling", "contraction",
     ),
     "CompiledSystem": (
-        "n", "twice_field", "rows", "belows", "frontier", "errors", "thresholds", "settled",
+        "n", "twice_field", "rows", "belows", "frontier", "errors", "spent", "settled",
     ),
     "VertexEstimate": ("vertex", "depth", "node_count", "p_hat"),
     "EstimateReport": (

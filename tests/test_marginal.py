@@ -292,13 +292,33 @@ def test_depth_one_walk_on_a_path_of_two_is_exact():
             assert lam == pytest.approx(exact, abs=1e-12)
 
 
+def _interval(compiled, w, children):
+    """w's log ratio interval: twice its field plus, per child, the smaller
+    (larger) of that edge's two pinned factors."""
+    lo = hi = compiled.twice_field[w]
+    for child in children:
+        lo += min(child[1][0], child[1][1])
+        hi += max(child[1][0], child[1][1])
+    return lo, hi
+
+
+def _half_range(system, compiled, v, w, below):
+    """Half the range of the factor of the edge v -> w, numbered ``below``,
+    over w's interval, from the system's own table."""
+    potential = system.oriented_potential(v, w)
+    ends = [edge_factor_log(potential, lam) for lam in _interval(compiled, w, compiled.belows[below])]
+    return abs(ends[1] - ends[0]) / 2
+
+
 def test_compiled_frontier_errors_are_exact_half_ranges():
     # errors[below] is how far frontier[below] can be from the factor of
     # the edge v -> w at any log ratio in w's interval, and no more: the
     # half-range at the interval's ends.  It is at most 2a, the worst case
     # for the system's largest coupling and degree, and 0.0 for an edge of
-    # interaction strength 0, whose stretch is inf.  thresholds[below] is
-    # w's number of children times their largest error.
+    # interaction strength 0, whose stretch is inf.  spent[below] is the
+    # sum of the errors of w's children, in ascending order, over the
+    # stretch: tanh|J_vw| times that sum, and 0.0 at J = 0.  Equal spent
+    # values are one object, so the 800 of a uniform 400-cycle are one.
     rng = np.random.default_rng(53)
     zero_edges = 0
     for family, params in (
@@ -334,18 +354,26 @@ def test_compiled_frontier_errors_are_exact_half_ranges():
                     else:
                         assert factors[6] == pytest.approx(1 / math.tanh(strength), rel=1e-12)
                     assert error <= worst + 1e-15
-                    lo = hi = compiled.twice_field[w]
-                    for child in children:
-                        lo += min(child[1][0], child[1][1])
-                        hi += max(child[1][0], child[1][1])
-                    ends = [edge_factor_log(potential, lam) for lam in (lo, hi)]
-                    assert error == pytest.approx(abs(ends[1] - ends[0]) / 2, abs=1e-15)
+                    lo, hi = _interval(compiled, w, children)
+                    assert error == pytest.approx(_half_range(system, compiled, v, w, below), abs=1e-15)
                     for lam in rng.uniform(lo, hi, 5):
                         gap = abs(compiled.frontier[below] - edge_factor_log(potential, lam))
                         assert gap <= error + 1e-12
-                    largest = max((compiled.errors[child[2]] for child in children), default=0.0)
-                    assert compiled.thresholds[below] == len(children) * largest
+                    charge = 0.0
+                    for child in children:
+                        charge += compiled.errors[child[2]]
+                    spent = compiled.spent[below]
+                    assert spent == charge / factors[6]
+                    if strength == 0.0:
+                        assert spent == 0.0 and math.copysign(1.0, spent) == 1.0
+                    exact = [_half_range(system, compiled, w, child[0], child[2]) for child in children]
+                    assert spent == pytest.approx(math.tanh(strength) * sum(exact), abs=1e-15)
+            objects: dict[float, float] = {}
+            for value in compiled.spent:
+                assert objects.setdefault(value, value) is value
     assert zero_edges > 0
+    cycle = compile_system(ising_system(build_family_graph("cycle", n=400), 0.5, 0.1))
+    assert len(cycle.spent) == 800 and len({id(value) for value in cycle.spent}) == 1
 
 
 ENVELOPE_GRAPHS = [

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from spinz import (
     fptas_log_partition,
     generate,
     format_saw_tree,
+    frontier_count,
     ising_system,
     marginal_plus,
     root_share,
+    save_system,
     system_scalars,
     tree_log_ratio,
     truncation_depth,
@@ -38,8 +41,12 @@ from spinz import (
 import spinz.partition
 from spinz.marginal import PINNED_PLUS
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402  (the benchmark's exact reference)
+
 from .helpers import (
     acceptance_instance,
+    equal_split_depths,
     identity_instance,
     ising_strip_log_z,
     random_system,
@@ -481,6 +488,67 @@ def test_split_tree_prunes_the_uniform_tree():
     assert fewer > 0
 
 
+def test_spent_split_walks_no_more_nodes_than_the_equal_split():
+    # A free branch is charged only what it leaves and hands the rest to
+    # its later siblings, so every share is at least the equal split's
+    # R / r, and no branch stops later: the frontier rule is the same, and
+    # the sum of w's children's errors is at most their number times the
+    # largest.  Every sweep walk of the edge-budget test's systems, at
+    # every depth and rate, keeps at most the nodes of the equal split
+    # (helpers.equal_split_depths), and some keep fewer.
+    fewer = walks = 0
+    for scale, decoupled in ((6.0, False), (1.0, False), (0.3, False), (0.3, True)):
+        for seed in range(5):
+            for spec in BUDGET_SPECS:
+                system = generate(dataclasses.replace(
+                    spec, model="random", coupling=scale, field_strength=scale, seed=seed
+                ))
+                if decoupled:
+                    system = _decoupled(system)
+                scalars = system_scalars(system)
+                degree = scalars.degree_bound
+                rate, half_range = _rate_and_half_range(scalars.max_coupling, degree)
+                compiled = compile_system(system)
+                for depth in range(1, system.n + 1):
+                    stops = compiled.stops()
+                    for v in system.graph.vertices():
+                        free = sum(w > v for w in system.graph.neighbors(v))
+                        allowance = 2 * half_range * free * rate ** (depth - 1)
+                        equal = len(equal_split_depths(compiled, stops, v, depth, allowance))
+                        _, count = walk_log_ratio(compiled, stops, v, depth, allowance)
+                        assert count <= equal, (spec, scale, seed, depth, v)
+                        fewer += count < equal
+                        walks += 1
+                        stops[v] = PINNED_PLUS
+    assert fewer > 0, walks
+
+
+def test_unused_share_reaches_the_later_sibling():
+    # Root 1 has two free children: 2, which has no children and is folded
+    # exactly at no charge, and 3, the root of a complete binary tree of
+    # height 6.  The whole root allowance reaches 3, twice its equal share,
+    # so its branch stops a level shallower than under the equal split.
+    heap = 127
+    edges = [(1, 2), (1, 3)]
+    for i in range(heap):
+        edges += [(i + 3, child + 3) for child in (2 * i + 1, 2 * i + 2) if child < heap]
+    system = ising_system(Graph.from_edges(heap + 2, edges), 0.3, 0.1)
+    depth = 6
+    allowance = 2 * root_share(system_scalars(system), depth)
+    assert allowance > 0.0
+    compiled = compile_system(system)
+    stops = compiled.stops()
+    log_ratio, count = walk_log_ratio(compiled, stops, 1, depth, allowance)
+    tree = build_saw_tree(system, 1, depth)
+    assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
+    assert count == tree.node_count
+    leaf = tree.root.children[0]
+    assert (leaf.origin, leaf.spin, leaf.stopped, leaf.children) == (2, None, False, [])
+    assert frontier_count(tree, depth) == 0 < frontier_count(tree, depth - 1)
+    equal = equal_split_depths(compiled, stops, 1, depth, allowance)
+    assert max(equal) == depth and count < len(equal)
+
+
 def test_split_tree_is_the_uniform_tree_at_degree_two():
     # Every node but the root has at most one child, and on these Ising
     # chains every edge with a child beyond it has frontier error 2a (up to
@@ -590,12 +658,13 @@ def test_ising_strip_log_z_matches_enumeration():
             assert strip_log_z(system, rows, cols, periodic) == pytest.approx(want, abs=1e-12)
 
 
-def test_fptas_within_eps_at_benchmark_size():
+def test_fptas_within_eps_at_benchmark_size(tmp_path):
     # The guarantee at and beyond the sizes the benchmark solves, far past
     # the brute-force oracle's reach: on Ising strips (the 6x8 one is where
     # the allowance split prunes the most nodes), on random-table strips,
-    # where the edges' frontier errors differ, and on the 5x6 random-table
-    # grid that CI estimates on every Python version.
+    # where the edges' frontier errors differ, on the 5x6 random-table
+    # grid that CI estimates on every Python version, and on the random
+    # 3-regular graphs that the rr3-deep workload solves.
     cases = []
     for rows, cols, coupling, periodic in (
         (1, 400, 0.5, True), (4, 6, 0.2, False), (4, 12, 0.2, False), (6, 8, 0.2, False)
@@ -615,24 +684,34 @@ def test_fptas_within_eps_at_benchmark_size():
             cases.append((system, strip_log_z(system, rows, cols), (rows, cols, seed)))
     system = identity_instance()
     cases.append((system, strip_log_z(system, 5, 6), "identity"))
+    # The sixteen rr3-deep graphs of seed 1, against the benchmark's own
+    # elimination reference, which reads the saved file.
+    for seed in range(16, 32):
+        system = generate(GenSpec(
+            "random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=seed
+        ))
+        path = tmp_path / f"rr3-{seed}.json"
+        save_system(system, path)
+        exact = reference.elimination_log_partition(reference.read_instance(path))
+        cases.append((system, exact, ("rr3", seed)))
     for system, exact, name in cases:
         for eps in (0.1, 0.01):
             assert abs(fptas_log_partition(system, eps).log_z_hat - exact) <= eps, (name, eps)
 
 
-def test_uniform_ising_reports_stay_byte_identical():
-    # On a 3-regular Ising graph every edge's frontier error is one and the
-    # same, close to the worst case 2a, and at degree 2 the walks keep the
-    # uniform tree, so the per-edge split leaves these reports (the first
-    # rr3-deep and the cycle-sweep benchmark instances) as the worst-case
-    # split left them, bit for bit.
+def test_rr3_deep_and_cycle_sweep_reports_are_pinned():
+    # The first rr3-deep and the cycle-sweep benchmark instances, bit for
+    # bit.  Every edge of the 3-regular Ising graph has one frontier error,
+    # close to the worst case 2a, so its walks stop where the spent split
+    # leaves a branch's share over that error.  At degree 2 the walks keep
+    # the uniform tree, whichever way the allowance is split.
     for system, log_z_hat, nodes in (
         (
             generate(GenSpec(
                 "random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=16
             )),
-            "0x1.f03d4d4ed4846p+4",
-            8318,
+            "0x1.f04e05e3445c0p+4",
+            6452,
         ),
         (ising_system(build_family_graph("cycle", n=400), 0.5, 0.1), "0x1.4aa781d5930f6p+8", 4764),
     ):
