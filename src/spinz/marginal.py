@@ -35,7 +35,8 @@ rest * tanh|J_vw| handed back when its branch closes with rest unspent;
 v's later children split that, and what v leaves goes on up.  An edge
 with J_vw = 0 has e_vw = 0 and always stops.  Each branch is off by at
 most its charge and no charge exceeds its share, so a node is off by at
-most its allowance, and each share is at least the equal split R / r of
+most what its branches were charged, its charge, and so by at most its
+allowance, and each share is at least the equal split R / r of
 the node's allowance.  Since e_vw <= 2a and tanh|J_vw| <= tanh(J), a root
 allowance of 2a * rate**(t - 1) per free child (``root_share``) leaves
 every share at depth k at least 2a * rate**(t - k).  That covers the
@@ -269,8 +270,8 @@ def root_share(scalars: SystemScalars, depth_limit: int) -> float:
     """The allowance ``walk_log_ratio`` takes per free root child at
     ``depth_limit``: 2 * a * rate**(depth_limit - 1), with rate the
     contraction, so a root with k free children is off by at most
-    delta_v = 2 * a * k * rate**(depth_limit - 1), as
-    ``partition.truncation_depth`` assumes.  0.0, the uniform tree, at
+    delta_v = 2 * a * k * rate**(depth_limit - 1), as the a-priori depth
+    of ``partition.truncation_depth`` assumes.  0.0, the uniform tree, at
     degree bound 2 or less (see the module docstring) and when the rate is
     not in (0, 1)."""
     rate = scalars.contraction
@@ -284,16 +285,21 @@ def root_share(scalars: SystemScalars, depth_limit: int) -> float:
 
 def walk_log_ratio(
     compiled: CompiledSystem, stops: list, root: int, depth_limit: int, allowance: float = 0.0
-) -> tuple[float, int]:
+) -> tuple[float, int, float]:
     """Log ratio at ``root`` of its walk tree truncated at ``depth_limit``,
-    and the number of nodes that tree has; the tree itself is never built.
+    the number of nodes that tree has, and the root's charge; the tree
+    itself is never built.
 
     ``allowance`` is the root's, in log-ratio units, spent as the module
     docstring says, in plain ``-=``, ``+=`` and ``/`` so that every Python
     version gets the same bits; an allowance of 0.0 cuts every branch at
-    ``depth_limit``.  The result equals ``sawtree.tree_log_ratio(system,
-    build_saw_tree(system, root, depth_limit, condition))`` and that tree's
-    ``node_count``, bit for bit, when ``stops`` comes from
+    ``depth_limit``.  The charge, ``allowance`` less what the root has
+    left, bounds the log ratio's error; at allowance 0.0 only a depth-1
+    root charges (its frontier children), and deeper uniform walks keep
+    the bound of ``tree_log_ratio``.  The result equals
+    ``sawtree.tree_log_ratio(system, tree)``, ``tree.node_count`` and
+    ``tree.charge``, bit for bit, for ``tree = build_saw_tree(system,
+    root, depth_limit, condition)``, when ``stops`` comes from
     ``compiled.stops(condition)`` and the allowance is that tree's
     (``root_share`` times the free root children, 0.0 for
     ``uniform=True``).
@@ -313,7 +319,8 @@ def walk_log_ratio(
     exp = math.exp
     # Free children of a frame at depth ``inner`` have all their children on
     # the frontier, so they are evaluated in place and no frame sits deeper,
-    # except the root of a depth-1 walk: its free children are the frontier.
+    # except the root of a depth-1 walk: its free children are the frontier,
+    # each charged its error.
     # Above that a free child is offered its share of the allowance ``left``
     # (r is the iterator's length hint plus one).  A frontier stop is
     # charged its error.  Any other free child is charged the share and
@@ -341,6 +348,7 @@ def walk_log_ratio(
                 total += factors[0] if origin > stop else factors[1]
                 continue
             if depth > inner:
+                left -= errors[below]
                 total += frontier[below]
                 continue
             row = belows[below]
@@ -406,7 +414,7 @@ def walk_log_ratio(
         else:
             stops[origin] = None
             if not frames:
-                return total, count
+                return total, count, allowance - left
             lam = total
             if left:
                 rest = left

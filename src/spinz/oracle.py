@@ -171,7 +171,7 @@ def _identity_gaps(system: SpinSystem, cond: Condition, roots=None):
     for root in roots:
         numerator = exact_log_partition(system, {**cond, root: Spin.PLUS})
         exact = math.exp(numerator - denominator)
-        log_ratio, _ = walk_log_ratio(compiled, stops, root, graph.n)
+        log_ratio, _, _ = walk_log_ratio(compiled, stops, root, graph.n)
         yield root, abs(exact - marginal_plus(log_ratio))
 
 
@@ -258,8 +258,10 @@ def decay_function(distance: int, coupling: float, degree: int) -> float:
     2 * a * k * rate**(t - 1), at most k / degree of half the envelope at
     distance t + 1, in its log ratio.  Its log marginal is within that
     times sigma(2 * a * k * rate**(t - 1) - x_hat), about 1/2 when the
-    estimated log ratio x_hat is nonnegative; the sweep's start depth
-    counts on that halving (see ``truncation_depth``).
+    estimated log ratio x_hat is nonnegative.  The sweep's start depth
+    counts on that halving and on the walks' charges falling short of
+    those bounds, and certifies itself from the charges (see
+    ``truncation_depth``).
     """
     if distance < 1:
         raise ValueError("distance must be at least 1")

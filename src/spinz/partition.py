@@ -8,11 +8,10 @@ walk tree whose stopped free leaves add the lookahead frontier (see
 its root's log-ratio error allowance over the free branches, stopping
 each branch once its share covers that edge's frontier error, and
 charging each branch only the error it leaves, so that later branches
-split what earlier ones did not spend.  The errors sum over the edges,
-and the sweep starts at the depth where they fit eps when every
-estimated log ratio is nonnegative; otherwise it sums each
-vertex's own bound and, if that exceeds eps, sweeps again at the depth
-where the whole sum fits eps (see ``truncation_depth``).  That gives
+split what earlier ones did not spend.  The sweep certifies eps from
+what its walks were charged; when it cannot, it sweeps again at the
+a-priori depth, where the allowances alone fit eps (see
+``truncation_depth``).  That gives
 |log(estimate) - log(exact)| <= eps whenever the contraction condition
 (degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor enters the
 sum as a log, taken from the walk's log ratio where the marginal itself is
@@ -20,7 +19,7 @@ too small for a normal float, so no estimate leaves the log domain.
 
 The estimate is one serial sweep, two at most, over the tables of one
 ``compile_system``; it counts each vertex's neighbours with a larger label
-once, for the root allowances and the certificate.  Pinning is by rank:
+once, for the root allowances.  Pinning is by rank:
 one per-label stop array (see ``walk_log_ratio``) serves the whole sweep,
 and vertex j pins itself to + when its walk is done, so every later walk
 sees 1..j pinned.  Each walk evaluates its tree while walking it and
@@ -141,20 +140,21 @@ def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int,
     if rate <= 0.0:
         return 1, 1, 0.0
     half_range = _half_range(coupling, degree)
-    depths = []
+    levels = []
     # D = 4 * eps / (1 + sqrt(1 + 4 * eps)) in a form that cannot overflow
     for budget in (eps / (0.25 + 0.5 * math.sqrt(0.25 + eps)), eps):
         scale = n * degree * half_range / budget
         raw = 0.0 if scale <= 1.0 else math.log(scale) / math.log(1.0 / rate)
         if not math.isfinite(raw):  # n * degree * a / budget overflowed
             raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
-        depths.append(1 + math.ceil(raw))
-    return depths[0], depths[1], 2.0 * half_range * rate ** (depths[0] - 1)
+        levels.append(math.ceil(raw))
+    start = max(1, levels[0])
+    return start, 1 + levels[1], 2.0 * half_range * rate ** (start - 1)
 
 
 def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     """Walk-tree depth at which the sweep starts: the smallest t >= 1 with
-    n * degree * a * rate**(t - 1) <= D, where D = 4 * eps / (1 + sqrt(1 +
+    n * degree * a * rate**t <= D, where D = 4 * eps / (1 + sqrt(1 +
     4 * eps)) solves D * (1/2 + D/4) = eps.
 
     Here rate = (degree - 1) * tanh(coupling) and
@@ -172,16 +172,17 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     cap, keeps that bound: each branch is off by at most what it is
     charged, and a node's charges never exceed its allowance.  And
     sum k_v = |E| <= n * degree / 2 makes the deltas sum to at most
-    n * degree * a * rate**(t - 1), for any degree >= the maximum degree.  The slope of log sigma is
-    sigma(-x), so v's log marginal is off by at most
-    delta_v * sigma(delta_v - x_hat_v), with x_hat_v the estimated log
-    ratio.  When every x_hat_v >= 0 that sums to at most D * sigma(D)
-    <= D * (1/2 + D/4) = eps at this depth.  ``fptas_log_partition``
-    checks the sum otherwise, and falls back on the a-priori depth, the
-    smallest t with n * degree * a * rate**(t - 1) <= eps (log sigma is
-    1-Lipschitz), when it exceeds eps.
+    n * degree * a * rate**(t - 1), for any degree >= the maximum degree.
+    The slope of log sigma is sigma(-x), so v's log marginal is off by at
+    most c * sigma(c - x_hat_v) for any c >= |x_hat_v - x_v|, x_hat_v the
+    estimated log ratio.  With c = delta_v and every x_hat_v >= 0 these
+    sum to at most D * sigma(D) <= D * (1/2 + D/4) = eps one level deeper.
+    ``fptas_log_partition`` sums them with c = c_v, the walk's charge,
+    often well under delta_v, and when that exceeds eps falls back on the
+    a-priori depth, the smallest t with n * degree * a * rate**(t - 1) <=
+    eps (log sigma is 1-Lipschitz).
 
-    Computed as 1 + ceil(log(n * degree * a / D) / log(1 / rate)).
+    Computed as max(1, ceil(log(n * degree * a / D) / log(1 / rate))).
     Natural logs throughout.  Raises DecayConditionError when rate >= 1,
     before a is computed, so atanh never sees 1, and ValueError when eps is
     so small that the depth overflows.
@@ -189,8 +190,7 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     The answer is 1 when the rate is 0 or less: zero coupling makes every
     edge factor constant, and on a graph of degree bound 1 the depth-1
     frontier leaf has no children, so its interval is a point.  It is also
-    1 when n * degree * a / D is at most 1, underflow to 0 included,
-    since depth 1 then certifies eps already.
+    1 when n * degree * a * rate is at most D, underflow to 0 included.
     """
     if n < 1:
         raise ValueError("vertex count must be at least 1")
@@ -229,9 +229,9 @@ def fptas_log_partition(
     delta_v, ``root_share`` per free root child, over its free branches,
     and the free leaves it stops take the lookahead frontier (at degree
     bound 2 or less the walks keep the uniform tree; see ``marginal``).
-    If an estimated log ratio is negative, it sums the log-marginal bounds
-    delta_v * sigma(delta_v - x_hat_v) described there, and when they
-    exceed eps it reports a second sweep at the a-priori depth.  The log
+    It sums c_v * sigma(c_v - x_hat_v) as described there, c_v the walk's
+    charge (delta_v for a uniform walk), and when that exceeds eps it
+    reports a second sweep at the a-priori depth.  The log
     factors are summed in the same ascending order, so reruns agree bit
     for bit.  A marginal too small for a normal float takes its log from
     the walk's log ratio, so no finite input raises for underflow.
@@ -261,26 +261,21 @@ def fptas_log_partition(
         share = root_share(scalars, depth)
         stops = compiled.stops()
         estimates = []
-        log_ratios = []
-        log_p_total = 0.0
+        log_p_total = certificate = 0.0
         for vertex in range(1, n + 1):
-            log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth, share * larger[vertex])
+            log_ratio, count, charge = walk_log_ratio(compiled, stops, vertex, depth, share * larger[vertex])
             p_hat = marginal_plus(log_ratio)
             if p_hat >= _MIN_NORMAL:
                 log_p_total += math.log(p_hat)
             else:  # log(R / (1 + R)); here log_ratio < -708, so exp cannot overflow
                 log_p_total += log_ratio - math.log1p(math.exp(log_ratio))
             estimates.append(VertexEstimate(vertex, depth, count, p_hat))
-            log_ratios.append(log_ratio)
+            if not share:  # a uniform walk: its a-priori bound at the start depth
+                charge = unit * larger[vertex]
+            certificate += charge * marginal_plus(charge - log_ratio)
             stops[vertex] = PINNED_PLUS
-        if depth == a_priori or min(log_ratios, default=0.0) >= 0.0:
-            break  # certified a priori, or by D * sigma(D) <= eps
-        bound = 0.0
-        for vertex, log_ratio in enumerate(log_ratios, 1):
-            delta = unit * larger[vertex]
-            bound += delta * marginal_plus(delta - log_ratio)
-        if bound <= eps:
-            break
+        if depth == a_priori or certificate <= eps:
+            break  # certified a priori, or by the walks' charges
 
     log_all_plus = all_plus_log_weight(system)
     return EstimateReport(

@@ -84,13 +84,16 @@ class SawNode:
 
 @dataclass(frozen=True)
 class SawTree:
-    """A built walk tree: root node, root vertex label, depth limit, and the
-    total number of nodes constructed (the work bookkeeping)."""
+    """A built walk tree: root node, root vertex label, depth limit, the
+    total number of nodes constructed (the work bookkeeping), and the
+    root's charge, what the truncation charged its branches in all (see
+    ``marginal.walk_log_ratio``)."""
 
     root: SawNode
     root_vertex: int
     depth_limit: int
     node_count: int
+    charge: float = 0.0
 
 
 def edge_factor_log(potential: EdgePotential, child_log_ratio: float) -> float:
@@ -140,7 +143,8 @@ def build_saw_tree(
     node summed in place what its free children leave, and an entered node
     its share, of which it hands back what it leaves unspent when it
     closes, with the same float operations in the same order as
-    ``marginal.walk_log_ratio``.  That is the tree whose log ratio
+    ``marginal.walk_log_ratio``; the tree's ``charge`` is what the root's
+    branches were charged in all.  That is the tree whose log ratio
     ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
     pins the lower labels to +.  With ``uniform=True`` every free node
     above ``depth_limit`` is expanded, and setting ``depth_limit`` to the
@@ -162,7 +166,7 @@ def build_saw_tree(
     root_node = SawNode(root, 0, None, [], stopped=depth_limit == 0)
     if depth_limit == 0:
         return SawTree(root_node, root, depth_limit, 1)
-    left = 0.0 if uniform else _root_allowance(system, root, depth_limit, pinned)
+    allowance = 0.0 if uniform else _root_allowance(system, root, depth_limit, pinned)
     # Each node's children are the entries (w, factors, below) of the
     # compiled rows that the estimate walks.
     compiled = compile_system(system)
@@ -182,14 +186,16 @@ def build_saw_tree(
     # when every free child stops (the nodes the walk sums in place), and
     # the stretch of the edge into it, by which a closing node's unspent
     # allowance is handed back to its parent.
-    stack = [[root_node, compiled.rows[root], 0, left, None]]
+    stack = [[root_node, compiled.rows[root], 0, allowance, None]]
     while stack:
         frame = stack[-1]
         node, entries, position, left, stretch = frame
         if position == len(entries):
             stack.pop()
             on_walk[node.origin] = 0
-            if left and stack:
+            if not stack:
+                charge = allowance - left
+            elif left:
                 stack[-1][3] += left / stretch
             continue
         frame[2] = position + 1
@@ -207,6 +213,8 @@ def build_saw_tree(
         if spin is not None:
             continue
         if left is None or child_depth == depth_limit:
+            if left is not None:  # a child of a depth-1 root
+                frame[3] = left - errors[below]
             child.stopped = True
             continue
         grow = 0.0
@@ -231,7 +239,7 @@ def build_saw_tree(
         left_toward[origin] = child_label
         stack.append([child, belows[below], 0, grow, factors[6]])
 
-    return SawTree(root_node, root, depth_limit, count)
+    return SawTree(root_node, root, depth_limit, count, charge)
 
 
 def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = None) -> float:
@@ -247,8 +255,9 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
             bound.  A tree from ``build_saw_tree`` whose root has k free
             children is then off by at most
             ``2 * a * k * rate**(depth_limit - 1)``, with a and rate as in
-            ``partition.truncation_depth``, whether it is split or uniform;
-            it needs a depth limit of at least 1.  A float is the log ratio
+            ``partition.truncation_depth``, whether it is split or uniform,
+            and a split tree by at most its ``charge``; it needs a depth
+            limit of at least 1.  A float is the log ratio
             those leaves take (-inf pins the unexplored region to minus).
 
     Evaluation is an explicit post-order sweep (no recursion), so tree depth
@@ -350,7 +359,7 @@ def conditional_marginal_estimate(
     cond = checked_condition(system.graph.n, vertex, condition)
     compiled = compile_system(system)
     allowance = _root_allowance(system, vertex, depth, cond)
-    log_ratio, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth, allowance)
+    log_ratio, _, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth, allowance)
     return marginal_plus(log_ratio)
 
 

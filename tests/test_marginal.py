@@ -12,9 +12,12 @@ from spinz import (
     Spin,
     SpinSystem,
     VertexField,
+    attach_spin_model,
     build_family_graph,
     build_saw_tree,
     compile_system,
+    connected_graphs,
+    critical_inverse_temperature,
     decay_function,
     edge_factor_log,
     exact_log_partition,
@@ -23,12 +26,14 @@ from spinz import (
     ising_potential,
     ising_system,
     marginal_plus,
+    root_share,
     system_scalars,
     tree_log_ratio,
     walk_log_ratio,
 )
+from spinz.marginal import PINNED_PLUS
 
-from .helpers import random_system
+from .helpers import ACCEPTANCE_FAMILIES, acceptance_instance, random_system
 
 
 def test_edge_factor_flat_potential_is_zero():
@@ -287,8 +292,8 @@ def test_depth_one_walk_on_a_path_of_two_is_exact():
             exact = exact_log_partition(system, {root: Spin.PLUS}) - exact_log_partition(
                 system, {root: Spin.MINUS}
             )
-            lam, count = walk_log_ratio(compiled, compiled.stops(), root, 1)
-            assert count == 2
+            lam, count, charge = walk_log_ratio(compiled, compiled.stops(), root, 1)
+            assert (count, charge) == (2, 0.0)
             assert lam == pytest.approx(exact, abs=1e-12)
 
 
@@ -414,7 +419,7 @@ def test_midpoint_frontier_within_half_envelope_of_exact():
             compiled = compile_system(system)
             for depth in range(1, graph.n + 1):
                 half = decay_function(depth + 1, scalars.max_coupling, scalars.degree_bound) / 2
-                lookahead, _ = walk_log_ratio(compiled, compiled.stops(cond), root, depth)
+                lookahead, _, _ = walk_log_ratio(compiled, compiled.stops(cond), root, depth)
                 tree = build_saw_tree(system, root, depth, cond, uniform=True)
                 minus = tree_log_ratio(system, tree, -math.inf)
                 for frontier, lam in ((None, lookahead), (-math.inf, minus)):
@@ -423,3 +428,42 @@ def test_midpoint_frontier_within_half_envelope_of_exact():
     assert pairs >= 1000
     assert worst[None] <= 1.0 + 1e-9
     assert worst[-math.inf] > 1.0
+
+
+def test_charge_bounds_the_error_of_every_sweep_walk():
+    # Each split walk of the +-pinned sweep, with the sweep's root
+    # allowances at depths 1 to 7, is off from the complete tree by at most
+    # the charge it returns.  The systems are the acceptance instances and
+    # every connected graph on at most 4 vertices with random near-critical
+    # tables, whose allowances take degree bound 3 so that the split runs
+    # on paths and cycles too.  A depth-1 walk charges the errors of its
+    # stopped root children, however large its allowance.
+    coupling = 0.9 * critical_inverse_temperature(3)
+    systems = [
+        (acceptance_instance(family, model, seed), None)
+        for family in ACCEPTANCE_FAMILIES
+        for model in ("ising", "random")
+        for seed in range(3)
+    ]
+    for n in range(1, 5):
+        for index, graph in enumerate(connected_graphs(n)):
+            systems.append((attach_spin_model(graph, "random", coupling, 1.0, seed=index), 3))
+    walks = charged_depth_one = 0
+    for system, degree_bound in systems:
+        n = system.n
+        scalars = system_scalars(system, degree_bound)
+        compiled = compile_system(system)
+        for depth in range(1, 8):
+            share = root_share(scalars, depth)
+            if not share and depth > 1:
+                continue  # a uniform walk charges only a depth-1 root's children
+            stops = compiled.stops()
+            for v in range(1, n + 1):
+                allowance = share * sum(w > v for w in system.graph.neighbors(v))
+                log_ratio, _, charge = walk_log_ratio(compiled, stops, v, depth, allowance)
+                exact, _, _ = walk_log_ratio(compiled, stops, v, n)
+                assert abs(log_ratio - exact) <= charge + 1e-12, (system, depth, v, charge)
+                walks += 1
+                charged_depth_one += depth == 1 and charge > 0.0
+                stops[v] = PINNED_PLUS
+    assert walks > 2000 and charged_depth_one > 0, (walks, charged_depth_one)

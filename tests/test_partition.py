@@ -85,9 +85,9 @@ def _rate_and_half_range(coupling: float, degree: int) -> tuple[float, float]:
 
 
 def test_truncation_depth_reference_value():
-    # the smallest t with n*d*a*rate^(t-1) <= D; the a-priori rule, with
-    # eps in place of D, needs one level more here
-    assert truncation_depth(10, 0.3, 3, 0.1) == 8
+    # the smallest t with n*d*a*rate^t <= D; the a-priori rule, the
+    # smallest t with n*d*a*rate^(t-1) <= eps, needs two levels more here
+    assert truncation_depth(10, 0.3, 3, 0.1) == 7
     rate, half_range = _rate_and_half_range(0.3, 3)
     budget = _start_budget(0.1)
     assert 30 * half_range * rate ** 7 <= budget < 30 * half_range * rate ** 6
@@ -397,7 +397,7 @@ def test_sweep_errors_within_the_edge_budget():
                     total = certificate = 0.0
                     for v in range(1, n + 1):
                         bound = 2 * half_range * free[v] * rate ** (depth - 1)
-                        log_ratio, _ = walk_log_ratio(compiled, stops, v, depth, bound)
+                        log_ratio, _, _ = walk_log_ratio(compiled, stops, v, depth, bound)
                         stops[v] = PINNED_PLUS
                         assert not math.isnan(log_ratio), (spec, scale, seed, depth, v)
                         error = abs(log_ratio - exact[v])
@@ -445,10 +445,10 @@ def test_zero_coupling_edges_always_stop():
                             assert child.stopped, (spec, depth, v)
                             stopped += 1
                     stack.extend(node.children)
-                log_ratio, count = _split_walk(system, compiled, stops, v, depth, pinned_before)
+                log_ratio, count, charge = _split_walk(system, compiled, stops, v, depth, pinned_before)
                 assert math.isfinite(log_ratio)
                 assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
-                assert count == tree.node_count
+                assert (count, charge.hex()) == (tree.node_count, tree.charge.hex())
                 stops[v] = PINNED_PLUS
     assert stopped > 0
 
@@ -515,7 +515,7 @@ def test_spent_split_walks_no_more_nodes_than_the_equal_split():
                         free = sum(w > v for w in system.graph.neighbors(v))
                         allowance = 2 * half_range * free * rate ** (depth - 1)
                         equal = len(equal_split_depths(compiled, stops, v, depth, allowance))
-                        _, count = walk_log_ratio(compiled, stops, v, depth, allowance)
+                        _, count, _ = walk_log_ratio(compiled, stops, v, depth, allowance)
                         assert count <= equal, (spec, scale, seed, depth, v)
                         fewer += count < equal
                         walks += 1
@@ -538,10 +538,10 @@ def test_unused_share_reaches_the_later_sibling():
     assert allowance > 0.0
     compiled = compile_system(system)
     stops = compiled.stops()
-    log_ratio, count = walk_log_ratio(compiled, stops, 1, depth, allowance)
+    log_ratio, count, charge = walk_log_ratio(compiled, stops, 1, depth, allowance)
     tree = build_saw_tree(system, 1, depth)
     assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
-    assert count == tree.node_count
+    assert (count, charge.hex()) == (tree.node_count, tree.charge.hex())
     leaf = tree.root.children[0]
     assert (leaf.origin, leaf.spin, leaf.stopped, leaf.children) == (2, None, False, [])
     assert frontier_count(tree, depth) == 0 < frontier_count(tree, depth - 1)
@@ -710,22 +710,23 @@ def test_rr3_deep_and_cycle_sweep_reports_are_pinned():
             generate(GenSpec(
                 "random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=16
             )),
-            "0x1.f04e05e3445c0p+4",
-            6452,
+            "0x1.f05fb03d6c6c2p+4",
+            4260,
         ),
-        (ising_system(build_family_graph("cycle", n=400), 0.5, 0.1), "0x1.4aa781d5930f6p+8", 4764),
+        (ising_system(build_family_graph("cycle", n=400), 0.5, 0.1), "0x1.4aa9507e97654p+8", 4372),
     ):
         report = fptas_log_partition(system, 0.1)
         assert (report.log_z_hat.hex(), report.total_nodes) == (log_z_hat, nodes)
 
 
 def test_fptas_sweeps_again_at_the_a_priori_depth():
-    # Negative estimated log ratios make the summed certificate exceed eps
-    # at the start depth, so the estimate is the sweep at the a-priori
-    # depth, the smallest t with n*d*a*rate^(t-1) <= eps.
+    # Negative estimated log ratios make the certificate summed from the
+    # walks' charges exceed eps at the start depth, so the estimate is the
+    # sweep at the a-priori depth, the smallest t with
+    # n*d*a*rate^(t-1) <= eps.  CI estimates this instance too.
     eps = 0.1
     system = generate(GenSpec(
-        "random_regular", n=10, degree=3, model="random", coupling=0.5, field_strength=1.0, seed=2
+        "random_regular", n=10, degree=3, model="random", coupling=0.5, field_strength=1.0, seed=11
     ))
     n = system.n
     scalars = system_scalars(system)
@@ -733,15 +734,14 @@ def test_fptas_sweeps_again_at_the_a_priori_depth():
     rate, half_range = _rate_and_half_range(scalars.max_coupling, degree)
     start = truncation_depth(n, scalars.max_coupling, degree, eps)
     a_priori = next(t for t in range(1, 100) if n * degree * half_range * rate ** (t - 1) <= eps)
-    assert (start, a_priori) == (5, 6)
+    assert (start, a_priori) == (2, 4)
     compiled = compile_system(system)
     stops = compiled.stops()
     certificate = 0.0
     for v in range(1, n + 1):
-        log_ratio, _ = _split_walk(system, compiled, stops, v, start, range(1, v))
+        log_ratio, _, charge = _split_walk(system, compiled, stops, v, start, range(1, v))
         stops[v] = PINNED_PLUS
-        delta = 2 * half_range * sum(w > v for w in system.graph.neighbors(v)) * rate ** (start - 1)
-        certificate += delta * marginal_plus(delta - log_ratio)
+        certificate += charge * marginal_plus(charge - log_ratio)
     assert certificate > eps
     report = fptas_log_partition(system, eps)
     assert report.truncation_depth == a_priori
@@ -751,7 +751,8 @@ def test_fptas_sweeps_again_at_the_a_priori_depth():
 
 def test_fptas_positive_field_ising_keeps_the_start_depth():
     # Ferromagnetic couplings and a positive field keep every estimated
-    # log ratio of the +-pinned sweep nonnegative, so no second sweep.
+    # log ratio of the +-pinned sweep nonnegative, and the certificate
+    # summed from the walks' charges fits eps: no second sweep.
     system = ising_system(build_family_graph("random_regular", n=12, degree=3, seed=4), 0.3, 0.1)
     scalars = system_scalars(system)
     report = fptas_log_partition(system, 0.1)
@@ -759,6 +760,22 @@ def test_fptas_positive_field_ising_keeps_the_start_depth():
     assert report.truncation_depth == start
     assert all(v.p_hat >= 0.5 for v in report.vertices)
     assert abs(report.log_z_hat - exact_log_partition(system)) <= 0.1
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec("random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1),
+    GenSpec("grid", rows=4, cols=6, coupling=0.2, field_strength=0.1),
+    GenSpec("cycle", n=400, coupling=0.5, field_strength=0.1),
+], ids=["rr3-deep", "grid-strip", "cycle-sweep"])
+def test_benchmark_families_certify_at_the_start_depth(spec):
+    # The benchmark's traced run rebuilds every tree at truncation_depth,
+    # so its instances must certify eps = 0.1 in the first sweep.
+    for seed in range(5):
+        system = generate(dataclasses.replace(spec, seed=seed))
+        scalars = system_scalars(system)
+        report = fptas_log_partition(system, 0.1)
+        start = truncation_depth(system.n, scalars.max_coupling, scalars.degree_bound, 0.1)
+        assert report.truncation_depth == start, seed
 
 
 def test_fptas_depth_one_at_zero_coupling():
@@ -806,13 +823,13 @@ def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
         for vertex in system.graph.vertices():
             pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
             tree = build_saw_tree(system, vertex, depth, pinned_before)
-            log_ratio, count = _split_walk(system, compiled, sweep, vertex, depth, pinned_before)
+            log_ratio, count, charge = _split_walk(system, compiled, sweep, vertex, depth, pinned_before)
             assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
-            assert count == tree.node_count
+            assert (count, charge.hex()) == (tree.node_count, tree.charge.hex())
             uniform = build_saw_tree(system, vertex, depth, pinned_before, uniform=True)
-            log_ratio, count = walk_log_ratio(compiled, sweep, vertex, depth)
+            log_ratio, count, charge = walk_log_ratio(compiled, sweep, vertex, depth)
             assert log_ratio.hex() == tree_log_ratio(system, uniform).hex()
-            assert count == uniform.node_count
+            assert (count, charge.hex()) == (uniform.node_count, uniform.charge.hex())
             sweep[vertex] = PINNED_PLUS
         for _ in range(3):
             spins = rng.choice([0, 1, -1], size=n)
@@ -821,16 +838,16 @@ def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
                 stops = compiled.stops(cond)
                 tree = build_saw_tree(system, vertex, depth, cond)
                 want = tree_log_ratio(system, tree)
-                log_ratio, count = _split_walk(system, compiled, stops, vertex, depth, cond)
+                log_ratio, count, charge = _split_walk(system, compiled, stops, vertex, depth, cond)
                 assert log_ratio.hex() == want.hex()
-                assert count == tree.node_count
+                assert (count, charge.hex()) == (tree.node_count, tree.charge.hex())
                 assert stops == compiled.stops(cond)  # the walk restored its array
                 estimate = conditional_marginal_estimate(system, vertex, cond, depth)
                 assert estimate.hex() == marginal_plus(want).hex()
                 uniform = build_saw_tree(system, vertex, depth, cond, uniform=True)
-                log_ratio, count = walk_log_ratio(compiled, stops, vertex, depth)
+                log_ratio, count, charge = walk_log_ratio(compiled, stops, vertex, depth)
                 assert log_ratio.hex() == tree_log_ratio(system, uniform).hex()
-                assert count == uniform.node_count
+                assert (count, charge.hex()) == (uniform.node_count, uniform.charge.hex())
 
 
 def _assert_sweep_walks_match_trees(system, depth):
@@ -841,9 +858,9 @@ def _assert_sweep_walks_match_trees(system, depth):
     for vertex in system.graph.vertices():
         pinned_before = Condition({i: Spin.PLUS for i in range(1, vertex)})
         tree = build_saw_tree(system, vertex, depth, pinned_before)
-        log_ratio, count = _split_walk(system, compiled, stops, vertex, depth, pinned_before)
+        log_ratio, count, charge = _split_walk(system, compiled, stops, vertex, depth, pinned_before)
         assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
-        assert count == tree.node_count
+        assert (count, charge.hex()) == (tree.node_count, tree.charge.hex())
         stops[vertex] = PINNED_PLUS
 
 
@@ -854,13 +871,13 @@ BENCHMARK_SPECS = [
 
 
 @pytest.mark.parametrize(
-    "spec, least_depth", zip(BENCHMARK_SPECS, (10, 9)), ids=["rr3-40", "grid-4x6"]
+    "spec, least_depth", zip(BENCHMARK_SPECS, (9, 8)), ids=["rr3-40", "grid-4x6"]
 )
 def test_walk_matches_saw_tree_at_benchmark_size(spec, least_depth):
     # The sweep's walks at eps = 0.1, where most free nodes sit on the
     # level evaluated in place and most of those take a settled pair, and
-    # at 11, 12 and 13.  The start depth is the smallest that fits the
-    # budget D of eps = 0.1.
+    # at 10 to 13, the a-priori depths among them.  The start depth is the
+    # smallest t with n*d*a*rate^t <= D, the budget D of eps = 0.1.
     system = generate(spec)
     scalars = system_scalars(system)
     degree = scalars.degree_bound
@@ -868,8 +885,8 @@ def test_walk_matches_saw_tree_at_benchmark_size(spec, least_depth):
     assert depth == least_depth
     rate, half_range = _rate_and_half_range(scalars.max_coupling, degree)
     edge_sum = system.n * degree * half_range
-    assert edge_sum * rate ** (depth - 1) <= _start_budget(0.1) < edge_sum * rate ** (depth - 2)
-    for walked in sorted({depth, 11, 12, 13}):
+    assert edge_sum * rate ** depth <= _start_budget(0.1) < edge_sum * rate ** (depth - 1)
+    for walked in sorted({depth, 10, 11, 12, 13}):
         _assert_sweep_walks_match_trees(system, walked)
 
 
