@@ -23,30 +23,32 @@ over its free branches, in log-ratio units, and charges each branch only
 the error it leaves.  A node offers its allowance to its children in
 ascending order: with R left and r children not yet handled, a pinned or
 cycle-closing child takes nothing, and a free child w over the edge
-v -> w is offered share = R / r.  A share of e_vw or more stops w as a
-frontier leaf, charged e_vw, unless w has no children: that w is a leaf
-in any tree and adds its exact factor, as in the uniform tree, at no
-charge.  A share of ``spent`` or more, tanh|J_vw| times the summed errors
-of w's children, sums w in place with its children on the frontier,
-charged tanh|J_vw| times the errors of the free ones.  Otherwise w is
-entered with share / tanh|J_vw|, which its tanh|J_vw|-Lipschitz edge
-factor shrinks back to the share, and charged the share, less
-rest * tanh|J_vw| handed back when its branch closes with rest unspent;
-v's later children split that, and what v leaves goes on up.  An edge
-with J_vw = 0 has e_vw = 0 and always stops.  Each branch is off by at
-most its charge and no charge exceeds its share, so a node is off by at
-most what its branches were charged, its charge, and so by at most its
-allowance, and each share is at least the equal split R / r of
-the node's allowance.  Since e_vw <= 2a and tanh|J_vw| <= tanh(J), a root
-allowance of 2a * rate**(t - 1) per free child (``root_share``) leaves
-every share at depth k at least 2a * rate**(t - k).  That covers the
-cap's forced stops: a node at depth t - 1, summed in place, is charged at
-most tanh(J) times d - 1 errors, 2a * rate.  So the tree prunes the one
-that the worst-case scales 2a and tanh(J) give, which on a full
-(degree - 1)-ary tree is the uniform tree.  At degree bound 2 or less
-``root_share`` is 0.0 and the walks keep the uniform tree, which they walk
-with less bookkeeping per node; on a chain whose edges share one Ising
-table the split gives that very tree.
+v -> w is offered share = R / r, or nothing when R is not positive.  A
+share of e_vw or more stops w as a frontier leaf, charged e_vw, unless w
+has no children: that w is a leaf in any tree and adds its exact factor,
+as in the uniform tree, at no charge.  A share of ``spent`` or more,
+tanh|J_vw| times the summed errors of w's children, sums w in place with
+its children on the frontier, charged tanh|J_vw| times the errors of the
+free ones.  Otherwise w is entered with share / tanh|J_vw|, which its
+tanh|J_vw|-Lipschitz edge factor shrinks back to the share, and charged
+the share, less rest * tanh|J_vw| handed back when its branch closes
+with rest unspent; v's later children split that, and what v leaves goes
+on up.  An edge with J_vw = 0 has e_vw = 0, so any share stops it.  Each
+branch is off by at most its charge and no charge exceeds its share, so
+a node is off by at most what its branches were charged, its charge, and
+so by at most its allowance, and each share is at least the equal split
+R / r of the node's allowance.  Since e_vw <= 2a and tanh|J_vw| <=
+tanh(J), a root allowance of 2a * rate**(t - 1) per free child
+(``root_share``) leaves every share at depth k at least
+2a * rate**(t - k).  That covers the cap's forced stops: a node at depth
+t - 1, summed in place, is charged at most tanh(J) times d - 1 errors,
+2a * rate.  So the tree prunes the one that the worst-case scales 2a and
+tanh(J) give, which on a full (degree - 1)-ary tree is the uniform tree.
+At degree bound 2 or less ``root_share`` is 0.0, so every share is 0.0
+and the walks keep the uniform tree, charged by the same rules: R falls
+below 0.0, and the node's charge, its allowance less R, still bounds its
+error.  On a chain whose edges share one Ising table the split gives
+that very tree.
 
 ``walk_log_ratio`` evaluates the walk tree over a ``CompiledSystem``
 without building it: it folds each subtree's value into its parent the
@@ -294,9 +296,7 @@ def walk_log_ratio(
     docstring says, in plain ``-=``, ``+=`` and ``/`` so that every Python
     version gets the same bits; an allowance of 0.0 cuts every branch at
     ``depth_limit``.  The charge, ``allowance`` less what the root has
-    left, bounds the log ratio's error; at allowance 0.0 only a depth-1
-    root charges (its frontier children), and deeper uniform walks keep
-    the bound of ``tree_log_ratio``.  The result equals
+    left, bounds the log ratio's error.  The result equals
     ``sawtree.tree_log_ratio(system, tree)``, ``tree.node_count`` and
     ``tree.charge``, bit for bit, for ``tree = build_saw_tree(system,
     root, depth_limit, condition)``, when ``stops`` comes from
@@ -322,11 +322,13 @@ def walk_log_ratio(
     # except the root of a depth-1 walk: its free children are the frontier,
     # each charged its error.
     # Above that a free child is offered its share of the allowance ``left``
-    # (r is the iterator's length hint plus one).  A frontier stop is
-    # charged its error.  Any other free child is charged the share and
-    # hands back what it leaves unspent: at once when it is summed in place
-    # (its share reaches ``spent[below]``, or the cap forces it), at its
-    # close when it is entered with the allowance ``grow``.  A child
+    # (r is the iterator's length hint plus one), or 0.0 when ``left`` is
+    # not positive, as in a uniform walk.  A frontier stop is charged its
+    # error.  Any other free child is charged the share and hands back what
+    # it leaves unspent, a negative rest where its own charges exceed the
+    # share: at once when it is summed in place (its share reaches
+    # ``spent[below]``, or the cap forces it), at its close when it is
+    # entered with the allowance ``grow``.  A child
     # without children (``row`` empty) is never stopped by its share; its
     # ``spent`` is 0.0, so it is summed in place, exactly, as in the
     # uniform walk.
@@ -352,7 +354,7 @@ def walk_log_ratio(
                 total += frontier[below]
                 continue
             row = belows[below]
-            if left:
+            if left > 0.0:
                 share = left / (children.__length_hint__() + 1)
                 if share >= errors[below] and row:
                     left -= errors[below]
@@ -361,7 +363,7 @@ def walk_log_ratio(
                 left -= share
                 grow = share * factors[6]
             else:
-                grow = 0.0
+                share = grow = 0.0
             if depth < inner and (not grow or share < spent[below]):
                 stops[origin] = child
                 stops[child] = 0
@@ -384,14 +386,15 @@ def walk_log_ratio(
                 x, y = settled[below]
                 total += x
                 total -= y
-                if grow:
-                    left += share - spent[below]
+                left += share - spent[below]
                 continue
             lam = twice_field[child]
+            charge = 0.0
             for grandchild, pinned, edge in row:
                 stop = stops[grandchild]
                 if stop is None:
                     lam += frontier[edge]
+                    charge += errors[edge]
                 else:
                     lam += pinned[0] if child > stop else pinned[1]
             if lam == inf:
@@ -405,23 +408,15 @@ def walk_log_ratio(
                 a = factors[4] + lam
                 b = factors[5]
                 total -= (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
-            if grow:
-                charge = 0.0
-                for grandchild, _, edge in row:
-                    if stops[grandchild] is None:
-                        charge += errors[edge]
-                left += share - charge / factors[6]
+            left += share - charge / factors[6]
         else:
             stops[origin] = None
             if not frames:
                 return total, count, allowance - left
             lam = total
-            if left:
-                rest = left
-                origin, children, total, factors, left = frames.pop()
-                left += rest / factors[6]
-            else:
-                origin, children, total, factors, left = frames.pop()
+            rest = left
+            origin, children, total, factors, left = frames.pop()
+            left += rest / factors[6]
             depth -= 1
             # Mirrors sawtree.tree_log_ratio's fold, one subtree at a time.
             if lam == inf:

@@ -129,16 +129,15 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be a positive finite number, got {eps!r}")
 
 
-def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int, float]:
-    """The start depth of ``truncation_depth``, the a-priori depth (the
-    smallest t with n * degree * a * rate**(t - 1) <= eps) and
-    2 * a * rate**(start - 1), the start depth's log-ratio error per free
-    root child.  Inputs are checked by the callers."""
+def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int]:
+    """The start depth of ``truncation_depth`` and the a-priori depth (the
+    smallest t with n * degree * a * rate**(t - 1) <= eps).  Inputs are
+    checked by the callers."""
     rate = (degree - 1) * math.tanh(coupling)
     if rate >= 1.0:
         raise DecayConditionError(rate, max_coupling=coupling, degree_bound=degree)
     if rate <= 0.0:
-        return 1, 1, 0.0
+        return 1, 1
     half_range = _half_range(coupling, degree)
     levels = []
     # D = 4 * eps / (1 + sqrt(1 + 4 * eps)) in a form that cannot overflow
@@ -148,8 +147,7 @@ def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int,
         if not math.isfinite(raw):  # n * degree * a / budget overflowed
             raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
         levels.append(math.ceil(raw))
-    start = max(1, levels[0])
-    return start, 1 + levels[1], 2.0 * half_range * rate ** (start - 1)
+    return max(1, levels[0]), 1 + levels[1]
 
 
 def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
@@ -170,7 +168,9 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     delta_v = 2 * a * k_v * rate**(t - 1); the walk that splits delta_v
     over its free branches, edge by edge (see ``marginal``), with t as the
     cap, keeps that bound: each branch is off by at most what it is
-    charged, and a node's charges never exceed its allowance.  And
+    charged, and a node's charges never exceed its allowance.  The
+    uniform walks run at degree bound 2 or less are charged by the same
+    rules, at most delta_v each.  And
     sum k_v = |E| <= n * degree / 2 makes the deltas sum to at most
     n * degree * a * rate**(t - 1), for any degree >= the maximum degree.
     The slope of log sigma is sigma(-x), so v's log marginal is off by at
@@ -230,8 +230,8 @@ def fptas_log_partition(
     and the free leaves it stops take the lookahead frontier (at degree
     bound 2 or less the walks keep the uniform tree; see ``marginal``).
     It sums c_v * sigma(c_v - x_hat_v) as described there, c_v the walk's
-    charge (delta_v for a uniform walk), and when that exceeds eps it
-    reports a second sweep at the a-priori depth.  The log
+    charge, and when that exceeds eps it reports a second sweep at the
+    a-priori depth.  The log
     factors are summed in the same ascending order, so reruns agree bit
     for bit.  A marginal too small for a normal float takes its log from
     the walk's log ratio, so no finite input raises for underflow.
@@ -250,7 +250,7 @@ def fptas_log_partition(
             degree_bound=scalars.degree_bound,
         )
     n = system.graph.n
-    start, a_priori, unit = _depths(n, scalars.max_coupling, scalars.degree_bound, eps) if n else (0, 0, 0.0)
+    start, a_priori = _depths(n, scalars.max_coupling, scalars.degree_bound, eps) if n else (0, 0)
     # k_v, the neighbours of v with a larger label: free at v's root
     larger = [0] * (n + 1)
     for u, _ in system.graph.edges:
@@ -270,8 +270,6 @@ def fptas_log_partition(
             else:  # log(R / (1 + R)); here log_ratio < -708, so exp cannot overflow
                 log_p_total += log_ratio - math.log1p(math.exp(log_ratio))
             estimates.append(VertexEstimate(vertex, depth, count, p_hat))
-            if not share:  # a uniform walk: its a-priori bound at the start depth
-                charge = unit * larger[vertex]
             certificate += charge * marginal_plus(charge - log_ratio)
             stops[vertex] = PINNED_PLUS
         if depth == a_priori or certificate <= eps:

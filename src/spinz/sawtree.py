@@ -144,7 +144,8 @@ def build_saw_tree(
     its share, of which it hands back what it leaves unspent when it
     closes, with the same float operations in the same order as
     ``marginal.walk_log_ratio``; the tree's ``charge`` is what the root's
-    branches were charged in all.  That is the tree whose log ratio
+    branches were charged in all, for ``uniform=True`` too, which offers
+    no shares.  That is the tree whose log ratio
     ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
     pins the lower labels to +.  With ``uniform=True`` every free node
     above ``depth_limit`` is expanded, and setting ``depth_limit`` to the
@@ -217,8 +218,8 @@ def build_saw_tree(
                 frame[3] = left - errors[below]
             child.stopped = True
             continue
-        grow = 0.0
-        if left:
+        share = grow = 0.0
+        if left > 0.0:
             share = left / (len(entries) - position)
             if share >= errors[below] and belows[below]:
                 frame[3] = left - errors[below]
@@ -227,13 +228,12 @@ def build_saw_tree(
             frame[3] = left - share
             grow = share * factors[6]
         if child_depth == depth_limit - 1 or (grow and not share < spent[below]):
-            if grow:
-                # Folded in place: charged what its free children leave.
-                charge = 0.0
-                for grandchild, _, edge in belows[below]:
-                    if get_pinned(grandchild) is None and not on_walk[grandchild]:
-                        charge += errors[edge]
-                frame[3] += share - charge / factors[6]
+            # Folded in place: charged what its free children leave.
+            charge = 0.0
+            for grandchild, _, edge in belows[below]:
+                if get_pinned(grandchild) is None and not on_walk[grandchild]:
+                    charge += errors[edge]
+            frame[3] += share - charge / factors[6]
             grow = None
         on_walk[child_label] = 1
         left_toward[origin] = child_label
@@ -255,8 +255,8 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
             bound.  A tree from ``build_saw_tree`` whose root has k free
             children is then off by at most
             ``2 * a * k * rate**(depth_limit - 1)``, with a and rate as in
-            ``partition.truncation_depth``, whether it is split or uniform,
-            and a split tree by at most its ``charge``; it needs a depth
+            ``partition.truncation_depth``, and by at most its
+            ``charge``, whether it is split or uniform; it needs a depth
             limit of at least 1.  A float is the log ratio
             those leaves take (-inf pins the unexplored region to minus).
 

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,21 @@ def test_estimate_runs_are_bit_identical(tmp_path, capsys):
     _, first, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", "0.05")
     _, second, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", "0.05")
     assert first == second
+
+
+def test_readme_estimate_example_prints_its_report(tmp_path, capsys, monkeypatch):
+    # The README's first command block, run line by line in an empty
+    # directory, prints the JSON block that follows it, byte for byte.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(spinz gen .*?)```\n\n```json\n(.*?)```", readme, re.S)
+    commands, report = block.groups()
+    monkeypatch.chdir(tmp_path)
+    for line in commands.splitlines():
+        program, *argv = line.split()
+        assert program == "spinz"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    assert argv[0] == "estimate" and out == report
 
 
 def test_estimate_bad_eps_exit_1(tmp_path, capsys):

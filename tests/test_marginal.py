@@ -431,13 +431,15 @@ def test_midpoint_frontier_within_half_envelope_of_exact():
 
 
 def test_charge_bounds_the_error_of_every_sweep_walk():
-    # Each split walk of the +-pinned sweep, with the sweep's root
-    # allowances at depths 1 to 7, is off from the complete tree by at most
-    # the charge it returns.  The systems are the acceptance instances and
-    # every connected graph on at most 4 vertices with random near-critical
-    # tables, whose allowances take degree bound 3 so that the split runs
-    # on paths and cycles too.  A depth-1 walk charges the errors of its
-    # stopped root children, however large its allowance.
+    # Each walk of the +-pinned sweep, with the sweep's root allowances at
+    # depths 1 to 7, is off from the complete tree by at most the charge it
+    # returns: split walks and, at the acceptance cycles' degree bound 2,
+    # uniform walks, whose allowance is 0.0.  The systems are the
+    # acceptance instances and every connected graph on at most 4 vertices
+    # with random near-critical tables, whose allowances take degree bound
+    # 3 so that the split runs on paths and cycles too.  A depth-1 walk
+    # charges the errors of its stopped root children, however large its
+    # allowance.
     coupling = 0.9 * critical_inverse_temperature(3)
     systems = [
         (acceptance_instance(family, model, seed), None)
@@ -448,15 +450,13 @@ def test_charge_bounds_the_error_of_every_sweep_walk():
     for n in range(1, 5):
         for index, graph in enumerate(connected_graphs(n)):
             systems.append((attach_spin_model(graph, "random", coupling, 1.0, seed=index), 3))
-    walks = charged_depth_one = 0
+    walks = charged_depth_one = uniform = 0
     for system, degree_bound in systems:
         n = system.n
         scalars = system_scalars(system, degree_bound)
         compiled = compile_system(system)
         for depth in range(1, 8):
             share = root_share(scalars, depth)
-            if not share and depth > 1:
-                continue  # a uniform walk charges only a depth-1 root's children
             stops = compiled.stops()
             for v in range(1, n + 1):
                 allowance = share * sum(w > v for w in system.graph.neighbors(v))
@@ -465,5 +465,6 @@ def test_charge_bounds_the_error_of_every_sweep_walk():
                 assert abs(log_ratio - exact) <= charge + 1e-12, (system, depth, v, charge)
                 walks += 1
                 charged_depth_one += depth == 1 and charge > 0.0
+                uniform += depth > 1 and not share
                 stops[v] = PINNED_PLUS
-    assert walks > 2000 and charged_depth_one > 0, (walks, charged_depth_one)
+    assert walks > 2000 and charged_depth_one > 0 and uniform > 0, (walks, charged_depth_one, uniform)

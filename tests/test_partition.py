@@ -361,12 +361,13 @@ def test_sweep_errors_within_the_edge_budget():
     # log-marginal errors sum to at most n*d*a*rate^(t-1).  Checked at
     # every depth up to the complete tree, with tables strong enough that
     # the rate exceeds 1 as well as contracting ones.  The log-marginal
-    # errors also sum to at most the certificate fptas_log_partition
-    # computes from the estimates, sum of delta_v * sigma(delta_v - x_hat_v)
-    # with delta_v the per-vertex bound; random tables make some x_hat_v
-    # negative, where that sigma exceeds 1/2.  The walks split each root's
-    # allowance, its bound, over its free branches edge by edge, as the
-    # sweep does, at every degree and rate.  In the decoupled systems every
+    # errors also sum to at most sum of delta_v * sigma(delta_v - x_hat_v),
+    # with delta_v the per-vertex bound: the certificate of
+    # fptas_log_partition with each walk's charge, at most delta_v, in its
+    # place.  Random tables make some x_hat_v negative, where that sigma
+    # exceeds 1/2.  The walks split each root's allowance, its bound, over
+    # its free branches edge by edge, as the sweep does, at every degree
+    # and rate.  In the decoupled systems every
     # third edge has interaction strength 0 (see _decoupled), so its
     # frontier error is 0.
     worst_vertex = worst_sum = 0.0
@@ -760,6 +761,28 @@ def test_fptas_positive_field_ising_keeps_the_start_depth():
     assert report.truncation_depth == start
     assert all(v.p_hat >= 0.5 for v in report.vertices)
     assert abs(report.log_z_hat - exact_log_partition(system)) <= 0.1
+
+
+def test_degree_two_sweeps_certify_from_their_charges():
+    # At degree bound 2 the walks keep the uniform tree, and each reports
+    # the charge its frontier leaves and folds leave, as split walks do;
+    # that charge, not the a-priori bound per free root child, enters the
+    # certificate.  So the README triangle certifies at its start depth
+    # for eps 0.05 and 0.01, and so does every random-table 16-cycle here.
+    triangle = generate(GenSpec("cycle", n=3, coupling=0.3, field_strength=0.1))
+    cases = [(triangle, 0.05, 2), (triangle, 0.01, 3)]
+    for seed in range(1, 6):
+        system = generate(GenSpec(
+            "cycle", n=16, model="random", coupling=0.5, field_strength=0.3, seed=seed
+        ))
+        scalars = system_scalars(system)
+        for eps in (0.1, 0.01):
+            start = truncation_depth(system.n, scalars.max_coupling, scalars.degree_bound, eps)
+            cases.append((system, eps, start))
+    for system, eps, depth in cases:
+        report = fptas_log_partition(system, eps)
+        assert report.truncation_depth == depth, (system.n, eps)
+        assert abs(report.log_z_hat - exact_log_partition(system)) <= eps, (system.n, eps)
 
 
 @pytest.mark.parametrize("spec", [
