@@ -8,24 +8,29 @@ walk tree whose stopped free leaves add the lookahead frontier (see
 its root's log-ratio error allowance over the free branches, stopping
 each branch once its share covers that edge's frontier error, and
 charging each branch only the error it leaves, so that later branches
-split what earlier ones did not spend.  The sweep certifies eps from
-what its walks were charged; when it cannot, it sweeps again at the
-a-priori depth, where the allowances alone fit eps (see
-``truncation_depth``).  That gives
-|log(estimate) - log(exact)| <= eps whenever the contraction condition
-(degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor enters the
-sum as a log, taken from the walk's log ratio where the marginal itself is
-too small for a normal float, so no estimate leaves the log domain.
+split what earlier ones did not spend.  Below the a-priori depth a
+root's allowance grows with the labels still free when it is walked
+(``label_share``), so early walks, whose trees are large, stop sooner
+and late ones, nearly exact, take less; the sweep certifies eps from
+what its walks were charged, and when it cannot, it sweeps again one
+level deeper, up to the a-priori depth, where each root takes its equal
+share and the allowances alone fit eps (see ``truncation_depth``).
+That gives |log(estimate) - log(exact)| <= eps whenever the contraction
+condition (degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor
+enters the sum as a log, taken from the walk's log ratio where the
+marginal itself is too small for a normal float, so no estimate leaves
+the log domain.
 
-The estimate is one serial sweep, two at most, over the tables of one
-``compile_system``; it counts each vertex's neighbours with a larger label
-once, for the root allowances.  Pinning is by rank:
-one per-label stop array (see ``walk_log_ratio``) serves the whole sweep,
-and vertex j pins itself to + when its walk is done, so every later walk
-sees 1..j pinned.  Each walk evaluates its tree while walking it and
-builds no ``SawTree``; its output equals that of
-``sawtree.tree_log_ratio`` over ``build_saw_tree`` bit for bit, and the
-log factors are summed in ascending vertex order.
+The estimate is one serial sweep per depth, from the start depth to the
+first that certifies, over the tables of one ``compile_system``; it counts
+each vertex's neighbours with a larger label once, for the root
+allowances.  Pinning is by rank: one per-label stop array (see
+``walk_log_ratio``) serves the whole sweep, and vertex j pins itself to +
+when its walk is done, so every later walk sees 1..j pinned.  Each walk
+evaluates its tree while walking it and builds no ``SawTree``; below the
+a-priori depth its output equals that of ``sawtree.tree_log_ratio`` over
+``build_saw_tree`` bit for bit, and the log factors are summed in
+ascending vertex order.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .marginal import (
     PINNED_PLUS,
     _half_range,
     compile_system,
+    label_share,
     marginal_plus,
     root_share,
     walk_log_ratio,
@@ -178,9 +184,14 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     estimated log ratio.  With c = delta_v and every x_hat_v >= 0 these
     sum to at most D * sigma(D) <= D * (1/2 + D/4) = eps one level deeper.
     ``fptas_log_partition`` sums them with c = c_v, the walk's charge,
-    often well under delta_v, and when that exceeds eps falls back on the
-    a-priori depth, the smallest t with n * degree * a * rate**(t - 1) <=
-    eps (log sigma is 1-Lipschitz).
+    which bounds |x_hat_v - x_v| whatever the root's allowance.  So below
+    the a-priori depth it hands the same total out by the labels left:
+    v's root takes delta_v * m_v / m, with m_v = n - v + 1 and m the mean
+    of m_u over the edges (``marginal.label_share``).  When the sum exceeds
+    eps it sweeps one level deeper, up to the a-priori depth, the smallest
+    t with n * degree * a * rate**(t - 1) <= eps, where each root takes
+    delta_v and the sweep is certified a priori (log sigma is
+    1-Lipschitz).
 
     Computed as max(1, ceil(log(n * degree * a / D) / log(1 / rate))).
     Natural logs throughout.  Raises DecayConditionError when rate >= 1,
@@ -226,15 +237,19 @@ def fptas_log_partition(
     Walks vertices 1..n in ascending order; each walk sees every lower label
     pinned to +, then pins its own vertex.  The sweep runs at
     ``truncation_depth``, a hard cap: each walk splits its root's allowance
-    delta_v, ``root_share`` per free root child, over its free branches,
-    and the free leaves it stops take the lookahead frontier (at degree
-    bound 2 or less the walks keep the uniform tree; see ``marginal``).
-    It sums c_v * sigma(c_v - x_hat_v) as described there, c_v the walk's
-    charge, and when that exceeds eps it reports a second sweep at the
-    a-priori depth.  The log
-    factors are summed in the same ascending order, so reruns agree bit
-    for bit.  A marginal too small for a normal float takes its log from
-    the walk's log ratio, so no finite input raises for underflow.
+    over its free branches, and the free leaves it stops take the
+    lookahead frontier (at degree bound 2 or less the walks keep the
+    uniform tree; see ``marginal``).  Vertex v's root, with k_v free
+    children and m_v = n - v + 1 labels still free, takes
+    ``label_share`` of the ``root_share`` times k_v * m_v, which sums to
+    ``root_share`` * |E| over the sweep.  It sums
+    c_v * sigma(c_v - x_hat_v) as described there, c_v the walk's charge,
+    and when that exceeds eps it sweeps again one level deeper, up to the
+    a-priori depth, whose sweep gives each root ``root_share`` * k_v and
+    ends the search; the report is the last sweep's.  The log factors are
+    summed in the same ascending order, so reruns agree bit for bit.  A
+    marginal too small for a normal float takes its log from the walk's
+    log ratio, so no finite input raises for underflow.
 
     Raises DecayConditionError when the contraction condition fails (no
     estimate is produced).
@@ -257,13 +272,18 @@ def fptas_log_partition(
         larger[u] += 1
 
     compiled = compile_system(system)
-    for depth in (start, a_priori):
+    for depth in range(start, a_priori + 1):
         share = root_share(scalars, depth)
+        free = larger
+        if share and depth < a_priori:  # a share of 0.0 splits nothing
+            share = label_share(system.graph, share)
+            # k_v * m_v, with m_v = n - v + 1 labels still free at v's walk
+            free = [k * (n + 1 - v) for v, k in enumerate(larger)]
         stops = compiled.stops()
         estimates = []
         log_p_total = certificate = 0.0
         for vertex in range(1, n + 1):
-            log_ratio, count, charge = walk_log_ratio(compiled, stops, vertex, depth, share * larger[vertex])
+            log_ratio, count, charge = walk_log_ratio(compiled, stops, vertex, depth, share * free[vertex])
             p_hat = marginal_plus(log_ratio)
             if p_hat >= _MIN_NORMAL:
                 log_p_total += math.log(p_hat)

@@ -42,7 +42,15 @@ from .core import (
     external_field,
     system_scalars,
 )
-from .marginal import _factor, _frontier, compile_system, marginal_plus, root_share, walk_log_ratio
+from .marginal import (
+    _factor,
+    _frontier,
+    compile_system,
+    label_share,
+    marginal_plus,
+    root_share,
+    walk_log_ratio,
+)
 
 # The package lists these names so it can export them without importing
 # this module.
@@ -113,11 +121,14 @@ def _root_allowance(
     system: SpinSystem, root: int, depth_limit: int, pinned: Mapping[int, Spin]
 ) -> float:
     """The root allowance that ``walk_log_ratio`` takes for the default tree
-    of ``build_saw_tree``: ``marginal.root_share`` at the system's scalars
-    times the root's unconditioned neighbours, as in
-    ``partition.fptas_log_partition``."""
-    share = root_share(system_scalars(system), depth_limit)
-    return share * sum(w not in pinned for w in system.graph.adjacency[root - 1])
+    of ``build_saw_tree``: ``marginal.label_share`` of ``root_share`` at the
+    system's scalars, times the root's unconditioned neighbours and the
+    unconditioned labels, as in the sweeps of
+    ``partition.fptas_log_partition`` below the a-priori depth."""
+    graph = system.graph
+    share = label_share(graph, root_share(system_scalars(system), depth_limit))
+    free = sum(w not in pinned for w in graph.adjacency[root - 1])
+    return share * (free * (graph.n - len(pinned)))
 
 
 def build_saw_tree(
@@ -136,21 +147,23 @@ def build_saw_tree(
     not constructed.  Every node takes its children, and every split its
     frontier errors and ``spent`` charges, from ``compile_system(system)``,
     the rows that the estimate walks.  By default the truncation splits
-    the root's allowance as ``marginal`` describes: the share per free root
-    child is ``marginal.root_share`` of ``system_scalars(system)`` at
-    ``depth_limit``, which keeps the uniform tree where it is 0.0, and
-    ``depth_limit`` is a hard cap.  A frontier stop is charged its error, a
-    node summed in place what its free children leave, and an entered node
-    its share, of which it hands back what it leaves unspent when it
-    closes, with the same float operations in the same order as
-    ``marginal.walk_log_ratio``; the tree's ``charge`` is what the root's
-    branches were charged in all, for ``uniform=True`` too, which offers
-    no shares.  That is the tree whose log ratio
-    ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
-    pins the lower labels to +.  With ``uniform=True`` every free node
-    above ``depth_limit`` is expanded, and setting ``depth_limit`` to the
-    vertex count then produces the complete tree, since no self-avoiding
-    walk can visit more vertices than the graph has.
+    the root's allowance as ``marginal`` describes: the allowance is
+    ``marginal.label_share`` of ``marginal.root_share`` (of
+    ``system_scalars(system)`` at ``depth_limit``) times the root's free
+    children and the vertex count less the conditioned labels, which keeps
+    the uniform tree where the share is 0.0, and ``depth_limit`` is a hard
+    cap.  A frontier stop is charged its error, a node summed in place
+    what its free children leave, and an entered node its share, of which
+    it hands back what it leaves unspent when it closes, with the same
+    float operations in the same order as ``marginal.walk_log_ratio``; the
+    tree's ``charge`` is what the root's branches were charged in all, for
+    ``uniform=True`` too, which offers no shares.  That is the tree whose
+    log ratio ``partition.fptas_log_partition`` walks for ``root`` when
+    ``condition`` pins the lower labels to +, at every depth below the
+    a-priori one.  With ``uniform=True`` every free node above
+    ``depth_limit`` is expanded, and setting ``depth_limit`` to the vertex
+    count then produces the complete tree, since no self-avoiding walk can
+    visit more vertices than the graph has.
 
     Construction is iterative (explicit stack), so deep trees do not hit
     the interpreter recursion limit, and deterministic: children follow
@@ -252,12 +265,12 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
             contribute.  The default None adds the lookahead frontier of
             ``marginal``: the middle of the leaf's edge factor over the log
             ratio interval that the leaf's own children's pinned factors
-            bound.  A tree from ``build_saw_tree`` whose root has k free
-            children is then off by at most
-            ``2 * a * k * rate**(depth_limit - 1)``, with a and rate as in
-            ``partition.truncation_depth``, and by at most its
-            ``charge``, whether it is split or uniform; it needs a depth
-            limit of at least 1.  A float is the log ratio
+            bound.  A tree from ``build_saw_tree`` is then off by at
+            most its ``charge``, whether it is split or uniform; a
+            uniform tree whose root has k free children, by at most
+            ``2 * a * k * rate**(depth_limit - 1)`` too, with a and rate
+            as in ``partition.truncation_depth``.  It needs a depth limit
+            of at least 1.  A float is the log ratio
             those leaves take (-inf pins the unexplored region to minus).
 
     Evaluation is an explicit post-order sweep (no recursion), so tree depth

@@ -25,6 +25,7 @@ from spinz import (
     ising_field,
     ising_potential,
     ising_system,
+    label_share,
     marginal_plus,
     root_share,
     system_scalars,
@@ -33,7 +34,7 @@ from spinz import (
 )
 from spinz.marginal import PINNED_PLUS
 
-from .helpers import ACCEPTANCE_FAMILIES, acceptance_instance, random_system
+from .helpers import ACCEPTANCE_FAMILIES, acceptance_instance, petersen_graph, random_system
 
 
 def test_edge_factor_flat_potential_is_zero():
@@ -439,7 +440,9 @@ def test_charge_bounds_the_error_of_every_sweep_walk():
     # with random near-critical tables, whose allowances take degree bound
     # 3 so that the split runs on paths and cycles too.  A depth-1 walk
     # charges the errors of its stopped root children, however large its
-    # allowance.
+    # allowance.  Both of the sweep's allowance rules: the equal split
+    # root_share * k_v of the a-priori sweep and the label_share split of
+    # the sweeps below it.
     coupling = 0.9 * critical_inverse_temperature(3)
     systems = [
         (acceptance_instance(family, model, seed), None)
@@ -457,14 +460,45 @@ def test_charge_bounds_the_error_of_every_sweep_walk():
         compiled = compile_system(system)
         for depth in range(1, 8):
             share = root_share(scalars, depth)
+            per_label = label_share(system.graph, share)
             stops = compiled.stops()
             for v in range(1, n + 1):
-                allowance = share * sum(w > v for w in system.graph.neighbors(v))
-                log_ratio, _, charge = walk_log_ratio(compiled, stops, v, depth, allowance)
+                free = sum(w > v for w in system.graph.neighbors(v))
                 exact, _, _ = walk_log_ratio(compiled, stops, v, n)
-                assert abs(log_ratio - exact) <= charge + 1e-12, (system, depth, v, charge)
-                walks += 1
-                charged_depth_one += depth == 1 and charge > 0.0
-                uniform += depth > 1 and not share
+                for allowance in (share * free, per_label * (free * (n + 1 - v))):
+                    log_ratio, _, charge = walk_log_ratio(compiled, stops, v, depth, allowance)
+                    assert abs(log_ratio - exact) <= charge + 1e-12, (system, depth, v, charge)
+                    walks += 1
+                    charged_depth_one += depth == 1 and charge > 0.0
+                    uniform += depth > 1 and not share
                 stops[v] = PINNED_PLUS
-    assert walks > 2000 and charged_depth_one > 0 and uniform > 0, (walks, charged_depth_one, uniform)
+    assert walks > 4000 and charged_depth_one > 0 and uniform > 0, (walks, charged_depth_one, uniform)
+
+
+def test_label_share_keeps_the_sweeps_total_allowance():
+    # Below the a-priori depth the sweep gives vertex v's root
+    # label_share * (k_v * (n - v + 1)), k_v its neighbours with a larger
+    # label.  Those allowances sum to share * |E|, the total of the equal
+    # split share * k_v, within rounding; the first root with free children
+    # gets more than its equal split, and the last one less.
+    share = 0.37
+    graphs = [
+        petersen_graph(),
+        build_family_graph("grid", rows=4, cols=6),
+        build_family_graph("random_regular", n=40, degree=3, seed=16),
+        build_family_graph("complete", n=5),
+        build_family_graph("path", n=6),
+        build_family_graph("erdos_renyi", n=12, degree=2.5, seed=3),
+    ]
+    for graph in graphs:
+        n = graph.n
+        unit = label_share(graph, share)
+        free = {v: sum(w > v for w in graph.neighbors(v)) for v in graph.vertices()}
+        allowances = {v: unit * (k * (n + 1 - v)) for v, k in free.items()}
+        assert math.fsum(allowances.values()) == pytest.approx(share * len(graph.edges), rel=1e-12)
+        roots = [v for v in graph.vertices() if free[v]]
+        assert allowances[roots[0]] > share * free[roots[0]]
+        assert allowances[roots[-1]] < share * free[roots[-1]]
+    assert label_share(Graph.from_edges(3, []), share) == 0.0
+    assert label_share(Graph.from_edges(0, []), share) == 0.0
+    assert label_share(petersen_graph(), 0.0) == 0.0

@@ -134,7 +134,7 @@ def test_stopped_leaves_print_as_frontier():
         "    3 depth=2 frontier",
     ])
     petersen = ising_system(petersen_graph(), 0.3)
-    tree = build_saw_tree(petersen, 1, 7)
+    tree = build_saw_tree(petersen, 1, 6)
     stopped = []
     stack = [tree.root]
     while stack:
