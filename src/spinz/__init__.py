@@ -38,7 +38,6 @@ _LAZY_ALL = {
         "SawNode",
         "SawTree",
         "edge_factor_log",
-        "edge_greater",
         "build_saw_tree",
         "tree_log_ratio",
         "conditional_marginal_estimate",

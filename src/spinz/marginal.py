@@ -64,9 +64,11 @@ nodes.  A free node whose children are all leaves, because it sits one
 level above the depth limit or its share reaches its edge's ``spent``, is
 summed in place instead of entered; when none of those leaves is pinned,
 the node's fold is a constant of the system (``CompiledSystem.settled``)
-and the walk adds that, charged ``spent``.  Its reference is
-``sawtree.tree_log_ratio``, which reads a built ``SawTree`` and performs
-the same float operations in the same order, so the two agree bit for bit.
+and the walk adds that, charged ``spent``.  It is the one routine that
+takes the truncation's decisions: ``sawtree.build_saw_tree`` assembles
+its ``SawTree`` from the nodes the walk records.  ``sawtree.tree_log_ratio``
+evaluates a built tree on its own, with the same float operations in the
+same order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -311,7 +313,12 @@ def label_share(graph: Graph, share: float) -> float:
 
 
 def walk_log_ratio(
-    compiled: CompiledSystem, stops: list, root: int, depth_limit: int, allowance: float = 0.0
+    compiled: CompiledSystem,
+    stops: list,
+    root: int,
+    depth_limit: int,
+    allowance: float = 0.0,
+    record: list | None = None,
 ) -> tuple[float, int, float]:
     """Log ratio at ``root`` of its walk tree truncated at ``depth_limit``,
     the number of nodes that tree has, and the root's charge; the tree
@@ -321,22 +328,29 @@ def walk_log_ratio(
     docstring says, in plain ``-=``, ``+=`` and ``/`` so that every Python
     version gets the same bits; an allowance of 0.0 cuts every branch at
     ``depth_limit``.  The charge, ``allowance`` less what the root has
-    left, bounds the log ratio's error.  The result equals
-    ``sawtree.tree_log_ratio(system, tree)``, ``tree.node_count`` and
-    ``tree.charge``, bit for bit, for ``tree = build_saw_tree(system,
-    root, depth_limit, condition)``, when ``stops`` comes from
-    ``compiled.stops(condition)`` and the allowance is that tree's
-    (``label_share`` of ``root_share`` times the free root children and
-    the free labels, 0.0 for ``uniform=True``).
+    left, bounds the log ratio's error.
 
     ``stops[w]`` is None while a walk may enter w.  Otherwise a copy of w
     ends the walk as a pinned leaf: + if the label of the vertex it is
     reached from exceeds ``stops[w]``, - if not.  Conditioned labels hold
     ``PINNED_PLUS`` or ``n + 1``.  A label on the current walk holds the
     neighbour through which the walk first left it, which is the walk
-    tree's cycle-closing rule (``edge_greater``).  The walk restores every
-    entry it changes, so one array serves a whole sweep, but not two walks
-    at once; ``root`` must be free and ``depth_limit`` at least 1.
+    tree's cycle-closing rule: a cycle closes to + when the closing edge's
+    label sum exceeds that of the edge by which the walk first left the
+    revisited vertex.  The walk restores every entry it changes, so one
+    array serves a whole sweep, but not two walks at once; ``root`` must be
+    free and ``depth_limit`` at least 1.
+
+    ``record``, when a list, receives one ``(depth, label, status)`` per
+    node below the root, in pre-order with children in ascending label, so
+    it holds ``count - 1`` entries: status +1 or -1 is a pinned leaf's
+    spin, 0 a free leaf the walk stopped and adds the lookahead frontier
+    of (at the cap, by its share, or as a child of a node summed in
+    place), and None a free node whose children, if it has any, follow.
+    ``sawtree.build_saw_tree`` assembles its tree from this record, and
+    ``sawtree.tree_log_ratio`` over that tree gives the walk's log ratio
+    bit for bit.  The record only observes: the three results are the same
+    bits with or without it.
     """
     _, twice_field, rows, belows, frontier, errors, spent, settled = compiled
     inf = _INF
@@ -373,10 +387,14 @@ def walk_log_ratio(
             stop = stops[child]
             if stop is not None:
                 total += factors[0] if origin > stop else factors[1]
+                if record is not None:
+                    record.append((depth + 1, child, 1 if origin > stop else -1))
                 continue
             if depth > inner:
                 left -= errors[below]
                 total += frontier[below]
+                if record is not None:
+                    record.append((depth + 1, child, 0))
                 continue
             row = belows[below]
             if left > 0.0:
@@ -384,11 +402,15 @@ def walk_log_ratio(
                 if share >= errors[below] and row:
                     left -= errors[below]
                     total += frontier[below]
+                    if record is not None:
+                        record.append((depth + 1, child, 0))
                     continue
                 left -= share
                 grow = share * factors[6]
             else:
                 share = grow = 0.0
+            if record is not None:
+                record.append((depth + 1, child, None))
             if depth < inner and (not grow or share < spent[below]):
                 stops[origin] = child
                 stops[child] = 0
@@ -404,6 +426,11 @@ def walk_log_ratio(
             # origin, so no stop needs writing.  With none pinned, the
             # fold below is settled[below], and its charge spent[below].
             count += len(row)
+            if record is not None:
+                for grandchild, _, _ in row:
+                    stop = stops[grandchild]
+                    status = 0 if stop is None else 1 if child > stop else -1
+                    record.append((depth + 2, grandchild, status))
             for grandchild in row:
                 if stops[grandchild[0]] is not None:
                     break

@@ -28,9 +28,9 @@ allowances.  Pinning is by rank: one per-label stop array (see
 ``walk_log_ratio``) serves the whole sweep, and vertex j pins itself to +
 when its walk is done, so every later walk sees 1..j pinned.  Each walk
 evaluates its tree while walking it and builds no ``SawTree``; below the
-a-priori depth its output equals that of ``sawtree.tree_log_ratio`` over
-``build_saw_tree`` bit for bit, and the log factors are summed in
-ascending vertex order.
+a-priori depth it is the walk that ``build_saw_tree`` records to assemble
+its default tree, whose ``sawtree.tree_log_ratio`` equals the walk's log
+ratio bit for bit.  The log factors are summed in ascending vertex order.
 """
 
 from __future__ import annotations

@@ -8,22 +8,21 @@ left the revisited vertex (larger sum closes to +).  Copies of conditioned
 vertices terminate walks the same way, pinned to their assigned spin.  Free
 nodes that the truncation stops form the frontier: their subtrees are not
 constructed.  By default the truncation is the one the estimate walks: the
-root's log-ratio error allowance split over the free branches, each free
-child with children of its own stopping once its share covers its own
-edge's frontier error, and each branch charged only the error it leaves,
-so that what it does not spend passes to its later siblings (see
+root's log-ratio error allowance split over the free branches (see
 ``marginal``), with the depth limit as a hard cap, so a branch may stop
 above the limit; with ``uniform=True`` every branch stops exactly at the
-depth limit.
+depth limit.  ``build_saw_tree`` takes every one of these decisions from
+``marginal.walk_log_ratio``: it assembles the tree from the nodes that
+the walk records, so the walk is the one place that holds them.
 
 The marginal of the root in this tree equals its marginal in the original
 graph, which is what makes the truncated evaluation in ``marginal`` a
-controlled approximation.  ``tree_log_ratio`` evaluates a built tree.  It
-is the reference that ``marginal.walk_log_ratio`` reproduces bit for bit;
-the oracle's identity checks run that walk on the complete tree.
-``edge_factor_log`` is one edge factor of that recursion, and
-``conditional_marginal_estimate`` one truncated marginal under a
-condition, walked without building the tree.
+controlled approximation.  ``tree_log_ratio`` evaluates a built tree on
+its own, with its own tables and lookahead frontier, so over a built tree
+it checks the walk's arithmetic bit for bit; the oracle's identity checks
+run that walk on the complete tree.  ``edge_factor_log`` is one edge
+factor of that recursion, and ``conditional_marginal_estimate`` one
+truncated marginal under a condition, walked without building the tree.
 """
 
 from __future__ import annotations
@@ -55,19 +54,6 @@ from .marginal import (
 # The package lists these names so it can export them without importing
 # this module.
 __all__ = list(_LAZY_ALL["sawtree"])
-
-
-def edge_greater(first: tuple[int, int], second: tuple[int, int]) -> bool:
-    """Label-sum order on two edges that share a vertex.
-
-    Only defined for edge pairs with a common endpoint; anything else is a
-    construction bug, not a tie to break.
-    """
-    a, b = first
-    c, d = second
-    if a != c and a != d and b != c and b != d:
-        raise ValueError(f"edges {first} and {second} share no vertex; comparison undefined")
-    return a + b > c + d
 
 
 @dataclass(slots=True)
@@ -144,30 +130,26 @@ def build_saw_tree(
     Conditioned vertices become pinned leaves wherever a walk reaches them;
     revisits close cycles into pinned leaves.  Free nodes that the
     truncation stops are frontier leaves (``stopped``); their subtrees are
-    not constructed.  Every node takes its children, and every split its
-    frontier errors and ``spent`` charges, from ``compile_system(system)``,
-    the rows that the estimate walks.  By default the truncation splits
-    the root's allowance as ``marginal`` describes: the allowance is
-    ``marginal.label_share`` of ``marginal.root_share`` (of
-    ``system_scalars(system)`` at ``depth_limit``) times the root's free
-    children and the vertex count less the conditioned labels, which keeps
-    the uniform tree where the share is 0.0, and ``depth_limit`` is a hard
-    cap.  A frontier stop is charged its error, a node summed in place
-    what its free children leave, and an entered node its share, of which
-    it hands back what it leaves unspent when it closes, with the same
-    float operations in the same order as ``marginal.walk_log_ratio``; the
-    tree's ``charge`` is what the root's branches were charged in all, for
-    ``uniform=True`` too, which offers no shares.  That is the tree whose
-    log ratio ``partition.fptas_log_partition`` walks for ``root`` when
-    ``condition`` pins the lower labels to +, at every depth below the
-    a-priori one.  With ``uniform=True`` every free node above
-    ``depth_limit`` is expanded, and setting ``depth_limit`` to the vertex
-    count then produces the complete tree, since no self-avoiding walk can
-    visit more vertices than the graph has.
+    not constructed.  The tree is assembled from the record of
+    ``marginal.walk_log_ratio`` over ``compile_system(system)``, the walk
+    the estimate runs, so every node, every stop and the tree's ``charge``,
+    what the root's branches were charged in all, are that walk's.  By
+    default the walk splits the root's allowance as ``marginal`` describes:
+    the allowance is ``marginal.label_share`` of ``marginal.root_share``
+    (of ``system_scalars(system)`` at ``depth_limit``) times the root's
+    free children and the vertex count less the conditioned labels, which
+    keeps the uniform tree where the share is 0.0, and ``depth_limit`` is a
+    hard cap.  That is the tree whose log ratio
+    ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
+    pins the lower labels to +, at every depth below the a-priori one.
+    With ``uniform=True`` the walk offers no shares and every free node
+    above ``depth_limit`` is expanded, and setting ``depth_limit`` to the
+    vertex count then produces the complete tree, since no self-avoiding
+    walk can visit more vertices than the graph has.
 
-    Construction is iterative (explicit stack), so deep trees do not hit
-    the interpreter recursion limit, and deterministic: children follow
-    sorted neighbor order.
+    Construction is iterative, so deep trees do not hit the interpreter
+    recursion limit, and deterministic: children follow sorted neighbor
+    order.
     """
     graph = system.graph
     if depth_limit < 0:
@@ -181,78 +163,20 @@ def build_saw_tree(
     if depth_limit == 0:
         return SawTree(root_node, root, depth_limit, 1)
     allowance = 0.0 if uniform else _root_allowance(system, root, depth_limit, pinned)
-    # Each node's children are the entries (w, factors, below) of the
-    # compiled rows that the estimate walks.
     compiled = compile_system(system)
-    belows, errors, spent = compiled.belows, compiled.errors, compiled.spent
-
-    on_walk = bytearray(graph.n + 1)
-    on_walk[root] = 1
-    # First-departure neighbor for each vertex on the current walk; rewritten
-    # as the walk backtracks, read only for vertices currently on the walk.
-    left_toward = [0] * (graph.n + 1)
-    get_pinned = pinned.get
-    plus, minus = Spin.PLUS, Spin.MINUS
-    count = 1
-
-    # One frame per node being expanded: the node, its child entries, the
-    # position of the next one, the allowance it has left, which is None
-    # when every free child stops (the nodes the walk sums in place), and
-    # the stretch of the edge into it, by which a closing node's unspent
-    # allowance is handed back to its parent.
-    stack = [[root_node, compiled.rows[root], 0, allowance, None]]
-    while stack:
-        frame = stack[-1]
-        node, entries, position, left, stretch = frame
-        if position == len(entries):
-            stack.pop()
-            on_walk[node.origin] = 0
-            if not stack:
-                charge = allowance - left
-            elif left:
-                stack[-1][3] += left / stretch
-            continue
-        frame[2] = position + 1
-        child_label, factors, below = entries[position]
-        origin = node.origin
-        child_depth = node.depth + 1
-        spin = get_pinned(child_label)
-        if spin is None and on_walk[child_label]:
-            closing = (origin, child_label)
-            opening = (child_label, left_toward[child_label])
-            spin = plus if edge_greater(closing, opening) else minus
-        child = SawNode(child_label, child_depth, spin, [])
-        node.children.append(child)
-        count += 1
-        if spin is not None:
-            continue
-        if left is None or child_depth == depth_limit:
-            if left is not None:  # a child of a depth-1 root
-                frame[3] = left - errors[below]
-            child.stopped = True
-            continue
-        share = grow = 0.0
-        if left > 0.0:
-            share = left / (len(entries) - position)
-            if share >= errors[below] and belows[below]:
-                frame[3] = left - errors[below]
-                child.stopped = True
-                continue
-            frame[3] = left - share
-            grow = share * factors[6]
-        if child_depth == depth_limit - 1 or (grow and not share < spent[below]):
-            # Folded in place: charged what its free children leave.
-            charge = 0.0
-            for grandchild, _, edge in belows[below]:
-                if get_pinned(grandchild) is None and not on_walk[grandchild]:
-                    charge += errors[edge]
-            frame[3] += share - charge / factors[6]
-            grow = None
-        on_walk[child_label] = 1
-        left_toward[origin] = child_label
-        stack.append([child, belows[below], 0, grow, factors[6]])
-
-    return SawTree(root_node, root, depth_limit, count, charge)
+    record: list[tuple[int, int, int | None]] = []
+    _, _, charge = walk_log_ratio(
+        compiled, compiled.stops(pinned), root, depth_limit, allowance, record
+    )
+    # The record lists the nodes in pre-order, so each node's parent is the
+    # last node recorded one level up.
+    path = [root_node]
+    for depth, label, status in record:
+        node = SawNode(label, depth, Spin(status) if status else None, [], status == 0)
+        del path[depth:]
+        path[-1].children.append(node)
+        path.append(node)
+    return SawTree(root_node, root, depth_limit, 1 + len(record), charge)
 
 
 def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = None) -> float:

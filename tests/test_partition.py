@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 import sys
@@ -875,13 +876,19 @@ WALK_SPECS = [
 ]
 
 
-def _split_walk(system, compiled, stops, vertex, depth, pinned):
-    """walk_log_ratio with the root allowance of build_saw_tree's default
-    tree: the label_share of the root_share times the neighbours and the
-    labels not in ``pinned``."""
+def _split_allowance(system, vertex, depth, pinned):
+    """The root allowance of build_saw_tree's default tree: the label_share
+    of the root_share times the neighbours and the labels not in
+    ``pinned``."""
     share = label_share(system.graph, root_share(system_scalars(system), depth))
     free = sum(w not in pinned for w in system.graph.neighbors(vertex))
-    return walk_log_ratio(compiled, stops, vertex, depth, share * (free * (system.n - len(pinned))))
+    return share * (free * (system.n - len(pinned)))
+
+
+def _split_walk(system, compiled, stops, vertex, depth, pinned):
+    """walk_log_ratio with the root allowance of build_saw_tree's default
+    tree."""
+    return walk_log_ratio(compiled, stops, vertex, depth, _split_allowance(system, vertex, depth, pinned))
 
 
 @pytest.mark.parametrize("model,field", [("random", 0.5), ("ising", 0.5), ("ising", 0.0)])
@@ -891,7 +898,10 @@ def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
     # its node count, exactly: for the sweep's pin-by-rank conditions and for
     # conditions with minus pins, at every depth up to the complete tree,
     # both for the split tree and for the uniform one.  Zero-field Ising
-    # gives many edges identical compiled factors.
+    # gives many edges identical compiled factors.  The tree is assembled
+    # from the walk's record, so tree_log_ratio, which evaluates it on its
+    # own, checks the walk's arithmetic; the record only observes: a walk
+    # that records returns the same bits and restores its stops.
     rng = np.random.default_rng(index)
     system = generate(dataclasses.replace(
         WALK_SPECS[index], model=model, coupling=0.4, field_strength=field, seed=3
@@ -922,6 +932,17 @@ def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
                 assert log_ratio.hex() == want.hex()
                 assert (count, charge.hex()) == (tree.node_count, tree.charge.hex())
                 assert stops == compiled.stops(cond)  # the walk restored its array
+                for allowance in (_split_allowance(system, vertex, depth, cond), 0.0):
+                    plain = walk_log_ratio(compiled, stops, vertex, depth, allowance)
+                    record = []
+                    log_ratio, count, charge = walk_log_ratio(
+                        compiled, stops, vertex, depth, allowance, record
+                    )
+                    assert (log_ratio.hex(), count, charge.hex()) == (
+                        plain[0].hex(), plain[1], plain[2].hex()
+                    )
+                    assert count == len(record) + 1
+                    assert stops == compiled.stops(cond)
                 estimate = conditional_marginal_estimate(system, vertex, cond, depth)
                 assert estimate.hex() == marginal_plus(want).hex()
                 uniform = build_saw_tree(system, vertex, depth, cond, uniform=True)
@@ -950,10 +971,21 @@ BENCHMARK_SPECS = [
 ]
 
 
+# The start sweep's trees, pin-by-rank, as format_saw_tree dumps them:
+# their node count and the sha256 of the dumps, each followed by a newline.
+# No second builder checks the split's decisions, so their bytes are pinned.
+BENCHMARK_DUMPS = [
+    (3438, "b6fc247afe6397144fa3285afd06fec0c5dbfcc7f1c2f360b451135f17ca15d1"),
+    (1337, "cef6610a4d510075a739492d7b0265f31223ee0615d07f2d212ee1d7f719b790"),
+]
+
+
 @pytest.mark.parametrize(
-    "spec, least_depth", zip(BENCHMARK_SPECS, (9, 8)), ids=["rr3-40", "grid-4x6"]
+    "spec, least_depth, dumps",
+    zip(BENCHMARK_SPECS, (9, 8), BENCHMARK_DUMPS),
+    ids=["rr3-40", "grid-4x6"],
 )
-def test_walk_matches_saw_tree_at_benchmark_size(spec, least_depth):
+def test_walk_matches_saw_tree_at_benchmark_size(spec, least_depth, dumps):
     # The sweep's walks at eps = 0.1, where most free nodes sit on the
     # level evaluated in place and most of those take a settled pair, and
     # at 10 to 13, the a-priori depths among them.  The start depth is the
@@ -966,6 +998,13 @@ def test_walk_matches_saw_tree_at_benchmark_size(spec, least_depth):
     rate, half_range = _rate_and_half_range(scalars.max_coupling, degree)
     edge_sum = system.n * degree * half_range
     assert edge_sum * rate ** depth <= _start_budget(0.1) < edge_sum * rate ** (depth - 1)
+    digest = hashlib.sha256()
+    nodes = 0
+    for vertex in system.graph.vertices():
+        tree = build_saw_tree(system, vertex, depth, {i: Spin.PLUS for i in range(1, vertex)})
+        nodes += tree.node_count
+        digest.update(format_saw_tree(tree).encode() + b"\n")
+    assert (nodes, digest.hexdigest()) == dumps
     for walked in sorted({depth, 10, 11, 12, 13}):
         _assert_sweep_walks_match_trees(system, walked)
 

@@ -10,7 +10,6 @@ from spinz import (
     build_family_graph,
     build_saw_tree,
     checked_condition,
-    edge_greater,
     exact_log_partition,
     format_saw_tree,
     frontier_count,
@@ -27,17 +26,6 @@ TRIANGLE_DUMP = """\
   3 depth=1 free
     2 depth=2 free
       1 depth=3 -"""
-
-
-def test_edge_greater_examples():
-    assert edge_greater((3, 1), (1, 2))
-    assert not edge_greater((1, 2), (3, 1))
-    assert not edge_greater((1, 2), (1, 2))
-
-
-def test_edge_greater_requires_shared_vertex():
-    with pytest.raises(ValueError):
-        edge_greater((1, 2), (3, 4))
 
 
 def test_condition_basics():
