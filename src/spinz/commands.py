@@ -79,7 +79,11 @@ def cmd_estimate(args) -> int:
         )
         return EXIT_INAPPLICABLE
     _print_report("estimate", {"applicable": True, **report.to_dict()})
-    print(f"wall_time_s={report.wall_time_s:.6f}", file=sys.stderr)
+    print(
+        f"wall_time_s={report.wall_time_s:.6f} sweeps={report.sweeps} "
+        f"walked_nodes={report.walked_nodes}",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 

@@ -37,25 +37,10 @@ on up.  An edge with J_vw = 0 has e_vw = 0, so any share stops it.  Each
 branch is off by at most its charge and no charge exceeds its share, so
 a node is off by at most what its branches were charged, its charge, and
 so by at most its allowance, and each share is at least the equal split
-R / r of the node's allowance.  Since e_vw <= 2a and tanh|J_vw| <=
-tanh(J), a root allowance of 2a * rate**(t - 1) per free child
-(``root_share``) leaves every share at depth k at least
-2a * rate**(t - k).  That covers the cap's forced stops: a node at depth
-t - 1, summed in place, is charged at most tanh(J) times d - 1 errors,
-2a * rate.  So the tree prunes the one that the worst-case scales 2a and
-tanh(J) give, which on a full (degree - 1)-ary tree is the uniform tree.
-The a-priori sweep of ``partition.fptas_log_partition``, which rests on
-that bound, gives each root this equal share per free child.  The sweeps
-below it, certified from their walks' charges, scale it by the labels
-still free when the root is walked (``label_share``): an early root may
-take about twice as much and stop sooner, a late one less, which may
-leave a forced stop's charge over its share, but every charge still
-bounds its branch's error.
-At degree bound 2 or less ``root_share`` is 0.0, so every share is 0.0
-and the walks keep the uniform tree, charged by the same rules: R falls
-below 0.0, and the node's charge, its allowance less R, still bounds its
-error.  On a chain whose edges share one Ising table the split gives
-that very tree.
+R / r of the node's allowance.  A zero allowance keeps the uniform tree,
+charged by the same rules: R falls below 0.0, and the node's charge, its
+allowance less R, still bounds its error.  How deep the cap sits and how
+much each root may spend is the policy of ``partition``.
 
 ``walk_log_ratio`` evaluates the walk tree over a ``CompiledSystem``
 without building it: it folds each subtree's value into its parent the
@@ -75,19 +60,16 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from collections import namedtuple
 from collections.abc import Mapping
 
-from .core import Graph, Record, Spin, SpinSystem, SystemScalars, external_field
+from .core import Record, Spin, SpinSystem, external_field
 
 __all__ = [
     "LogRatio",
     "CompiledSystem",
     "compile_system",
     "PINNED_PLUS",
-    "root_share",
-    "label_share",
     "walk_log_ratio",
     "marginal_plus",
 ]
@@ -270,46 +252,6 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
         n, tuple(twice_field), tuple(rows), tuple(belows), frontier, errors,
         tuple(spent), tuple(settled),
     )
-
-
-def _half_range(coupling: float, degree: int) -> float:
-    """a = atanh(tanh(J) * tanh((degree - 1) * J)) for the largest coupling
-    J and the degree bound: every frontier error e_vw is at most 2a."""
-    return math.atanh(math.tanh(coupling) * math.tanh((degree - 1) * coupling))
-
-
-def root_share(scalars: SystemScalars, depth_limit: int) -> float:
-    """The allowance ``walk_log_ratio`` takes per free root child at
-    ``depth_limit`` in the equal split: 2 * a * rate**(depth_limit - 1),
-    with rate the contraction, so a root with k free children is off by at
-    most delta_v = 2 * a * k * rate**(depth_limit - 1), as the a-priori
-    depth of ``partition.truncation_depth`` assumes; ``label_share``
-    redistributes it over the sweep.  0.0, the uniform tree, at
-    degree bound 2 or less (see the module docstring) and when the rate is
-    not in (0, 1)."""
-    rate = scalars.contraction
-    if scalars.degree_bound <= 2 or not 0.0 < rate < 1.0:
-        return 0.0
-    # An exponent beyond the float range underflows the share to 0.0, as
-    # the largest float exponent does, instead of raising OverflowError.
-    exponent = min(depth_limit - 1, sys.float_info.max)
-    return 2.0 * _half_range(scalars.max_coupling, scalars.degree_bound) * rate**exponent
-
-
-def label_share(graph: Graph, share: float) -> float:
-    """The allowance per free root child and free label that the sweeps
-    below the a-priori depth give, for ``share`` per free root child.
-
-    Vertex v's root, walked with m_v = n - v + 1 labels still free and
-    k_v free children (its neighbours with a larger label), takes
-    ``label_share * (k_v * m_v)``, that is share * k_v * m_v / m, where
-    m = sum of k_u * (n - u + 1) over u, divided by |E|, is the mean of
-    m_u over the edges.  The sweep's allowances still sum to
-    share * |E|, but early walks, whose trees are large, get up to about
-    twice the equal split, and late ones, most of whose labels are pinned
-    and whose walks are nearly exact, get less.  0.0 without edges."""
-    weight = sum(graph.n + 1 - u for u, _ in graph.edges)
-    return share * len(graph.edges) / weight if weight else 0.0
 
 
 def walk_log_ratio(

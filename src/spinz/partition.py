@@ -1,25 +1,36 @@
-"""Deterministic partition-function estimation with an accuracy guarantee.
+"""Deterministic partition-function estimation with an accuracy guarantee,
+and the truncation policy that every walk follows.
 
 The log partition function is assembled from the all-plus configuration
 weight and a telescoping product of conditional marginals: vertex j is
 estimated with vertices 1..j-1 pinned to +.  Each marginal comes from a
-walk tree whose stopped free leaves add the lookahead frontier (see
-``marginal``).  One depth caps every walk, and above it each walk splits
-its root's log-ratio error allowance over the free branches, stopping
-each branch once its share covers that edge's frontier error, and
-charging each branch only the error it leaves, so that later branches
-split what earlier ones did not spend.  Below the a-priori depth a
-root's allowance grows with the labels still free when it is walked
-(``label_share``), so early walks, whose trees are large, stop sooner
-and late ones, nearly exact, take less; the sweep certifies eps from
-what its walks were charged, and when it cannot, it sweeps again one
-level deeper, up to the a-priori depth, where each root takes its equal
-share and the allowances alone fit eps (see ``truncation_depth``).
-That gives |log(estimate) - log(exact)| <= eps whenever the contraction
-condition (degree_bound - 1) * tanh(max_coupling) < 1 holds.  Each factor
-enters the sum as a log, taken from the walk's log ratio where the
-marginal itself is too small for a normal float, so no estimate leaves
-the log domain.
+walk (see ``marginal``) that splits its root's log-ratio error allowance
+over the free branches, with one depth as a hard cap, and whose stopped
+free leaves add the lookahead frontier.  This module sets both.
+
+Every frontier error e_vw is at most 2a (``_half_range``) and each edge
+shrinks an error by tanh|J_vw| <= tanh(J), so a root allowance of
+2a * rate**(t - 1) per free child (``root_share``) leaves every share at
+depth k at least 2a * rate**(t - k).  That covers the cap's forced stops:
+a node at depth t - 1, summed in place, is charged at most tanh(J) times
+d - 1 errors, 2a * rate.  So the walk prunes the tree that the worst-case
+scales give, which on a full (degree - 1)-ary tree is the uniform tree.
+At degree bound 2 or less ``root_share`` is 0.0 and the walks keep the
+uniform tree; on a chain whose edges share one Ising table the split
+gives that very tree.  The a-priori sweep gives each root this equal
+share per free child, and its allowances alone fit eps.  The sweeps below
+it scale the share by the labels still free when the root is walked
+(``label_share``, ``root_allowance``), so early walks, whose trees are
+large, stop sooner and late ones, nearly exact, take less.  That may
+leave a forced stop's charge over its share, but every charge still
+bounds its branch's error, so such a sweep certifies eps from what its
+walks were charged.  When it cannot, the estimate sweeps again as many
+levels deeper as the rate needs, up to the a-priori depth (see
+``truncation_depth``).  That gives |log(estimate) - log(exact)| <= eps
+whenever the contraction condition (degree_bound - 1) * tanh(max_coupling)
+< 1 holds.  Each factor enters the sum as a log, taken from the walk's log
+ratio where the marginal itself is too small for a normal float, so no
+estimate leaves the log domain.
 
 The estimate is one serial sweep per depth, from the start depth to the
 first that certifies, over the tables of one ``compile_system``; it counts
@@ -39,27 +50,26 @@ import math
 import sys
 import time
 from collections import namedtuple
+from collections.abc import Mapping
 
 from .core import (
     DecayConditionError,
+    Graph,
     Record,
+    Spin,
     SpinSystem,
+    SystemScalars,
     decay_condition_holds,
     system_scalars,
 )
-from .marginal import (
-    PINNED_PLUS,
-    _half_range,
-    compile_system,
-    label_share,
-    marginal_plus,
-    root_share,
-    walk_log_ratio,
-)
+from .marginal import PINNED_PLUS, compile_system, marginal_plus, walk_log_ratio
 
 __all__ = [
     "VertexEstimate",
     "EstimateReport",
+    "root_share",
+    "label_share",
+    "root_allowance",
     "all_plus_log_weight",
     "truncation_depth",
     "fptas_log_partition",
@@ -77,11 +87,14 @@ class EstimateReport(
     namedtuple(
         "EstimateReport",
         "log_z_hat eps log_weight_all_plus degree_bound max_coupling critical_coupling "
-        "contraction truncation_depth vertices wall_time_s",
+        "contraction truncation_depth vertices wall_time_s sweeps walked_nodes",
+        defaults=(None, None),
     ),
 ):
     """Result of a partition-function estimate plus its work bookkeeping:
-    ``vertices`` holds one ``VertexEstimate`` per vertex in ascending order."""
+    ``vertices`` holds one ``VertexEstimate`` per vertex in ascending order,
+    the reported sweep's; ``sweeps`` counts the sweeps the estimate ran and
+    ``walked_nodes`` the nodes that all of them walked."""
 
     __slots__ = ()
 
@@ -91,7 +104,8 @@ class EstimateReport(
 
     def to_dict(self) -> dict:
         # wall_time_s stays out: the serialized report must be identical
-        # across reruns with the same inputs.
+        # across reruns with the same inputs.  sweeps and walked_nodes stay
+        # out with it, as the work bookkeeping that the command prints on stderr.
         return {
             "log_z_hat": self.log_z_hat,
             "eps": self.eps,
@@ -112,6 +126,60 @@ class EstimateReport(
                 for e in self.vertices
             ],
         }
+
+
+def _half_range(coupling: float, degree: int) -> float:
+    """a = atanh(tanh(J) * tanh((degree - 1) * J)) for the largest coupling
+    J and the degree bound: every frontier error e_vw is at most 2a."""
+    return math.atanh(math.tanh(coupling) * math.tanh((degree - 1) * coupling))
+
+
+def root_share(scalars: SystemScalars, depth_limit: int) -> float:
+    """The allowance ``walk_log_ratio`` takes per free root child at
+    ``depth_limit`` in the equal split: 2 * a * rate**(depth_limit - 1),
+    with rate the contraction, so a root with k free children is off by at
+    most delta_v = 2 * a * k * rate**(depth_limit - 1), as the a-priori
+    depth of ``truncation_depth`` assumes; ``label_share`` redistributes it
+    over the sweep.  0.0, the uniform tree, at degree bound 2 or less (see
+    the module docstring) and when the rate is not in (0, 1)."""
+    rate = scalars.contraction
+    if scalars.degree_bound <= 2 or not 0.0 < rate < 1.0:
+        return 0.0
+    # An exponent beyond the float range underflows the share to 0.0, as
+    # the largest float exponent does, instead of raising OverflowError.
+    exponent = min(depth_limit - 1, sys.float_info.max)
+    return 2.0 * _half_range(scalars.max_coupling, scalars.degree_bound) * rate**exponent
+
+
+def label_share(graph: Graph, share: float) -> float:
+    """The allowance per free root child and free label that the sweeps
+    below the a-priori depth give, for ``share`` per free root child.
+
+    Vertex v's root, walked with m_v = n - v + 1 labels still free and
+    k_v free children (its neighbours with a larger label), takes
+    ``label_share * (k_v * m_v)``, that is share * k_v * m_v / m, where
+    m = sum of k_u * (n - u + 1) over u, divided by |E|, is the mean of
+    m_u over the edges.  The sweep's allowances still sum to
+    share * |E|, but early walks, whose trees are large, get up to about
+    twice the equal split, and late ones, most of whose labels are pinned
+    and whose walks are nearly exact, get less.  0.0 without edges."""
+    weight = sum(graph.n + 1 - u for u, _ in graph.edges)
+    return share * len(graph.edges) / weight if weight else 0.0
+
+
+def root_allowance(
+    system: SpinSystem, root: int, depth_limit: int, pinned: Mapping[int, Spin]
+) -> float:
+    """The allowance of ``root``'s walk at ``depth_limit`` under the
+    condition ``pinned``: ``label_share`` of ``root_share`` at the system's
+    scalars, times the root's unconditioned neighbours and the
+    unconditioned labels.  When ``pinned`` holds the labels below ``root``,
+    that is the allowance of ``fptas_log_partition``'s sweeps below the
+    a-priori depth, and the default tree of ``sawtree.build_saw_tree``."""
+    graph = system.graph
+    share = label_share(graph, root_share(system_scalars(system), depth_limit))
+    free = sum(w not in pinned for w in graph.adjacency[root - 1])
+    return share * (free * (graph.n - len(pinned)))
 
 
 def all_plus_log_weight(system: SpinSystem) -> float:
@@ -185,13 +253,13 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     sum to at most D * sigma(D) <= D * (1/2 + D/4) = eps one level deeper.
     ``fptas_log_partition`` sums them with c = c_v, the walk's charge,
     which bounds |x_hat_v - x_v| whatever the root's allowance.  So below
-    the a-priori depth it hands the same total out by the labels left:
-    v's root takes delta_v * m_v / m, with m_v = n - v + 1 and m the mean
-    of m_u over the edges (``marginal.label_share``).  When the sum exceeds
-    eps it sweeps one level deeper, up to the a-priori depth, the smallest
-    t with n * degree * a * rate**(t - 1) <= eps, where each root takes
-    delta_v and the sweep is certified a priori (log sigma is
-    1-Lipschitz).
+    the a-priori depth it hands the same total out by the labels left
+    (``label_share``).  When the sum exceeds eps it sweeps deeper, by
+    max(1, ceil(log(sum / eps) / log(1 / rate))) levels, since each level
+    scales every allowance, and roughly every charge, by the rate; at
+    most to the a-priori depth, the smallest t with
+    n * degree * a * rate**(t - 1) <= eps, where each root takes delta_v
+    and the sweep is certified a priori (log sigma is 1-Lipschitz).
 
     Computed as max(1, ceil(log(n * degree * a / D) / log(1 / rate))).
     Natural logs throughout.  Raises DecayConditionError when rate >= 1,
@@ -235,18 +303,15 @@ def fptas_log_partition(
             that still pass it keep working.
 
     Walks vertices 1..n in ascending order; each walk sees every lower label
-    pinned to +, then pins its own vertex.  The sweep runs at
-    ``truncation_depth``, a hard cap: each walk splits its root's allowance
-    over its free branches, and the free leaves it stops take the
-    lookahead frontier (at degree bound 2 or less the walks keep the
-    uniform tree; see ``marginal``).  Vertex v's root, with k_v free
-    children and m_v = n - v + 1 labels still free, takes
-    ``label_share`` of the ``root_share`` times k_v * m_v, which sums to
-    ``root_share`` * |E| over the sweep.  It sums
-    c_v * sigma(c_v - x_hat_v) as described there, c_v the walk's charge,
-    and when that exceeds eps it sweeps again one level deeper, up to the
-    a-priori depth, whose sweep gives each root ``root_share`` * k_v and
-    ends the search; the report is the last sweep's.  The log factors are
+    pinned to +, then pins its own vertex.  The first sweep runs at
+    ``truncation_depth``, a hard cap, and each root takes
+    ``root_allowance`` (at degree bound 2 or less the walks keep the
+    uniform tree).  It sums c_v * sigma(c_v - x_hat_v) as described there,
+    c_v the walk's charge, and when that exceeds eps it sweeps again as
+    many levels deeper as the rate needs, up to the a-priori depth, whose
+    sweep gives each root ``root_share`` * k_v and ends the search.  The
+    report is that of the first swept depth that certifies, with the count
+    of sweeps run and of the nodes they walked.  The log factors are
     summed in the same ascending order, so reruns agree bit for bit.  A
     marginal too small for a normal float takes its log from the walk's
     log ratio, so no finite input raises for underflow.
@@ -272,7 +337,9 @@ def fptas_log_partition(
         larger[u] += 1
 
     compiled = compile_system(system)
-    for depth in range(start, a_priori + 1):
+    depth, sweeps, walked = start, 0, 0
+    while True:
+        sweeps += 1
         share = root_share(scalars, depth)
         free = larger
         if share and depth < a_priori:  # a share of 0.0 splits nothing
@@ -290,10 +357,15 @@ def fptas_log_partition(
             else:  # log(R / (1 + R)); here log_ratio < -708, so exp cannot overflow
                 log_p_total += log_ratio - math.log1p(math.exp(log_ratio))
             estimates.append(VertexEstimate(vertex, depth, count, p_hat))
+            walked += count
             certificate += charge * marginal_plus(charge - log_ratio)
             stops[vertex] = PINNED_PLUS
         if depth == a_priori or certificate <= eps:
             break  # certified a priori, or by the walks' charges
+        # Each level scales every allowance, and roughly every charge, by
+        # the rate; a ratio that overflows goes straight to the a-priori depth.
+        levels = math.log(certificate / eps) / -math.log(scalars.contraction)
+        depth = min(a_priori, depth + max(1, math.ceil(levels))) if levels < math.inf else a_priori
 
     log_all_plus = all_plus_log_weight(system)
     return EstimateReport(
@@ -307,4 +379,6 @@ def fptas_log_partition(
         truncation_depth=depth,
         vertices=tuple(estimates),
         wall_time_s=time.perf_counter() - started,
+        sweeps=sweeps,
+        walked_nodes=walked,
     )

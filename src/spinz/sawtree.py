@@ -39,17 +39,9 @@ from .core import (
     _check_label,
     checked_condition,
     external_field,
-    system_scalars,
 )
-from .marginal import (
-    _factor,
-    _frontier,
-    compile_system,
-    label_share,
-    marginal_plus,
-    root_share,
-    walk_log_ratio,
-)
+from .marginal import _factor, _frontier, compile_system, marginal_plus, walk_log_ratio
+from .partition import root_allowance
 
 # The package lists these names so it can export them without importing
 # this module.
@@ -103,20 +95,6 @@ def edge_factor_log(potential: EdgePotential, child_log_ratio: float) -> float:
     return _factor(potential.pp, potential.pm, potential.mp, potential.mm, child_log_ratio)
 
 
-def _root_allowance(
-    system: SpinSystem, root: int, depth_limit: int, pinned: Mapping[int, Spin]
-) -> float:
-    """The root allowance that ``walk_log_ratio`` takes for the default tree
-    of ``build_saw_tree``: ``marginal.label_share`` of ``root_share`` at the
-    system's scalars, times the root's unconditioned neighbours and the
-    unconditioned labels, as in the sweeps of
-    ``partition.fptas_log_partition`` below the a-priori depth."""
-    graph = system.graph
-    share = label_share(graph, root_share(system_scalars(system), depth_limit))
-    free = sum(w not in pinned for w in graph.adjacency[root - 1])
-    return share * (free * (graph.n - len(pinned)))
-
-
 def build_saw_tree(
     system: SpinSystem,
     root: int,
@@ -134,12 +112,9 @@ def build_saw_tree(
     ``marginal.walk_log_ratio`` over ``compile_system(system)``, the walk
     the estimate runs, so every node, every stop and the tree's ``charge``,
     what the root's branches were charged in all, are that walk's.  By
-    default the walk splits the root's allowance as ``marginal`` describes:
-    the allowance is ``marginal.label_share`` of ``marginal.root_share``
-    (of ``system_scalars(system)`` at ``depth_limit``) times the root's
-    free children and the vertex count less the conditioned labels, which
-    keeps the uniform tree where the share is 0.0, and ``depth_limit`` is a
-    hard cap.  That is the tree whose log ratio
+    default the walk splits ``partition.root_allowance`` as ``marginal``
+    describes, which keeps the uniform tree where the share is 0.0, with
+    ``depth_limit`` as a hard cap.  That is the tree whose log ratio
     ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
     pins the lower labels to +, at every depth below the a-priori one.
     With ``uniform=True`` the walk offers no shares and every free node
@@ -162,7 +137,7 @@ def build_saw_tree(
     root_node = SawNode(root, 0, None, [], stopped=depth_limit == 0)
     if depth_limit == 0:
         return SawTree(root_node, root, depth_limit, 1)
-    allowance = 0.0 if uniform else _root_allowance(system, root, depth_limit, pinned)
+    allowance = 0.0 if uniform else root_allowance(system, root, depth_limit, pinned)
     compiled = compile_system(system)
     record: list[tuple[int, int, int | None]] = []
     _, _, charge = walk_log_ratio(
@@ -295,7 +270,7 @@ def conditional_marginal_estimate(
         raise ValueError("depth must be at least 1")
     cond = checked_condition(system.graph.n, vertex, condition)
     compiled = compile_system(system)
-    allowance = _root_allowance(system, vertex, depth, cond)
+    allowance = root_allowance(system, vertex, depth, cond)
     log_ratio, _, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth, allowance)
     return marginal_plus(log_ratio)
 

@@ -113,7 +113,10 @@ def test_estimate_report_schema(tmp_path, capsys):
     assert report["schema_version"] == 1
     assert report["applicable"] is True
     assert set(report["vertices"][0]) == {"vertex", "depth", "node_count", "p_hat"}
-    assert "wall_time_s=" in err
+    # The work bookkeeping goes to stderr: this triangle sweeps twice, and
+    # the walked nodes count both sweeps, not only the reported one.
+    assert report["total_nodes"] == 12
+    assert re.fullmatch(r"wall_time_s=\d+\.\d{6} sweeps=2 walked_nodes=21\n", err), err
     # triangle with max degree 2: critical coupling is unbounded
     assert report["critical_coupling"] == "inf"
 

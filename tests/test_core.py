@@ -251,6 +251,7 @@ RECORD_FIELDS = {
     "EstimateReport": (
         "log_z_hat", "eps", "log_weight_all_plus", "degree_bound", "max_coupling",
         "critical_coupling", "contraction", "truncation_depth", "vertices", "wall_time_s",
+        "sweeps", "walked_nodes",
     ),
 }
 

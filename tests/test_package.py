@@ -156,6 +156,8 @@ def test_every_exported_name_resolves():
         "decay_function": (oracle, core),
         "edge_factor_log": (sawtree, marginal),
         "conditional_marginal_estimate": (sawtree, partition),
+        "root_share": (partition, marginal),
+        "label_share": (partition, marginal),
         "serialize_system": (families, graphfile),
         "save_system": (families, graphfile),
     }

@@ -757,16 +757,19 @@ def test_rr3_deep_and_cycle_sweep_reports_are_pinned():
         assert (report.log_z_hat.hex(), report.total_nodes) == (log_z_hat, nodes)
 
 
-def test_fptas_sweeps_again_one_level_at_a_time():
+def test_fptas_sweeps_again_as_many_levels_deeper_as_the_rate_needs():
     # Negative estimated log ratios make the certificate summed from the
     # walks' charges exceed eps at the start depth.  The estimate then
-    # sweeps one level deeper at a time, with the same split, and reports
-    # the first sweep that certifies eps.  The last is the a-priori depth,
-    # the smallest t with n*d*a*rate^(t-1) <= eps, which is certified a
-    # priori and gives each root the equal split root_share * k_v.  CI
-    # estimates the first instance too: 46 nodes at depth 2, then 64 at 3.
+    # sweeps max(1, ceil(log(certificate / eps) / log(1 / rate))) levels
+    # deeper, with the same split, and reports the first sweep that
+    # certifies eps; here the certificate is within 1 / rate of eps, so
+    # each step is one level.  The deepest is the a-priori depth, the
+    # smallest t with n*d*a*rate^(t-1) <= eps, which is certified a priori
+    # and gives each root the equal split root_share * k_v.  CI estimates
+    # the first instance too: 46 nodes at depth 2, then 64 at 3, 110 walked.
     eps = 0.1
-    for seed, n, depths, reported, nodes in ((11, 10, (2, 4), 3, 64), (11, 8, (2, 3), 3, 56)):
+    cases = ((11, 10, (2, 4), 3, 64, 110), (11, 8, (2, 3), 3, 56, 98))
+    for seed, n, depths, reported, nodes, walked_nodes in cases:
         system = generate(GenSpec(
             "random_regular", n=n, degree=3, model="random", coupling=0.5, field_strength=1.0,
             seed=seed,
@@ -783,6 +786,7 @@ def test_fptas_sweeps_again_one_level_at_a_time():
         assert report.total_nodes == nodes
         assert abs(report.log_z_hat - exact_log_partition(system)) <= eps
         compiled = compile_system(system)
+        walked = 0
         for depth in range(start, reported + 1):
             stops = compiled.stops()
             walks = []
@@ -791,10 +795,12 @@ def test_fptas_sweeps_again_one_level_at_a_time():
                 log_ratio, count, charge = _sweep_walk(system, compiled, stops, v, depth, depth == a_priori)
                 stops[v] = PINNED_PLUS
                 walks.append((marginal_plus(log_ratio), count))
+                walked += count
                 certificate += charge * marginal_plus(charge - log_ratio)
             if depth < reported:
-                assert certificate > eps, (seed, depth)
+                assert eps < certificate <= eps / rate, (seed, depth)
         assert walks == [(v.p_hat, v.node_count) for v in report.vertices]
+        assert (report.sweeps, report.walked_nodes) == (2, walked_nodes) and walked == walked_nodes
         if reported == a_priori:
             # The a-priori sweep's equal split walks other trees than the
             # label_share split would at that depth.
@@ -805,6 +811,22 @@ def test_fptas_sweeps_again_one_level_at_a_time():
                 stops[v] = PINNED_PLUS
                 split.append((marginal_plus(log_ratio), count))
             assert split != walks
+
+
+def test_fptas_near_critical_fallback_jumps_by_the_rate():
+    # Rate 0.9953: one level scales the allowances by so little that
+    # stepping one level at a time would take ten sweeps, 901 to 910.  The
+    # certificate's excess over eps sets the jump instead: one sweep at the
+    # start depth, then one at 913, which certifies.
+    system = generate(GenSpec(
+        "random_regular", n=12, degree=4, model="random", coupling=0.6, field_strength=1.5, seed=34,
+    ))
+    eps = 0.1
+    scalars = system_scalars(system)
+    assert truncation_depth(12, scalars.max_coupling, scalars.degree_bound, eps) == 901
+    report = fptas_log_partition(system, eps)
+    assert (report.truncation_depth, report.sweeps, report.walked_nodes) == (913, 2, 855)
+    assert abs(report.log_z_hat - exact_log_partition(system)) <= eps
 
 
 def test_fptas_positive_field_ising_keeps_the_start_depth():
