@@ -122,8 +122,8 @@ def build_family_graph(
         return _random_regular(n, d, seed)
     if family == "erdos_renyi":
         n = _require_count("n", n, minimum=0)
-        if degree is None or degree < 0:
-            raise ValueError("erdos_renyi requires a nonnegative expected degree")
+        if degree is None or not 0 <= degree < math.inf:  # nan and inf would give K_n
+            raise ValueError("erdos_renyi requires a finite nonnegative expected degree")
         return _erdos_renyi(n, float(degree), seed)
     raise ValueError(f"unknown family {family!r} (choose from {', '.join(FAMILIES)})")
 

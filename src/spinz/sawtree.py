@@ -40,7 +40,7 @@ from .core import (
     checked_condition,
     external_field,
 )
-from .marginal import _factor, _frontier, compile_system, marginal_plus, walk_log_ratio
+from .marginal import _factor, _frontier, _terms, compile_system, marginal_plus, walk_log_ratio
 from .partition import root_allowance
 
 # The package lists these names so it can export them without importing
@@ -196,8 +196,6 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
         tables[(v, u)] = (pot.pp, pot.mp, pot.pm, pot.mm)
 
     inf = math.inf
-    log1p = math.log1p
-    exp = math.exp
     values: dict[int, float | None] = {}
 
     stack: list[tuple] = [(root, False)]
@@ -219,13 +217,7 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
             for child in node.children:
                 pp, pm, mp, mm = tables[(origin, child.origin)]
                 lam = values.pop(id(child))
-                # Mirrors edge_factor_log; inlined to keep per-node cost low
-                # on trees with millions of nodes.
-                if lam == inf:
-                    total += pp - mp
-                elif lam == -inf:
-                    total += pm - mm
-                elif lam is None:  # free leaf at the depth limit, lookahead frontier
+                if lam is None:  # free leaf the truncation stopped, lookahead frontier
                     leaf = child.origin
                     lo = hi = twice_field[leaf]
                     for grandchild in adjacency[leaf - 1]:
@@ -240,12 +232,9 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
                                 hi += plus
                     total += _frontier(pp, pm, mp, mm, lo, hi)[0]
                 else:
-                    a = pp + lam
-                    b = pm
-                    total += (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
-                    a = mp + lam
-                    b = mm
-                    total -= (a + log1p(exp(b - a))) if a >= b else (b + log1p(exp(a - b)))
+                    x, y = _terms(pp, pm, mp, mm, lam)
+                    total += x
+                    total -= y
             values[id(node)] = total
 
     return values[id(root)]

@@ -426,6 +426,8 @@ MALFORMED = {
     "nested-200000-deep": "[" * 200_000,
     "raw-0xff-byte": b'{"schema_version": 1, \xff}',
     "gen-degree-inf": ("gen", "--family", "random_regular", "--n", "6", "--degree", "inf"),
+    "gen-erdos-degree-nan": ("gen", "--family", "erdos_renyi", "--n", "6", "--degree", "nan"),
+    "gen-erdos-degree-inf": ("gen", "--family", "erdos_renyi", "--n", "6", "--degree", "inf"),
     "gen-coupling-inf": GEN_RANDOM + ("--coupling", "inf"),
     "gen-coupling-1e308": GEN_RANDOM + ("--coupling", "1e308"),
     "gen-field-inf": GEN_RANDOM + ("--field", "inf"),

@@ -82,6 +82,10 @@ def test_erdos_renyi_edge_cases():
     assert build_family_graph("erdos_renyi", n=5, degree=0.0).edges == ()
     dense = build_family_graph("erdos_renyi", n=6, degree=6.0, seed=1)
     assert len(dense.edges) == 15  # p capped at 1
+    # min(1, nan / n) and min(1, inf / n) are 1: these would give K_n.
+    for degree in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="finite nonnegative expected degree"):
+            build_family_graph("erdos_renyi", n=6, degree=degree)
 
 
 def test_generation_is_deterministic():

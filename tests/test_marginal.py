@@ -325,6 +325,8 @@ def test_compiled_frontier_errors_are_exact_half_ranges():
     # sum of the errors of w's children, in ascending order, over the
     # stretch: tanh|J_vw| times that sum, and 0.0 at J = 0.  Equal spent
     # values are one object, so the 800 of a uniform 400-cycle are one.
+    # settled[below] is the factor of v -> w at w's log ratio with every
+    # child on the frontier, split in its two terms.
     rng = np.random.default_rng(53)
     zero_edges = 0
     for family, params in (
@@ -374,10 +376,33 @@ def test_compiled_frontier_errors_are_exact_half_ranges():
                         assert spent == 0.0 and math.copysign(1.0, spent) == 1.0
                     exact = [_half_range(system, compiled, w, child[0], child[2]) for child in children]
                     assert spent == pytest.approx(math.tanh(strength) * sum(exact), abs=1e-15)
+                    lam = compiled.twice_field[w]
+                    for child in children:
+                        lam += compiled.frontier[child[2]]
+                    pp, pm, mp, mm = potential
+                    direct = math.log((math.exp(pp + lam) + math.exp(pm))
+                                      / (math.exp(mp + lam) + math.exp(mm)))
+                    x, y = compiled.settled[below]
+                    assert abs((x - y) - direct) <= 1e-12
             objects: dict[float, float] = {}
             for value in compiled.spent:
                 assert objects.setdefault(value, value) is value
     assert zero_edges > 0
+    # Fields of +-1e308 put twice w's field, and so its log ratio with every
+    # child on the frontier, at +-inf: the pair is the pinned factor and 0.0.
+    graph = build_family_graph("random_regular", n=8, degree=3, seed=2)
+    potentials = {e: EdgePotential(*rng.uniform(-1, 1, 4)) for e in graph.edges}
+    fields = {v: VertexField(1e308, -1e308) if v % 2 else VertexField(-1e308, 1e308)
+              for v in graph.vertices()}
+    system = SpinSystem(graph, potentials, fields)
+    compiled = compile_system(system)
+    for v in graph.vertices():
+        for w, _, below in compiled.rows[v]:
+            pp, pm, mp, mm = system.oriented_potential(v, w)
+            pinned = pp - mp if w % 2 else pm - mm
+            assert compiled.twice_field[w] == (math.inf if w % 2 else -math.inf)
+            x, y = compiled.settled[below]
+            assert x.hex() == pinned.hex() and y.hex() == (0.0).hex()
     cycle = compile_system(ising_system(build_family_graph("cycle", n=400), 0.5, 0.1))
     assert len(cycle.spent) == 800 and len({id(value) for value in cycle.spent}) == 1
 
