@@ -2,10 +2,10 @@
 
 The estimator runs a telescoping product of conditional marginals, each
 computed on a truncated self-avoiding-walk tree; when the interaction is
-weak relative to the degree bound, truncation error decays geometrically
-with depth and the total log Z error is certified below eps.  An exact
-brute-force oracle and a set of property checks back every claim at small
-scale.
+weak relative to the graph's maximum degree, truncation error decays
+geometrically with depth and the total log Z error is certified below eps.
+An exact brute-force oracle and a set of property checks back every claim
+at small scale.
 
 The package re-exports each submodule's ``__all__``.  Importing it loads
 ``core``, ``marginal``, ``partition`` and ``graphfile``, which are all the
@@ -62,6 +62,7 @@ _LAZY_ALL = {
         "check_edge_factor_lipschitz",
         "decay_function",
         "check_decay_bound",
+        "measure_decay",
         "max_boundary_gap",
         "check_decay_geometric",
         "check_saw_identity_exhaustive",

@@ -20,15 +20,16 @@ from .partition import fptas_log_partition
 
 __all__ = ["build_parser"]
 
-# Each verify suite: its oracle check, the keyword of its count, the default
-# count and the default tolerance.  The decay check returns a list of reports.
+# Each verify suite: its oracle check and the keyword of its count.  The
+# checks' own defaults give the count and tolerance that are not overridden;
+# the decay check returns a list of reports.
 VERIFY_SUITES = {
-    "contraction": ("check_contraction", "trials", 100_000, 1e-12),
-    "lipschitz": ("check_edge_factor_lipschitz", "trials", 10_000, 1e-12),
-    "saw-exhaustive": ("check_saw_identity_exhaustive", "draws", 20, 1e-9),
-    "saw-random": ("check_saw_identity_random", "instances", 50, 1e-9),
-    "decay": ("check_decay_geometric", "pairs_per_radius", 100, 1e-9),
-    "telescoping": ("check_telescoping", "instances", 50, 1e-9),
+    "contraction": ("check_contraction", "trials"),
+    "lipschitz": ("check_edge_factor_lipschitz", "trials"),
+    "saw-exhaustive": ("check_saw_identity_exhaustive", "draws"),
+    "saw-random": ("check_saw_identity_random", "instances"),
+    "decay": ("check_decay_geometric", "pairs_per_radius"),
+    "telescoping": ("check_telescoping", "instances"),
 }
 
 
@@ -64,7 +65,7 @@ def _condition_payload(cond: Condition) -> dict:
 def cmd_estimate(args) -> int:
     system = load_system(args.graph)
     try:
-        report = fptas_log_partition(system, args.eps, degree_bound=args.degree_bound)
+        report = fptas_log_partition(system, args.eps)
     except DecayConditionError as err:
         _print_report(
             "estimate",
@@ -111,12 +112,13 @@ def cmd_verify(args) -> int:
     suites = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for suite in suites:
-        check, count_keyword, count, tolerance = VERIFY_SUITES[suite]
-        result = getattr(oracle, check)(
-            seed=args.seed,
-            tolerance=tolerance if args.tolerance is None else args.tolerance,
-            **{count_keyword: args.trials or count},
-        )
+        check, count_keyword = VERIFY_SUITES[suite]
+        overrides = {}
+        if args.trials is not None:
+            overrides[count_keyword] = args.trials
+        if args.tolerance is not None:
+            overrides["tolerance"] = args.tolerance
+        result = getattr(oracle, check)(seed=args.seed, **overrides)
         checks.extend(result if isinstance(result, list) else [result])
     all_passed = all(check.passed for check in checks)
     _print_report(
@@ -131,15 +133,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    import numpy as np
-
-    from .oracle import _decay_probe
+    from .oracle import measure_decay
 
     system = load_system(args.graph)
     scalars = system_scalars(system)
-    rng = np.random.default_rng(args.seed)
-    sphere_size, envelope, measured, _ = _decay_probe(
-        system, args.root, args.radius, args.trials, rng, scalars
+    sphere_size, envelope, measured, check = measure_decay(
+        system, args.root, args.radius, args.trials, args.seed
     )
     _print_report(
         "decay",
@@ -151,7 +150,7 @@ def cmd_decay(args) -> int:
             "sphere_size": sphere_size,
             "measured_max": measured,
             "envelope": envelope,
-            "within_envelope": measured <= envelope * (1.0 + 1e-9),
+            "within_envelope": check.passed,
             "max_coupling": scalars.max_coupling,
             "degree_bound": scalars.degree_bound,
             "contraction": scalars.contraction,
@@ -195,7 +194,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     system = load_system(args.graph)
-    scalars = system_scalars(system, args.degree_bound)
+    scalars = system_scalars(system)
     graph = system.graph
     applicable = decay_condition_holds(scalars)
     _print_report(
@@ -275,12 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="approximate log Z to additive accuracy eps")
     p.add_argument("--graph", required=True, help="instance file (JSON)")
     p.add_argument("--eps", type=float, required=True, help="additive accuracy in log Z (> 0)")
-    p.add_argument(
-        "--degree-bound",
-        type=int,
-        default=None,
-        help="degree bound used by the guarantee (default: the graph's max degree)",
-    )
     p.set_defaults(handler=cmd_estimate)
 
     p = sub.add_parser("exact", help="brute-force log Z (small instances only)")
@@ -336,12 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="report the decay condition for an instance")
     p.add_argument("--graph", required=True, help="instance file (JSON)")
-    p.add_argument(
-        "--degree-bound",
-        type=int,
-        default=None,
-        help="degree bound used by the guarantee (default: the graph's max degree)",
-    )
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("sawtree", help="print a walk tree as indented text (debug)")

@@ -374,48 +374,28 @@ class SystemScalars(
     Record,
     namedtuple(
         "SystemScalars",
-        "max_coupling max_degree degree_bound critical_coupling contraction",
+        "max_coupling degree_bound critical_coupling contraction",
     ),
 ):
-    """Derived scalars of a system for a chosen degree bound: ``max_coupling``,
-    the largest ``|interaction_strength|`` of an edge (0 without edges), and
-    ``contraction``, (degree_bound - 1) * tanh(max_coupling) floored at 0."""
+    """Derived scalars of a system: ``max_coupling``, the largest
+    ``|interaction_strength|`` of an edge (0 without edges), ``degree_bound``,
+    the graph's maximum degree d, and ``contraction``,
+    (d - 1) * tanh(max_coupling) floored at 0."""
 
     __slots__ = ()
 
 
-def system_scalars(system: SpinSystem, degree_bound: int | None = None) -> SystemScalars:
-    """Compute the largest coupling and the contraction factor.
-
-    Args:
-        system: the spin system.
-        degree_bound: degree parameter for the guarantees; defaults to the
-            maximum degree of the graph and may be larger, never smaller.
-    """
-    max_degree = system.graph.max_degree()
-    if degree_bound is None:
-        degree_bound = max_degree
-    elif isinstance(degree_bound, bool) or not isinstance(degree_bound, int):
-        raise ValueError(f"degree bound must be an integer, got {degree_bound!r}")
-    elif degree_bound < max_degree:
-        raise ValueError(
-            f"degree bound {degree_bound} is below the maximum degree {max_degree}"
-        )
-    else:
-        _finite(degree_bound, "degree bound")  # the contraction is a float
+def system_scalars(system: SpinSystem) -> SystemScalars:
+    """Compute the largest coupling and the contraction factor at d, the
+    maximum degree of the system's graph."""
+    degree = system.graph.max_degree()
     max_coupling = max(
         (abs(interaction_strength(p)) for p in system.potentials.values()), default=0.0
     )
-    contraction = (degree_bound - 1) * math.tanh(max_coupling)
+    contraction = (degree - 1) * math.tanh(max_coupling)
     if contraction <= 0.0:
         contraction = 0.0
-    return SystemScalars(
-        max_coupling=max_coupling,
-        max_degree=max_degree,
-        degree_bound=degree_bound,
-        critical_coupling=critical_inverse_temperature(degree_bound),
-        contraction=contraction,
-    )
+    return SystemScalars(max_coupling, degree, critical_inverse_temperature(degree), contraction)
 
 
 def decay_condition_holds(scalars: SystemScalars) -> bool:

@@ -301,33 +301,42 @@ def max_boundary_gap(system: SpinSystem, vertex: int, sphere, trials: int, rng) 
     return largest, worst
 
 
-def _decay_probe(
-    system: SpinSystem, vertex: int, radius: int, trials: int, rng, scalars: SystemScalars
-) -> tuple[int, float, float, str]:
-    """Sphere size, decay envelope, largest boundary gap and its worst draw
-    at ``radius`` from ``vertex``; refuses an empty sphere."""
+def _decay_bound_report(
+    system: SpinSystem, vertex: int, radius: int, trials: int, rng,
+    scalars: SystemScalars, tolerance: float, worst_case: str,
+) -> tuple[int, float, float, CheckReport]:
+    """The sphere's size, the decay envelope and the largest boundary gap at
+    ``radius`` from ``vertex``, and their boundary-decay-bound report,
+    measured / envelope - 1 (at an envelope of 0, 0 when measured is within
+    rounding of 0); refuses an empty sphere.  ``worst_case`` is a format
+    string over ``measured``, ``envelope`` and ``trial`` (the worst draw)."""
     sphere = system.graph.vertices_at_distance(vertex, radius)
     if not sphere:
         raise ValueError(f"no vertices at distance {radius} from vertex {vertex}")
     envelope = decay_function(radius, scalars.max_coupling, scalars.degree_bound)
     measured, trial = max_boundary_gap(system, vertex, sphere, trials, rng)
-    return len(sphere), envelope, measured, trial
-
-
-def _decay_bound_report(
-    system: SpinSystem, vertex: int, radius: int, trials: int, rng,
-    scalars: SystemScalars, tolerance: float, worst_case: str,
-) -> tuple[float, CheckReport]:
-    """The largest boundary gap at ``radius`` and its boundary-decay-bound
-    report, measured / envelope - 1.  ``worst_case`` is a format string over
-    ``measured``, ``envelope`` and ``trial`` (the worst draw)."""
-    _, envelope, measured, trial = _decay_probe(system, vertex, radius, trials, rng, scalars)
     if envelope > 0.0:
         violation = measured / envelope - 1.0
     else:
         violation = 0.0 if measured <= 1e-12 else math.inf
     worst = worst_case.format(measured=measured, envelope=envelope, trial=trial)
-    return measured, _report("boundary-decay-bound", trials, violation, tolerance, worst)
+    report = _report("boundary-decay-bound", trials, violation, tolerance, worst)
+    return len(sphere), envelope, measured, report
+
+
+def measure_decay(
+    system: SpinSystem, vertex: int, radius: int, trials: int = 100, seed: int = 0
+) -> tuple[int, float, float, CheckReport]:
+    """The sphere's size, the decay envelope for the graph's maximum degree
+    and the largest boundary gap at ``radius`` from ``vertex``, with the
+    report of ``check_decay_bound`` that judges them."""
+    rng = np.random.default_rng(seed)
+    scalars = system_scalars(system)
+    worst_case = (
+        f"vertex={vertex} radius={radius} measured={{measured:.6e}} "
+        f"envelope={{envelope:.6e}} seed={seed} {{trial}}"
+    )
+    return _decay_bound_report(system, vertex, radius, trials, rng, scalars, 1e-9, worst_case)
 
 
 def check_decay_bound(
@@ -336,14 +345,7 @@ def check_decay_bound(
     """Conditioning the sphere at ``radius`` moves the root log-marginal by
     at most the decay envelope for the graph's maximum degree; reports
     measured / envelope - 1 at tolerance 1e-9."""
-    rng = np.random.default_rng(seed)
-    scalars = system_scalars(system)
-    worst_case = (
-        f"vertex={vertex} radius={radius} measured={{measured:.6e}} "
-        f"envelope={{envelope:.6e}} seed={seed} {{trial}}"
-    )
-    _, report = _decay_bound_report(system, vertex, radius, trials, rng, scalars, 1e-9, worst_case)
-    return report
+    return measure_decay(system, vertex, radius, trials, seed)[3]
 
 
 def check_decay_geometric(
@@ -380,7 +382,7 @@ def check_decay_geometric(
                 f"graph_seed={graph_seed} root={root} radius={radius} "
                 "measured={measured:.6e} envelope={envelope:.6e}"
             )
-            gap, report = _decay_bound_report(
+            _, _, gap, report = _decay_bound_report(
                 system, root, radius, pairs_per_radius, rng, scalars, tolerance, worst_case
             )
             measured.append(gap)

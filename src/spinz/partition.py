@@ -15,7 +15,7 @@ depth k at least 2a * rate**(t - k).  That covers the cap's forced stops:
 a node at depth t - 1, summed in place, is charged at most tanh(J) times
 d - 1 errors, 2a * rate.  So the walk prunes the tree that the worst-case
 scales give, which on a full (degree - 1)-ary tree is the uniform tree.
-At degree bound 2 or less ``root_share`` is 0.0 and the walks keep the
+At maximum degree 2 or less ``root_share`` is 0.0 and the walks keep the
 uniform tree; on a chain whose edges share one Ising table the split
 gives that very tree.  The a-priori sweep gives each root this equal
 share per free child, and its allowances alone fit eps.  The sweeps below
@@ -27,10 +27,10 @@ bounds its branch's error, so such a sweep certifies eps from what its
 walks were charged.  When it cannot, the estimate sweeps again as many
 levels deeper as the rate needs, up to the a-priori depth (see
 ``truncation_depth``).  That gives |log(estimate) - log(exact)| <= eps
-whenever the contraction condition (degree_bound - 1) * tanh(max_coupling)
-< 1 holds.  Each factor enters the sum as a log, taken from the walk's log
-ratio where the marginal itself is too small for a normal float, so no
-estimate leaves the log domain.
+whenever the contraction condition (d - 1) * tanh(max_coupling) < 1 holds
+at d, the graph's maximum degree.  Each factor enters the sum as a log,
+taken from the walk's log ratio where the marginal itself is too small for
+a normal float, so no estimate leaves the log domain.
 
 The estimate is one serial sweep per depth, from the start depth to the
 first that certifies, over the tables of one ``compile_system``; it counts
@@ -140,7 +140,7 @@ def root_share(scalars: SystemScalars, depth_limit: int) -> float:
     with rate the contraction, so a root with k free children is off by at
     most delta_v = 2 * a * k * rate**(depth_limit - 1), as the a-priori
     depth of ``truncation_depth`` assumes; ``label_share`` redistributes it
-    over the sweep.  0.0, the uniform tree, at degree bound 2 or less (see
+    over the sweep.  0.0, the uniform tree, at maximum degree 2 or less (see
     the module docstring) and when the rate is not in (0, 1)."""
     rate = scalars.contraction
     if scalars.degree_bound <= 2 or not 0.0 < rate < 1.0:
@@ -209,7 +209,7 @@ def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int]
     checked by the callers."""
     rate = (degree - 1) * math.tanh(coupling)
     if rate >= 1.0:
-        raise DecayConditionError(rate, max_coupling=coupling, degree_bound=degree)
+        raise DecayConditionError(rate, coupling, None, degree)
     if rate <= 0.0:
         return 1, 1
     half_range = _half_range(coupling, degree)
@@ -243,7 +243,7 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     over its free branches, edge by edge (see ``marginal``), with t as the
     cap, keeps that bound: each branch is off by at most what it is
     charged, and a node's charges never exceed its allowance.  The
-    uniform walks run at degree bound 2 or less are charged by the same
+    uniform walks run at maximum degree 2 or less are charged by the same
     rules, at most delta_v each.  And
     sum k_v = |E| <= n * degree / 2 makes the deltas sum to at most
     n * degree * a * rate**(t - 1), for any degree >= the maximum degree.
@@ -267,7 +267,7 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     so small that the depth overflows.
 
     The answer is 1 when the rate is 0 or less: zero coupling makes every
-    edge factor constant, and on a graph of degree bound 1 the depth-1
+    edge factor constant, and at degree 1 the depth-1
     frontier leaf has no children, so its interval is a point.  It is also
     1 when n * degree * a * rate is at most D, underflow to 0 included.
     """
@@ -289,7 +289,6 @@ walk's log ratio instead of ``math.log(p_hat)``."""
 def fptas_log_partition(
     system: SpinSystem,
     eps: float,
-    degree_bound: int | None = None,
     workers: int = 1,
 ) -> EstimateReport:
     """Estimate log Z with |log_z_hat - log Z| <= eps, deterministically.
@@ -297,17 +296,16 @@ def fptas_log_partition(
     Args:
         system: the spin system.
         eps: target accuracy in log; must be positive and finite.
-        degree_bound: degree parameter for the depth formula; defaults to
-            the maximum degree.
         workers: ignored; the sweep is serial.  Accepted so that callers
             that still pass it keep working.
 
     Walks vertices 1..n in ascending order; each walk sees every lower label
     pinned to +, then pins its own vertex.  The first sweep runs at
     ``truncation_depth``, a hard cap, and each root takes
-    ``root_allowance`` (at degree bound 2 or less the walks keep the
-    uniform tree).  It sums c_v * sigma(c_v - x_hat_v) as described there,
-    c_v the walk's charge, and when that exceeds eps it sweeps again as
+    ``root_allowance`` (at maximum degree 2 or less the walks keep the
+    uniform tree).  The depth formula and the refusal take d, the graph's
+    maximum degree.  It sums c_v * sigma(c_v - x_hat_v) as described
+    there, c_v the walk's charge, and when that exceeds eps it sweeps again as
     many levels deeper as the rate needs, up to the a-priori depth, whose
     sweep gives each root ``root_share`` * k_v and ends the search.  The
     report is that of the first swept depth that certifies, with the count
@@ -321,13 +319,10 @@ def fptas_log_partition(
     """
     started = time.perf_counter()
     _check_eps(eps)
-    scalars = system_scalars(system, degree_bound)
+    scalars = system_scalars(system)
     if not decay_condition_holds(scalars):
         raise DecayConditionError(
-            scalars.contraction,
-            max_coupling=scalars.max_coupling,
-            critical_coupling=scalars.critical_coupling,
-            degree_bound=scalars.degree_bound,
+            scalars.contraction, scalars.max_coupling, scalars.critical_coupling, scalars.degree_bound
         )
     n = system.graph.n
     start, a_priori = _depths(n, scalars.max_coupling, scalars.degree_bound, eps) if n else (0, 0)
@@ -372,10 +367,7 @@ def fptas_log_partition(
         log_z_hat=log_all_plus - log_p_total,
         eps=eps,
         log_weight_all_plus=log_all_plus,
-        degree_bound=scalars.degree_bound,
-        max_coupling=scalars.max_coupling,
-        critical_coupling=scalars.critical_coupling,
-        contraction=scalars.contraction,
+        **scalars._asdict(),
         truncation_depth=depth,
         vertices=tuple(estimates),
         wall_time_s=time.perf_counter() - started,

@@ -18,9 +18,11 @@ from spinz import (
     VertexField,
     build_family_graph,
     build_saw_tree,
+    check_decay_bound,
     exact_log_partition,
     generate,
     ising_system,
+    load_system,
     save_system,
     serialize_system,
 )
@@ -194,6 +196,15 @@ def test_estimate_inapplicable_exit_2(tmp_path, capsys):
     assert "log_z_hat" not in report
 
 
+@pytest.mark.parametrize("command,args", [("estimate", ["--eps", "0.1"]), ("check", [])])
+def test_degree_bound_option_is_refused(tmp_path, capsys, command, args):
+    # Every estimate takes d from the graph's maximum degree.
+    graph = write_triangle(tmp_path)
+    code, out, err = run_cli(capsys, command, "--graph", graph, *args, "--degree-bound", "3")
+    assert (code, out) == (1, "")
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
 def test_check_reports_applicability(tmp_path, capsys):
     path = tmp_path / "hot.json"
     save_system(
@@ -261,6 +272,13 @@ def test_verify_quick_suite(capsys):
     assert report["all_passed"] is True
     assert report["checks"][0]["name"] == "edge-factor-lipschitz"
     assert report["checks"][0]["trials"] == 500
+
+
+def test_verify_without_overrides_takes_the_checks_defaults(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lipschitz")
+    assert code == 0
+    check = json.loads(out)["checks"][0]
+    assert (check["trials"], check["tolerance"]) == (10_000, 1e-12)
 
 
 # The checks each verify suite reports, in order.
@@ -339,6 +357,23 @@ def test_decay_command(tmp_path, capsys):
     assert report["within_envelope"] is True
     assert 0.0 < report["measured_max"] <= report["envelope"]
     assert report["sphere_size"] > 0
+
+
+def test_decay_at_zero_coupling_takes_the_check_verdict(tmp_path, capsys):
+    # The envelope is 0 and the measured gap is rounding, 1.8e-15: the
+    # verdict is check_decay_bound's, which allows 1e-12 at envelope 0.
+    path = str(tmp_path / "g.json")
+    code, _, _ = run_cli(capsys, "gen", "--family", "grid", "--rows", "3", "--cols", "4",
+                         "--model", "ising", "--coupling", "0.0", "--field", "0.7",
+                         "--out", path)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "decay", "--graph", path, "--root", "1",
+                           "--radius", "2", "--trials", "30")
+    assert code == 0
+    report = json.loads(out)
+    assert report["envelope"] == 0.0 and 0.0 < report["measured_max"] <= 1e-12
+    assert report["within_envelope"] is True
+    assert check_decay_bound(load_system(path), 1, 2, trials=30).passed
 
 
 def test_decay_empty_sphere_is_input_error(tmp_path, capsys):
@@ -498,8 +533,7 @@ def test_module_entry_point(tmp_path):
 # Option values that must end in a report or an error line, never a
 # traceback.  Huge values go only to options whose work does not grow with
 # the value: labels, --radius and --depth (on a graph of 6 vertices), --eps,
-# --degree-bound, --seed, --tolerance, and gen's --degree, --coupling and
-# --field.  A huge --n, --rows, --cols or --trials asks for that much work
+# --seed, --tolerance, and gen's --degree, --coupling and --field.  A huge --n, --rows, --cols or --trials asks for that much work
 # (``spinz gen --family path --n 99999999999999999999999`` does not finish
 # in 10 s), so those options get only the other values.
 MUTATED = ("0", "-1", "-12", "nan", "inf", "-inf", "-0.0", "1e-320", "x", "")
@@ -508,7 +542,7 @@ HUGE_VALUES = ("99999999999999999999999", "1e300", str(HUGE))
 # Per subcommand, each option with a valid value and whether huge values
 # apply.  A --cond value is mutated in its vertex label.
 OPTIONS = {
-    "estimate": [("--eps", "0.1", True), ("--degree-bound", "3", True)],
+    "estimate": [("--eps", "0.1", True)],
     "exact": [("--cond", "1=+", True)],
     "verify": [("--suite", "lipschitz", False), ("--trials", "1", False),
                ("--seed", "0", True), ("--tolerance", "1e-9", True)],
@@ -517,7 +551,7 @@ OPTIONS = {
     "gen": [("--family", "random_regular", False), ("--n", "6", False), ("--rows", "2", False),
             ("--cols", "3", False), ("--degree", "3", True), ("--model", "ising", False),
             ("--coupling", "0.3", True), ("--field", "0.1", True), ("--seed", "0", True)],
-    "check": [("--degree-bound", "3", True)],
+    "check": [],
     "sawtree": [("--root", "1", True), ("--depth", "2", True), ("--cond", "2=-", True)],
 }
 # saw-exhaustive walks every connected graph up to 5 vertices whatever the

@@ -194,19 +194,7 @@ def test_system_scalars_fields_and_couplings():
     assert external_field(sys_.fields[1]) == 0.5
     assert external_field(sys_.fields[2]) == 0.0
     assert scalars.max_coupling == 0.5
-    assert scalars.max_degree == 1
-
-
-def test_system_scalars_degree_bound_override():
-    g = Graph.from_edges(3, [(1, 2), (2, 3)])
-    sys_ = _ising_system(g, 0.4)
-    assert system_scalars(sys_).degree_bound == 2
-    assert system_scalars(sys_, degree_bound=5).degree_bound == 5
-    with pytest.raises(ValueError):
-        system_scalars(sys_, degree_bound=1)
-    # Found by the CLI's option mutation test: OverflowError escaped.
-    with pytest.raises(ValueError, match="degree bound must be finite, got 1000"):
-        system_scalars(sys_, degree_bound=10**400)
+    assert scalars.degree_bound == 1
 
 
 def test_spin_system_validates_keys():
@@ -242,7 +230,7 @@ RECORD_FIELDS = {
     "VertexField": ("h_plus", "h_minus"),
     "SpinSystem": ("graph", "potentials", "fields"),
     "SystemScalars": (
-        "max_coupling", "max_degree", "degree_bound", "critical_coupling", "contraction",
+        "max_coupling", "degree_bound", "critical_coupling", "contraction",
     ),
     "CompiledSystem": (
         "n", "twice_field", "rows", "belows", "frontier", "errors", "spent", "settled",

@@ -459,29 +459,32 @@ def test_midpoint_frontier_within_half_envelope_of_exact():
 def test_charge_bounds_the_error_of_every_sweep_walk():
     # Each walk of the +-pinned sweep, with the sweep's root allowances at
     # depths 1 to 7, is off from the complete tree by at most the charge it
-    # returns: split walks and, at the acceptance cycles' degree bound 2,
+    # returns: split walks and, at the acceptance cycles' maximum degree 2,
     # uniform walks, whose allowance is 0.0.  The systems are the
     # acceptance instances and every connected graph on at most 4 vertices
-    # with random near-critical tables, whose allowances take degree bound
-    # 3 so that the split runs on paths and cycles too.  A depth-1 walk
-    # charges the errors of its stopped root children, however large its
-    # allowance.  Both of the sweep's allowance rules: the equal split
-    # root_share * k_v of the a-priori sweep and the label_share split of
-    # the sweeps below it.
+    # with random near-critical tables, whose allowances take the scalars
+    # at degree 3 (contraction 2 * tanh(J)) so that the split runs on paths
+    # and cycles too.  A depth-1 walk charges the errors of its stopped root
+    # children, however large its allowance.  Both of the sweep's allowance
+    # rules: the equal split root_share * k_v of the a-priori sweep and the
+    # label_share split of the sweeps below it.
     coupling = 0.9 * critical_inverse_temperature(3)
     systems = [
-        (acceptance_instance(family, model, seed), None)
+        (acceptance_instance(family, model, seed), False)
         for family in ACCEPTANCE_FAMILIES
         for model in ("ising", "random")
         for seed in range(3)
     ]
     for n in range(1, 5):
         for index, graph in enumerate(connected_graphs(n)):
-            systems.append((attach_spin_model(graph, "random", coupling, 1.0, seed=index), 3))
+            systems.append((attach_spin_model(graph, "random", coupling, 1.0, seed=index), True))
     walks = charged_depth_one = uniform = 0
-    for system, degree_bound in systems:
+    for system, at_degree_three in systems:
         n = system.n
-        scalars = system_scalars(system, degree_bound)
+        scalars = system_scalars(system)
+        if at_degree_three:
+            contraction = 2 * math.tanh(scalars.max_coupling)
+            scalars = scalars._replace(degree_bound=3, contraction=contraction)
         compiled = compile_system(system)
         for depth in range(1, 8):
             share = root_share(scalars, depth)

@@ -244,30 +244,34 @@ def test_fptas_degenerate_instances_end_in_a_finite_estimate():
     # The counts of larger-labelled neighbours feed the root allowances and
     # the certificate.  Neither may divide by zero or make a nan on the
     # empty graph, at depth 1, at zero coupling (where 1 / tanh(J) is
-    # infinite) or at degree 1.  Negative fields make the estimated log
-    # ratios negative, so the certificate is summed too.
+    # infinite) or at degree 1, nor on a degree-3 grid whose sweeps split a
+    # nonzero share.  Negative fields make the estimated log ratios
+    # negative, so the certificate is summed too.  All but the grid at
+    # J = 0.3 estimate at depth 1.
+    split = ising_system(build_family_graph("grid", rows=2, cols=3), 0.3, -0.3)
     cases = [
-        (SpinSystem(Graph.from_edges(0, []), {}, {}), None),
-        (SpinSystem(Graph.from_edges(1, []), {}, {1: VertexField(-0.3, 0.3)}), None),
-        (ising_system(build_family_graph("grid", rows=2, cols=3), 0.0, -0.2), None),
-        (ising_system(build_family_graph("grid", rows=2, cols=3), 0.0, -0.2), 4),
-        (ising_system(build_family_graph("path", n=2), 0.4, -0.3), None),
-        (ising_system(build_family_graph("path", n=4), 0.3, -0.3), 3),
-        (ising_system(build_family_graph("random_regular", n=8, degree=3, seed=1), 1e-9, -0.2), None),
+        SpinSystem(Graph.from_edges(0, []), {}, {}),
+        SpinSystem(Graph.from_edges(1, []), {}, {1: VertexField(-0.3, 0.3)}),
+        ising_system(build_family_graph("grid", rows=2, cols=3), 0.0, -0.2),
+        ising_system(build_family_graph("path", n=2), 0.4, -0.3),
+        split,
+        ising_system(build_family_graph("random_regular", n=8, degree=3, seed=1), 1e-9, -0.2),
     ]
-    for system, bound in cases:
+    for system in cases:
         exact = exact_log_partition(system)
         for eps in (0.1, 1e-6):
-            report = fptas_log_partition(system, eps, degree_bound=bound)
-            assert math.isfinite(report.log_z_hat), (system.n, bound, eps)
-            assert abs(report.log_z_hat - exact) <= eps, (system.n, bound, eps)
-            if system.n and bound is None and system.graph.max_degree() != 2:
+            report = fptas_log_partition(system, eps)
+            assert math.isfinite(report.log_z_hat), (system.n, eps)
+            assert abs(report.log_z_hat - exact) <= eps, (system.n, eps)
+            if system is split:
+                assert root_share(system_scalars(system), report.truncation_depth) > 0.0
+            elif system.n:
                 assert report.truncation_depth == 1
     # Depths the sweep never picks at zero coupling: root_share is 0.0
     # there, since the rate is 0, so the walks keep the uniform tree and
     # never stretch a share by an edge's infinite 1 / tanh(0), and every
     # factor is exact anyway.
-    system = cases[2][0]
+    system = cases[2]
     for depth in (1, 2, 5):
         for v in system.graph.vertices():
             estimate = conditional_marginal_estimate(system, v, depth=depth)
@@ -299,15 +303,6 @@ def test_fptas_rejects_bad_eps_and_hot_instances():
         fptas_log_partition(hot, 0.1)
     assert info.value.contraction == pytest.approx(1.0740991339960706, abs=1e-12)
     assert info.value.degree_bound == 3
-
-
-def test_fptas_degree_bound_override_still_accurate():
-    system = ising_system(build_family_graph("cycle", n=6), 0.2, -0.3)
-    exact = exact_log_partition(system)
-    for bound in (2, 3, 5):
-        report = fptas_log_partition(system, 0.05, degree_bound=bound)
-        assert report.degree_bound == bound
-        assert abs(report.log_z_hat - exact) <= 0.05
 
 
 def _sweep_walk(system, compiled, stops, vertex, depth, equal=False):
