@@ -51,9 +51,12 @@ summed in place instead of entered; when none of those leaves is pinned,
 the node's fold is a constant of the system (``CompiledSystem.settled``)
 and the walk adds that, charged ``spent``.  It is the one routine that
 takes the truncation's decisions: ``sawtree.build_saw_tree`` assembles
-its ``SawTree`` from the nodes the walk records.  ``sawtree.tree_log_ratio``
-evaluates a built tree on its own, with the same float operations in the
-same order, so the two agree bit for bit.
+its ``SawTree`` from the nodes the walk records and keeps the
+``CompiledSystem`` the walk read, the one compiled form of the system.
+``sawtree.tree_log_ratio`` evaluates a built tree over those tables: it
+folds the assembled tree post-order, without the walk's share stops and
+without its ``settled`` and ``spent`` shortcuts, with the same float
+operations in the same order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
             below += 1
         rows[v] = tuple(row)
     # Same order as the numbering above.  The interval of w sums its
-    # children in ascending order, as sawtree.tree_log_ratio does.
+    # children in ascending order.
     belows = []
     bounds = []
     shared_frontier: dict[bytes, tuple[float, float]] = {}

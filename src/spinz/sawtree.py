@@ -17,19 +17,20 @@ the walk records, so the walk is the one place that holds them.
 
 The marginal of the root in this tree equals its marginal in the original
 graph, which is what makes the truncated evaluation in ``marginal`` a
-controlled approximation.  ``tree_log_ratio`` evaluates a built tree on
-its own, with its own tables and lookahead frontier, so over a built tree
-it checks the walk's arithmetic bit for bit; the oracle's identity checks
-run that walk on the complete tree.  ``edge_factor_log`` is one edge
-factor of that recursion, and ``conditional_marginal_estimate`` one
-truncated marginal under a condition, walked without building the tree.
+controlled approximation.  ``tree_log_ratio`` folds a built tree post-order
+over the ``CompiledSystem`` its walk read, in O(tree) time, without the
+walk's share stops and shortcuts, so it checks the walk's traversal and
+fold order bit for bit; the oracle's identity checks run that walk on the
+complete tree.  ``edge_factor_log`` is one edge factor of that recursion,
+and ``conditional_marginal_estimate`` one truncated marginal under a
+condition, walked without building the tree.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import _LAZY_ALL
 from .core import (
@@ -38,9 +39,8 @@ from .core import (
     SpinSystem,
     _check_label,
     checked_condition,
-    external_field,
 )
-from .marginal import _factor, _frontier, _terms, compile_system, marginal_plus, walk_log_ratio
+from .marginal import CompiledSystem, _factor, _terms, compile_system, marginal_plus, walk_log_ratio
 from .partition import root_allowance
 
 # The package lists these names so it can export them without importing
@@ -71,15 +71,17 @@ class SawNode:
 @dataclass(frozen=True)
 class SawTree:
     """A built walk tree: root node, root vertex label, depth limit, the
-    total number of nodes constructed (the work bookkeeping), and the
-    root's charge, what the truncation charged its branches in all (see
-    ``marginal.walk_log_ratio``)."""
+    total number of nodes constructed (the work bookkeeping), the root's
+    charge, what the truncation charged its branches in all (see
+    ``marginal.walk_log_ratio``), and the ``CompiledSystem`` the walk read,
+    outside repr and comparisons (None for a pinned root or depth 0)."""
 
     root: SawNode
     root_vertex: int
     depth_limit: int
     node_count: int
     charge: float = 0.0
+    compiled: CompiledSystem | None = field(default=None, repr=False, compare=False)
 
 
 def edge_factor_log(potential: EdgePotential, child_log_ratio: float) -> float:
@@ -108,19 +110,19 @@ def build_saw_tree(
     Conditioned vertices become pinned leaves wherever a walk reaches them;
     revisits close cycles into pinned leaves.  Free nodes that the
     truncation stops are frontier leaves (``stopped``); their subtrees are
-    not constructed.  The tree is assembled from the record of
-    ``marginal.walk_log_ratio`` over ``compile_system(system)``, the walk
-    the estimate runs, so every node, every stop and the tree's ``charge``,
-    what the root's branches were charged in all, are that walk's.  By
-    default the walk splits ``partition.root_allowance`` as ``marginal``
-    describes, which keeps the uniform tree where the share is 0.0, with
-    ``depth_limit`` as a hard cap.  That is the tree whose log ratio
-    ``partition.fptas_log_partition`` walks for ``root`` when ``condition``
-    pins the lower labels to +, at every depth below the a-priori one.
-    With ``uniform=True`` the walk offers no shares and every free node
-    above ``depth_limit`` is expanded, and setting ``depth_limit`` to the
-    vertex count then produces the complete tree, since no self-avoiding
-    walk can visit more vertices than the graph has.
+    not constructed.  The tree is assembled from the record of the walk the
+    estimate runs, ``marginal.walk_log_ratio`` over ``compile_system(system)``,
+    and keeps that compiled system as ``compiled``; every node, every stop
+    and the tree's ``charge``, what the root's branches were charged in all,
+    are that walk's.  By default the walk splits ``partition.root_allowance``
+    as ``marginal`` describes, which keeps the uniform tree where the share
+    is 0.0, with ``depth_limit`` as a hard cap.  That is the tree whose log
+    ratio ``partition.fptas_log_partition`` walks for ``root`` when
+    ``condition`` pins the lower labels to +, at every depth below the
+    a-priori one.  With ``uniform=True`` the walk offers no shares and every
+    free node above ``depth_limit`` is expanded, and setting ``depth_limit``
+    to the vertex count then produces the complete tree, since no
+    self-avoiding walk can visit more vertices than the graph has.
 
     Construction is iterative, so deep trees do not hit the interpreter
     recursion limit, and deterministic: children follow sorted neighbor
@@ -151,22 +153,25 @@ def build_saw_tree(
         del path[depth:]
         path[-1].children.append(node)
         path.append(node)
-    return SawTree(root_node, root, depth_limit, 1 + len(record), charge)
+    return SawTree(root_node, root, depth_limit, 1 + len(record), charge, compiled)
 
 
 def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = None) -> float:
     """Evaluate the log ratio at the root of a walk tree built from ``system``.
 
     Args:
-        system: the spin system the tree was built from.
+        system: the spin system the tree was built from.  It is read only
+            for a tree that carries no tables (``compiled``), one built by
+            hand, and compiled in O(n + |E|); otherwise the cost is O(tree).
         tree: a walk tree whose root is free.
         frontier: what the free leaves the truncation stopped (``stopped``)
             contribute.  The default None adds the lookahead frontier of
             ``marginal``: the middle of the leaf's edge factor over the log
             ratio interval that the leaf's own children's pinned factors
-            bound.  A tree from ``build_saw_tree`` is then off by at
-            most its ``charge``, whether it is split or uniform; a
-            uniform tree whose root has k free children, by at most
+            bound, the compiled ``frontier[below]`` of the leaf's edge.  A
+            tree from ``build_saw_tree`` is then off by at most its
+            ``charge``, whether it is split or uniform; a uniform tree whose
+            root has k free children, by at most
             ``2 * a * k * rate**(depth_limit - 1)`` too, with a and rate
             as in ``partition.truncation_depth``.  It needs a depth limit
             of at least 1.  A float is the log ratio
@@ -184,17 +189,8 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
     if frontier is None and tree.depth_limit == 0:
         raise ValueError("a lookahead frontier needs a depth limit of at least 1")
 
-    graph = system.graph
-    adjacency = graph.adjacency
-    twice_field = [0.0] * (graph.n + 1)
-    for v in graph.vertices():
-        twice_field[v] = 2.0 * external_field(system.fields[v])
-    # Entries oriented parent -> child for both orientations of every edge.
-    tables: dict[tuple[int, int], tuple[float, float, float, float]] = {}
-    for (u, v), pot in system.potentials.items():
-        tables[(u, v)] = (pot.pp, pot.pm, pot.mp, pot.mm)
-        tables[(v, u)] = (pot.pp, pot.mp, pot.pm, pot.mm)
-
+    compiled = tree.compiled if tree.compiled is not None else compile_system(system)
+    _, twice_field, rows, _, lookahead, _, _, _ = compiled
     inf = math.inf
     values: dict[int, float | None] = {}
 
@@ -214,25 +210,14 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
         else:
             origin = node.origin
             total = twice_field[origin]
+            entries = {w: (factors, below) for w, factors, below in rows[origin]}
             for child in node.children:
-                pp, pm, mp, mm = tables[(origin, child.origin)]
+                factors, below = entries[child.origin]
                 lam = values.pop(id(child))
                 if lam is None:  # free leaf the truncation stopped, lookahead frontier
-                    leaf = child.origin
-                    lo = hi = twice_field[leaf]
-                    for grandchild in adjacency[leaf - 1]:
-                        if grandchild != origin:
-                            table = tables[(leaf, grandchild)]
-                            plus, minus = table[0] - table[2], table[1] - table[3]
-                            if plus < minus:
-                                lo += plus
-                                hi += minus
-                            else:
-                                lo += minus
-                                hi += plus
-                    total += _frontier(pp, pm, mp, mm, lo, hi)[0]
+                    total += lookahead[below]
                 else:
-                    x, y = _terms(pp, pm, mp, mm, lam)
+                    x, y = _terms(*factors[2:6], lam)
                     total += x
                     total -= y
             values[id(node)] = total

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from spinz import (
+    CompiledSystem,
     Condition,
     EdgePotential,
     Graph,
@@ -21,6 +23,7 @@ from spinz import (
     decay_function,
     edge_factor_log,
     exact_log_partition,
+    external_field,
     interaction_strength,
     ising_field,
     ising_potential,
@@ -154,6 +157,50 @@ def test_frontier_applies_only_at_depth_limit():
     # single child at the limit pinned to the frontier value
     for frontier, expected in ((math.inf, 0.6), (-math.inf, -0.6), (0.0, 0.0)):
         assert tree_log_ratio(system, tree, frontier) == pytest.approx(expected, abs=1e-12)
+
+
+def test_tree_ratio_reads_only_the_tables_its_walk_read():
+    # A built tree carries the CompiledSystem its walk read, and
+    # tree_log_ratio evaluates over it: the system's own tables, stripped
+    # here, are never read, and the bits are the same, for split and
+    # uniform trees.
+    rng = np.random.default_rng(26)
+    grid = build_family_graph("grid", rows=3, cols=4)
+    regular = build_family_graph("random_regular", n=10, degree=3, seed=4)
+    trees = 0
+    for graph, cond in ((grid, {}), (regular, {3: Spin.PLUS, 8: Spin.MINUS})):
+        potentials = {e: EdgePotential(*rng.uniform(-0.5, 0.5, 4)) for e in graph.edges}
+        fields = {v: VertexField(*rng.uniform(-1, 1, 2)) for v in graph.vertices()}
+        system = SpinSystem(graph, potentials, fields)
+        bare = system._replace(potentials={}, fields={})
+        for root in (v for v in graph.vertices() if v not in cond):
+            for depth in (1, 2, 4):
+                for uniform in (False, True):
+                    tree = build_saw_tree(system, root, depth, cond, uniform=uniform)
+                    want = tree_log_ratio(system, tree)
+                    assert tree_log_ratio(bare, tree).hex() == want.hex()
+                    stopped = tree_log_ratio(bare, tree, -math.inf)
+                    assert stopped.hex() == tree_log_ratio(system, tree, -math.inf).hex()
+                    trees += 1
+    assert trees == (12 + 8) * 3 * 2
+
+
+def test_saw_tree_keeps_its_compiled_system_out_of_repr_and_equality():
+    def system():
+        return ising_system(build_family_graph("cycle", n=5), 0.3, 0.1)
+
+    tree = build_saw_tree(system(), 1, 3)
+    assert isinstance(tree.compiled, CompiledSystem)
+    assert "CompiledSystem" not in repr(tree)
+    again = build_saw_tree(system(), 1, 3)
+    assert again.compiled is not tree.compiled and again == tree
+    # A tree without tables, as one built by hand, compiles the system.
+    bare = dataclasses.replace(tree, compiled=None)
+    assert bare == tree
+    assert tree_log_ratio(system(), bare).hex() == tree_log_ratio(system(), tree).hex()
+    # No walk runs for a pinned root or at depth 0, so no tables are kept.
+    assert build_saw_tree(system(), 1, 0).compiled is None
+    assert build_saw_tree(system(), 1, 3, {1: Spin.PLUS}).compiled is None
 
 
 def _reference_tree_ratio(system, node, depth_limit, frontier):
@@ -348,8 +395,14 @@ def test_compiled_frontier_errors_are_exact_half_ranges():
             worst = 2 * math.atanh(math.tanh(coupling) * math.tanh((degree - 1) * coupling))
             compiled = compile_system(system)
             for v in graph.vertices():
+                twice = 2.0 * external_field(system.fields[v])
+                assert compiled.twice_field[v].hex() == twice.hex()
                 for w, factors, below in compiled.rows[v]:
                     potential = system.oriented_potential(v, w)
+                    # The row entry holds the table read v -> w and its two
+                    # pinned factors, bit for bit.
+                    pinned = (potential.pp - potential.mp, potential.pm - potential.mm)
+                    assert [x.hex() for x in factors[:6]] == [x.hex() for x in (*pinned, *potential)]
                     # interaction_strength summed in an order that both
                     # orientations share
                     strength = abs((potential.pp + potential.mm) - (potential.pm + potential.mp)) / 4
@@ -397,6 +450,8 @@ def test_compiled_frontier_errors_are_exact_half_ranges():
     system = SpinSystem(graph, potentials, fields)
     compiled = compile_system(system)
     for v in graph.vertices():
+        twice = 2.0 * external_field(system.fields[v])
+        assert compiled.twice_field[v].hex() == twice.hex()
         for w, _, below in compiled.rows[v]:
             pp, pm, mp, mm = system.oriented_potential(v, w)
             pinned = pp - mp if w % 2 else pm - mm
