@@ -6,8 +6,8 @@ boundary influence at a radius), gen (write a generated instance file),
 check (applicability diagnostics), sawtree (debug dump of a walk tree).
 
 Reports are JSON on stdout with every float at 17 significant digits;
-diagnostics go to stderr.  Exit codes: 0 success, 1 input error or failed
-verification, 2 estimate refused because the decay condition fails.
+diagnostics go to stderr.  Exit codes: 0 success, 1 input error, failed
+verification or a log Z beyond floats, 2 decay condition violated.
 
 The parser and the seven commands live in ``commands``, which ``main``
 imports when it runs.  Importing this module therefore compiles only the
@@ -20,8 +20,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-
-from .core import DecayConditionError
 
 __all__ = ["main", "render_json"]
 
@@ -93,9 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         return args.handler(args)
-    except DecayConditionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
     except (ValueError, OSError) as err:  # GraphFileError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

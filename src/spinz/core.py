@@ -4,9 +4,10 @@ A spin system attaches a 2x2 table of pair log-weights to every edge and a
 2-entry log-weight table to every vertex.  The scalars derived from those
 tables (per-edge interaction strength, per-vertex external field, and their
 extremes) decide whether the correlation-decay machinery in the rest of the
-package applies, and how fast it converges.  The decay envelope they give,
-``oracle.decay_function``, lives with the checks that measure it, off the
-estimate path.
+package applies, and how fast it converges: ``interaction_strength`` owns
+J, ``SystemScalars.at`` the rate and ``decay_condition_holds`` the verdict.
+The decay envelope they give, ``oracle.decay_function``, lives with the
+checks that measure it, off the estimate path.
 
 Each fact is checked once, here, and the graph file parser shares the
 checks: ``_finite`` every number (an int beyond the float range is not
@@ -62,25 +63,19 @@ class DecayConditionError(Exception):
     """The couplings are too strong for the contraction guarantee.
 
     Raised instead of silently producing an estimate without an accuracy
-    guarantee.  Carries the offending contraction factor
-    (degree_bound - 1) * tanh(max_coupling) and the scalars behind it.
+    guarantee.  Takes the ``SystemScalars`` that fail the condition and
+    keeps their four fields as attributes.
     """
 
-    def __init__(
-        self,
-        contraction: float,
-        max_coupling: float | None = None,
-        critical_coupling: float | None = None,
-        degree_bound: int | None = None,
-    ):
-        self.contraction = contraction
-        self.max_coupling = max_coupling
-        self.critical_coupling = critical_coupling
-        self.degree_bound = degree_bound
+    def __init__(self, scalars: "SystemScalars"):
+        self.contraction = scalars.contraction
+        self.max_coupling = scalars.max_coupling
+        self.critical_coupling = scalars.critical_coupling
+        self.degree_bound = scalars.degree_bound
         super().__init__(
             f"decay condition violated: (degree_bound - 1) * tanh(max_coupling) = "
-            f"{contraction:.6g} >= 1 (max_coupling={max_coupling}, "
-            f"critical_coupling={critical_coupling}, degree_bound={degree_bound})"
+            f"{self.contraction:.6g} >= 1 (max_coupling={self.max_coupling}, "
+            f"critical_coupling={self.critical_coupling}, degree_bound={self.degree_bound})"
         )
 
 
@@ -346,14 +341,17 @@ def interaction_strength(potential: EdgePotential) -> float:
 
     Zero means the edge factor is constant; the sign distinguishes
     aligning from anti-aligning edges.  Adding a constant to every entry
-    leaves it unchanged.
+    leaves it unchanged.  Quartered first, so no finite table overflows,
+    and symmetric in pm and mp, so a table and its transpose give one
+    value, exactly 0.0 when pp + mm == pm + mp.
     """
-    return (potential.pp + potential.mm - potential.mp - potential.pm) / 4.0
+    return (potential.pp / 4.0 + potential.mm / 4.0) - (potential.pm / 4.0 + potential.mp / 4.0)
 
 
 def external_field(field: VertexField) -> float:
-    """Half the spread between the two vertex log-weights."""
-    return (field.h_plus - field.h_minus) / 2.0
+    """Half the spread between the two vertex log-weights, halved first
+    so that no finite field overflows."""
+    return field.h_plus / 2.0 - field.h_minus / 2.0
 
 
 def critical_inverse_temperature(degree: int) -> float:
@@ -384,18 +382,20 @@ class SystemScalars(
 
     __slots__ = ()
 
+    @classmethod
+    def at(cls, max_coupling: float, degree_bound: int) -> "SystemScalars":
+        """The scalars at a coupling and a degree bound, with the rate."""
+        contraction = (degree_bound - 1) * math.tanh(max_coupling)
+        if contraction <= 0.0:
+            contraction = 0.0
+        return cls(max_coupling, degree_bound, critical_inverse_temperature(degree_bound), contraction)
+
 
 def system_scalars(system: SpinSystem) -> SystemScalars:
-    """Compute the largest coupling and the contraction factor at d, the
-    maximum degree of the system's graph."""
-    degree = system.graph.max_degree()
-    max_coupling = max(
-        (abs(interaction_strength(p)) for p in system.potentials.values()), default=0.0
-    )
-    contraction = (degree - 1) * math.tanh(max_coupling)
-    if contraction <= 0.0:
-        contraction = 0.0
-    return SystemScalars(max_coupling, degree, critical_inverse_temperature(degree), contraction)
+    """The largest coupling of the system and the contraction factor at d,
+    the maximum degree of its graph."""
+    couplings = (abs(interaction_strength(p)) for p in system.potentials.values())
+    return SystemScalars.at(max(couplings, default=0.0), system.graph.max_degree())
 
 
 def decay_condition_holds(scalars: SystemScalars) -> bool:

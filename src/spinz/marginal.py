@@ -66,7 +66,7 @@ import struct
 from collections import namedtuple
 from collections.abc import Mapping
 
-from .core import Record, Spin, SpinSystem, external_field
+from .core import Record, Spin, SpinSystem, external_field, interaction_strength
 
 __all__ = [
     "LogRatio",
@@ -130,7 +130,7 @@ class CompiledSystem(
     in ascending w.  ``factors`` is the tuple ``(pinned_plus, pinned_minus,
     pp, pm, mp, mm, stretch)`` of the edge read in orientation v -> w: the
     factors of a child w pinned to + (pp - mp) and to - (pm - mm), the
-    table, and 1 / tanh|J| (inf at J = 0), J = ((pp + mm) - (pm + mp)) / 4.
+    table, and 1 / tanh|J| (inf at J = 0), J = ``interaction_strength``.
     Edges with the same table bits share one ``factors`` tuple.  ``below``
     numbers the directed edge v -> w.  ``belows[below]`` holds the entries
     of w's row other than the one back to v, the children of w when the
@@ -181,14 +181,14 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     for v in graph.vertices():
         row = []
         for w in adjacency[v - 1]:
-            if v < w:
-                pp, pm, mp, mm = potentials[v, w]
-            else:
-                pp, mp, pm, mm = potentials[w, v]
+            stored = potentials[v, w] if v < w else potentials[w, v]
+            pp, pm, mp, mm = stored
+            if w < v:
+                pm, mp = mp, pm
             key = pack_table(pp, pm, mp, mm)
             factors = shared.get(key)
             if factors is None:
-                slope = math.tanh(abs((pp + mm) - (pm + mp)) / 4.0)
+                slope = math.tanh(abs(interaction_strength(stored)))
                 stretch = 1.0 / slope if slope else _INF
                 factors = shared[key] = (pp - mp, pm - mm, pp, pm, mp, mm, stretch)
             tables.append(key)

@@ -269,7 +269,7 @@ def decay_function(distance: int, coupling: float, degree: int) -> float:
         raise ValueError("coupling must be nonnegative")
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    rate = (degree - 1) * math.tanh(coupling)
+    rate = SystemScalars.at(coupling, degree).contraction
     return 4.0 * coupling * degree * rate ** (distance - 1)
 
 

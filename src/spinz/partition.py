@@ -28,9 +28,10 @@ walks were charged.  When it cannot, the estimate sweeps again as many
 levels deeper as the rate needs, up to the a-priori depth (see
 ``truncation_depth``).  That gives |log(estimate) - log(exact)| <= eps
 whenever the contraction condition (d - 1) * tanh(max_coupling) < 1 holds
-at d, the graph's maximum degree.  Each factor enters the sum as a log,
-taken from the walk's log ratio where the marginal itself is too small for
-a normal float, so no estimate leaves the log domain.
+at d, the graph's maximum degree, and ``_depths`` refuses where it fails.
+Each factor enters the sum as a log, taken from the walk's log ratio where
+the marginal itself is too small for a normal float, so no estimate
+leaves the log domain for underflow; one that overflows is refused.
 
 The estimate is one serial sweep per depth, from the start depth to the
 first that certifies, over the tables of one ``compile_system``; it counts
@@ -203,20 +204,20 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be a positive finite number, got {eps!r}")
 
 
-def _depths(n: int, coupling: float, degree: int, eps: float) -> tuple[int, int]:
+def _depths(n: int, scalars: SystemScalars, eps: float) -> tuple[int, int]:
     """The start depth of ``truncation_depth`` and the a-priori depth (the
-    smallest t with n * degree * a * rate**(t - 1) <= eps).  Inputs are
-    checked by the callers."""
-    rate = (degree - 1) * math.tanh(coupling)
-    if rate >= 1.0:
-        raise DecayConditionError(rate, coupling, None, degree)
+    smallest t with n * degree * a * rate**(t - 1) <= eps) at ``scalars``,
+    or DecayConditionError, raised here only.  Inputs are checked by callers."""
+    if not decay_condition_holds(scalars):
+        raise DecayConditionError(scalars)
+    rate = scalars.contraction
     if rate <= 0.0:
         return 1, 1
-    half_range = _half_range(coupling, degree)
+    half_range = _half_range(scalars.max_coupling, scalars.degree_bound)
     levels = []
     # D = 4 * eps / (1 + sqrt(1 + 4 * eps)) in a form that cannot overflow
     for budget in (eps / (0.25 + 0.5 * math.sqrt(0.25 + eps)), eps):
-        scale = n * degree * half_range / budget
+        scale = n * scalars.degree_bound * half_range / budget
         raw = 0.0 if scale <= 1.0 else math.log(scale) / math.log(1.0 / rate)
         if not math.isfinite(raw):  # n * degree * a / budget overflowed
             raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
@@ -278,7 +279,7 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     _check_eps(eps)
-    return _depths(n, coupling, degree, eps)[0]
+    return _depths(n, SystemScalars.at(coupling, degree), eps)[0]
 
 
 _MIN_NORMAL = sys.float_info.min
@@ -314,18 +315,14 @@ def fptas_log_partition(
     marginal too small for a normal float takes its log from the walk's
     log ratio, so no finite input raises for underflow.
 
-    Raises DecayConditionError when the contraction condition fails (no
-    estimate is produced).
+    Raises DecayConditionError when the contraction condition fails, and
+    ValueError when log_z_hat is not finite (no estimate is produced).
     """
     started = time.perf_counter()
     _check_eps(eps)
     scalars = system_scalars(system)
-    if not decay_condition_holds(scalars):
-        raise DecayConditionError(
-            scalars.contraction, scalars.max_coupling, scalars.critical_coupling, scalars.degree_bound
-        )
     n = system.graph.n
-    start, a_priori = _depths(n, scalars.max_coupling, scalars.degree_bound, eps) if n else (0, 0)
+    start, a_priori = _depths(n, scalars, eps) if n else (0, 0)
     # k_v, the neighbours of v with a larger label: free at v's root
     larger = [0] * (n + 1)
     for u, _ in system.graph.edges:
@@ -363,8 +360,14 @@ def fptas_log_partition(
         depth = min(a_priori, depth + max(1, math.ceil(levels))) if levels < math.inf else a_priori
 
     log_all_plus = all_plus_log_weight(system)
+    log_z_hat = log_all_plus - log_p_total
+    if not math.isfinite(log_z_hat):
+        raise ValueError(
+            f"log Z leaves the float range: the all-plus log weight {log_all_plus!r} "
+            f"less the summed log factors {log_p_total!r}"
+        )
     return EstimateReport(
-        log_z_hat=log_all_plus - log_p_total,
+        log_z_hat=log_z_hat,
         eps=eps,
         log_weight_all_plus=log_all_plus,
         **scalars._asdict(),

@@ -450,6 +450,17 @@ def _table_file(pp=0.1, h_plus=0.0):
     })
 
 
+def _fields_file(h_plus, h_minus, edges=()):
+    """Vertices 1..len(h_plus) with these fields, and these edges in Ising J."""
+    return json.dumps({
+        "schema_version": 1,
+        "vertices": [{"id": v, "h_plus": hp, "h_minus": hm}
+                     for v, (hp, hm) in enumerate(zip(h_plus, h_minus), 1)],
+        "edges": [{"u": u, "v": v, "beta": {"pp": j, "pm": -j, "mp": -j, "mm": j}}
+                  for u, v, j in edges],
+    })
+
+
 GEN_RANDOM = ("gen", "--family", "path", "--n", "3", "--model", "random")
 
 # A str is the text of a graph file given to estimate; a tuple is a command.
@@ -458,6 +469,9 @@ MALFORMED = {
     "h_plus-beyond-float": _table_file(h_plus=HUGE),
     "J-beyond-float": json.dumps({"schema_version": 1, "model": "ising", "J": HUGE, "B": 0.0,
                                   "vertices": [{"id": 1}, {"id": 2}], "edges": [{"u": 1, "v": 2}]}),
+    # log Z is 1e308 and 0.1, but the all-plus log weight leaves the float range
+    "log-z-hat-inf": _fields_file([-1e308], [1e308]),
+    "log-z-hat-nan": _fields_file([-1e308, -1e308], [0.0, 0.0], [(1, 2, 0.1)]),
     "nested-200000-deep": "[" * 200_000,
     "raw-0xff-byte": b'{"schema_version": 1, \xff}',
     "gen-degree-inf": ("gen", "--family", "random_regular", "--n", "6", "--degree", "inf"),
@@ -483,6 +497,19 @@ def test_malformed_input_exit_1(tmp_path, capsys, case):
     assert err.startswith("error:") and "Traceback" not in err
     if isinstance(case, bytes):
         assert err.startswith("error: invalid JSON:")
+
+
+def test_estimate_past_a_huge_decoupled_edge_certifies(tmp_path, capsys):
+    # Edge (1, 2) has every entry 1e308: J = 0, and log Z = 1e308 exactly.
+    data = json.loads(_fields_file([0.0] * 3, [0.0] * 3, [(2, 3, 0.1)]))
+    data["edges"].append({"u": 1, "v": 2, "beta": dict.fromkeys(("pp", "pm", "mp", "mm"), 1e308)})
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "estimate", "--graph", str(path), "--eps", "0.1")
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["applicable"], report["max_coupling"]) == (True, 0.1)
+    assert report["log_z_hat"] == 1e308
 
 
 def test_gen_random_model_keeps_its_largest_bound(tmp_path, capsys):
@@ -586,7 +613,8 @@ def _mutated_argv(command, graph, out, rng, mutations):
 
 def _outcome_problem(command, code, out, err):
     """Why a run did not end in one report (exit 0, 1 or 2) or one error
-    line (exit 1 or 2, nothing on stdout); None when it did."""
+    line (exit 1 or 2, nothing on stdout), or ended in an applicable
+    estimate whose log Z is not finite; None when it did."""
     if "Traceback" in err:
         return "traceback"
     errors = [line for line in err.splitlines() if "error:" in line]
@@ -601,7 +629,19 @@ def _outcome_problem(command, code, out, err):
         report = json.loads(out)
     except ValueError:
         return "stdout is not one JSON report"
-    return None if report.get("command") == command else "report of another command"
+    if report.get("command") != command:
+        return "report of another command"
+    if command == "estimate" and report.get("applicable") and isinstance(report.get("log_z_hat"), str):
+        return f"applicable estimate with log_z_hat {report['log_z_hat']}"
+    return None
+
+
+def test_outcome_check_fails_an_applicable_estimate_that_is_not_finite():
+    report = {"schema_version": 1, "command": "estimate", "applicable": True, "log_z_hat": 1.5}
+    assert _outcome_problem("estimate", 0, render_json(report), "") is None
+    for value in (math.inf, -math.inf, math.nan):
+        out = render_json({**report, "log_z_hat": value})
+        assert _outcome_problem("estimate", 0, out, "") is not None, out
 
 
 def test_mutated_options_end_in_one_report_or_one_error_line(tmp_path, capsys):

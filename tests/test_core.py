@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinz import (
+    DecayConditionError,
     EdgePotential,
     Graph,
     Spin,
@@ -22,6 +23,7 @@ from spinz import (
     ising_potential,
     fptas_log_partition,
     system_scalars,
+    SystemScalars,
 )
 
 
@@ -117,6 +119,38 @@ def test_external_field_examples():
     assert external_field(VertexField(-0.2, 0.4)) == pytest.approx(-0.3, abs=1e-15)
 
 
+def test_interaction_strength_is_finite_for_every_finite_table():
+    # Quartering before summing: no finite table overflows.
+    assert interaction_strength(EdgePotential(1e308, 1e308, 1e308, 1e308)) == 0.0
+    assert interaction_strength(EdgePotential(1e308, -1e308, -1e308, 1e308)) == 1e308
+    assert interaction_strength(EdgePotential(-1e308, 1e308, 1e308, -1e308)) == -1e308
+    assert external_field(VertexField(1e308, -1e308)) == 1e308
+    assert external_field(VertexField(-1e308, 1e308)) == -1e308
+
+
+def test_interaction_strength_is_the_same_bits_for_either_orientation():
+    rng = np.random.default_rng(27)
+    tables = [EdgePotential(0.1, 0.1, 0.2, 0.3)]
+    for scale in (1e-3, 1.0, 3.0, 1e300):
+        tables += [EdgePotential(*rng.uniform(-scale, scale, 4)) for _ in range(50)]
+    for p in tables:
+        assert interaction_strength(p).hex() == interaction_strength(p.transposed()).hex(), p
+
+
+def test_interaction_strength_is_zero_exactly_when_decoupled():
+    # pp + mm == pm + mp makes the edge factor constant, so J is 0.0 itself,
+    # not a rounding residue that would give the edge a frontier error.
+    assert interaction_strength(EdgePotential(0.1, 0.1, 0.2, 0.2)) == 0.0
+    assert interaction_strength(EdgePotential(0.1, 0.2, 0.1, 0.2)) == 0.0
+    # Bit for bit the plain formula wherever it stays in the normal range.
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        pp, pm, mp, mm = rng.uniform(-3, 3, 4)
+        p = EdgePotential(pp, pm, mp, mm)
+        assert interaction_strength(p) == ((pp + mm) - (pm + mp)) / 4.0
+        assert external_field(VertexField(pp, pm)) == (pp - pm) / 2.0
+
+
 def test_potential_field_values():
     p = EdgePotential(1.0, 2.0, 3.0, 4.0)
     assert p.value(Spin.PLUS, Spin.PLUS) == 1.0
@@ -180,6 +214,26 @@ def test_system_scalars_decay_condition():
     assert not decay_condition_holds(broken)
 
     assert decay_condition_holds(system_scalars(_ising_system(g, 0.0)))
+
+
+def test_system_scalars_at_derives_the_rate_and_the_critical_coupling():
+    scalars = SystemScalars.at(0.5, 3)
+    assert scalars == SystemScalars(0.5, 3, critical_inverse_temperature(3), 2 * math.tanh(0.5))
+    assert system_scalars(_ising_system(Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)]), 0.5)) == scalars
+    # The rate is floored at 0: no edges, degree 1 or J = 0 contract fully.
+    assert SystemScalars.at(0.0, 0).contraction == 0.0
+    assert SystemScalars.at(0.7, 1).contraction == 0.0
+    assert math.copysign(1.0, SystemScalars.at(0.0, 0).contraction) == 1.0
+
+
+def test_decay_condition_error_takes_the_scalars():
+    scalars = SystemScalars.at(0.6, 3)
+    err = DecayConditionError(scalars)
+    assert SystemScalars(err.max_coupling, err.degree_bound, err.critical_coupling, err.contraction) == scalars
+    assert str(err) == (
+        "decay condition violated: (degree_bound - 1) * tanh(max_coupling) = 1.0741 >= 1 "
+        f"(max_coupling=0.6, critical_coupling={critical_inverse_temperature(3)}, degree_bound=3)"
+    )
 
 
 def test_system_scalars_fields_and_couplings():

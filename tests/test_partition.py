@@ -24,12 +24,14 @@ from spinz import (
     build_saw_tree,
     compile_system,
     conditional_marginal_estimate,
+    critical_inverse_temperature,
     exact_conditional_marginal,
     exact_log_partition,
     fptas_log_partition,
     generate,
     format_saw_tree,
     frontier_count,
+    ising_potential,
     ising_system,
     label_share,
     marginal_plus,
@@ -305,6 +307,47 @@ def test_fptas_rejects_bad_eps_and_hot_instances():
     assert info.value.degree_bound == 3
 
 
+def test_truncation_depth_refusal_names_the_critical_coupling():
+    with pytest.raises(DecayConditionError) as info:
+        truncation_depth(10, 0.6, 3, 0.1)
+    err = info.value
+    assert (err.max_coupling, err.degree_bound) == (0.6, 3)
+    assert err.critical_coupling == critical_inverse_temperature(3)
+    assert err.contraction == 2 * math.tanh(0.6)
+
+
+def test_huge_decoupled_edge_certifies():
+    # Edge (1, 2) adds 1e308 to every configuration and couples nothing, so
+    # the estimate runs on edge (2, 3) alone and log Z is 1e308.
+    graph = Graph.from_edges(3, [(1, 2), (2, 3)])
+    system = SpinSystem(
+        graph,
+        {(1, 2): EdgePotential(1e308, 1e308, 1e308, 1e308), (2, 3): ising_potential(0.1)},
+        {v: VertexField(0.0, 0.0) for v in graph.vertices()},
+    )
+    report = fptas_log_partition(system, 0.1)
+    assert (report.max_coupling, report.contraction) == (0.1, math.tanh(0.1))
+    with np.errstate(over="ignore"):
+        assert report.log_z_hat == 1e308 == exact_log_partition(system)
+
+
+def test_estimate_leaving_the_float_range_is_refused():
+    # log Z is finite, but the log probability of the all-plus configuration
+    # (one vertex) or its log weight (two vertices, fields summing to
+    # -2e308) is not, so no finite estimate comes out.
+    one = SpinSystem(Graph.from_edges(1, []), {}, {1: VertexField(-1e308, 1e308)})
+    two = SpinSystem(
+        Graph.from_edges(2, [(1, 2)]),
+        {(1, 2): ising_potential(0.1)},
+        {1: VertexField(-1e308, 0.0), 2: VertexField(-1e308, 0.0)},
+    )
+    for system, log_z in ((one, 1e308), (two, 0.1)):
+        with np.errstate(over="ignore"):
+            assert exact_log_partition(system) == pytest.approx(log_z, rel=1e-12)
+        with pytest.raises(ValueError, match=r"^log Z leaves the float range: the all-plus log weight "):
+            fptas_log_partition(system, 0.1)
+
+
 def _sweep_walk(system, compiled, stops, vertex, depth, equal=False):
     """walk_log_ratio with the root allowance of the sweep at ``depth``:
     build_saw_tree's default below the a-priori depth, and the equal split
@@ -329,7 +372,7 @@ def test_fptas_per_vertex_errors_within_their_certificate_terms():
         system = acceptance_instance("er", "random", 400 + seed)
         n = system.n
         scalars = system_scalars(system)
-        a_priori = spinz.partition._depths(n, scalars.max_coupling, scalars.degree_bound, eps)[1]
+        a_priori = spinz.partition._depths(n, scalars, eps)[1]
         report = fptas_log_partition(system, eps)
         depth = report.truncation_depth
         compiled = compile_system(system)
