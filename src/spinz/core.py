@@ -78,6 +78,10 @@ class DecayConditionError(Exception):
             f"critical_coupling={self.critical_coupling}, degree_bound={self.degree_bound})"
         )
 
+    def __reduce__(self):  # pickle rebuilds the error from its scalars, not its message
+        fields = self.max_coupling, self.degree_bound, self.critical_coupling, self.contraction
+        return type(self), (SystemScalars(*fields),)
+
 
 def _shown(value) -> str:
     """``repr(value)`` for an error message, or a description of an int with

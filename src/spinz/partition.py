@@ -19,30 +19,30 @@ At maximum degree 2 or less ``root_share`` is 0.0 and the walks keep the
 uniform tree; on a chain whose edges share one Ising table the split
 gives that very tree.  The a-priori sweep gives each root this equal
 share per free child, and its allowances alone fit eps.  The sweeps below
-it scale the share by the labels still free when the root is walked
-(``label_share``, ``root_allowance``), so early walks, whose trees are
-large, stop sooner and late ones, nearly exact, take less.  That may
-leave a forced stop's charge over its share, but every charge still
-bounds its branch's error, so such a sweep certifies eps from what its
-walks were charged.  When it cannot, the estimate sweeps again as many
-levels deeper as the rate needs, up to the a-priori depth (see
-``truncation_depth``).  That gives |log(estimate) - log(exact)| <= eps
-whenever the contraction condition (d - 1) * tanh(max_coupling) < 1 holds
-at d, the graph's maximum degree, and ``_depths`` refuses where it fails.
-Each factor enters the sum as a log, taken from the walk's log ratio where
-the marginal itself is too small for a normal float, so no estimate
-leaves the log domain for underflow; one that overflows is refused.
+it (``root_allowance``) scale the share by the labels still free when the
+root is walked (``label_share``), so early walks, whose trees are large,
+stop sooner and late ones, nearly exact, take less; and by the root's
+certificate weight kappa = min(4, sigma(0) / sigma(-x)), x its one-level
+lookahead log ratio capped at 3 (``_weighted``), since its certificate
+term c * sigma(c - x_hat) is about c * sigma(-x), not the c / 2 that the
+equal split budgets.  Every charge still bounds its branch's error, so
+such a sweep certifies eps from what its walks were charged.  When it
+cannot, the estimate sweeps again as many levels deeper as the rate
+needs, up to the a-priori depth (see ``truncation_depth``).  That gives
+|log(estimate) - log(exact)| <= eps whenever the contraction condition
+(d - 1) * tanh(max_coupling) < 1 holds at d, the graph's maximum degree,
+and ``_depths`` refuses where it fails.  Each factor enters the sum as a
+log, taken from the walk's log ratio where the marginal itself is too
+small for a normal float; an estimate that overflows is refused.
 
-The estimate is one serial sweep per depth, from the start depth to the
-first that certifies, over the tables of one ``compile_system``; it counts
-each vertex's neighbours with a larger label once, for the root
-allowances.  Pinning is by rank: one per-label stop array (see
+The estimate is one serial sweep per depth over the tables of one
+``compile_system``.  Pinning is by rank: one per-label stop array (see
 ``walk_log_ratio``) serves the whole sweep, and vertex j pins itself to +
-when its walk is done, so every later walk sees 1..j pinned.  Each walk
-evaluates its tree while walking it and builds no ``SawTree``; below the
-a-priori depth it is the walk that ``build_saw_tree`` records to assemble
-its default tree, whose ``sawtree.tree_log_ratio`` equals the walk's log
-ratio bit for bit.  The log factors are summed in ascending vertex order.
+when its walk is done.  Each walk evaluates its tree while walking it and
+builds no ``SawTree``; below the a-priori depth it is the walk that
+``build_saw_tree`` records to assemble its default tree, whose
+``sawtree.tree_log_ratio`` equals the walk's log ratio bit for bit.  The
+log factors are summed in ascending vertex order.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .core import (
     decay_condition_holds,
     system_scalars,
 )
-from .marginal import PINNED_PLUS, compile_system, marginal_plus, walk_log_ratio
+from .marginal import PINNED_PLUS, CompiledSystem, compile_system, marginal_plus, walk_log_ratio
 
 __all__ = [
     "VertexEstimate",
@@ -77,8 +77,12 @@ __all__ = [
 ]
 
 
-class VertexEstimate(Record, namedtuple("VertexEstimate", "vertex depth node_count p_hat")):
-    """One telescoping factor: vertex, tree depth, nodes built, estimated marginal."""
+class VertexEstimate(
+    Record,
+    namedtuple("VertexEstimate", "vertex depth node_count p_hat allowance charge", defaults=(None, None)),
+):
+    """One telescoping factor: vertex, tree depth, nodes built, estimated
+    marginal, and the walk's root allowance and charge (not serialized)."""
 
     __slots__ = ()
 
@@ -104,9 +108,9 @@ class EstimateReport(
         return sum(v.node_count for v in self.vertices)
 
     def to_dict(self) -> dict:
-        # wall_time_s stays out: the serialized report must be identical
-        # across reruns with the same inputs.  sweeps and walked_nodes stay
-        # out with it, as the work bookkeeping that the command prints on stderr.
+        # wall_time_s stays out, so that reruns serialize identically, and so
+        # does the work bookkeeping: sweeps, walked_nodes, and each vertex's
+        # allowance and charge.
         return {
             "log_z_hat": self.log_z_hat,
             "eps": self.eps,
@@ -117,15 +121,7 @@ class EstimateReport(
             "contraction": self.contraction,
             "truncation_depth": self.truncation_depth,
             "total_nodes": self.total_nodes,
-            "vertices": [
-                {
-                    "vertex": e.vertex,
-                    "depth": e.depth,
-                    "node_count": e.node_count,
-                    "p_hat": e.p_hat,
-                }
-                for e in self.vertices
-            ],
+            "vertices": [dict(zip(VertexEstimate._fields[:4], e)) for e in self.vertices],
         }
 
 
@@ -154,33 +150,44 @@ def root_share(scalars: SystemScalars, depth_limit: int) -> float:
 
 def label_share(graph: Graph, share: float) -> float:
     """The allowance per free root child and free label that the sweeps
-    below the a-priori depth give, for ``share`` per free root child.
-
-    Vertex v's root, walked with m_v = n - v + 1 labels still free and
-    k_v free children (its neighbours with a larger label), takes
-    ``label_share * (k_v * m_v)``, that is share * k_v * m_v / m, where
-    m = sum of k_u * (n - u + 1) over u, divided by |E|, is the mean of
-    m_u over the edges.  The sweep's allowances still sum to
-    share * |E|, but early walks, whose trees are large, get up to about
-    twice the equal split, and late ones, most of whose labels are pinned
-    and whose walks are nearly exact, get less.  0.0 without edges."""
+    below the a-priori depth give, for ``share`` per free root child: v's
+    root, walked with m_v = n - v + 1 labels still free and k_v free
+    children (its neighbours with a larger label), takes
+    ``label_share * (k_v * m_v)``, that is share * k_v * m_v / m, with m
+    the mean of m_u over the edges.  Those sum to share * |E|, but early
+    walks, whose trees are large, get up to about twice the equal split,
+    and late ones, nearly exact, less.  0.0 without edges."""
     weight = sum(graph.n + 1 - u for u, _ in graph.edges)
     return share * len(graph.edges) / weight if weight else 0.0
 
 
+def _weighted(compiled: CompiledSystem, stops: list, root: int, allowance: float) -> float:
+    """``allowance`` times kappa = min(4, sigma(0) / sigma(-min(x, 3))), x
+    the root's lookahead log ratio: twice its field plus, per neighbour, the
+    edge's ``frontier`` if it is free, else its pinned factor under ``stops``."""
+    lam = compiled.twice_field[root]
+    for w, factors, below in compiled.rows[root]:
+        stop = stops[w]
+        lam += compiled.frontier[below] if stop is None else factors[0] if root > stop else factors[1]
+    return allowance * min(4.0, 0.5 + 0.5 * math.exp(min(lam, 3.0)))
+
+
 def root_allowance(
-    system: SpinSystem, root: int, depth_limit: int, pinned: Mapping[int, Spin]
+    system: SpinSystem, root: int, depth_limit: int, pinned: Mapping[int, Spin],
+    compiled: CompiledSystem | None = None,
 ) -> float:
     """The allowance of ``root``'s walk at ``depth_limit`` under the
     condition ``pinned``: ``label_share`` of ``root_share`` at the system's
-    scalars, times the root's unconditioned neighbours and the
-    unconditioned labels.  When ``pinned`` holds the labels below ``root``,
-    that is the allowance of ``fptas_log_partition``'s sweeps below the
-    a-priori depth, and the default tree of ``sawtree.build_saw_tree``."""
+    scalars, times the root's unconditioned neighbours and labels and its
+    kappa (``_weighted``) over ``compiled``, by default compiled here.
+    With the labels below ``root`` pinned to +, that is the allowance of
+    ``fptas_log_partition``'s sweeps below the a-priori depth, and of
+    ``sawtree.build_saw_tree``'s default tree."""
     graph = system.graph
     share = label_share(graph, root_share(system_scalars(system), depth_limit))
     free = sum(w not in pinned for w in graph.adjacency[root - 1])
-    return share * (free * (graph.n - len(pinned)))
+    compiled = compiled or compile_system(system)
+    return _weighted(compiled, compiled.stops(pinned), root, share * (free * (graph.n - len(pinned))))
 
 
 def all_plus_log_weight(system: SpinSystem) -> float:
@@ -240,12 +247,9 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     error by at most rate.  In the sweep, the root of vertex v has only k_v
     free children, its neighbours with a larger label; pinned children add
     exact factors.  So v's log ratio x_v is off by at most
-    delta_v = 2 * a * k_v * rate**(t - 1); the walk that splits delta_v
-    over its free branches, edge by edge (see ``marginal``), with t as the
-    cap, keeps that bound: each branch is off by at most what it is
-    charged, and a node's charges never exceed its allowance.  The
-    uniform walks run at maximum degree 2 or less are charged by the same
-    rules, at most delta_v each.  And
+    delta_v = 2 * a * k_v * rate**(t - 1), and the walk that splits delta_v
+    over its free branches (see ``marginal``) keeps that bound, as do the
+    uniform walks at maximum degree 2 or less.  And
     sum k_v = |E| <= n * degree / 2 makes the deltas sum to at most
     n * degree * a * rate**(t - 1), for any degree >= the maximum degree.
     The slope of log sigma is sigma(-x), so v's log marginal is off by at
@@ -253,24 +257,24 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
     estimated log ratio.  With c = delta_v and every x_hat_v >= 0 these
     sum to at most D * sigma(D) <= D * (1/2 + D/4) = eps one level deeper.
     ``fptas_log_partition`` sums them with c = c_v, the walk's charge,
-    which bounds |x_hat_v - x_v| whatever the root's allowance.  So below
-    the a-priori depth it hands the same total out by the labels left
-    (``label_share``).  When the sum exceeds eps it sweeps deeper, by
+    which bounds |x_hat_v - x_v| whatever the root's allowance, so below
+    the a-priori depth it hands the same total out by the labels left and
+    scales each root's share by its certificate weight kappa
+    (``root_allowance``), trading x_hat_v >= 0 for the terms it sums.
+    When the sum exceeds eps it sweeps deeper, by
     max(1, ceil(log(sum / eps) / log(1 / rate))) levels, since each level
     scales every allowance, and roughly every charge, by the rate; at
     most to the a-priori depth, the smallest t with
     n * degree * a * rate**(t - 1) <= eps, where each root takes delta_v
     and the sweep is certified a priori (log sigma is 1-Lipschitz).
 
-    Computed as max(1, ceil(log(n * degree * a / D) / log(1 / rate))).
-    Natural logs throughout.  Raises DecayConditionError when rate >= 1,
-    before a is computed, so atanh never sees 1, and ValueError when eps is
-    so small that the depth overflows.
-
-    The answer is 1 when the rate is 0 or less: zero coupling makes every
-    edge factor constant, and at degree 1 the depth-1
-    frontier leaf has no children, so its interval is a point.  It is also
-    1 when n * degree * a * rate is at most D, underflow to 0 included.
+    Computed as max(1, ceil(log(n * degree * a / D) / log(1 / rate))),
+    natural logs.  Raises DecayConditionError when rate >= 1, before a is
+    computed, so atanh never sees 1, and ValueError when eps is so small
+    that the depth overflows.  The answer is 1 when the rate is 0 or less
+    (zero coupling makes every edge factor constant; at degree 1 the
+    depth-1 frontier leaf has no children), and when
+    n * degree * a * rate is at most D, underflow to 0 included.
     """
     if n < 1:
         raise ValueError("vertex count must be at least 1")
@@ -302,18 +306,16 @@ def fptas_log_partition(
 
     Walks vertices 1..n in ascending order; each walk sees every lower label
     pinned to +, then pins its own vertex.  The first sweep runs at
-    ``truncation_depth``, a hard cap, and each root takes
-    ``root_allowance`` (at maximum degree 2 or less the walks keep the
-    uniform tree).  The depth formula and the refusal take d, the graph's
-    maximum degree.  It sums c_v * sigma(c_v - x_hat_v) as described
-    there, c_v the walk's charge, and when that exceeds eps it sweeps again as
-    many levels deeper as the rate needs, up to the a-priori depth, whose
-    sweep gives each root ``root_share`` * k_v and ends the search.  The
-    report is that of the first swept depth that certifies, with the count
-    of sweeps run and of the nodes they walked.  The log factors are
-    summed in the same ascending order, so reruns agree bit for bit.  A
-    marginal too small for a normal float takes its log from the walk's
-    log ratio, so no finite input raises for underflow.
+    ``truncation_depth``, a hard cap, d the graph's maximum degree, and
+    each root takes ``root_allowance``: its share by the labels left,
+    times its certificate weight kappa.  When the summed
+    c_v * sigma(c_v - x_hat_v), c_v the walk's charge, exceeds eps, it
+    sweeps again as many levels deeper as the rate needs, up to the
+    a-priori depth, whose sweep gives each root ``root_share`` * k_v and
+    ends the search.  The report is the first swept depth that certifies,
+    with each walk's allowance and charge, and the count of sweeps run and
+    nodes walked.  Reruns agree bit for bit, and a marginal too small for
+    a normal float takes its log from the walk's log ratio.
 
     Raises DecayConditionError when the contraction condition fails, and
     ValueError when log_z_hat is not finite (no estimate is produced).
@@ -334,7 +336,8 @@ def fptas_log_partition(
         sweeps += 1
         share = root_share(scalars, depth)
         free = larger
-        if share and depth < a_priori:  # a share of 0.0 splits nothing
+        split = share and depth < a_priori  # a share of 0.0 splits nothing
+        if split:
             share = label_share(system.graph, share)
             # k_v * m_v, with m_v = n - v + 1 labels still free at v's walk
             free = [k * (n + 1 - v) for v, k in enumerate(larger)]
@@ -342,13 +345,16 @@ def fptas_log_partition(
         estimates = []
         log_p_total = certificate = 0.0
         for vertex in range(1, n + 1):
-            log_ratio, count, charge = walk_log_ratio(compiled, stops, vertex, depth, share * free[vertex])
+            allowance = share * free[vertex]
+            if split:
+                allowance = _weighted(compiled, stops, vertex, allowance)
+            log_ratio, count, charge = walk_log_ratio(compiled, stops, vertex, depth, allowance)
             p_hat = marginal_plus(log_ratio)
             if p_hat >= _MIN_NORMAL:
                 log_p_total += math.log(p_hat)
             else:  # log(R / (1 + R)); here log_ratio < -708, so exp cannot overflow
                 log_p_total += log_ratio - math.log1p(math.exp(log_ratio))
-            estimates.append(VertexEstimate(vertex, depth, count, p_hat))
+            estimates.append(VertexEstimate(vertex, depth, count, p_hat, allowance, charge))
             walked += count
             certificate += charge * marginal_plus(charge - log_ratio)
             stops[vertex] = PINNED_PLUS

@@ -139,8 +139,8 @@ def build_saw_tree(
     root_node = SawNode(root, 0, None, [], stopped=depth_limit == 0)
     if depth_limit == 0:
         return SawTree(root_node, root, depth_limit, 1)
-    allowance = 0.0 if uniform else root_allowance(system, root, depth_limit, pinned)
     compiled = compile_system(system)
+    allowance = 0.0 if uniform else root_allowance(system, root, depth_limit, pinned, compiled)
     record: list[tuple[int, int, int | None]] = []
     _, _, charge = walk_log_ratio(
         compiled, compiled.stops(pinned), root, depth_limit, allowance, record
@@ -244,7 +244,7 @@ def conditional_marginal_estimate(
         raise ValueError("depth must be at least 1")
     cond = checked_condition(system.graph.n, vertex, condition)
     compiled = compile_system(system)
-    allowance = root_allowance(system, vertex, depth, cond)
+    allowance = root_allowance(system, vertex, depth, cond, compiled)
     log_ratio, _, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth, allowance)
     return marginal_plus(log_ratio)
 

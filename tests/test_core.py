@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -236,6 +237,14 @@ def test_decay_condition_error_takes_the_scalars():
     )
 
 
+def test_decay_condition_error_survives_pickling():
+    err = DecayConditionError(SystemScalars.at(0.6, 3))
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is DecayConditionError and str(copy) == str(err)
+    fields = ("contraction", "max_coupling", "critical_coupling", "degree_bound")
+    assert [getattr(copy, f) for f in fields] == [getattr(err, f) for f in fields]
+
+
 def test_system_scalars_fields_and_couplings():
     g = Graph.from_edges(2, [(1, 2)])
     sys_ = SpinSystem(
@@ -289,7 +298,7 @@ RECORD_FIELDS = {
     "CompiledSystem": (
         "n", "twice_field", "rows", "belows", "frontier", "errors", "spent", "settled",
     ),
-    "VertexEstimate": ("vertex", "depth", "node_count", "p_hat"),
+    "VertexEstimate": ("vertex", "depth", "node_count", "p_hat", "allowance", "charge"),
     "EstimateReport": (
         "log_z_hat", "eps", "log_weight_all_plus", "degree_bound", "max_coupling",
         "critical_coupling", "contraction", "truncation_depth", "vertices", "wall_time_s",

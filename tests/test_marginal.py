@@ -35,6 +35,7 @@ from spinz import (
     tree_log_ratio,
     walk_log_ratio,
 )
+import spinz.partition
 from spinz.marginal import PINNED_PLUS
 
 from .helpers import ACCEPTANCE_FAMILIES, acceptance_instance, petersen_graph, random_system
@@ -520,9 +521,10 @@ def test_charge_bounds_the_error_of_every_sweep_walk():
     # with random near-critical tables, whose allowances take the scalars
     # at degree 3 (contraction 2 * tanh(J)) so that the split runs on paths
     # and cycles too.  A depth-1 walk charges the errors of its stopped root
-    # children, however large its allowance.  Both of the sweep's allowance
-    # rules: the equal split root_share * k_v of the a-priori sweep and the
-    # label_share split of the sweeps below it.
+    # children, however large its allowance.  The allowances: the equal
+    # split root_share * k_v of the a-priori sweep, and the label_share
+    # split, unscaled and scaled by the root's certificate weight kappa, as
+    # the sweeps below the a-priori depth give it.
     coupling = 0.9 * critical_inverse_temperature(3)
     systems = [
         (acceptance_instance(family, model, seed), False)
@@ -548,7 +550,9 @@ def test_charge_bounds_the_error_of_every_sweep_walk():
             for v in range(1, n + 1):
                 free = sum(w > v for w in system.graph.neighbors(v))
                 exact, _, _ = walk_log_ratio(compiled, stops, v, n)
-                for allowance in (share * free, per_label * (free * (n + 1 - v))):
+                split = per_label * (free * (n + 1 - v))
+                weighted = spinz.partition._weighted(compiled, stops, v, split)
+                for allowance in (share * free, split, weighted):
                     log_ratio, _, charge = walk_log_ratio(compiled, stops, v, depth, allowance)
                     assert abs(log_ratio - exact) <= charge + 1e-12, (system, depth, v, charge)
                     walks += 1

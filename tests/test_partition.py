@@ -18,6 +18,7 @@ from spinz import (
     Graph,
     Spin,
     SpinSystem,
+    VertexEstimate,
     VertexField,
     all_plus_log_weight,
     build_family_graph,
@@ -33,8 +34,8 @@ from spinz import (
     frontier_count,
     ising_potential,
     ising_system,
-    label_share,
     marginal_plus,
+    root_allowance,
     root_share,
     save_system,
     system_scalars,
@@ -354,7 +355,8 @@ def _sweep_walk(system, compiled, stops, vertex, depth, equal=False):
     root_share * k_v at it (``equal``), k_v the neighbours with a larger
     label."""
     if not equal:
-        return _split_walk(system, compiled, stops, vertex, depth, range(1, vertex))
+        pinned = {i: Spin.PLUS for i in range(1, vertex)}
+        return _split_walk(system, compiled, stops, vertex, depth, pinned)
     free = sum(w > vertex for w in system.graph.neighbors(vertex))
     return walk_log_ratio(compiled, stops, vertex, depth, root_share(system_scalars(system), depth) * free)
 
@@ -364,8 +366,8 @@ def test_fptas_per_vertex_errors_within_their_certificate_terms():
     # at most c_v * sigma(c_v - x_hat_v), with x_hat_v the estimated log
     # ratio and c_v the charge of its walk, re-walked here at the reported
     # depth with the sweep's allowance, and these terms sum to at most eps.
-    # The allowances favour early vertices, so single factors may be far
-    # off eps / n; only their terms bound them.
+    # The allowances favour early vertices and large estimated log ratios,
+    # so single terms may exceed eps / n; only the terms bound the factors.
     eps = 0.1
     worst = 0.0
     for seed in range(6):
@@ -388,11 +390,11 @@ def test_fptas_per_vertex_errors_within_their_certificate_terms():
             exact_p = exact_conditional_marginal(system, v, Spin.PLUS, cond)
             error = abs(math.log(entry.p_hat) - math.log(exact_p))
             assert error <= term + 1e-12, (seed, v)
-            worst = max(worst, error / (eps / n))
+            worst = max(worst, term / (eps / n))
             certificate += term
         assert certificate <= eps, seed
-    # Some factor is off by more than eps / n: the contract, not a
-    # per-vertex margin, is what holds.
+    # Some term exceeds eps / n: the contract, not a per-vertex margin, is
+    # what holds.
     assert worst > 1.0, worst
 
 
@@ -600,16 +602,15 @@ def test_unused_share_reaches_the_later_sibling():
     # Root 1 has two free children: 2, which has no children and is folded
     # exactly at no charge, and 3, the root of a complete binary tree of
     # height 6.  The whole root allowance of build_saw_tree's default tree
-    # reaches 3, twice its equal share, so its branch stops a level
-    # shallower than under the equal split of that allowance.
+    # reaches 3, twice its equal share, so its branch stops at depth 4,
+    # where the equal split of that allowance reaches the cap.
     heap = 127
     edges = [(1, 2), (1, 3)]
     for i in range(heap):
         edges += [(i + 3, child + 3) for child in (2 * i + 1, 2 * i + 2) if child < heap]
     system = ising_system(Graph.from_edges(heap + 2, edges), 0.3, 0.1)
     depth = 6
-    share = label_share(system.graph, root_share(system_scalars(system), depth))
-    allowance = share * (2 * system.n)
+    allowance = root_allowance(system, 1, depth, {})
     assert allowance > 0.0
     compiled = compile_system(system)
     stops = compiled.stops()
@@ -619,7 +620,7 @@ def test_unused_share_reaches_the_later_sibling():
     assert (count, charge.hex()) == (tree.node_count, tree.charge.hex())
     leaf = tree.root.children[0]
     assert (leaf.origin, leaf.spin, leaf.stopped, leaf.children) == (2, None, False, [])
-    assert frontier_count(tree, depth) == 0 < frontier_count(tree, depth - 1)
+    assert frontier_count(tree, depth - 1) == 0 < frontier_count(tree, depth - 2)
     equal = equal_split_depths(compiled, stops, 1, depth, allowance)
     assert max(equal) == depth and count < len(equal)
 
@@ -779,15 +780,16 @@ def test_rr3_deep_and_cycle_sweep_reports_are_pinned():
     # bit.  Every edge of the 3-regular Ising graph has one frontier error,
     # close to the worst case 2a, so its walks stop where the spent split
     # leaves a branch's share over that error; label_share gives the early
-    # roots the larger allowances.  At degree 2 the walks keep the uniform
-    # tree, whichever way the allowance is split.
+    # roots the larger allowances, and kappa those whose lookahead log
+    # ratio is positive.  At degree 2 the walks keep the uniform tree,
+    # whichever way the allowance is split.
     for system, log_z_hat, nodes in (
         (
             generate(GenSpec(
                 "random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=16
             )),
-            "0x1.f06500f598868p+4",
-            3438,
+            "0x1.f07f9226ce5f8p+4",
+            2836,
         ),
         (ising_system(build_family_graph("cycle", n=400), 0.5, 0.1), "0x1.4aa9507e97654p+8", 4372),
     ):
@@ -804,9 +806,9 @@ def test_fptas_sweeps_again_as_many_levels_deeper_as_the_rate_needs():
     # each step is one level.  The deepest is the a-priori depth, the
     # smallest t with n*d*a*rate^(t-1) <= eps, which is certified a priori
     # and gives each root the equal split root_share * k_v.  CI estimates
-    # the first instance too: 46 nodes at depth 2, then 64 at 3, 110 walked.
+    # the first instance too: 48 nodes at depth 2, then 70 at 3, 118 walked.
     eps = 0.1
-    cases = ((11, 10, (2, 4), 3, 64, 110), (11, 8, (2, 3), 3, 56, 98))
+    cases = ((11, 10, (2, 4), 3, 70, 118), (11, 8, (2, 3), 3, 56, 98))
     for seed, n, depths, reported, nodes, walked_nodes in cases:
         system = generate(GenSpec(
             "random_regular", n=n, degree=3, model="random", coupling=0.5, field_strength=1.0,
@@ -851,19 +853,71 @@ def test_fptas_sweeps_again_as_many_levels_deeper_as_the_rate_needs():
             assert split != walks
 
 
-def test_fptas_near_critical_fallback_jumps_by_the_rate():
+@pytest.mark.parametrize("spec, sweeps", [
+    (GenSpec(
+        "random_regular", n=10, degree=3, model="random", coupling=0.5, field_strength=1.0, seed=11
+    ), 2),
+    (GenSpec("random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=16), 1),
+], ids=["again", "rr3-deep"])
+def test_report_allowances_and_charges_rebuild_every_tree(spec, sweeps):
+    # Each vertex of the report carries the root allowance and the charge
+    # of its walk, kept out of to_dict.  Below the a-priori depth that
+    # allowance is root_allowance with the lower labels pinned to +, and
+    # build_saw_tree's default tree at the reported depth is the walk, bit
+    # for bit: CI's again.json, which sweeps twice, and the first rr3-deep
+    # instance.  A VertexEstimate built from its four serialized fields
+    # leaves both None.
+    system = generate(spec)
+    report = fptas_log_partition(system, 0.1)
+    depth = report.truncation_depth
+    assert report.sweeps == sweeps
+    for vertex in report.vertices:
+        v = vertex.vertex
+        pinned = {i: Spin.PLUS for i in range(1, v)}
+        assert root_allowance(system, v, depth, pinned).hex() == vertex.allowance.hex()
+        tree = build_saw_tree(system, v, depth, pinned)
+        assert tree.charge.hex() == vertex.charge.hex()
+        p_hat = marginal_plus(tree_log_ratio(system, tree))
+        assert (tree.node_count, p_hat) == (vertex.node_count, vertex.p_hat)
+    assert list(report.to_dict()["vertices"][0]) == ["vertex", "depth", "node_count", "p_hat"]
+    assert VertexEstimate(*report.vertices[0][:4])[4:] == (None, None)
+
+
+def test_fptas_near_critical_fallback_jumps_by_the_rate(monkeypatch):
     # Rate 0.9953: one level scales the allowances by so little that
-    # stepping one level at a time would take ten sweeps, 901 to 910.  The
-    # certificate's excess over eps sets the jump instead: one sweep at the
-    # start depth, then one at 913, which certifies.
+    # stepping one level at a time would take a sweep per level.  The
+    # instance certifies at its start depth, 901; with every charge of
+    # that sweep inflated by half, its certificate exceeds eps, and the
+    # excess sets the jump instead: one sweep at the start depth, then one
+    # ceil(log(certificate / eps) / log(1 / rate)) levels deeper, which
+    # certifies.
     system = generate(GenSpec(
         "random_regular", n=12, degree=4, model="random", coupling=0.6, field_strength=1.5, seed=34,
     ))
     eps = 0.1
     scalars = system_scalars(system)
-    assert truncation_depth(12, scalars.max_coupling, scalars.degree_bound, eps) == 901
+    start = truncation_depth(12, scalars.max_coupling, scalars.degree_bound, eps)
+    assert start == 901
     report = fptas_log_partition(system, eps)
-    assert (report.truncation_depth, report.sweeps, report.walked_nodes) == (913, 2, 855)
+    assert (report.truncation_depth, report.sweeps, report.walked_nodes) == (start, 1, 546)
+    walk = spinz.partition.walk_log_ratio
+    inflated = []
+
+    def inflate(compiled, stops, root, depth, allowance):
+        log_ratio, count, charge = walk(compiled, stops, root, depth, allowance)
+        if depth == start:
+            charge *= 1.5
+            inflated.append(charge * marginal_plus(charge - log_ratio))
+        return log_ratio, count, charge
+
+    monkeypatch.setattr(spinz.partition, "walk_log_ratio", inflate)
+    report = fptas_log_partition(system, eps)
+    certificate = 0.0
+    for term in inflated:
+        certificate += term
+    levels = math.ceil(math.log(certificate / eps) / math.log(1 / scalars.contraction))
+    assert certificate > eps and levels > 1
+    assert (report.truncation_depth, report.sweeps) == (start + levels, 2)
     assert abs(report.log_z_hat - exact_log_partition(system)) <= eps
 
 
@@ -936,19 +990,11 @@ WALK_SPECS = [
 ]
 
 
-def _split_allowance(system, vertex, depth, pinned):
-    """The root allowance of build_saw_tree's default tree: the label_share
-    of the root_share times the neighbours and the labels not in
-    ``pinned``."""
-    share = label_share(system.graph, root_share(system_scalars(system), depth))
-    free = sum(w not in pinned for w in system.graph.neighbors(vertex))
-    return share * (free * (system.n - len(pinned)))
-
-
 def _split_walk(system, compiled, stops, vertex, depth, pinned):
     """walk_log_ratio with the root allowance of build_saw_tree's default
-    tree."""
-    return walk_log_ratio(compiled, stops, vertex, depth, _split_allowance(system, vertex, depth, pinned))
+    tree, root_allowance under ``pinned``."""
+    allowance = root_allowance(system, vertex, depth, pinned, compiled)
+    return walk_log_ratio(compiled, stops, vertex, depth, allowance)
 
 
 @pytest.mark.parametrize("model,field", [("random", 0.5), ("ising", 0.5), ("ising", 0.0)])
@@ -992,7 +1038,7 @@ def test_walk_matches_saw_tree_bit_for_bit(index, model, field):
                 assert log_ratio.hex() == want.hex()
                 assert (count, charge.hex()) == (tree.node_count, tree.charge.hex())
                 assert stops == compiled.stops(cond)  # the walk restored its array
-                for allowance in (_split_allowance(system, vertex, depth, cond), 0.0):
+                for allowance in (root_allowance(system, vertex, depth, cond, compiled), 0.0):
                     plain = walk_log_ratio(compiled, stops, vertex, depth, allowance)
                     record = []
                     log_ratio, count, charge = walk_log_ratio(
@@ -1035,8 +1081,8 @@ BENCHMARK_SPECS = [
 # their node count and the sha256 of the dumps, each followed by a newline.
 # No second builder checks the split's decisions, so their bytes are pinned.
 BENCHMARK_DUMPS = [
-    (3438, "b6fc247afe6397144fa3285afd06fec0c5dbfcc7f1c2f360b451135f17ca15d1"),
-    (1337, "cef6610a4d510075a739492d7b0265f31223ee0615d07f2d212ee1d7f719b790"),
+    (2836, "83eb9a5770ee97da7ca571c94fae08b37fe71be39587bf1f7c1b5186806bf6d9"),
+    (1011, "70154421cfbc2708901b6025ff472093a0aa7082736a1db160ade789d376e5ba"),
 ]
 
 
