@@ -22,8 +22,8 @@ share per free child, and its allowances alone fit eps.  The sweeps below
 it (``root_allowance``) scale the share by the labels still free when the
 root is walked (``label_share``), so early walks, whose trees are large,
 stop sooner and late ones, nearly exact, take less; and by the root's
-certificate weight kappa = min(4, sigma(0) / sigma(-x)), x its one-level
-lookahead log ratio capped at 3 (``_weighted``), since its certificate
+certificate weight kappa = min(4, sigma(0) / sigma(-x)), x the log
+ratio of its depth-1 walk capped at 3 (``_weighted``), since its certificate
 term c * sigma(c - x_hat) is about c * sigma(-x), not the c / 2 that the
 equal split budgets.  Every charge still bounds its branch's error, so
 such a sweep certifies eps from what its walks were charged.  When it
@@ -81,8 +81,7 @@ class VertexEstimate(
     Record,
     namedtuple("VertexEstimate", "vertex depth node_count p_hat allowance charge", defaults=(None, None)),
 ):
-    """One telescoping factor: vertex, tree depth, nodes built, estimated
-    marginal, and the walk's root allowance and charge (not serialized)."""
+    """One telescoping factor: vertex, depth, nodes, marginal, and the walk's allowance and charge."""
 
     __slots__ = ()
 
@@ -121,7 +120,15 @@ class EstimateReport(
             "contraction": self.contraction,
             "truncation_depth": self.truncation_depth,
             "total_nodes": self.total_nodes,
-            "vertices": [dict(zip(VertexEstimate._fields[:4], e)) for e in self.vertices],
+            "vertices": [
+                {
+                    "vertex": e.vertex,
+                    "depth": e.depth,
+                    "node_count": e.node_count,
+                    "p_hat": e.p_hat,
+                }
+                for e in self.vertices
+            ],
         }
 
 
@@ -163,30 +170,24 @@ def label_share(graph: Graph, share: float) -> float:
 
 def _weighted(compiled: CompiledSystem, stops: list, root: int, allowance: float) -> float:
     """``allowance`` times kappa = min(4, sigma(0) / sigma(-min(x, 3))), x
-    the root's lookahead log ratio: twice its field plus, per neighbour, the
-    edge's ``frontier`` if it is free, else its pinned factor under ``stops``."""
-    lam = compiled.twice_field[root]
-    for w, factors, below in compiled.rows[root]:
-        stop = stops[w]
-        lam += compiled.frontier[below] if stop is None else factors[0] if root > stop else factors[1]
-    return allowance * min(4.0, 0.5 + 0.5 * math.exp(min(lam, 3.0)))
+    the log ratio of the free ``root``'s depth-1 walk under ``stops``."""
+    x = walk_log_ratio(compiled, stops, root, 1)[0]
+    return allowance * min(4.0, 0.5 + 0.5 * math.exp(min(x, 3.0)))
 
 
 def root_allowance(
-    system: SpinSystem, root: int, depth_limit: int, pinned: Mapping[int, Spin],
-    compiled: CompiledSystem | None = None,
+    system: SpinSystem, root: int, depth_limit: int, pinned: Mapping[int, Spin], compiled: CompiledSystem
 ) -> float:
     """The allowance of ``root``'s walk at ``depth_limit`` under the
     condition ``pinned``: ``label_share`` of ``root_share`` at the system's
     scalars, times the root's unconditioned neighbours and labels and its
-    kappa (``_weighted``) over ``compiled``, by default compiled here.
+    kappa (``_weighted``) over ``compiled``, the system's tables.
     With the labels below ``root`` pinned to +, that is the allowance of
     ``fptas_log_partition``'s sweeps below the a-priori depth, and of
     ``sawtree.build_saw_tree``'s default tree."""
     graph = system.graph
     share = label_share(graph, root_share(system_scalars(system), depth_limit))
     free = sum(w not in pinned for w in graph.adjacency[root - 1])
-    compiled = compiled or compile_system(system)
     return _weighted(compiled, compiled.stops(pinned), root, share * (free * (graph.n - len(pinned))))
 
 
@@ -346,8 +347,7 @@ def fptas_log_partition(
         log_p_total = certificate = 0.0
         for vertex in range(1, n + 1):
             allowance = share * free[vertex]
-            if split:
-                allowance = _weighted(compiled, stops, vertex, allowance)
+            allowance = _weighted(compiled, stops, vertex, allowance) if split else allowance
             log_ratio, count, charge = walk_log_ratio(compiled, stops, vertex, depth, allowance)
             p_hat = marginal_plus(log_ratio)
             if p_hat >= _MIN_NORMAL:

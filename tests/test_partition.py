@@ -366,8 +366,8 @@ def test_fptas_per_vertex_errors_within_their_certificate_terms():
     # at most c_v * sigma(c_v - x_hat_v), with x_hat_v the estimated log
     # ratio and c_v the charge of its walk, re-walked here at the reported
     # depth with the sweep's allowance, and these terms sum to at most eps.
-    # The allowances favour early vertices and large estimated log ratios,
-    # so single terms may exceed eps / n; only the terms bound the factors.
+    # The allowances favour early vertices and roots leaning to +, whose
+    # log marginals move by only sigma(-x_v) times their log-ratio error.
     eps = 0.1
     worst = 0.0
     for seed in range(6):
@@ -390,11 +390,15 @@ def test_fptas_per_vertex_errors_within_their_certificate_terms():
             exact_p = exact_conditional_marginal(system, v, Spin.PLUS, cond)
             error = abs(math.log(entry.p_hat) - math.log(exact_p))
             assert error <= term + 1e-12, (seed, v)
-            worst = max(worst, term / (eps / n))
+            if log_ratio > 0.0:
+                exact_ratio = math.log(exact_p) - math.log1p(-exact_p)
+                worst = max(worst, abs(log_ratio - exact_ratio) / (eps / n))
             certificate += term
         assert certificate <= eps, seed
-    # Some term exceeds eps / n: the contract, not a per-vertex margin, is
-    # what holds.
+    # Some root leaning to + has a log ratio off by more than eps / n (2.68
+    # times it, on seed 400's vertex 3), and its log marginal within its
+    # term: the contract, not a per-vertex margin, is what holds.  Under
+    # the equal certificate weight none of them was off by more than 0.37.
     assert worst > 1.0, worst
 
 
@@ -610,9 +614,9 @@ def test_unused_share_reaches_the_later_sibling():
         edges += [(i + 3, child + 3) for child in (2 * i + 1, 2 * i + 2) if child < heap]
     system = ising_system(Graph.from_edges(heap + 2, edges), 0.3, 0.1)
     depth = 6
-    allowance = root_allowance(system, 1, depth, {})
-    assert allowance > 0.0
     compiled = compile_system(system)
+    allowance = root_allowance(system, 1, depth, {}, compiled)
+    assert allowance > 0.0
     stops = compiled.stops()
     log_ratio, count, charge = walk_log_ratio(compiled, stops, 1, depth, allowance)
     tree = build_saw_tree(system, 1, depth)
@@ -871,10 +875,11 @@ def test_report_allowances_and_charges_rebuild_every_tree(spec, sweeps):
     report = fptas_log_partition(system, 0.1)
     depth = report.truncation_depth
     assert report.sweeps == sweeps
+    compiled = compile_system(system)
     for vertex in report.vertices:
         v = vertex.vertex
         pinned = {i: Spin.PLUS for i in range(1, v)}
-        assert root_allowance(system, v, depth, pinned).hex() == vertex.allowance.hex()
+        assert root_allowance(system, v, depth, pinned, compiled).hex() == vertex.allowance.hex()
         tree = build_saw_tree(system, v, depth, pinned)
         assert tree.charge.hex() == vertex.charge.hex()
         p_hat = marginal_plus(tree_log_ratio(system, tree))
@@ -903,7 +908,7 @@ def test_fptas_near_critical_fallback_jumps_by_the_rate(monkeypatch):
     walk = spinz.partition.walk_log_ratio
     inflated = []
 
-    def inflate(compiled, stops, root, depth, allowance):
+    def inflate(compiled, stops, root, depth, allowance=0.0):
         log_ratio, count, charge = walk(compiled, stops, root, depth, allowance)
         if depth == start:
             charge *= 1.5
