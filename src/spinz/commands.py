@@ -255,7 +255,13 @@ _tolerance = _checked(float, "a finite number >= 0", lambda value: math.isfinite
 
 class _Parser(argparse.ArgumentParser):
     """Refuses bad arguments with one ``error:`` line, as every other
-    refusal of the CLI starts, then the usage."""
+    refusal of the CLI starts, then the usage.  Options are taken only by
+    their full names, in the subcommands' parsers too (argparse builds
+    those from this class): a prefix such as ``--t`` is refused rather than
+    read as whichever option it abbreviates."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n{self.format_usage()}")
@@ -301,12 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="instance file (JSON)")
     p.add_argument("--root", type=int, required=True, help="vertex whose marginal is probed")
     p.add_argument(
-        "--radius",
-        "--t",
-        dest="radius",
-        type=_positive_int,
-        required=True,
-        help="graph distance t of the conditioned sphere",
+        "--radius", type=_positive_int, required=True, help="graph distance t of the conditioned sphere"
     )
     p.add_argument(
         "--trials", type=_positive_int, default=100, help="boundary pairs to draw (default: 100)"

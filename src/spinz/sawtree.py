@@ -23,7 +23,7 @@ walk's share stops and shortcuts, so it checks the walk's traversal and
 fold order bit for bit; the oracle's identity checks run that walk on the
 complete tree.  ``edge_factor_log`` is one edge factor of that recursion,
 and ``conditional_marginal_estimate`` one truncated marginal under a
-condition, walked without building the tree.
+condition, evaluated over the tree that ``build_saw_tree`` builds.
 """
 
 from __future__ import annotations
@@ -160,10 +160,11 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
     """Evaluate the log ratio at the root of a walk tree built from ``system``.
 
     Args:
-        system: the spin system the tree was built from.  It is read only
-            for a tree that carries no tables (``compiled``), one built by
-            hand, and compiled in O(n + |E|); otherwise the cost is O(tree).
-        tree: a walk tree whose root is free.
+        system: the spin system the tree was built from.  It is not read:
+            the tree carries the tables its walk read (``compiled``).  It is
+            kept because callers, such as the benchmark's traced rebuild,
+            pass it.
+        tree: a walk tree from ``build_saw_tree`` whose root is free.
         frontier: what the free leaves the truncation stopped (``stopped``)
             contribute.  The default None adds the lookahead frontier of
             ``marginal``: the middle of the leaf's edge factor over the log
@@ -188,9 +189,10 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
         raise ValueError("tree root is pinned; the root marginal is not free")
     if frontier is None and tree.depth_limit == 0:
         raise ValueError("a lookahead frontier needs a depth limit of at least 1")
+    if root.stopped:  # depth 0: no walk ran, so the tree keeps no tables
+        return frontier
 
-    compiled = tree.compiled if tree.compiled is not None else compile_system(system)
-    _, twice_field, rows, _, lookahead, _, _, _ = compiled
+    _, twice_field, rows, _, lookahead, _, _, _ = tree.compiled
     inf = math.inf
     values: dict[int, float | None] = {}
 
@@ -235,18 +237,14 @@ def conditional_marginal_estimate(
 
     Evaluates the default tree of ``build_saw_tree`` at ``depth`` (at least
     1), the root's allowance split over its free branches with ``depth``
-    as the cap, without building it; the leaves the truncation stops add
-    the lookahead frontier (see ``marginal``).  The result is exact
-    whenever the tree has no frontier, and whenever every frontier leaf has
-    no child.
+    as the cap; the leaves the truncation stops add the lookahead frontier
+    (see ``marginal``).  The result is exact whenever the tree has no
+    frontier, and whenever every frontier leaf has no child.  A conditioned
+    ``vertex`` is refused, since its tree's root is pinned.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    cond = checked_condition(system.graph.n, vertex, condition)
-    compiled = compile_system(system)
-    allowance = root_allowance(system, vertex, depth, cond, compiled)
-    log_ratio, _, _ = walk_log_ratio(compiled, compiled.stops(cond), vertex, depth, allowance)
-    return marginal_plus(log_ratio)
+    return marginal_plus(tree_log_ratio(system, build_saw_tree(system, vertex, depth, condition)))
 
 
 def frontier_count(tree: SawTree, level: int) -> int:

@@ -132,10 +132,14 @@ def test_estimate_accuracy_through_cli(tmp_path, capsys):
 
 
 def test_estimate_runs_are_bit_identical(tmp_path, capsys):
-    graph = write_triangle(tmp_path)
-    _, first, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", "0.05")
-    _, second, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", "0.05")
-    assert first == second
+    # The triangle, and a random-table instance whose estimate sweeps twice.
+    again = tmp_path / "again.json"
+    save_system(generate(GenSpec("random_regular", n=10, degree=3, model="random",
+                                 coupling=0.5, field_strength=1.0, seed=11)), again)
+    for graph, eps in ((write_triangle(tmp_path), "0.05"), (str(again), "0.1")):
+        _, first, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", eps)
+        _, second, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", eps)
+        assert first == second
 
 
 def test_readme_estimate_example_prints_its_report(tmp_path, capsys, monkeypatch):
@@ -292,13 +296,16 @@ SUITE_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("suite", SUITE_CHECKS)
+@pytest.mark.parametrize("suite", [*SUITE_CHECKS, "all"])
 def test_verify_each_suite(capsys, suite):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--trials", "2")
     assert code == 0
     report = json.loads(out)
-    assert report["suites"] == [suite] and report["all_passed"] is True
-    assert [check["name"] for check in report["checks"]] == SUITE_CHECKS[suite]
+    suites = list(SUITE_CHECKS) if suite == "all" else [suite]
+    assert report["suites"] == suites and report["all_passed"] is True
+    assert [check["name"] for check in report["checks"]] == [
+        name for each in suites for name in SUITE_CHECKS[each]
+    ]
 
 
 def test_verify_decay_one_trial_ends_in_a_report(capsys):
@@ -416,8 +423,15 @@ def test_sawtree_without_depth_prints_the_complete_tree(tmp_path, capsys):
     assert code == 0
     assert "frontier" not in out
     complete = build_saw_tree(system, 1, system.graph.n, uniform=True)
-    assert f"nodes={complete.node_count}" in err.split()
+    assert err == f"nodes={complete.node_count}\n"
+    assert complete.node_count == len(out.splitlines())
     assert build_saw_tree(system, 1, system.graph.n).node_count < complete.node_count
+    # With --depth it is the split tree, whose stopped free leaves print as
+    # frontier; the walk counts the nodes (nodes=) and the dump prints the
+    # tree assembled from its record, one line a node.
+    code, out, err = run_cli(capsys, "sawtree", "--graph", str(path), "--root", "1", "--depth", "5")
+    assert code == 0 and " frontier\n" in out
+    assert err == f"nodes={len(out.splitlines())}\n"
 
 
 def test_sawtree_condition_and_depth(tmp_path, capsys):
@@ -431,6 +445,16 @@ def test_sawtree_condition_and_depth(tmp_path, capsys):
         "  2 depth=1 free",
         "    3 depth=2 +",
     ]
+    # On a degree-3 graph, copies of the conditioned vertices end walks as
+    # leaves pinned to their spins, + and -; the count matches the dump.
+    path = tmp_path / "rr.json"
+    save_system(generate(GenSpec(family="random_regular", n=10, degree=3, coupling=0.3, seed=5)), path)
+    code, out, err = run_cli(capsys, "sawtree", "--graph", str(path), "--root", "4",
+                             "--depth", "4", "--cond", "1=+,2=-")
+    assert code == 0
+    assert err == f"nodes={len(out.splitlines())}\n"
+    assert re.search(r"^ *1 depth=[0-9]+ \+$", out, re.M)
+    assert re.search(r"^ *2 depth=[0-9]+ -$", out, re.M)
 
 
 def test_missing_file_exit_1(capsys):
@@ -535,10 +559,20 @@ def test_bad_condition_string_exit_1(tmp_path, capsys):
         assert "error:" in err
 
 
-def test_bad_arguments_exit_1(capsys):
+def test_bad_arguments_exit_1(tmp_path, capsys):
     assert run_cli(capsys, "estimate")[0] == 1          # missing required flags
     assert run_cli(capsys, "nonsense")[0] == 1          # unknown subcommand
     assert run_cli(capsys)[0] == 1                      # no subcommand
+    # Options are taken only by their full names: a prefix is refused, not
+    # read as the option it abbreviates (--t as --trials, --ep as --eps).
+    graph = write_triangle(tmp_path)
+    for argv in (
+        ("decay", "--graph", graph, "--root", "1", "--radius", "1", "--t", "2"),
+        ("estimate", "--graph", graph, "--ep", "0.1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
 
 
 def test_help_exits_0(capsys):

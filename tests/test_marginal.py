@@ -195,10 +195,7 @@ def test_saw_tree_keeps_its_compiled_system_out_of_repr_and_equality():
     assert "CompiledSystem" not in repr(tree)
     again = build_saw_tree(system(), 1, 3)
     assert again.compiled is not tree.compiled and again == tree
-    # A tree without tables, as one built by hand, compiles the system.
-    bare = dataclasses.replace(tree, compiled=None)
-    assert bare == tree
-    assert tree_log_ratio(system(), bare).hex() == tree_log_ratio(system(), tree).hex()
+    assert dataclasses.replace(tree, compiled=None) == tree
     # No walk runs for a pinned root or at depth 0, so no tables are kept.
     assert build_saw_tree(system(), 1, 0).compiled is None
     assert build_saw_tree(system(), 1, 3, {1: Spin.PLUS}).compiled is None

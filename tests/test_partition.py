@@ -809,8 +809,8 @@ def test_fptas_sweeps_again_as_many_levels_deeper_as_the_rate_needs():
     # certifies eps; here the certificate is within 1 / rate of eps, so
     # each step is one level.  The deepest is the a-priori depth, the
     # smallest t with n*d*a*rate^(t-1) <= eps, which is certified a priori
-    # and gives each root the equal split root_share * k_v.  CI estimates
-    # the first instance too: 48 nodes at depth 2, then 70 at 3, 118 walked.
+    # and gives each root the equal split root_share * k_v.  The first
+    # instance walks 48 nodes at depth 2, then 70 at 3, 118 in all.
     eps = 0.1
     cases = ((11, 10, (2, 4), 3, 70, 118), (11, 8, (2, 3), 3, 56, 98))
     for seed, n, depths, reported, nodes, walked_nodes in cases:
@@ -868,7 +868,7 @@ def test_report_allowances_and_charges_rebuild_every_tree(spec, sweeps):
     # of its walk, kept out of to_dict.  Below the a-priori depth that
     # allowance is root_allowance with the lower labels pinned to +, and
     # build_saw_tree's default tree at the reported depth is the walk, bit
-    # for bit: CI's again.json, which sweeps twice, and the first rr3-deep
+    # for bit: "again", which sweeps twice, and the first rr3-deep
     # instance.  A VertexEstimate built from its four serialized fields
     # leaves both None.
     system = generate(spec)
@@ -968,13 +968,16 @@ def test_degree_two_sweeps_certify_from_their_charges():
 ], ids=["rr3-deep", "grid-strip", "cycle-sweep"])
 def test_benchmark_families_certify_at_the_start_depth(spec):
     # The benchmark's traced run rebuilds every tree at truncation_depth,
-    # so its instances must certify eps = 0.1 in the first sweep.
-    for seed in range(5):
+    # so its instances must certify eps = 0.1 in the first sweep, and every
+    # vertex report that depth; seed 16 is rr3-deep's first instance at
+    # benchmark seed 1.
+    for seed in (*range(5), 16):
         system = generate(dataclasses.replace(spec, seed=seed))
         scalars = system_scalars(system)
         report = fptas_log_partition(system, 0.1)
         start = truncation_depth(system.n, scalars.max_coupling, scalars.degree_bound, 0.1)
         assert report.truncation_depth == start, seed
+        assert all(v.depth == start for v in report.vertices), seed
 
 
 def test_fptas_depth_one_at_zero_coupling():

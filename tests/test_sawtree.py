@@ -14,6 +14,7 @@ from spinz import (
     format_saw_tree,
     frontier_count,
     ising_system,
+    tree_log_ratio,
 )
 
 from .helpers import petersen_graph, random_system
@@ -99,6 +100,8 @@ def test_depth_limit_zero_and_frontier():
     system = ising_system(build_family_graph("cycle", n=4), 0.2)
     tree = build_saw_tree(system, 1, 0)
     assert tree.node_count == 1 and tree.root.children == []
+    # The root is the one stopped leaf, so it takes the frontier value.
+    assert tree_log_ratio(system, tree, 1.25) == 1.25
     deeper = build_saw_tree(system, 1, 2)
     assert frontier_count(deeper, 0) == 1
     assert frontier_count(deeper, 1) == 2
