@@ -38,8 +38,10 @@ small for a normal float; an estimate that overflows is refused.
 The estimate is one serial sweep per depth over the tables of one
 ``compile_system``.  Pinning is by rank: one per-label stop array (see
 ``walk_log_ratio``) serves the whole sweep, and vertex j pins itself to +
-when its walk is done.  Each walk evaluates its tree while walking it and
-builds no ``SawTree``; below the a-priori depth it is the walk that
+when its walk is done.  The report records each pin, and
+``EstimateReport.pinned_before`` gives each walk's condition from them
+alone.  Each walk evaluates its tree while walking it and builds no
+``SawTree``; below the a-priori depth it is the walk that
 ``build_saw_tree`` records to assemble its default tree, whose
 ``sawtree.tree_log_ratio`` equals the walk's log ratio bit for bit.  The
 log factors are summed in ascending vertex order.
@@ -79,9 +81,13 @@ __all__ = [
 
 class VertexEstimate(
     Record,
-    namedtuple("VertexEstimate", "vertex depth node_count p_hat allowance charge", defaults=(None, None)),
+    namedtuple(
+        "VertexEstimate", "vertex depth node_count p_hat allowance charge pinned", defaults=(None, None, None)
+    ),
 ):
-    """One telescoping factor: vertex, depth, nodes, marginal, and the walk's allowance and charge."""
+    """One telescoping factor: vertex, depth, nodes, marginal, the walk's
+    allowance and charge, and the spin the sweep pinned the vertex to after
+    its walk."""
 
     __slots__ = ()
 
@@ -106,10 +112,24 @@ class EstimateReport(
     def total_nodes(self) -> int:
         return sum(v.node_count for v in self.vertices)
 
+    def pinned_before(self, vertex: int) -> dict[int, Spin]:
+        """The condition under which ``vertex`` was walked: the spins that
+        the sweep pinned the vertices walked before it to.  ValueError for a
+        vertex the report lacks, and for a report whose vertices carry no
+        pins, such as one built from their four serialized fields."""
+        if any(entry.pinned is None for entry in self.vertices):
+            raise ValueError("the report's vertices carry no pins; it was not built by fptas_log_partition")
+        pinned = {}
+        for entry in self.vertices:
+            if entry.vertex == vertex:
+                return pinned
+            pinned[entry.vertex] = entry.pinned
+        raise ValueError(f"vertex {vertex!r} is not in the report")
+
     def to_dict(self) -> dict:
         # wall_time_s stays out, so that reruns serialize identically, and so
         # does the work bookkeeping: sweeps, walked_nodes, and each vertex's
-        # allowance and charge.
+        # allowance, charge and pinned spin.
         return {
             "log_z_hat": self.log_z_hat,
             "eps": self.eps,
@@ -182,7 +202,7 @@ def root_allowance(
     condition ``pinned``: ``label_share`` of ``root_share`` at the system's
     scalars, times the root's unconditioned neighbours and labels and its
     kappa (``_weighted``) over ``compiled``, the system's tables.
-    With the labels below ``root`` pinned to +, that is the allowance of
+    Under its report's ``pinned_before(root)``, that is the allowance of
     ``fptas_log_partition``'s sweeps below the a-priori depth, and of
     ``sawtree.build_saw_tree``'s default tree."""
     graph = system.graph
@@ -314,9 +334,10 @@ def fptas_log_partition(
     sweeps again as many levels deeper as the rate needs, up to the
     a-priori depth, whose sweep gives each root ``root_share`` * k_v and
     ends the search.  The report is the first swept depth that certifies,
-    with each walk's allowance and charge, and the count of sweeps run and
-    nodes walked.  Reruns agree bit for bit, and a marginal too small for
-    a normal float takes its log from the walk's log ratio.
+    with each walk's allowance and charge and the spin its vertex was then
+    pinned to (``EstimateReport.pinned_before``), and the count of sweeps
+    run and nodes walked.  Reruns agree bit for bit, and a marginal too
+    small for a normal float takes its log from the walk's log ratio.
 
     Raises DecayConditionError when the contraction condition fails, and
     ValueError when log_z_hat is not finite (no estimate is produced).
@@ -345,6 +366,9 @@ def fptas_log_partition(
         stops = compiled.stops()
         estimates = []
         log_p_total = certificate = 0.0
+        # Each walked vertex is then pinned to +: the record's pinned, the
+        # PINNED_PLUS stop, the + marginal as its factor and the all-plus
+        # base weight all encode that pin, and change together.
         for vertex in range(1, n + 1):
             allowance = share * free[vertex]
             allowance = _weighted(compiled, stops, vertex, allowance) if split else allowance
@@ -354,7 +378,7 @@ def fptas_log_partition(
                 log_p_total += math.log(p_hat)
             else:  # log(R / (1 + R)); here log_ratio < -708, so exp cannot overflow
                 log_p_total += log_ratio - math.log1p(math.exp(log_ratio))
-            estimates.append(VertexEstimate(vertex, depth, count, p_hat, allowance, charge))
+            estimates.append(VertexEstimate(vertex, depth, count, p_hat, allowance, charge, Spin.PLUS))
             walked += count
             certificate += charge * marginal_plus(charge - log_ratio)
             stops[vertex] = PINNED_PLUS

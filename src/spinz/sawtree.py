@@ -118,11 +118,11 @@ def build_saw_tree(
     as ``marginal`` describes, which keeps the uniform tree where the share
     is 0.0, with ``depth_limit`` as a hard cap.  That is the tree whose log
     ratio ``partition.fptas_log_partition`` walks for ``root`` when
-    ``condition`` pins the lower labels to +, at every depth below the
-    a-priori one.  With ``uniform=True`` the walk offers no shares and every
-    free node above ``depth_limit`` is expanded, and setting ``depth_limit``
-    to the vertex count then produces the complete tree, since no
-    self-avoiding walk can visit more vertices than the graph has.
+    ``condition`` is its report's ``pinned_before(root)``, at every depth
+    below the a-priori one.  With ``uniform=True`` the walk offers no shares
+    and every free node above ``depth_limit`` is expanded, and setting
+    ``depth_limit`` to the vertex count then produces the complete tree,
+    since no self-avoiding walk can visit more vertices than the graph has.
 
     Construction is iterative, so deep trees do not hit the interpreter
     recursion limit, and deterministic: children follow sorted neighbor
@@ -164,7 +164,9 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
             the tree carries the tables its walk read (``compiled``).  It is
             kept because callers, such as the benchmark's traced rebuild,
             pass it.
-        tree: a walk tree from ``build_saw_tree`` whose root is free.
+        tree: a walk tree from ``build_saw_tree`` whose root is free; one
+            that carries no ``compiled`` tables, such as a hand-built one,
+            is refused unless the truncation stopped its root.
         frontier: what the free leaves the truncation stopped (``stopped``)
             contribute.  The default None adds the lookahead frontier of
             ``marginal``: the middle of the leaf's edge factor over the log
@@ -191,6 +193,8 @@ def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = N
         raise ValueError("a lookahead frontier needs a depth limit of at least 1")
     if root.stopped:  # depth 0: no walk ran, so the tree keeps no tables
         return frontier
+    if tree.compiled is None:
+        raise ValueError("the tree carries no compiled tables; build it with build_saw_tree")
 
     _, twice_field, rows, _, lookahead, _, _, _ = tree.compiled
     inf = math.inf

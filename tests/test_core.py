@@ -298,7 +298,7 @@ RECORD_FIELDS = {
     "CompiledSystem": (
         "n", "twice_field", "rows", "belows", "frontier", "errors", "spent", "settled",
     ),
-    "VertexEstimate": ("vertex", "depth", "node_count", "p_hat", "allowance", "charge"),
+    "VertexEstimate": ("vertex", "depth", "node_count", "p_hat", "allowance", "charge", "pinned"),
     "EstimateReport": (
         "log_z_hat", "eps", "log_weight_all_plus", "degree_bound", "max_coupling",
         "critical_coupling", "contraction", "truncation_depth", "vertices", "wall_time_s",

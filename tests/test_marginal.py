@@ -11,6 +11,8 @@ from spinz import (
     Condition,
     EdgePotential,
     Graph,
+    SawNode,
+    SawTree,
     Spin,
     SpinSystem,
     VertexField,
@@ -142,6 +144,11 @@ def test_tree_ratio_rejects_pinned_root_and_nan_frontier():
     # the midpoint frontier needs an edge above the frontier leaf
     with pytest.raises(ValueError, match="depth limit of at least 1"):
         tree_log_ratio(system, build_saw_tree(system, 1, 0))
+    # the fold reads the tables the walk compiled, which a hand-built tree lacks
+    hand_built = SawTree(SawNode(1, 0, None, [SawNode(2, 1, None, [], stopped=True)]), 1, 1, 2)
+    for tree in (hand_built, dataclasses.replace(free, compiled=None)):
+        with pytest.raises(ValueError, match="carries no compiled tables; build it with build_saw_tree"):
+            tree_log_ratio(system, tree)
 
 
 def test_free_leaf_below_limit_takes_field_not_frontier():

@@ -349,44 +349,45 @@ def test_estimate_leaving_the_float_range_is_refused():
             fptas_log_partition(system, 0.1)
 
 
-def _sweep_walk(system, compiled, stops, vertex, depth, equal=False):
-    """walk_log_ratio with the root allowance of the sweep at ``depth``:
-    build_saw_tree's default below the a-priori depth, and the equal split
-    root_share * k_v at it (``equal``), k_v the neighbours with a larger
-    label."""
-    if not equal:
-        pinned = {i: Spin.PLUS for i in range(1, vertex)}
-        return _split_walk(system, compiled, stops, vertex, depth, pinned)
-    free = sum(w > vertex for w in system.graph.neighbors(vertex))
-    return walk_log_ratio(compiled, stops, vertex, depth, root_share(system_scalars(system), depth) * free)
+def _sweep_walk(report, system, compiled, vertex, depth):
+    """walk_log_ratio of ``vertex`` under the report's pins, with the root
+    allowance of the sweep at ``depth``: the report's own at its depth, and
+    build_saw_tree's default at the shallower depths swept before it, all
+    below the a-priori depth."""
+    pinned = report.pinned_before(vertex)
+    if depth == report.truncation_depth:
+        allowance = report.vertices[vertex - 1].allowance
+    else:
+        allowance = root_allowance(system, vertex, depth, pinned, compiled)
+    return walk_log_ratio(compiled, compiled.stops(pinned), vertex, depth, allowance)
 
 
 def test_fptas_per_vertex_errors_within_their_certificate_terms():
     # The contract of the certificate: each vertex's log-marginal error is
     # at most c_v * sigma(c_v - x_hat_v), with x_hat_v the estimated log
-    # ratio and c_v the charge of its walk, re-walked here at the reported
-    # depth with the sweep's allowance, and these terms sum to at most eps.
-    # The allowances favour early vertices and roots leaning to +, whose
-    # log marginals move by only sigma(-x_v) times their log-ratio error.
+    # ratio and c_v the charge of its walk, re-walked here from the report
+    # (its depth, the vertex's allowance and pins), and these terms sum to
+    # at most eps.  The allowances favour early vertices and roots leaning
+    # to +, whose log marginals move by only sigma(-x_v) times their
+    # log-ratio error.
     eps = 0.1
     worst = 0.0
     for seed in range(6):
         system = acceptance_instance("er", "random", 400 + seed)
         n = system.n
-        scalars = system_scalars(system)
-        a_priori = spinz.partition._depths(n, scalars, eps)[1]
         report = fptas_log_partition(system, eps)
         depth = report.truncation_depth
         compiled = compile_system(system)
-        stops = compiled.stops()
         certificate = 0.0
         for entry in report.vertices:
             v = entry.vertex
-            log_ratio, count, charge = _sweep_walk(system, compiled, stops, v, depth, depth == a_priori)
-            stops[v] = PINNED_PLUS
+            cond = report.pinned_before(v)
+            log_ratio, count, charge = walk_log_ratio(
+                compiled, compiled.stops(cond), v, depth, entry.allowance
+            )
             assert (marginal_plus(log_ratio), count) == (entry.p_hat, entry.node_count)
+            assert charge.hex() == entry.charge.hex()
             term = charge * marginal_plus(charge - log_ratio)
-            cond = Condition({i: Spin.PLUS for i in range(1, v)})
             exact_p = exact_conditional_marginal(system, v, Spin.PLUS, cond)
             error = abs(math.log(entry.p_hat) - math.log(exact_p))
             assert error <= term + 1e-12, (seed, v)
@@ -832,12 +833,10 @@ def test_fptas_sweeps_again_as_many_levels_deeper_as_the_rate_needs():
         compiled = compile_system(system)
         walked = 0
         for depth in range(start, reported + 1):
-            stops = compiled.stops()
             walks = []
             certificate = 0.0
             for v in range(1, n + 1):
-                log_ratio, count, charge = _sweep_walk(system, compiled, stops, v, depth, depth == a_priori)
-                stops[v] = PINNED_PLUS
+                log_ratio, count, charge = _sweep_walk(report, system, compiled, v, depth)
                 walks.append((marginal_plus(log_ratio), count))
                 walked += count
                 certificate += charge * marginal_plus(charge - log_ratio)
@@ -846,13 +845,17 @@ def test_fptas_sweeps_again_as_many_levels_deeper_as_the_rate_needs():
         assert walks == [(v.p_hat, v.node_count) for v in report.vertices]
         assert (report.sweeps, report.walked_nodes) == (2, walked_nodes) and walked == walked_nodes
         if reported == a_priori:
-            # The a-priori sweep's equal split walks other trees than the
-            # label_share split would at that depth.
-            stops = compiled.stops()
+            # The a-priori sweep gives each root the equal split, and walks
+            # other trees than the label_share split would at that depth.
             split = []
-            for v in range(1, n + 1):
-                log_ratio, count, _ = _sweep_walk(system, compiled, stops, v, reported)
-                stops[v] = PINNED_PLUS
+            for vertex in report.vertices:
+                pinned = report.pinned_before(vertex.vertex)
+                free = sum(w not in pinned for w in system.graph.neighbors(vertex.vertex))
+                assert vertex.allowance == root_share(scalars, reported) * free
+                allowance = root_allowance(system, vertex.vertex, reported, pinned, compiled)
+                log_ratio, count, _ = walk_log_ratio(
+                    compiled, compiled.stops(pinned), vertex.vertex, reported, allowance
+                )
                 split.append((marginal_plus(log_ratio), count))
             assert split != walks
 
@@ -864,28 +867,55 @@ def test_fptas_sweeps_again_as_many_levels_deeper_as_the_rate_needs():
     (GenSpec("random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=16), 1),
 ], ids=["again", "rr3-deep"])
 def test_report_allowances_and_charges_rebuild_every_tree(spec, sweeps):
-    # Each vertex of the report carries the root allowance and the charge
-    # of its walk, kept out of to_dict.  Below the a-priori depth that
-    # allowance is root_allowance with the lower labels pinned to +, and
-    # build_saw_tree's default tree at the reported depth is the walk, bit
-    # for bit: "again", which sweeps twice, and the first rr3-deep
-    # instance.  A VertexEstimate built from its four serialized fields
-    # leaves both None.
+    # Each vertex of the report carries the root allowance, the charge and
+    # the pin of its walk, kept out of to_dict, so the report alone rebuilds
+    # every walk over one compile_system: under pinned_before, at the
+    # reported depth, with the vertex's allowance, bit for bit.  Below the
+    # a-priori depth that allowance is root_allowance, the policy pinned
+    # here, and build_saw_tree's default tree under the same pins is the
+    # walk, bit for bit, with as many stopped leaves as the walk's record.
+    # "again" sweeps twice; rr3-deep is the first rr3-deep instance.
+    # The paper's telescoping order, stated once: vertex v is walked with
+    # every lower label pinned to +.  A VertexEstimate built from its four
+    # serialized fields leaves the other three None, and a report of such
+    # records refuses pinned_before, as it does a vertex the report lacks.
     system = generate(spec)
     report = fptas_log_partition(system, 0.1)
     depth = report.truncation_depth
     assert report.sweeps == sweeps
     compiled = compile_system(system)
+    leaves = 0
     for vertex in report.vertices:
         v = vertex.vertex
-        pinned = {i: Spin.PLUS for i in range(1, v)}
+        pinned = report.pinned_before(v)
+        assert vertex.pinned is Spin.PLUS
+        assert pinned == {i: Spin.PLUS for i in range(1, v)}
+        record = []
+        log_ratio, count, charge = walk_log_ratio(
+            compiled, compiled.stops(pinned), v, depth, vertex.allowance, record
+        )
+        reported = (vertex.node_count, vertex.charge.hex(), vertex.p_hat.hex())
+        assert (count, charge.hex(), marginal_plus(log_ratio).hex()) == reported
         assert root_allowance(system, v, depth, pinned, compiled).hex() == vertex.allowance.hex()
         tree = build_saw_tree(system, v, depth, pinned)
-        assert tree.charge.hex() == vertex.charge.hex()
         p_hat = marginal_plus(tree_log_ratio(system, tree))
-        assert (tree.node_count, p_hat) == (vertex.node_count, vertex.p_hat)
+        assert (tree.node_count, tree.charge.hex(), p_hat.hex()) == reported
+        stopped = 0
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            stopped += node.stopped
+            stack.extend(node.children)
+        assert sum(status == 0 for _, _, status in record) == stopped, v
+        leaves += stopped
+    assert leaves > 0
+    with pytest.raises(ValueError, match="not in the report"):
+        report.pinned_before(system.n + 1)
     assert list(report.to_dict()["vertices"][0]) == ["vertex", "depth", "node_count", "p_hat"]
-    assert VertexEstimate(*report.vertices[0][:4])[4:] == (None, None)
+    assert VertexEstimate(*report.vertices[0][:4])[4:] == (None, None, None)
+    bare = report._replace(vertices=tuple(VertexEstimate(*vertex[:4]) for vertex in report.vertices))
+    with pytest.raises(ValueError, match="carry no pins"):
+        bare.pinned_before(1)
 
 
 def test_fptas_near_critical_fallback_jumps_by_the_rate(monkeypatch):
@@ -1100,10 +1130,12 @@ BENCHMARK_DUMPS = [
     ids=["rr3-40", "grid-4x6"],
 )
 def test_walk_matches_saw_tree_at_benchmark_size(spec, least_depth, dumps):
-    # The sweep's walks at eps = 0.1, where most free nodes sit on the
-    # level evaluated in place and most of those take a settled pair, and
-    # at 10 to 13, the a-priori depths among them.  The start depth is the
-    # smallest t with n*d*a*rate^t <= D, the budget D of eps = 0.1.
+    # The sweep's walks at eps = 0.1, rebuilt from the report with each
+    # vertex's pins and allowance: most free nodes sit on the level
+    # evaluated in place and most of those take a settled pair.  And the
+    # sweep's split walks at 10 to 13, the a-priori depths among them.  The
+    # start depth is the smallest t with n*d*a*rate^t <= D, the budget D of
+    # eps = 0.1, and the report's.
     system = generate(spec)
     scalars = system_scalars(system)
     degree = scalars.degree_bound
@@ -1112,13 +1144,21 @@ def test_walk_matches_saw_tree_at_benchmark_size(spec, least_depth, dumps):
     rate, half_range = _rate_and_half_range(scalars.max_coupling, degree)
     edge_sum = system.n * degree * half_range
     assert edge_sum * rate ** depth <= _start_budget(0.1) < edge_sum * rate ** (depth - 1)
+    report = fptas_log_partition(system, 0.1)
+    assert report.truncation_depth == depth
+    compiled = compile_system(system)
     digest = hashlib.sha256()
-    nodes = 0
-    for vertex in system.graph.vertices():
-        tree = build_saw_tree(system, vertex, depth, {i: Spin.PLUS for i in range(1, vertex)})
-        nodes += tree.node_count
+    for vertex in report.vertices:
+        pinned = report.pinned_before(vertex.vertex)
+        tree = build_saw_tree(system, vertex.vertex, depth, pinned)
         digest.update(format_saw_tree(tree).encode() + b"\n")
-    assert (nodes, digest.hexdigest()) == dumps
+        log_ratio, count, charge = walk_log_ratio(
+            compiled, compiled.stops(pinned), vertex.vertex, depth, vertex.allowance
+        )
+        assert log_ratio.hex() == tree_log_ratio(system, tree).hex()
+        assert (count, charge.hex()) == (tree.node_count, tree.charge.hex())
+        assert (count, charge.hex()) == (vertex.node_count, vertex.charge.hex())
+    assert (report.total_nodes, digest.hexdigest()) == dumps
     for walked in sorted({depth, 10, 11, 12, 13}):
         _assert_sweep_walks_match_trees(system, walked)
 
@@ -1153,6 +1193,7 @@ def test_fptas_builds_no_tree_and_no_condition(monkeypatch):
     for module in (spinz.partition, spinz.sawtree, spinz.marginal):
         for name in ("Condition", "SawNode", "SawTree", "build_saw_tree", "tree_log_ratio"):
             monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(spinz.partition.EstimateReport, "pinned_before", refuse)
     report = fptas_log_partition(system, 0.1)
     assert report.log_z_hat.hex() == expected.log_z_hat.hex()
     assert report.vertices == expected.vertices
