@@ -45,6 +45,12 @@ _STREAM_FIELDS = 2
 FAMILIES = ("path", "cycle", "grid", "complete", "random_regular", "erdos_renyi")
 MODELS = ("ising", "random")
 
+# Pairings the random_regular generator tries before it refuses, about 3 s
+# at n = 10 on a 2-core VM.  The degree <= 4 graphs the benchmarks use take
+# at most a few hundred; near-complete ones such as n = 10, degree 9 need
+# far more than this.
+_MAX_PAIRING_ATTEMPTS = 100_000
+
 
 def _stream(seed: int, stream: int, *extra: int) -> np.random.Generator:
     import numpy as np
@@ -85,8 +91,10 @@ def build_family_graph(
 
     path/cycle/complete take n; grid takes rows and cols; random_regular
     takes n and an integer degree (pairing model, resampled with a fresh
-    sub-stream until simple); erdos_renyi takes n and an expected degree,
-    including each pair independently with probability degree / n.
+    sub-stream until simple, and refused with a ValueError when no simple
+    pairing turns up in ``_MAX_PAIRING_ATTEMPTS`` tries); erdos_renyi
+    takes n and an expected degree, including each pair independently with
+    probability degree / n.
     """
     if family == "path":
         n = _require_count("n", n, minimum=1)
@@ -136,14 +144,16 @@ def _require_count(name: str, value, minimum: int) -> int:
 
 def _random_regular(n: int, degree: int, seed: int) -> Graph:
     """Pairing model: shuffle n*degree stubs, pair consecutively, and retry
-    on any self-loop or duplicate edge with an incremented sub-stream."""
+    on any self-loop or duplicate edge with an incremented sub-stream, at
+    most ``_MAX_PAIRING_ATTEMPTS`` times."""
     if degree == 0:
         return Graph.from_edges(n, [])
     import numpy as np
 
-    for attempt in itertools.count():
+    unshuffled = np.repeat(np.arange(1, n + 1), degree)
+    for attempt in range(_MAX_PAIRING_ATTEMPTS):
         rng = _stream(seed, _STREAM_TOPOLOGY, attempt)
-        stubs = np.repeat(np.arange(1, n + 1), degree)
+        stubs = unshuffled.copy()
         rng.shuffle(stubs)
         edges: set[tuple[int, int]] = set()
         simple = True
@@ -160,7 +170,10 @@ def _random_regular(n: int, degree: int, seed: int) -> Graph:
             edges.add(key)
         if simple:
             return Graph.from_edges(n, sorted(edges))
-    raise AssertionError("unreachable")
+    raise ValueError(
+        f"random_regular found no simple graph with n={n}, degree={degree} "
+        f"in {_MAX_PAIRING_ATTEMPTS} pairing attempts"
+    )
 
 
 def _erdos_renyi(n: int, degree: float, seed: int) -> Graph:

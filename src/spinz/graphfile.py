@@ -55,10 +55,10 @@ def _system_from(data) -> SpinSystem:
         raise ValueError("top level: expected an object")
     if "schema_version" not in data:
         raise ValueError("top level: missing schema_version")
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {data['schema_version']!r}"
-        )
+    version = data["schema_version"]
+    # The int 1 only: True and 1.0 compare equal to it, and ids refuse both.
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
     shorthand = data.get("model")
     default_potential = default_field = None

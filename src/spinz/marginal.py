@@ -69,16 +69,12 @@ from collections.abc import Mapping
 from .core import Record, Spin, SpinSystem, external_field, interaction_strength
 
 __all__ = [
-    "LogRatio",
     "CompiledSystem",
     "compile_system",
     "PINNED_PLUS",
     "walk_log_ratio",
     "marginal_plus",
 ]
-
-LogRatio = float
-"""Extended-real log of the plus/minus marginal ratio; +-inf encode pinned spins."""
 
 _INF = math.inf
 
@@ -147,8 +143,7 @@ class CompiledSystem(
     and y are the two log-sum-exp terms of the edge factor at ``lam``, or
     the pinned factor and 0.0 when ``lam`` is infinite.  Edges with the
     same table bits share ``frontier``, ``errors`` and ``settled`` values
-    computed from the same bits, and equal ``spent`` values are one
-    object.
+    computed from the same bits.
     """
 
     __slots__ = ()
@@ -232,7 +227,6 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
     # walk sums them where a child is pinned.
     spent = []
     settled = []
-    share_spent = {}.setdefault
     shared_settled: dict[bytes, tuple[float, float]] = {}
     pack_ratio = struct.Struct("d").pack
     for row in rows:
@@ -243,10 +237,7 @@ def compile_system(system: SpinSystem) -> CompiledSystem:
                 edge = child[2]
                 lam += frontier[edge]
                 charge += errors[edge]
-            # Shared by value: a charge is never -0.0, so equal values have
-            # equal bits.
-            charge /= factors[6]
-            spent.append(share_spent(charge, charge))
+            spent.append(charge / factors[6])
             key = tables[below] + pack_ratio(lam)
             pair = shared_settled.get(key)
             if pair is None:

@@ -70,14 +70,14 @@ class SawNode:
 
 @dataclass(frozen=True)
 class SawTree:
-    """A built walk tree: root node, root vertex label, depth limit, the
-    total number of nodes constructed (the work bookkeeping), the root's
-    charge, what the truncation charged its branches in all (see
-    ``marginal.walk_log_ratio``), and the ``CompiledSystem`` the walk read,
-    outside repr and comparisons (None for a pinned root or depth 0)."""
+    """A built walk tree: root node (its ``origin`` is the root vertex),
+    depth limit, the total number of nodes constructed (the work
+    bookkeeping), the root's charge, what the truncation charged its
+    branches in all (see ``marginal.walk_log_ratio``), and the
+    ``CompiledSystem`` the walk read, outside repr and comparisons (None
+    for a pinned root or depth 0)."""
 
     root: SawNode
-    root_vertex: int
     depth_limit: int
     node_count: int
     charge: float = 0.0
@@ -135,10 +135,10 @@ def build_saw_tree(
     pinned = checked_condition(graph.n, None, condition)
     root_spin = pinned.get(root)
     if root_spin is not None:
-        return SawTree(SawNode(root, 0, root_spin, []), root, depth_limit, 1)
+        return SawTree(SawNode(root, 0, root_spin, []), depth_limit, 1)
     root_node = SawNode(root, 0, None, [], stopped=depth_limit == 0)
     if depth_limit == 0:
-        return SawTree(root_node, root, depth_limit, 1)
+        return SawTree(root_node, depth_limit, 1)
     compiled = compile_system(system)
     allowance = 0.0 if uniform else root_allowance(system, root, depth_limit, pinned, compiled)
     record: list[tuple[int, int, int | None]] = []
@@ -153,7 +153,7 @@ def build_saw_tree(
         del path[depth:]
         path[-1].children.append(node)
         path.append(node)
-    return SawTree(root_node, root, depth_limit, 1 + len(record), charge, compiled)
+    return SawTree(root_node, depth_limit, 1 + len(record), charge, compiled)
 
 
 def tree_log_ratio(system: SpinSystem, tree: SawTree, frontier: float | None = None) -> float:

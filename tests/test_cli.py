@@ -54,6 +54,8 @@ def test_render_json_nonfinite_floats():
     text = render_json({"a": math.inf, "b": -math.inf, "c": math.nan})
     data = json.loads(text)
     assert data == {"a": "inf", "b": "-inf", "c": "nan"}
+    with pytest.raises(TypeError, match="^cannot render set as JSON$"):
+        render_json({"a": {1}})
 
 
 def test_render_json_pins_every_token_type():
@@ -238,11 +240,13 @@ def test_exact_matches_library(tmp_path, capsys):
 
 def test_exact_with_condition(tmp_path, capsys):
     graph = write_triangle(tmp_path)
-    code, out, _ = run_cli(capsys, "exact", "--graph", graph, "--cond", "1=+, 3=-")
-    assert code == 0
-    report = json.loads(out)
-    assert report["condition"] == {"1": "+", "3": "-"}
-    assert report["free_vertices"] == 1
+    # an empty term between commas is skipped
+    for cond in ("1=+, 3=-", "1=+,,3=-"):
+        code, out, _ = run_cli(capsys, "exact", "--graph", graph, "--cond", cond)
+        assert code == 0
+        report = json.loads(out)
+        assert report["condition"] == {"1": "+", "3": "-"}
+        assert report["free_vertices"] == 1
 
 
 def test_gen_then_exact_pipeline(tmp_path, capsys):
@@ -465,9 +469,9 @@ def test_missing_file_exit_1(capsys):
 HUGE = 10**400  # an int no float can hold
 
 
-def _table_file(pp=0.1, h_plus=0.0):
+def _table_file(pp=0.1, h_plus=0.0, schema_version=1):
     return json.dumps({
-        "schema_version": 1,
+        "schema_version": schema_version,
         "vertices": [{"id": 1, "h_plus": h_plus, "h_minus": 0.0},
                      {"id": 2, "h_plus": 0.0, "h_minus": 0.0}],
         "edges": [{"u": 1, "v": 2, "beta": {"pp": pp, "pm": -0.1, "mp": -0.1, "mm": 0.1}}],
@@ -498,6 +502,12 @@ MALFORMED = {
     "log-z-hat-nan": _fields_file([-1e308, -1e308], [0.0, 0.0], [(1, 2, 0.1)]),
     "nested-200000-deep": "[" * 200_000,
     "raw-0xff-byte": b'{"schema_version": 1, \xff}',
+    # equal to 1 in Python, but ids refuse bools and floats, and so does this
+    "schema-version-true": _table_file(schema_version=True),
+    "schema-version-1.0": _table_file(schema_version=1.0),
+    # valid parameters, but no simple pairing turns up within the bound
+    "gen-random-regular-near-complete": ("gen", "--family", "random_regular",
+                                         "--n", "10", "--degree", "9"),
     "gen-degree-inf": ("gen", "--family", "random_regular", "--n", "6", "--degree", "inf"),
     "gen-erdos-degree-nan": ("gen", "--family", "erdos_renyi", "--n", "6", "--degree", "nan"),
     "gen-erdos-degree-inf": ("gen", "--family", "erdos_renyi", "--n", "6", "--degree", "inf"),

@@ -67,6 +67,8 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(3, [(1, 4)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(True, 2)])
+    with pytest.raises(ValueError, match=r"^vertex count must be a nonnegative integer, got 3\.0$"):
+        Graph.from_edges(3.0, [(1, 2)])
 
 
 def test_graph_distances():
@@ -76,6 +78,8 @@ def test_graph_distances():
     assert 5 not in d
     assert g.vertices_at_distance(1, 2) == (3,)
     assert g.vertices_at_distance(1, 9) == ()
+    with pytest.raises(ValueError, match="^distance must be nonnegative$"):
+        g.vertices_at_distance(1, -1)
     assert not g.is_connected()
 
 
@@ -176,6 +180,9 @@ def test_critical_inverse_temperature_examples():
     assert critical_inverse_temperature(4) == pytest.approx(0.34657359027997264, abs=1e-15)
     assert critical_inverse_temperature(2) == math.inf
     assert critical_inverse_temperature(0) == math.inf
+    for degree in (True, -1, 3.0):
+        with pytest.raises(ValueError, match="^degree must be a nonnegative integer"):
+            critical_inverse_temperature(degree)
 
 
 def test_critical_inverse_temperature_decreases():
@@ -188,6 +195,13 @@ def test_decay_function_examples():
     assert decay_function(1, 0.7, 5) == pytest.approx(4 * 0.7 * 5, abs=1e-12)
     assert decay_function(4, 0.0, 3) == 0.0
     assert decay_function(3, 0.3, 3) == pytest.approx(1.2220277496965393, abs=1e-12)
+    for args, message in (
+        ((0, 0.3, 3), "distance must be at least 1"),
+        ((1, -0.1, 3), "coupling must be nonnegative"),
+        ((1, 0.3, 0), "degree must be at least 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decay_function(*args)
 
 
 def test_decay_function_decreasing_when_subcritical():
@@ -285,6 +299,8 @@ def test_oriented_potential_transposes():
     backward = sys_.oriented_potential(2, 1)
     assert (forward.pp, forward.pm, forward.mp, forward.mm) == (1.0, 2.0, 3.0, 4.0)
     assert (backward.pp, backward.pm, backward.mp, backward.mm) == (1.0, 3.0, 2.0, 4.0)
+    with pytest.raises(ValueError, match="^no edge between 1 and 1$"):
+        sys_.oriented_potential(1, 1)
 
 
 RECORD_FIELDS = {

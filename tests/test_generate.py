@@ -14,6 +14,7 @@ from spinz import (
     attach_spin_model,
     build_family_graph,
     exact_log_partition,
+    families,
     generate,
     ising_system,
     parse_system,
@@ -54,15 +55,27 @@ def test_random_regular_degree_audit():
         assert all(graph.degree(v) == 3 for v in graph.vertices())
     graph = build_family_graph("random_regular", n=9, degree=4, seed=0)
     assert all(graph.degree(v) == 4 for v in graph.vertices())
+    assert build_family_graph("random_regular", n=4, degree=0).edges == ()
 
 
-def test_random_regular_rejects_bad_parameters():
+def test_random_regular_rejects_bad_parameters(monkeypatch):
     with pytest.raises(ValueError):
         build_family_graph("random_regular", n=5, degree=3, seed=0)  # odd n*d
     with pytest.raises(ValueError):
         build_family_graph("random_regular", n=4, degree=4, seed=0)  # d >= n
     with pytest.raises(ValueError):
         build_family_graph("random_regular", n=4, degree=2.5, seed=0)
+    # n=6, degree=3, seed 0 finds its first simple pairing on attempt 5: a
+    # bound of 5 keeps that graph, and a bound of 4 refuses it.
+    graph = build_family_graph("random_regular", n=6, degree=3, seed=0)
+    monkeypatch.setattr(families, "_MAX_PAIRING_ATTEMPTS", 5)
+    assert build_family_graph("random_regular", n=6, degree=3, seed=0) == graph
+    monkeypatch.setattr(families, "_MAX_PAIRING_ATTEMPTS", 4)
+    with pytest.raises(ValueError) as info:
+        build_family_graph("random_regular", n=6, degree=3, seed=0)
+    assert str(info.value) == (
+        "random_regular found no simple graph with n=6, degree=3 in 4 pairing attempts"
+    )
 
 
 def test_erdos_renyi_mean_edge_count():

@@ -115,6 +115,8 @@ def test_truncation_depth_degenerate_degrees():
     assert truncation_depth(5, 0.4, 1, 0.1) == 1
     assert truncation_depth(5, 0.4, 0, 0.1) == 1
     assert truncation_depth(10**6, 50.0, 1, 1e-12) == 1
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        truncation_depth(5, 0.4, -1, 0.1)
 
 
 def test_truncation_depth_at_the_edge_of_contraction():

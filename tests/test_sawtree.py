@@ -61,7 +61,7 @@ def test_triangle_golden_tree():
     system = ising_system(build_family_graph("cycle", n=3), 0.4)
     tree = build_saw_tree(system, 1, 3)
     assert tree.node_count == 7
-    assert tree.root_vertex == 1
+    assert tree.root.origin == 1
     assert format_saw_tree(tree) == TRIANGLE_DUMP
     # the two walks around the triangle close with opposite boundary spins
     plus_leaf = tree.root.children[0].children[0].children[0]
