@@ -7,7 +7,8 @@ cannot reach: long cycles and grid strips of a few rows, the first for one
 coupling and field, the second for any tables.  equal_split_depths
 counts the walk tree of the equal allowance split, against which the
 estimator's spent split is checked.  The instance builders centralize the
-seeded recipes used by several test modules.
+seeded recipes used by several test modules; the benchmark's are read from
+``perfbench/run.py``, whose directory this module puts on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -16,20 +17,26 @@ import itertools
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from spinz import (
     EdgePotential,
+    GenSpec,
     Graph,
     Spin,
     SpinSystem,
     VertexField,
     build_family_graph,
     critical_inverse_temperature,
+    generate,
     ising_potential,
-    parse_system,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import run  # noqa: E402  (the benchmark's workloads)
 
 PETERSEN_EDGES = [
     (1, 2), (2, 3), (3, 4), (4, 5), (1, 5),
@@ -198,9 +205,12 @@ def equal_split_depths(compiled, stops, root: int, depth_limit: int, allowance: 
     return depths
 
 
-def identity_instance() -> SpinSystem:
-    """The 5x6 random-table grid that CI estimates on every Python version
-    and compares byte for byte, drawn the same way from random.Random(1)."""
+def identity_document() -> str:
+    """The JSON file of the 5x6 random-table grid drawn from
+    random.Random(1), which CI writes, estimates on every Python version and
+    compares byte for byte.  It lists the row edges first: parse_system
+    keeps that order, in which all_plus_log_weight sums the tables, while
+    save_system would list the edges sorted and change the sum's last bit."""
     rng = random.Random(1)
     rows, cols = 5, 6
 
@@ -212,14 +222,28 @@ def identity_instance() -> SpinSystem:
 
     edges = [(label(r, c), label(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
     edges += [(label(r, c), label(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
-    return parse_system(json.dumps({
+    return json.dumps({
         "schema_version": 1,
         "vertices": [{"id": v, "h_plus": entry(0.3), "h_minus": entry(0.3)}
                      for v in range(1, rows * cols + 1)],
         "edges": [{"u": u, "v": v, "beta": dict(pp=entry(0.15), pm=entry(0.15),
                                                 mp=entry(0.15), mm=entry(0.15))}
                   for u, v in edges],
-    }))
+    })
+
+
+def again_instance() -> SpinSystem:
+    """The random-table 3-regular graph on 10 vertices, called "again",
+    whose estimate at eps 0.1 sweeps twice."""
+    return generate(GenSpec(
+        "random_regular", n=10, degree=3, model="random", coupling=0.5, field_strength=1.0, seed=11
+    ))
+
+
+def benchmark_spec(name: str, seed: int) -> GenSpec:
+    """The GenSpec of the named benchmark workload with ``seed``; the
+    workload's i-th instance at benchmark seed s has seed s * instances + i."""
+    return GenSpec(**run.WORKLOADS[name]["spec"], seed=seed)
 
 
 def random_system(rng, n: int, edge_prob: float = 0.5, coupling: float = 1.0, field: float = 1.0) -> SpinSystem:

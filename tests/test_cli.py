@@ -28,6 +28,8 @@ from spinz import (
 )
 from spinz.cli import main, render_json
 
+from .helpers import again_instance
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -136,8 +138,7 @@ def test_estimate_accuracy_through_cli(tmp_path, capsys):
 def test_estimate_runs_are_bit_identical(tmp_path, capsys):
     # The triangle, and a random-table instance whose estimate sweeps twice.
     again = tmp_path / "again.json"
-    save_system(generate(GenSpec("random_regular", n=10, degree=3, model="random",
-                                 coupling=0.5, field_strength=1.0, seed=11)), again)
+    save_system(again_instance(), again)
     for graph, eps in ((write_triangle(tmp_path), "0.05"), (str(again), "0.1")):
         _, first, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", eps)
         _, second, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", eps)

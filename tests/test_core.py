@@ -22,6 +22,7 @@ from spinz import (
     interaction_strength,
     ising_field,
     ising_potential,
+    ising_system,
     fptas_log_partition,
     system_scalars,
     SystemScalars,
@@ -209,32 +210,24 @@ def test_decay_function_decreasing_when_subcritical():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def _ising_system(graph: Graph, coupling: float, field: float = 0.0) -> SpinSystem:
-    return SpinSystem(
-        graph,
-        {e: ising_potential(coupling) for e in graph.edges},
-        {v: ising_field(field) for v in graph.vertices()},
-    )
-
-
 def test_system_scalars_decay_condition():
     g = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
-    hold = system_scalars(_ising_system(g, 0.5))
+    hold = system_scalars(ising_system(g, 0.5))
     assert hold.degree_bound == 3
     assert hold.contraction == pytest.approx(0.9242343145200195, abs=1e-15)
     assert decay_condition_holds(hold)
 
-    broken = system_scalars(_ising_system(g, 0.6))
+    broken = system_scalars(ising_system(g, 0.6))
     assert broken.contraction == pytest.approx(1.0740991339960706, abs=1e-15)
     assert not decay_condition_holds(broken)
 
-    assert decay_condition_holds(system_scalars(_ising_system(g, 0.0)))
+    assert decay_condition_holds(system_scalars(ising_system(g, 0.0)))
 
 
 def test_system_scalars_at_derives_the_rate_and_the_critical_coupling():
     scalars = SystemScalars.at(0.5, 3)
     assert scalars == SystemScalars(0.5, 3, critical_inverse_temperature(3), 2 * math.tanh(0.5))
-    assert system_scalars(_ising_system(Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)]), 0.5)) == scalars
+    assert system_scalars(ising_system(Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)]), 0.5)) == scalars
     # The rate is floored at 0: no edges, degree 1 or J = 0 contract fully.
     assert SystemScalars.at(0.0, 0).contraction == 0.0
     assert SystemScalars.at(0.7, 1).contraction == 0.0

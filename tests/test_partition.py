@@ -5,7 +5,6 @@ import hashlib
 import math
 import random
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +33,11 @@ from spinz import (
     frontier_count,
     ising_potential,
     ising_system,
+    load_system,
     marginal_plus,
+    parse_system,
     root_allowance,
     root_share,
-    save_system,
     system_scalars,
     tree_log_ratio,
     truncation_depth,
@@ -46,15 +46,15 @@ from spinz import (
 import spinz.partition
 from spinz.marginal import PINNED_PLUS
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import reference  # noqa: E402  (the benchmark's exact reference)
-
 from .helpers import (
     acceptance_instance,
+    again_instance,
+    benchmark_spec,
     equal_split_depths,
-    identity_instance,
+    identity_document,
     ising_strip_log_z,
     random_system,
+    run,
     strip_log_z,
 )
 
@@ -741,42 +741,32 @@ def test_ising_strip_log_z_matches_enumeration():
             assert strip_log_z(system, rows, cols, periodic) == pytest.approx(want, abs=1e-12)
 
 
-def test_fptas_within_eps_at_benchmark_size(tmp_path):
+def test_fptas_within_eps_at_benchmark_size(tmp_path, monkeypatch):
     # The guarantee at and beyond the sizes the benchmark solves, far past
-    # the brute-force oracle's reach: on Ising strips (the 6x8 one is where
-    # the allowance split prunes the most nodes), on random-table strips,
-    # where the edges' frontier errors differ, on the 5x6 random-table
-    # grid that CI estimates on every Python version, and on the random
-    # 3-regular graphs that the rr3-deep workload solves.
-    cases = []
-    for rows, cols, coupling, periodic in (
-        (1, 400, 0.5, True), (4, 6, 0.2, False), (4, 12, 0.2, False), (6, 8, 0.2, False)
-    ):
-        if periodic:
-            graph = build_family_graph("cycle", n=cols)
-        else:
-            graph = build_family_graph("grid", rows=rows, cols=cols)
-        exact = ising_strip_log_z(rows, cols, coupling, 0.1, periodic)
-        cases.append((ising_system(graph, coupling, 0.1), exact, (rows, cols)))
+    # the brute-force oracle's reach: on every instance each workload
+    # solves at benchmark seed 1, written and checked against its exact
+    # log Z by the benchmark's own prepare, on larger Ising strips (the 6x8
+    # one is where the allowance split prunes the most nodes), on
+    # random-table strips, where the edges' frontier errors differ, and on
+    # the 5x6 random-table grid that CI estimates on every Python version.
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    cases = [
+        (load_system(inst["path"]), inst["exact_log_z"], (name, inst["spec"]["seed"]))
+        for name, workload in run.WORKLOADS.items()
+        for inst in run.prepare(workload, 1)
+    ]
     for rows, cols in ((4, 12), (6, 8)):
+        graph = build_family_graph("grid", rows=rows, cols=cols)
+        exact = ising_strip_log_z(rows, cols, 0.2, 0.1)
+        cases.append((ising_system(graph, 0.2, 0.1), exact, (rows, cols)))
         for seed in range(1, 4):
             system = generate(GenSpec(
                 "grid", rows=rows, cols=cols, model="random", coupling=0.2,
                 field_strength=0.3, seed=seed,
             ))
             cases.append((system, strip_log_z(system, rows, cols), (rows, cols, seed)))
-    system = identity_instance()
+    system = parse_system(identity_document())
     cases.append((system, strip_log_z(system, 5, 6), "identity"))
-    # The sixteen rr3-deep graphs of seed 1, against the benchmark's own
-    # elimination reference, which reads the saved file.
-    for seed in range(16, 32):
-        system = generate(GenSpec(
-            "random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=seed
-        ))
-        path = tmp_path / f"rr3-{seed}.json"
-        save_system(system, path)
-        exact = reference.elimination_log_partition(reference.read_instance(path))
-        cases.append((system, exact, ("rr3", seed)))
     for system, exact, name in cases:
         for eps in (0.1, 0.01):
             assert abs(fptas_log_partition(system, eps).log_z_hat - exact) <= eps, (name, eps)
@@ -790,17 +780,11 @@ def test_rr3_deep_and_cycle_sweep_reports_are_pinned():
     # roots the larger allowances, and kappa those whose lookahead log
     # ratio is positive.  At degree 2 the walks keep the uniform tree,
     # whichever way the allowance is split.
-    for system, log_z_hat, nodes in (
-        (
-            generate(GenSpec(
-                "random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=16
-            )),
-            "0x1.f07f9226ce5f8p+4",
-            2836,
-        ),
-        (ising_system(build_family_graph("cycle", n=400), 0.5, 0.1), "0x1.4aa9507e97654p+8", 4372),
+    for name, seed, log_z_hat, nodes in (
+        ("rr3-deep", 16, "0x1.f07f9226ce5f8p+4", 2836),
+        ("cycle-sweep", 1, "0x1.4aa9507e97654p+8", 4372),
     ):
-        report = fptas_log_partition(system, 0.1)
+        report = fptas_log_partition(generate(benchmark_spec(name, seed)), 0.1)
         assert (report.log_z_hat.hex(), report.total_nodes) == (log_z_hat, nodes)
 
 
@@ -862,13 +846,11 @@ def test_fptas_sweeps_again_as_many_levels_deeper_as_the_rate_needs():
             assert split != walks
 
 
-@pytest.mark.parametrize("spec, sweeps", [
-    (GenSpec(
-        "random_regular", n=10, degree=3, model="random", coupling=0.5, field_strength=1.0, seed=11
-    ), 2),
-    (GenSpec("random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=16), 1),
+@pytest.mark.parametrize("system, sweeps", [
+    (again_instance(), 2),
+    (generate(benchmark_spec("rr3-deep", 16)), 1),
 ], ids=["again", "rr3-deep"])
-def test_report_allowances_and_charges_rebuild_every_tree(spec, sweeps):
+def test_report_allowances_and_charges_rebuild_every_tree(system, sweeps):
     # Each vertex of the report carries the root allowance, the charge and
     # the pin of its walk, kept out of to_dict, so the report alone rebuilds
     # every walk over one compile_system: under pinned_before, at the
@@ -881,7 +863,6 @@ def test_report_allowances_and_charges_rebuild_every_tree(spec, sweeps):
     # every lower label pinned to +.  A VertexEstimate built from its four
     # serialized fields leaves the other three None, and a report of such
     # records refuses pinned_before, as it does a vertex the report lacks.
-    system = generate(spec)
     report = fptas_log_partition(system, 0.1)
     depth = report.truncation_depth
     assert report.sweeps == sweeps
@@ -993,21 +974,20 @@ def test_degree_two_sweeps_certify_from_their_charges():
         assert abs(report.log_z_hat - exact_log_partition(system)) <= eps, (system.n, eps)
 
 
-@pytest.mark.parametrize("spec", [
-    GenSpec("random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1),
-    GenSpec("grid", rows=4, cols=6, coupling=0.2, field_strength=0.1),
-    GenSpec("cycle", n=400, coupling=0.5, field_strength=0.1),
-], ids=["rr3-deep", "grid-strip", "cycle-sweep"])
-def test_benchmark_families_certify_at_the_start_depth(spec):
+@pytest.mark.parametrize("name", list(run.WORKLOADS))
+def test_benchmark_families_certify_at_the_start_depth(name):
     # The benchmark's traced run rebuilds every tree at truncation_depth,
-    # so its instances must certify eps = 0.1 in the first sweep, and every
-    # vertex report that depth; seed 16 is rr3-deep's first instance at
-    # benchmark seed 1.
-    for seed in (*range(5), 16):
-        system = generate(dataclasses.replace(spec, seed=seed))
+    # so each workload's instances must certify its eps in the first
+    # sweep, and every vertex report that depth: seeds 0-4, and the first
+    # instance at benchmark seed 1, whose seed is the workload's instance
+    # count (16 on rr3-deep).
+    workload = run.WORKLOADS[name]
+    eps = workload["eps"]
+    for seed in sorted({*range(5), workload["instances"]}):
+        system = generate(benchmark_spec(name, seed))
         scalars = system_scalars(system)
-        report = fptas_log_partition(system, 0.1)
-        start = truncation_depth(system.n, scalars.max_coupling, scalars.degree_bound, 0.1)
+        report = fptas_log_partition(system, eps)
+        start = truncation_depth(system.n, scalars.max_coupling, scalars.degree_bound, eps)
         assert report.truncation_depth == start, seed
         assert all(v.depth == start for v in report.vertices), seed
 
@@ -1111,10 +1091,7 @@ def _assert_sweep_walks_match_trees(system, depth):
         stops[vertex] = PINNED_PLUS
 
 
-BENCHMARK_SPECS = [
-    GenSpec("random_regular", n=40, degree=3, coupling=0.3, field_strength=0.1, seed=16),
-    GenSpec("grid", rows=4, cols=6, coupling=0.2, field_strength=0.1, seed=1),
-]
+BENCHMARK_SPECS = [benchmark_spec("rr3-deep", 16), benchmark_spec("grid-strip", 1)]
 
 
 # The start sweep's trees, pin-by-rank, as format_saw_tree dumps them:
