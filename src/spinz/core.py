@@ -294,12 +294,39 @@ class VertexField(Record, namedtuple("VertexField", "h_plus h_minus")):
         return self.h_plus if Spin(spin) is Spin.PLUS else self.h_minus
 
 
+def _keyed(keys, given: Mapping, what: str) -> dict:
+    """``given`` copied into a new dict in the order of ``keys``, or a
+    ValueError that begins with ``what`` unless its keys are exactly ``keys``."""
+    given = dict(given)  # first, or a defaultdict's lookup would add a missing key
+    try:
+        ordered = {key: given[key] for key in keys}
+        if len(ordered) == len(given):
+            return ordered
+    except KeyError:
+        pass
+    expected, got = set(keys), set(given)
+    raise ValueError(
+        f"{what}; missing={_listed(expected - got)}, unexpected={_listed(got - expected)}"
+    )
+
+
+def _listed(keys: set) -> list:
+    """``keys`` sorted for an error message; by repr where they do not compare."""
+    try:
+        return sorted(keys)
+    except TypeError:
+        return sorted(keys, key=repr)
+
+
 class SpinSystem(Record, namedtuple("SpinSystem", "graph potentials fields")):
     """A graph plus one potential per edge and one field per vertex.
 
     Potentials are keyed by (u, v) with u < v and read in that orientation;
     ``oriented_potential`` serves the reverse reading.  The two mappings are
-    copied into new dicts on construction.
+    copied into new dicts in label order: potentials in the order of
+    ``graph.edges``, fields 1..n.  Every sum over the tables runs in that
+    order, so equal systems give equal reports, whatever order their
+    mappings or files listed the tables in.
     """
 
     __slots__ = ()
@@ -310,21 +337,12 @@ class SpinSystem(Record, namedtuple("SpinSystem", "graph potentials fields")):
         potentials: Mapping[tuple[int, int], EdgePotential],
         fields: Mapping[int, VertexField],
     ):
-        expected = set(graph.edges)
-        got = set(potentials)
-        if got != expected:
-            raise ValueError(
-                "potential keys must be exactly the edge set keyed (u, v) with u < v; "
-                f"missing={sorted(expected - got)}, unexpected={sorted(got - expected)}"
-            )
-        expected_v = set(graph.vertices())
-        got_v = set(fields)
-        if got_v != expected_v:
-            raise ValueError(
-                "field keys must be exactly the vertex set; "
-                f"missing={sorted(expected_v - got_v)}, unexpected={sorted(got_v - expected_v)}"
-            )
-        return super().__new__(cls, graph, dict(potentials), dict(fields))
+        potentials = _keyed(
+            graph.edges, potentials,
+            "potential keys must be exactly the edge set keyed (u, v) with u < v",
+        )
+        fields = _keyed(graph.vertices(), fields, "field keys must be exactly the vertex set")
+        return super().__new__(cls, graph, potentials, fields)
 
     @property
     def n(self) -> int:

@@ -10,6 +10,10 @@ reads.  Only the standard library is used.
 The parser checks the file's shape and vertex ids; ``core._finite`` checks
 its numbers and ``Graph.from_edges`` its edges, with located errors such as
 ``edges[3].beta.pp must be finite, got inf``.
+
+Neither the order a file lists its vertices and edges in nor the
+orientation an edge is written in changes any report: ``SpinSystem``
+stores the tables in label order, which every sum over them follows.
 """
 
 from __future__ import annotations
@@ -122,9 +126,7 @@ def _system_from(data) -> SpinSystem:
             raise ValueError(f"edges[{i}]: missing beta and no model shorthand")
         potentials[(u, v) if u < v else (v, u)] = table
 
-    # Keyed by construction: fields by the n distinct ids 1..n, potentials by
-    # the graph's own edge keys.  ``_make`` does not check the keys again.
-    return SpinSystem._make((graph, potentials, fields))
+    return SpinSystem(graph, potentials, fields)
 
 
 def load_system(path) -> SpinSystem:

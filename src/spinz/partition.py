@@ -213,7 +213,8 @@ def root_allowance(
 
 def all_plus_log_weight(system: SpinSystem) -> float:
     """Log-weight of the configuration with every spin +: sum of pp entries
-    plus sum of h_plus entries.  Zero for the empty graph.
+    plus sum of h_plus entries, each in label order, the order
+    ``SpinSystem`` stores them in.  Zero for the empty graph.
 
     Plain left-to-right float additions, not builtin ``sum``, which
     compensates on Python 3.12 and later: the weight, and with it

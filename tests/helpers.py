@@ -208,9 +208,9 @@ def equal_split_depths(compiled, stops, root: int, depth_limit: int, allowance: 
 def identity_document() -> str:
     """The JSON file of the 5x6 random-table grid drawn from
     random.Random(1), which CI writes, estimates on every Python version and
-    compares byte for byte.  It lists the row edges first: parse_system
-    keeps that order, in which all_plus_log_weight sums the tables, while
-    save_system would list the edges sorted and change the sum's last bit."""
+    compares byte for byte.  It lists the row edges first, not in the
+    sorted order save_system writes: on every Python version CI runs, its
+    report then checks that parse_system puts the tables in label order."""
     rng = random.Random(1)
     rows, cols = 5, 6
 
@@ -230,6 +230,20 @@ def identity_document() -> str:
                                                 mp=entry(0.15), mm=entry(0.15))}
                   for u, v in edges],
     })
+
+
+def reversed_document(text: str) -> str:
+    """The graph file ``text`` with its vertices and edges listed in reverse
+    and every other edge written as (v, u), its table transposed: the same
+    system, listed another way."""
+    data = json.loads(text)
+    data["vertices"].reverse()
+    data["edges"].reverse()
+    for entry in data["edges"][::2]:
+        entry["u"], entry["v"] = entry["v"], entry["u"]
+        beta = entry["beta"]
+        beta["pm"], beta["mp"] = beta["mp"], beta["pm"]
+    return json.dumps(data)
 
 
 def again_instance() -> SpinSystem:

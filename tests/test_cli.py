@@ -28,7 +28,7 @@ from spinz import (
 )
 from spinz.cli import main, render_json
 
-from .helpers import again_instance
+from .helpers import again_instance, identity_document, reversed_document
 
 
 def run_cli(capsys, *argv):
@@ -136,13 +136,26 @@ def test_estimate_accuracy_through_cli(tmp_path, capsys):
 
 
 def test_estimate_runs_are_bit_identical(tmp_path, capsys):
-    # The triangle, and a random-table instance whose estimate sweeps twice.
-    again = tmp_path / "again.json"
+    # The triangle, and a random-table instance whose estimate sweeps twice,
+    # each run twice; and the CI identity grid, listed rows first, against
+    # the same system listed in reverse with some edges written (v, u).  Its
+    # exact report pins vertices 1..14, or brute force would refuse it.
+    triangle, again = write_triangle(tmp_path), tmp_path / "again.json"
     save_system(again_instance(), again)
-    for graph, eps in ((write_triangle(tmp_path), "0.05"), (str(again), "0.1")):
-        _, first, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", eps)
-        _, second, _ = run_cli(capsys, "estimate", "--graph", graph, "--eps", eps)
-        assert first == second
+    rows, rewritten = tmp_path / "rows.json", tmp_path / "reversed.json"
+    rows.write_text(identity_document())
+    rewritten.write_text(reversed_document(identity_document()))
+    pins = ",".join(f"{v}=+" for v in range(1, 15))
+    runs = (
+        (triangle, triangle, ("estimate", "--eps", "0.05")),
+        (again, again, ("estimate", "--eps", "0.1")),
+        (rows, rewritten, ("estimate", "--eps", "0.1")),
+        (rows, rewritten, ("exact", "--cond", pins)),
+    )
+    for one, other, argv in runs:
+        code, first, _ = run_cli(capsys, *argv, "--graph", str(one))
+        _, second, _ = run_cli(capsys, *argv, "--graph", str(other))
+        assert code == 0 and first == second
 
 
 def test_readme_estimate_example_prints_its_report(tmp_path, capsys, monkeypatch):

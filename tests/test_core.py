@@ -279,6 +279,20 @@ def test_spin_system_validates_keys():
         )
     with pytest.raises(ValueError):
         SpinSystem(g, {(1, 2): ising_potential(0.1)}, {1: VertexField(0, 0)})
+    # Keys of mixed types are listed by repr, since they do not compare.
+    g = Graph.from_edges(4, [(1, 2), (3, 4)])
+    p, f = ising_potential(0.1), VertexField(0, 0)
+    with pytest.raises(ValueError) as info:
+        SpinSystem(g, {(1, 2): p, "a": p, (5, 6): p}, {v: f for v in g.vertices()})
+    assert str(info.value) == (
+        "potential keys must be exactly the edge set keyed (u, v) with u < v; "
+        "missing=[(3, 4)], unexpected=['a', (5, 6)]"
+    )
+    with pytest.raises(ValueError) as info:
+        SpinSystem(g, {e: p for e in g.edges}, {v: f for v in (1, 2, "x", 7)})
+    assert str(info.value) == (
+        "field keys must be exactly the vertex set; missing=[3, 4], unexpected=['x', 7]"
+    )
 
 
 def test_oriented_potential_transposes():

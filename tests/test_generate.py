@@ -21,7 +21,7 @@ from spinz import (
     serialize_system,
 )
 
-from .helpers import random_system
+from .helpers import random_system, reversed_document
 
 
 def test_path_cycle_complete_shapes():
@@ -166,6 +166,13 @@ def test_serialize_parse_round_trip_is_exact():
         assert back.potentials == system.potentials
         assert back.fields == system.fields
         assert serialize_system(back) == text
+        # The same system listed in reverse, some edges written (v, u):
+        # parsed into label order, so every sum over it has the same bits.
+        back = parse_system(reversed_document(text))
+        assert list(back.potentials) == list(back.graph.edges)
+        assert list(back.fields) == list(range(1, system.n + 1))
+        assert serialize_system(back) == text
+        assert exact_log_partition(back).hex() == exact_log_partition(system).hex()
 
 
 def test_parse_ising_shorthand_matches_generate():
