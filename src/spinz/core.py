@@ -9,9 +9,10 @@ J, ``SystemScalars.at`` the rate and ``decay_condition_holds`` the verdict.
 The decay envelope they give, ``oracle.decay_function``, lives with the
 checks that measure it, off the estimate path.
 
-Each fact is checked once, here, and the graph file parser shares the
+Each fact is checked once, here, and the rest of the package shares the
 checks: ``_finite`` every number (an int beyond the float range is not
-finite), ``Graph.from_edges`` every edge's labels, self-loops and duplicates.
+finite) and ``_real`` every one with a sign rule, ``_count`` every count,
+``Graph.from_edges`` every edge's labels, self-loops and duplicates.
 
 The records here are namedtuple subclasses rather than dataclasses: they
 are defined on every import, and a namedtuple class costs a tenth of a
@@ -120,6 +121,8 @@ def checked_condition(n: int, root, condition: Mapping[int, Spin] | None) -> Con
             raise ValueError(
                 f"conditioned vertex {_shown(vertex)} is not in the graph (valid labels are 1..{n})"
             )
+        if isinstance(spin, (bool, float)):  # Spin(True) and Spin(1.0) would be Spin.PLUS
+            raise ValueError(f"{spin!r} is not a valid Spin")
         cond[vertex] = Spin(spin)
     if root in cond:
         raise ValueError(f"vertex {root} is conditioned; its marginal is pinned")
@@ -165,6 +168,27 @@ def _finite(value, where: str, index: int = 0) -> float:
     return number
 
 
+def _real(value, where: str, positive: bool = False):
+    """``value``, unchanged, if ``_finite`` takes it and it is at least 0 (above
+    0 when ``positive``); otherwise a ValueError that names it as ``where``."""
+    try:
+        number = _finite(value, where)
+    except ValueError:
+        number = math.nan
+    if not (number > 0.0 if positive else number >= 0.0):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{where} must be a {sign} finite number, got {_shown(value)}")
+    return value
+
+
+def _count(value, where: str, minimum: int = 0) -> int:
+    """``value`` if it is an int of at least ``minimum``, of any size;
+    otherwise a ValueError that names it as ``where``.  Bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{where} must be an integer >= {minimum}, got {_shown(value)}")
+    return value
+
+
 class Graph(Record, namedtuple("Graph", "n edges adjacency")):
     """Simple undirected graph on vertices labeled 1..n.
 
@@ -184,8 +208,7 @@ class Graph(Record, namedtuple("Graph", "n edges adjacency")):
         Rejects labels outside 1..n, self-loops, and duplicate edges, naming
         the offending pair by position (``edges[3]: self-loop at vertex 2``).
         """
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+        _count(n, "n")
         adjacency: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for i, (u, v) in enumerate(edges):
@@ -237,8 +260,7 @@ class Graph(Record, namedtuple("Graph", "n edges adjacency")):
 
     def vertices_at_distance(self, v: int, distance: int) -> tuple[int, ...]:
         """Sorted labels of vertices at graph distance exactly `distance` from v."""
-        if distance < 0:
-            raise ValueError("distance must be nonnegative")
+        _count(distance, "distance")
         dist = self.distances_from(v)
         return tuple(sorted(u for u, d in dist.items() if d == distance))
 
@@ -383,9 +405,7 @@ def critical_inverse_temperature(degree: int) -> float:
     stays under 1.  Degrees 2 and below never contract away, so the
     threshold is +inf there.
     """
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
-    if degree <= 2:
+    if _count(degree, "degree") <= 2:
         return math.inf
     return 0.5 * math.log(degree / (degree - 2))
 
@@ -407,7 +427,7 @@ class SystemScalars(
     @classmethod
     def at(cls, max_coupling: float, degree_bound: int) -> "SystemScalars":
         """The scalars at a coupling and a degree bound, with the rate."""
-        contraction = (degree_bound - 1) * math.tanh(max_coupling)
+        contraction = (_finite(degree_bound, "degree") - 1.0) * math.tanh(max_coupling)
         if contraction <= 0.0:
             contraction = 0.0
         return cls(max_coupling, degree_bound, critical_inverse_temperature(degree_bound), contraction)

@@ -22,12 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import _LAZY_ALL
 from .core import (
-    EdgePotential,
-    Graph,
-    SpinSystem,
-    VertexField,
-    ising_field,
-    ising_potential,
+    EdgePotential, Graph, SpinSystem, VertexField, _count, _real, _shown, ising_field, ising_potential,
 )
 from .graphfile import SCHEMA_VERSION
 
@@ -97,15 +92,15 @@ def build_family_graph(
     probability degree / n.
     """
     if family == "path":
-        n = _require_count("n", n, minimum=1)
+        n = _count(n, "n", 1)
         return Graph.from_edges(n, [(i, i + 1) for i in range(1, n)])
     if family == "cycle":
-        n = _require_count("n", n, minimum=3)
+        n = _count(n, "n", 3)
         edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
         return Graph.from_edges(n, edges)
     if family == "grid":
-        rows = _require_count("rows", rows, minimum=1)
-        cols = _require_count("cols", cols, minimum=1)
+        rows = _count(rows, "rows", 1)
+        cols = _count(cols, "cols", 1)
         edges = []
         for r in range(1, rows + 1):
             for c in range(1, cols + 1):
@@ -116,30 +111,23 @@ def build_family_graph(
                     edges.append((label, label + cols))
         return Graph.from_edges(rows * cols, edges)
     if family == "complete":
-        n = _require_count("n", n, minimum=1)
+        n = _count(n, "n", 1)
         return Graph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
     if family == "random_regular":
-        n = _require_count("n", n, minimum=1)
-        if degree is None or degree % 1 != 0:  # inf % 1 and nan % 1 are nan
-            raise ValueError("random_regular requires an integer degree")
-        d = int(degree)
-        if not 0 <= d < n:
-            raise ValueError(f"regular degree must satisfy 0 <= degree < n, got {d} with n={n}")
+        n = _count(n, "n", 1)
+        if isinstance(degree, float) and degree.is_integer():  # `spinz gen` reads --degree as a float
+            degree = int(degree)
+        d = _count(degree, "degree")
+        if d >= n:
+            raise ValueError(f"regular degree must satisfy 0 <= degree < n, got {_shown(d)} with n={n}")
         if (n * d) % 2 != 0:
             raise ValueError(f"n * degree must be even, got n={n}, degree={d}")
         return _random_regular(n, d, seed)
     if family == "erdos_renyi":
-        n = _require_count("n", n, minimum=0)
-        if degree is None or not 0 <= degree < math.inf:  # nan and inf would give K_n
-            raise ValueError("erdos_renyi requires a finite nonnegative expected degree")
+        n = _count(n, "n")
+        _real(degree, "degree")  # nan and inf would give K_n
         return _erdos_renyi(n, float(degree), seed)
     raise ValueError(f"unknown family {family!r} (choose from {', '.join(FAMILIES)})")
-
-
-def _require_count(name: str, value, minimum: int) -> int:
-    if value is None or isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
 
 
 def _random_regular(n: int, degree: int, seed: int) -> Graph:

@@ -13,21 +13,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
 
 from . import _LAZY_ALL
 from .core import (
-    Condition,
-    Graph,
-    Record,
-    Spin,
-    SpinSystem,
-    SystemScalars,
-    checked_condition,
-    interaction_strength,
-    system_scalars,
+    Condition, Graph, Record, Spin, SpinSystem, SystemScalars, _count, _real, checked_condition,
+    interaction_strength, system_scalars,
 )
 from .families import attach_spin_model, build_family_graph, ising_system
 from .marginal import compile_system, marginal_plus, walk_log_ratio
@@ -263,14 +257,14 @@ def decay_function(distance: int, coupling: float, degree: int) -> float:
     those bounds, and certifies itself from the charges (see
     ``truncation_depth``).
     """
-    if distance < 1:
-        raise ValueError("distance must be at least 1")
-    if coupling < 0:
-        raise ValueError("coupling must be nonnegative")
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
+    _count(distance, "distance", 1)
+    _real(coupling, "coupling")
+    _count(degree, "degree", 1)
     rate = SystemScalars.at(coupling, degree).contraction
-    return 4.0 * coupling * degree * rate ** (distance - 1)
+    try:  # an exponent beyond the float range is the largest float, as in root_share
+        return 4.0 * coupling * degree * rate ** min(distance - 1, sys.float_info.max)
+    except OverflowError:  # a rate above 1 raised that high leaves the float range
+        return math.inf
 
 
 def max_boundary_gap(system: SpinSystem, vertex: int, sphere, trials: int, rng) -> tuple[float, str]:

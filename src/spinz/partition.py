@@ -56,14 +56,8 @@ from collections import namedtuple
 from collections.abc import Mapping
 
 from .core import (
-    DecayConditionError,
-    Graph,
-    Record,
-    Spin,
-    SpinSystem,
-    SystemScalars,
-    decay_condition_holds,
-    system_scalars,
+    DecayConditionError, Graph, Record, Spin, SpinSystem, SystemScalars, _count, _finite, _real,
+    decay_condition_holds, system_scalars,
 )
 from .marginal import PINNED_PLUS, CompiledSystem, compile_system, marginal_plus, walk_log_ratio
 
@@ -228,11 +222,6 @@ def all_plus_log_weight(system: SpinSystem) -> float:
     return edges + fields
 
 
-def _check_eps(eps: float) -> None:
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
-
-
 def _depths(n: int, scalars: SystemScalars, eps: float) -> tuple[int, int]:
     """The start depth of ``truncation_depth`` and the a-priori depth (the
     smallest t with n * degree * a * rate**(t - 1) <= eps) at ``scalars``,
@@ -246,7 +235,7 @@ def _depths(n: int, scalars: SystemScalars, eps: float) -> tuple[int, int]:
     levels = []
     # D = 4 * eps / (1 + sqrt(1 + 4 * eps)) in a form that cannot overflow
     for budget in (eps / (0.25 + 0.5 * math.sqrt(0.25 + eps)), eps):
-        scale = n * scalars.degree_bound * half_range / budget
+        scale = _finite(n * scalars.degree_bound, "n * degree") * half_range / budget
         raw = 0.0 if scale <= 1.0 else math.log(scale) / math.log(1.0 / rate)
         if not math.isfinite(raw):  # n * degree * a / budget overflowed
             raise ValueError(f"eps={eps!r} is too small: the walk-tree depth it needs is not finite")
@@ -292,19 +281,16 @@ def truncation_depth(n: int, coupling: float, degree: int, eps: float) -> int:
 
     Computed as max(1, ceil(log(n * degree * a / D) / log(1 / rate))),
     natural logs.  Raises DecayConditionError when rate >= 1, before a is
-    computed, so atanh never sees 1, and ValueError when eps is so small
-    that the depth overflows.  The answer is 1 when the rate is 0 or less
-    (zero coupling makes every edge factor constant; at degree 1 the
-    depth-1 frontier leaf has no children), and when
+    computed, so atanh never sees 1, and ValueError when eps is so small, or
+    n * degree so large, that the depth overflows.  The answer is 1 when the
+    rate is 0 or less (zero coupling makes every edge factor constant; at
+    degree 1 the depth-1 frontier leaf has no children), and when
     n * degree * a * rate is at most D, underflow to 0 included.
     """
-    if n < 1:
-        raise ValueError("vertex count must be at least 1")
-    if coupling < 0:
-        raise ValueError("coupling must be nonnegative")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    _check_eps(eps)
+    _count(n, "n", 1)
+    _real(coupling, "coupling")
+    _count(degree, "degree")
+    _real(eps, "eps", positive=True)
     return _depths(n, SystemScalars.at(coupling, degree), eps)[0]
 
 
@@ -344,7 +330,7 @@ def fptas_log_partition(
     ValueError when log_z_hat is not finite (no estimate is produced).
     """
     started = time.perf_counter()
-    _check_eps(eps)
+    _real(eps, "eps", positive=True)
     scalars = system_scalars(system)
     n = system.graph.n
     start, a_priori = _depths(n, scalars, eps) if n else (0, 0)

@@ -33,13 +33,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import _LAZY_ALL
-from .core import (
-    EdgePotential,
-    Spin,
-    SpinSystem,
-    _check_label,
-    checked_condition,
-)
+from .core import EdgePotential, Spin, SpinSystem, _check_label, _count, _shown, checked_condition
 from .marginal import CompiledSystem, _factor, _terms, compile_system, marginal_plus, walk_log_ratio
 from .partition import root_allowance
 
@@ -129,8 +123,7 @@ def build_saw_tree(
     order.
     """
     graph = system.graph
-    if depth_limit < 0:
-        raise ValueError("depth limit must be nonnegative")
+    _count(depth_limit, "depth_limit")
     _check_label(root, graph.n)
     pinned = checked_condition(graph.n, None, condition)
     root_spin = pinned.get(root)
@@ -246,15 +239,14 @@ def conditional_marginal_estimate(
     frontier, and whenever every frontier leaf has no child.  A conditioned
     ``vertex`` is refused, since its tree's root is pinned.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    _count(depth, "depth", 1)
     return marginal_plus(tree_log_ratio(system, build_saw_tree(system, vertex, depth, condition)))
 
 
 def frontier_count(tree: SawTree, level: int) -> int:
     """Number of nodes at depth exactly ``level`` (0 <= level <= depth limit)."""
-    if not 0 <= level <= tree.depth_limit:
-        raise ValueError(f"level {level} outside [0, {tree.depth_limit}]")
+    if _count(level, "level") > tree.depth_limit:
+        raise ValueError(f"level {_shown(level)} outside [0, {tree.depth_limit}]")
     count = 0
     stack = [tree.root]
     while stack:

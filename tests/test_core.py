@@ -68,7 +68,7 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(3, [(1, 4)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(True, 2)])
-    with pytest.raises(ValueError, match=r"^vertex count must be a nonnegative integer, got 3\.0$"):
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 0, got 3\.0$"):
         Graph.from_edges(3.0, [(1, 2)])
 
 
@@ -79,7 +79,7 @@ def test_graph_distances():
     assert 5 not in d
     assert g.vertices_at_distance(1, 2) == (3,)
     assert g.vertices_at_distance(1, 9) == ()
-    with pytest.raises(ValueError, match="^distance must be nonnegative$"):
+    with pytest.raises(ValueError, match="^distance must be an integer >= 0, got -1$"):
         g.vertices_at_distance(1, -1)
     assert not g.is_connected()
 
@@ -182,7 +182,7 @@ def test_critical_inverse_temperature_examples():
     assert critical_inverse_temperature(2) == math.inf
     assert critical_inverse_temperature(0) == math.inf
     for degree in (True, -1, 3.0):
-        with pytest.raises(ValueError, match="^degree must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^degree must be an integer >= 0, got "):
             critical_inverse_temperature(degree)
 
 
@@ -197,9 +197,9 @@ def test_decay_function_examples():
     assert decay_function(4, 0.0, 3) == 0.0
     assert decay_function(3, 0.3, 3) == pytest.approx(1.2220277496965393, abs=1e-12)
     for args, message in (
-        ((0, 0.3, 3), "distance must be at least 1"),
-        ((1, -0.1, 3), "coupling must be nonnegative"),
-        ((1, 0.3, 0), "degree must be at least 1"),
+        ((0, 0.3, 3), "distance must be an integer >= 1, got 0"),
+        ((1, -0.1, 3), "coupling must be a nonnegative finite number, got -0.1"),
+        ((1, 0.3, 0), "degree must be an integer >= 1, got 0"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             decay_function(*args)

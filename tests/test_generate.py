@@ -97,7 +97,7 @@ def test_erdos_renyi_edge_cases():
     assert len(dense.edges) == 15  # p capped at 1
     # min(1, nan / n) and min(1, inf / n) are 1: these would give K_n.
     for degree in (math.nan, math.inf, -1.0):
-        with pytest.raises(ValueError, match="finite nonnegative expected degree"):
+        with pytest.raises(ValueError, match="^degree must be a nonnegative finite number, got "):
             build_family_graph("erdos_renyi", n=6, degree=degree)
 
 

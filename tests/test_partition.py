@@ -115,7 +115,7 @@ def test_truncation_depth_degenerate_degrees():
     assert truncation_depth(5, 0.4, 1, 0.1) == 1
     assert truncation_depth(5, 0.4, 0, 0.1) == 1
     assert truncation_depth(10**6, 50.0, 1, 1e-12) == 1
-    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+    with pytest.raises(ValueError, match="^degree must be an integer >= 0, got -1$"):
         truncation_depth(5, 0.4, -1, 0.1)
 
 
