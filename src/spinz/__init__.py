@@ -61,7 +61,6 @@ _LAZY_ALL = {
         "check_contraction",
         "check_edge_factor_lipschitz",
         "decay_function",
-        "check_decay_bound",
         "measure_decay",
         "max_boundary_gap",
         "check_decay_geometric",

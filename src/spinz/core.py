@@ -53,9 +53,6 @@ class Spin(enum.IntEnum):
     PLUS = 1
     MINUS = -1
 
-    def __neg__(self) -> "Spin":
-        return Spin(-int(self))
-
     def __str__(self) -> str:
         return "+" if self is Spin.PLUS else "-"
 
@@ -230,20 +227,8 @@ class Graph(Record, namedtuple("Graph", "n edges adjacency")):
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        _check_label(v, self.n)
-        return self.adjacency[v - 1]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self.adjacency), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        _check_label(u, self.n)
-        _check_label(v, self.n)
-        return v in self.adjacency[u - 1]
 
     def distances_from(self, v: int) -> dict[int, int]:
         """Breadth-first distances from v; unreachable vertices are absent."""
@@ -274,8 +259,8 @@ class EdgePotential(Record, namedtuple("EdgePotential", "pp pm mp mm")):
     """Log-weights of the four spin pairs across an edge.
 
     Entries are read in a fixed orientation (first endpoint, second endpoint):
-    pp is (+, +), pm is (+, -), mp is (-, +), mm is (-, -).  The reverse
-    orientation of the same edge is ``transposed()``.  All entries must be
+    pp is (+, +), pm is (+, -), mp is (-, +), mm is (-, -).  Read from the
+    second endpoint, the same edge swaps pm and mp.  All entries must be
     finite; hard constraints are out of scope.  They are stored as floats.
     """
 
@@ -289,10 +274,6 @@ class EdgePotential(Record, namedtuple("EdgePotential", "pp pm mp mm")):
             _finite(mp, "potential entry mp"),
             _finite(mm, "potential entry mm"),
         )
-
-    def transposed(self) -> "EdgePotential":
-        """The same table read with the endpoints swapped."""
-        return EdgePotential(self.pp, self.mp, self.pm, self.mm)
 
     def value(self, first: Spin, second: Spin) -> float:
         first = Spin(first)
@@ -344,11 +325,11 @@ class SpinSystem(Record, namedtuple("SpinSystem", "graph potentials fields")):
     """A graph plus one potential per edge and one field per vertex.
 
     Potentials are keyed by (u, v) with u < v and read in that orientation;
-    ``oriented_potential`` serves the reverse reading.  The two mappings are
-    copied into new dicts in label order: potentials in the order of
-    ``graph.edges``, fields 1..n.  Every sum over the tables runs in that
-    order, so equal systems give equal reports, whatever order their
-    mappings or files listed the tables in.
+    ``marginal.compile_system`` makes the reverse reading.  The two
+    mappings are copied into new dicts in label order: potentials in the
+    order of ``graph.edges``, fields 1..n.  Every sum over the tables runs
+    in that order, so equal systems give equal reports, whatever order
+    their mappings or files listed the tables in.
     """
 
     __slots__ = ()
@@ -369,15 +350,6 @@ class SpinSystem(Record, namedtuple("SpinSystem", "graph potentials fields")):
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def oriented_potential(self, u: int, v: int) -> EdgePotential:
-        """Potential of edge {u, v} read in orientation u -> v."""
-        key = (u, v) if u < v else (v, u)
-        try:
-            stored = self.potentials[key]
-        except KeyError:
-            raise ValueError(f"no edge between {u} and {v}") from None
-        return stored if u < v else stored.transposed()
 
 
 def interaction_strength(potential: EdgePotential) -> float:

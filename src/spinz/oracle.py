@@ -262,9 +262,11 @@ def decay_function(distance: int, coupling: float, degree: int) -> float:
     _count(degree, "degree", 1)
     rate = SystemScalars.at(coupling, degree).contraction
     try:  # an exponent beyond the float range is the largest float, as in root_share
-        return 4.0 * coupling * degree * rate ** min(distance - 1, sys.float_info.max)
+        power = rate ** min(distance - 1, sys.float_info.max)
     except OverflowError:  # a rate above 1 raised that high leaves the float range
         return math.inf
+    # A zero power is 0.0 even where the prefactor overflows (degree 1).
+    return 4.0 * coupling * degree * power if power else 0.0
 
 
 def max_boundary_gap(system: SpinSystem, vertex: int, sphere, trials: int, rng) -> tuple[float, str]:
@@ -322,8 +324,10 @@ def measure_decay(
     system: SpinSystem, vertex: int, radius: int, trials: int = 100, seed: int = 0
 ) -> tuple[int, float, float, CheckReport]:
     """The sphere's size, the decay envelope for the graph's maximum degree
-    and the largest boundary gap at ``radius`` from ``vertex``, with the
-    report of ``check_decay_bound`` that judges them."""
+    and the largest boundary gap at ``radius`` from ``vertex``, with their
+    boundary-decay-bound report: conditioning the sphere moves the root
+    log-marginal by at most the envelope, and the report fails when
+    measured / envelope - 1 exceeds 1e-9."""
     rng = np.random.default_rng(seed)
     scalars = system_scalars(system)
     worst_case = (
@@ -331,15 +335,6 @@ def measure_decay(
         f"envelope={{envelope:.6e}} seed={seed} {{trial}}"
     )
     return _decay_bound_report(system, vertex, radius, trials, rng, scalars, 1e-9, worst_case)
-
-
-def check_decay_bound(
-    system: SpinSystem, vertex: int, radius: int, trials: int = 100, seed: int = 0
-) -> CheckReport:
-    """Conditioning the sphere at ``radius`` moves the root log-marginal by
-    at most the decay envelope for the graph's maximum degree; reports
-    measured / envelope - 1 at tolerance 1e-9."""
-    return measure_decay(system, vertex, radius, trials, seed)[3]
 
 
 def check_decay_geometric(

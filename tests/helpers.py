@@ -2,13 +2,15 @@
 
 reference_log_partition is a deliberately plain itertools enumeration kept
 independent of the package's vectorized oracle, so the two can cross-check
-each other.  ising_strip_log_z and strip_log_z are exact where enumeration
-cannot reach: long cycles and grid strips of a few rows, the first for one
-coupling and field, the second for any tables.  equal_split_depths
-counts the walk tree of the equal allowance split, against which the
-estimator's spent split is checked.  The instance builders centralize the
-seeded recipes used by several test modules; the benchmark's are read from
-``perfbench/run.py``, whose directory this module puts on ``sys.path``.
+each other, and oriented reads an edge's table in either direction without
+the package's compiled form.  ising_strip_log_z and strip_log_z are exact
+where enumeration cannot reach: long cycles and grid strips of a few rows,
+the first for one coupling and field, the second for any tables.
+equal_split_depths counts the walk tree of the equal allowance split,
+against which the estimator's spent split is checked.  The instance
+builders centralize the seeded recipes used by several test modules; the
+benchmark's are read from ``perfbench/run.py``, whose directory this module
+puts on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -69,6 +71,14 @@ def reference_log_partition(system: SpinSystem, condition=None) -> float:
             w += f.value(sigma[v])
         log_weights.append(w)
     return _logsumexp(log_weights)
+
+
+def oriented(system: SpinSystem, u: int, v: int) -> EdgePotential:
+    """The table of edge {u, v} read u -> v, from the system's own mapping:
+    the stored table for u < v, and for u > v that table with pm and mp
+    swapped.  It reads no compiled form, so tests can check one against it."""
+    stored = system.potentials[min(u, v), max(u, v)]
+    return stored if u < v else EdgePotential(stored.pp, stored.mp, stored.pm, stored.mm)
 
 
 def ising_strip_log_z(rows: int, cols: int, coupling: float, field: float, periodic: bool = False) -> float:

@@ -18,11 +18,11 @@ from spinz import (
     VertexField,
     build_family_graph,
     build_saw_tree,
-    check_decay_bound,
     exact_log_partition,
     generate,
     ising_system,
     load_system,
+    measure_decay,
     save_system,
     serialize_system,
 )
@@ -386,7 +386,7 @@ def test_decay_command(tmp_path, capsys):
 
 def test_decay_at_zero_coupling_takes_the_check_verdict(tmp_path, capsys):
     # The envelope is 0 and the measured gap is rounding, 1.8e-15: the
-    # verdict is check_decay_bound's, which allows 1e-12 at envelope 0.
+    # verdict is measure_decay's, which allows 1e-12 at envelope 0.
     path = str(tmp_path / "g.json")
     code, _, _ = run_cli(capsys, "gen", "--family", "grid", "--rows", "3", "--cols", "4",
                          "--model", "ising", "--coupling", "0.0", "--field", "0.7",
@@ -398,7 +398,7 @@ def test_decay_at_zero_coupling_takes_the_check_verdict(tmp_path, capsys):
     report = json.loads(out)
     assert report["envelope"] == 0.0 and 0.0 < report["measured_max"] <= 1e-12
     assert report["within_envelope"] is True
-    assert check_decay_bound(load_system(path), 1, 2, trials=30).passed
+    assert measure_decay(load_system(path), 1, 2, trials=30)[3].passed
 
 
 def test_decay_empty_sphere_is_input_error(tmp_path, capsys):

@@ -40,7 +40,13 @@ from spinz import (
 import spinz.partition
 from spinz.marginal import PINNED_PLUS
 
-from .helpers import ACCEPTANCE_FAMILIES, acceptance_instance, petersen_graph, random_system
+from .helpers import (
+    ACCEPTANCE_FAMILIES,
+    acceptance_instance,
+    oriented,
+    petersen_graph,
+    random_system,
+)
 
 
 def test_edge_factor_flat_potential_is_zero():
@@ -219,16 +225,16 @@ def _reference_tree_ratio(system, node, depth_limit, frontier):
     total = (system.fields[node.origin].h_plus - system.fields[node.origin].h_minus)
     for child in node.children:
         lam = _reference_tree_ratio(system, child, depth_limit, frontier)
-        pot = system.oriented_potential(node.origin, child.origin)
+        pot = oriented(system, node.origin, child.origin)
         if lam is None:
             # lookahead frontier: the leaf's log ratio lies between twice its
             # field plus the smaller, and plus the larger, pinned factor of
             # each edge to its own children
             w = child.origin
             lo = hi = system.fields[w].h_plus - system.fields[w].h_minus
-            for c in system.graph.neighbors(w):
+            for c in system.graph.adjacency[w - 1]:
                 if c != node.origin:
-                    below = system.oriented_potential(w, c)
+                    below = oriented(system, w, c)
                     pinned = (edge_factor_log(below, math.inf), edge_factor_log(below, -math.inf))
                     lo += min(pinned)
                     hi += max(pinned)
@@ -363,7 +369,7 @@ def _interval(compiled, w, children):
 def _half_range(system, compiled, v, w, below):
     """Half the range of the factor of the edge v -> w, numbered ``below``,
     over w's interval, from the system's own table."""
-    potential = system.oriented_potential(v, w)
+    potential = oriented(system, v, w)
     ends = [edge_factor_log(potential, lam) for lam in _interval(compiled, w, compiled.belows[below])]
     return abs(ends[1] - ends[0]) / 2
 
@@ -403,7 +409,7 @@ def test_compiled_frontier_errors_are_exact_half_ranges():
                 twice = 2.0 * external_field(system.fields[v])
                 assert compiled.twice_field[v].hex() == twice.hex()
                 for w, factors, below in compiled.rows[v]:
-                    potential = system.oriented_potential(v, w)
+                    potential = oriented(system, v, w)
                     # The row entry holds the table read v -> w and its two
                     # pinned factors, bit for bit.
                     pinned = (potential.pp - potential.mp, potential.pm - potential.mm)
@@ -455,7 +461,7 @@ def test_compiled_frontier_errors_are_exact_half_ranges():
         twice = 2.0 * external_field(system.fields[v])
         assert compiled.twice_field[v].hex() == twice.hex()
         for w, _, below in compiled.rows[v]:
-            pp, pm, mp, mm = system.oriented_potential(v, w)
+            pp, pm, mp, mm = oriented(system, v, w)
             pinned = pp - mp if w % 2 else pm - mm
             assert compiled.twice_field[w] == (math.inf if w % 2 else -math.inf)
             x, y = compiled.settled[below]
@@ -549,7 +555,7 @@ def test_charge_bounds_the_error_of_every_sweep_walk():
             per_label = label_share(system.graph, share)
             stops = compiled.stops()
             for v in range(1, n + 1):
-                free = sum(w > v for w in system.graph.neighbors(v))
+                free = sum(w > v for w in system.graph.adjacency[v - 1])
                 exact, _, _ = walk_log_ratio(compiled, stops, v, n)
                 split = per_label * (free * (n + 1 - v))
                 weighted = spinz.partition._weighted(compiled, stops, v, split)
@@ -581,7 +587,7 @@ def test_label_share_keeps_the_sweeps_total_allowance():
     for graph in graphs:
         n = graph.n
         unit = label_share(graph, share)
-        free = {v: sum(w > v for w in graph.neighbors(v)) for v in graph.vertices()}
+        free = {v: sum(w > v for w in graph.adjacency[v - 1]) for v in graph.vertices()}
         allowances = {v: unit * (k * (n + 1 - v)) for v, k in free.items()}
         assert math.fsum(allowances.values()) == pytest.approx(share * len(graph.edges), rel=1e-12)
         roots = [v for v in graph.vertices() if free[v]]

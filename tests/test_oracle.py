@@ -15,7 +15,6 @@ from spinz import (
     all_plus_log_weight,
     build_family_graph,
     check_contraction,
-    check_decay_bound,
     check_edge_factor_lipschitz,
     check_saw_identity,
     check_saw_identity_exhaustive,
@@ -28,6 +27,7 @@ from spinz import (
     interaction_strength,
     ising_system,
     max_boundary_gap,
+    measure_decay,
 )
 
 from .helpers import random_system, reference_log_partition
@@ -207,25 +207,25 @@ def test_edge_factor_range_is_attained_at_its_steepest_point():
             assert bound < slope * width
 
 
-def test_check_decay_bound_smoke():
+def test_measure_decay_verdict_smoke():
     system = ising_system(
         build_family_graph("random_regular", n=10, degree=3, seed=5), 0.4
     )
-    report = check_decay_bound(system, 1, 2, trials=20, seed=1)
+    report = measure_decay(system, 1, 2, trials=20, seed=1)[3]
     assert report.passed
     assert "radius=2" in report.worst_case
 
 
-def test_check_decay_bound_zero_coupling():
+def test_measure_decay_verdict_zero_coupling():
     system = ising_system(build_family_graph("cycle", n=6), 0.0, 0.3)
-    report = check_decay_bound(system, 1, 2, trials=10, seed=1)
+    report = measure_decay(system, 1, 2, trials=10, seed=1)[3]
     assert report.passed and report.max_violation == 0.0
 
 
-def test_check_decay_bound_needs_nonempty_sphere():
+def test_measure_decay_needs_nonempty_sphere():
     system = ising_system(build_family_graph("path", n=3), 0.2)
     with pytest.raises(ValueError):
-        check_decay_bound(system, 1, 7)
+        measure_decay(system, 1, 7)
 
 
 def test_check_saw_identity_exhaustive_reduced():

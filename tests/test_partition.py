@@ -466,7 +466,7 @@ def test_sweep_errors_within_the_edge_budget():
                 coupling, degree = scalars.max_coupling, scalars.degree_bound
                 rate = (degree - 1) * math.tanh(coupling)
                 half_range = math.atanh(math.tanh(coupling) * math.tanh((degree - 1) * coupling))
-                free = {v: sum(w > v for w in system.graph.neighbors(v)) for v in range(1, n + 1)}
+                free = {v: sum(w > v for w in system.graph.adjacency[v - 1]) for v in range(1, n + 1)}
                 exact = {}
                 for v in range(1, n + 1):
                     pinned = {i: Spin.PLUS for i in range(1, v)}
@@ -594,7 +594,7 @@ def test_spent_split_walks_no_more_nodes_than_the_equal_split():
                 for depth in range(1, system.n + 1):
                     stops = compiled.stops()
                     for v in system.graph.vertices():
-                        free = sum(w > v for w in system.graph.neighbors(v))
+                        free = sum(w > v for w in system.graph.adjacency[v - 1])
                         allowance = 2 * half_range * free * rate ** (depth - 1)
                         equal = len(equal_split_depths(compiled, stops, v, depth, allowance))
                         _, count, _ = walk_log_ratio(compiled, stops, v, depth, allowance)
@@ -657,7 +657,7 @@ def test_split_tree_is_the_uniform_tree_at_degree_two():
         split_stops, uniform_stops = compiled.stops(), compiled.stops()
         for entry in report.vertices:
             v = entry.vertex
-            free = sum(w > v for w in graph.neighbors(v))
+            free = sum(w > v for w in graph.adjacency[v - 1])
             split = walk_log_ratio(compiled, split_stops, v, depth, free * share)
             uniform = walk_log_ratio(compiled, uniform_stops, v, depth)
             assert split[0].hex() == uniform[0].hex() and split[1] == uniform[1]
@@ -685,7 +685,9 @@ def test_fptas_relabeling_stays_within_two_eps():
         potentials = {}
         for (u, v), pot in system.potentials.items():
             a, b = relabel[u], relabel[v]
-            potentials[(a, b) if a < b else (b, a)] = pot if a < b else pot.transposed()
+            potentials[(a, b) if a < b else (b, a)] = (
+                pot if a < b else EdgePotential(pot.pp, pot.mp, pot.pm, pot.mm)
+            )
         fields = {relabel[v]: f for v, f in system.fields.items()}
         shuffled = SpinSystem(graph, potentials, fields)
         first = fptas_log_partition(system, eps).log_z_hat
@@ -836,7 +838,7 @@ def test_fptas_sweeps_again_as_many_levels_deeper_as_the_rate_needs():
             split = []
             for vertex in report.vertices:
                 pinned = report.pinned_before(vertex.vertex)
-                free = sum(w not in pinned for w in system.graph.neighbors(vertex.vertex))
+                free = sum(w not in pinned for w in system.graph.adjacency[vertex.vertex - 1])
                 assert vertex.allowance == root_share(scalars, reported) * free
                 allowance = root_allowance(system, vertex.vertex, reported, pinned, compiled)
                 log_ratio, count, _ = walk_log_ratio(

@@ -175,7 +175,7 @@ def test_sibling_origins_distinct_and_depths_consistent():
         assert origins == sorted(origins)
         for child in node.children:
             assert child.depth == node.depth + 1
-            assert system.graph.has_edge(node.origin, child.origin)
+            assert child.origin in system.graph.adjacency[node.origin - 1]
             if child.spin is not None:
                 assert child.children == []
             stack.append(child)
@@ -195,7 +195,7 @@ def test_complete_tree_expands_every_free_node():
         while stack:
             node, is_root = stack.pop()
             if node.spin is None:
-                expected = len(system.graph.neighbors(node.origin)) - (0 if is_root else 1)
+                expected = len(system.graph.adjacency[node.origin - 1]) - (0 if is_root else 1)
                 assert len(node.children) == expected
             for child in node.children:
                 stack.append((child, False))
