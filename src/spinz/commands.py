@@ -21,8 +21,8 @@ from .partition import fptas_log_partition
 __all__ = ["build_parser"]
 
 # Each verify suite: its oracle check and the keyword of its count.  The
-# checks' own defaults give the count and tolerance that are not overridden;
-# the decay check returns a list of reports.
+# checks' own defaults give the count that --trials does not override, and
+# each check fixes its tolerance; the decay check returns a list of reports.
 VERIFY_SUITES = {
     "contraction": ("check_contraction", "trials"),
     "lipschitz": ("check_edge_factor_lipschitz", "trials"),
@@ -113,11 +113,7 @@ def cmd_verify(args) -> int:
     checks = []
     for suite in suites:
         check, count_keyword = VERIFY_SUITES[suite]
-        overrides = {}
-        if args.trials is not None:
-            overrides[count_keyword] = args.trials
-        if args.tolerance is not None:
-            overrides["tolerance"] = args.tolerance
+        overrides = {} if args.trials is None else {count_keyword: args.trials}
         result = getattr(oracle, check)(seed=args.seed, **overrides)
         checks.extend(result if isinstance(result, list) else [result])
     all_passed = all(check.passed for check in checks)
@@ -250,7 +246,6 @@ _positive_int = _checked(int, "a positive integer", lambda value: value >= 1)
 _seed = _checked(int, "a nonnegative integer", lambda value: value >= 0)
 # gen's tables refuse a non-finite entry, which names no option
 _finite = _checked(float, "a finite number", math.isfinite)
-_tolerance = _checked(float, "a finite number >= 0", lambda value: math.isfinite(value) and value >= 0.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=_positive_int, default=None, help="override the suite's trial count"
     )
     p.add_argument("--seed", type=_seed, default=0, help="base RNG seed (default: 0)")
-    p.add_argument(
-        "--tolerance", type=_tolerance, default=None, help="override the pass tolerance (>= 0)"
-    )
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("decay", help="measure boundary influence at a graph distance")

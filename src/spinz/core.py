@@ -12,6 +12,7 @@ checks that measure it, off the estimate path.
 Each fact is checked once, here, and the rest of the package shares the
 checks: ``_finite`` every number (an int beyond the float range is not
 finite) and ``_real`` every one with a sign rule, ``_count`` every count,
+and every count that sizes an allocation against ``MAX_SIZE``,
 ``Graph.from_edges`` every edge's labels, self-loops and duplicates.
 
 The records here are namedtuple subclasses rather than dataclasses: they
@@ -178,11 +179,18 @@ def _real(value, where: str, positive: bool = False):
     return value
 
 
-def _count(value, where: str, minimum: int = 0) -> int:
-    """``value`` if it is an int of at least ``minimum``, of any size;
-    otherwise a ValueError that names it as ``where``.  Bools are refused."""
+MAX_SIZE = 10**6
+"""The most vertices, vertex pairs or pairing stubs a graph is built from:
+``_count`` refuses a larger count that sizes an allocation before it is made."""
+
+
+def _count(value, where: str, minimum: int = 0, maximum: float = math.inf) -> int:
+    """``value`` if it is an int in ``minimum``..``maximum``, of any size by
+    default; else a ValueError that names it as ``where``.  Bools are refused."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f"{where} must be an integer >= {minimum}, got {_shown(value)}")
+    if value > maximum:
+        raise ValueError(f"{where} must be at most {maximum}, got {_shown(value)}")
     return value
 
 
@@ -202,10 +210,10 @@ class Graph(Record, namedtuple("Graph", "n edges adjacency")):
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
         """Build and validate a graph from (u, v) pairs in either orientation.
 
-        Rejects labels outside 1..n, self-loops, and duplicate edges, naming
-        the offending pair by position (``edges[3]: self-loop at vertex 2``).
+        Rejects n above ``MAX_SIZE``, labels outside 1..n, self-loops and
+        duplicates, naming the offending pair (``edges[3]: self-loop at vertex 2``).
         """
-        _count(n, "n")
+        _count(n, "n", maximum=MAX_SIZE)
         adjacency: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for i, (u, v) in enumerate(edges):

@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING
 
 from . import _LAZY_ALL
 from .core import (
-    EdgePotential, Graph, SpinSystem, VertexField, _count, _real, _shown, ising_field, ising_potential,
+    MAX_SIZE, EdgePotential, Graph, SpinSystem, VertexField, _count, _real, _shown, ising_field,
+    ising_potential,
 )
 from .graphfile import SCHEMA_VERSION
 
@@ -90,17 +91,21 @@ def build_family_graph(
     pairing turns up in ``_MAX_PAIRING_ATTEMPTS`` tries); erdos_renyi
     takes n and an expected degree, including each pair independently with
     probability degree / n.
+
+    Refuses, before building anything, an n, rows * cols, vertex pairs
+    (complete, erdos_renyi) or stubs (random_regular) above ``MAX_SIZE``.
     """
     if family == "path":
-        n = _count(n, "n", 1)
+        n = _count(n, "n", 1, MAX_SIZE)
         return Graph.from_edges(n, [(i, i + 1) for i in range(1, n)])
     if family == "cycle":
-        n = _count(n, "n", 3)
+        n = _count(n, "n", 3, MAX_SIZE)
         edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
         return Graph.from_edges(n, edges)
     if family == "grid":
         rows = _count(rows, "rows", 1)
         cols = _count(cols, "cols", 1)
+        _count(rows * cols, "rows * cols", maximum=MAX_SIZE)
         edges = []
         for r in range(1, rows + 1):
             for c in range(1, cols + 1):
@@ -111,10 +116,9 @@ def build_family_graph(
                     edges.append((label, label + cols))
         return Graph.from_edges(rows * cols, edges)
     if family == "complete":
-        n = _count(n, "n", 1)
-        return Graph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
+        return Graph.from_edges(n, _pairs(_count(n, "n", 1, MAX_SIZE)))
     if family == "random_regular":
-        n = _count(n, "n", 1)
+        n = _count(n, "n", 1, MAX_SIZE)
         if isinstance(degree, float) and degree.is_integer():  # `spinz gen` reads --degree as a float
             degree = int(degree)
         d = _count(degree, "degree")
@@ -122,12 +126,19 @@ def build_family_graph(
             raise ValueError(f"regular degree must satisfy 0 <= degree < n, got {_shown(d)} with n={n}")
         if (n * d) % 2 != 0:
             raise ValueError(f"n * degree must be even, got n={n}, degree={d}")
+        _count(n * d, "n * degree", maximum=MAX_SIZE)
         return _random_regular(n, d, seed)
     if family == "erdos_renyi":
-        n = _count(n, "n")
+        n = _count(n, "n", 0, MAX_SIZE)
         _real(degree, "degree")  # nan and inf would give K_n
         return _erdos_renyi(n, float(degree), seed)
     raise ValueError(f"unknown family {family!r} (choose from {', '.join(FAMILIES)})")
+
+
+def _pairs(n: int):
+    """The pairs u < v of vertices 1..n in order, refused above ``MAX_SIZE``."""
+    _count(n * (n - 1) // 2, "n * (n - 1) / 2", maximum=MAX_SIZE)
+    return itertools.combinations(range(1, n + 1), 2)
 
 
 def _random_regular(n: int, degree: int, seed: int) -> Graph:
@@ -168,7 +179,7 @@ def _erdos_renyi(n: int, degree: float, seed: int) -> Graph:
     if n <= 1:
         return Graph.from_edges(n, [])
     p = min(1.0, degree / n)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    pairs = list(_pairs(n))
     rng = _stream(seed, _STREAM_TOPOLOGY)
     keep = rng.random(len(pairs)) < p
     return Graph.from_edges(n, [pair for pair, hit in zip(pairs, keep) if hit])

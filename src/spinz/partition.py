@@ -23,7 +23,7 @@ it (``root_allowance``) scale the share by the labels still free when the
 root is walked (``label_share``), so early walks, whose trees are large,
 stop sooner and late ones, nearly exact, take less; and by the root's
 certificate weight kappa = min(4, sigma(0) / sigma(-x)), x the log
-ratio of its depth-1 walk capped at 3 (``_weighted``), since its certificate
+ratio of its depth-1 walk capped at 3 (``_allowance``), since its certificate
 term c * sigma(c - x_hat) is about c * sigma(-x), not the c / 2 that the
 equal split budgets.  Every charge still bounds its branch's error, so
 such a sweep certifies eps from what its walks were charged.  When it
@@ -182,11 +182,15 @@ def label_share(graph: Graph, share: float) -> float:
     return share * len(graph.edges) / weight if weight else 0.0
 
 
-def _weighted(compiled: CompiledSystem, stops: list, root: int, allowance: float) -> float:
-    """``allowance`` times kappa = min(4, sigma(0) / sigma(-min(x, 3))), x
-    the log ratio of the free ``root``'s depth-1 walk under ``stops``."""
+def _allowance(compiled: CompiledSystem, stops: list, root: int, share: float, labels: int) -> float:
+    """The allowance of the free ``root``'s walk under ``stops`` below the
+    a-priori depth: ``share`` per free child and free label, times its k
+    free children (from ``stops``) and the ``labels`` still free, times
+    kappa = min(4, sigma(0) / sigma(-min(x, 3))), x the log ratio of the
+    root's depth-1 walk."""
+    free = sum(stops[w] is None for w, _, _ in compiled.rows[root])
     x = walk_log_ratio(compiled, stops, root, 1)[0]
-    return allowance * min(4.0, 0.5 + 0.5 * math.exp(min(x, 3.0)))
+    return share * (free * labels) * min(4.0, 0.5 + 0.5 * math.exp(min(x, 3.0)))
 
 
 def root_allowance(
@@ -195,14 +199,13 @@ def root_allowance(
     """The allowance of ``root``'s walk at ``depth_limit`` under the
     condition ``pinned``: ``label_share`` of ``root_share`` at the system's
     scalars, times the root's unconditioned neighbours and labels and its
-    kappa (``_weighted``) over ``compiled``, the system's tables.
+    kappa (``_allowance``) over ``compiled``, the system's tables.
     Under its report's ``pinned_before(root)``, that is the allowance of
     ``fptas_log_partition``'s sweeps below the a-priori depth, and of
     ``sawtree.build_saw_tree``'s default tree."""
     graph = system.graph
     share = label_share(graph, root_share(system_scalars(system), depth_limit))
-    free = sum(w not in pinned for w in graph.adjacency[root - 1])
-    return _weighted(compiled, compiled.stops(pinned), root, share * (free * (graph.n - len(pinned))))
+    return _allowance(compiled, compiled.stops(pinned), root, share, graph.n - len(pinned))
 
 
 def all_plus_log_weight(system: SpinSystem) -> float:
@@ -344,12 +347,9 @@ def fptas_log_partition(
     while True:
         sweeps += 1
         share = root_share(scalars, depth)
-        free = larger
         split = share and depth < a_priori  # a share of 0.0 splits nothing
         if split:
             share = label_share(system.graph, share)
-            # k_v * m_v, with m_v = n - v + 1 labels still free at v's walk
-            free = [k * (n + 1 - v) for v, k in enumerate(larger)]
         stops = compiled.stops()
         estimates = []
         log_p_total = certificate = 0.0
@@ -357,8 +357,10 @@ def fptas_log_partition(
         # PINNED_PLUS stop, the + marginal as its factor and the all-plus
         # base weight all encode that pin, and change together.
         for vertex in range(1, n + 1):
-            allowance = share * free[vertex]
-            allowance = _weighted(compiled, stops, vertex, allowance) if split else allowance
+            if split:  # n - vertex + 1 labels are still free at this walk
+                allowance = _allowance(compiled, stops, vertex, share, n + 1 - vertex)
+            else:
+                allowance = share * larger[vertex]
             log_ratio, count, charge = walk_log_ratio(compiled, stops, vertex, depth, allowance)
             p_hat = marginal_plus(log_ratio)
             if p_hat >= _MIN_NORMAL:

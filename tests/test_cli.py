@@ -280,6 +280,14 @@ def test_gen_then_exact_pipeline(tmp_path, capsys):
     assert json.loads(out)["log_z"] == pytest.approx(expected, abs=1e-12)
 
 
+def test_gen_refuses_a_size_above_the_maximum(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    code, out, err = run_cli(capsys, "gen", "--family", "path", "--n", "99999999999999999999999",
+                             "--out", str(path))
+    assert (code, out, err) == (1, "", "error: n must be at most 1000000, got 99999999999999999999999\n")
+    assert not path.exists()
+
+
 def test_gen_rejects_bad_family(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gen", "--family", "torus", "--n", "4",
                            "--out", str(tmp_path / "x.json"))
@@ -303,6 +311,16 @@ def test_verify_without_overrides_takes_the_checks_defaults(capsys):
     assert (check["trials"], check["tolerance"]) == (10_000, 1e-12)
 
 
+# The tolerance each check fixes and reports.
+TOLERANCES = {
+    "contraction-inequality": 1e-12,
+    "edge-factor-lipschitz": 1e-12,
+    "saw-marginal-identity-exhaustive": 1e-9,
+    "saw-marginal-identity-random": 1e-9,
+    "boundary-decay-bound": 1e-9,
+    "boundary-decay-geometric": 0.0,
+    "telescoping-product": 1e-9,
+}
 # The checks each verify suite reports, in order.
 SUITE_CHECKS = {
     "contraction": ["contraction-inequality"],
@@ -324,6 +342,7 @@ def test_verify_each_suite(capsys, suite):
     assert [check["name"] for check in report["checks"]] == [
         name for each in suites for name in SUITE_CHECKS[each]
     ]
+    assert all(check["tolerance"] == TOLERANCES[check["name"]] for check in report["checks"])
 
 
 def test_verify_decay_one_trial_ends_in_a_report(capsys):
@@ -339,23 +358,30 @@ def test_verify_decay_one_trial_ends_in_a_report(capsys):
     assert "worst_ratio=0.901202" in checks[7]["worst_case"]
 
 
-def test_verify_failed_tolerance_exit_1(capsys):
-    # tolerance 0 leaves no room for the rounding of the reconstructed
-    # log Z, so the check reports a failure and exits with code 1
-    code, out, _ = run_cli(capsys, "verify", "--suite", "telescoping",
-                           "--trials", "3", "--tolerance", "0")
-    assert code == 1
-    assert json.loads(out)["all_passed"] is False
+def test_verify_failed_check_exit_1(capsys, monkeypatch):
+    # A check whose worst violation exceeds its tolerance fails the run,
+    # which still prints every report.
+    from spinz import oracle
+
+    def failing(seed, instances=50):
+        return oracle.CheckReport("telescoping-product", instances, 1.0, 1e-9, False, f"seed={seed}")
+
+    monkeypatch.setattr(oracle, "check_telescoping", failing)
+    code, out, err = run_cli(capsys, "verify", "--suite", "telescoping", "--trials", "3")
+    report = json.loads(out)
+    assert (code, err, report["all_passed"]) == (1, "", False)
+    assert report["checks"] == [failing(0, 3).to_dict()]
 
 
-@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1.0", "1e400", "tight"])
-def test_verify_rejects_a_tolerance_no_check_can_use(capsys, tolerance):
-    # inf passed every check, nan failed every one, and a negative value
-    # failed checks that hold
-    code, out, err = run_cli(capsys, "verify", "--suite", "contraction",
-                             "--trials", "1", "--tolerance", tolerance)
+@pytest.mark.parametrize("tolerance", ["0", "inf", "nan", "-1.0", "1e400", "tight"])
+def test_verify_takes_no_tolerance(capsys, tolerance):
+    # Each check fixes its tolerance; the option that overrode it is gone,
+    # so every value it once took or refused is now an unknown argument.
+    code, out, err = run_cli(capsys, "verify", "--suite", "telescoping", "--tolerance", tolerance)
     assert (code, out) == (1, "")
-    assert f"argument --tolerance: expected a finite number >= 0, got '{tolerance}'" in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"error: unrecognized arguments: --tolerance {tolerance}"
+    ]
 
 
 def test_verify_decay_geometric_ratio_skips_rounding_noise(capsys):
@@ -618,9 +644,9 @@ def test_module_entry_point(tmp_path):
 # Option values that must end in a report or an error line, never a
 # traceback.  Huge values go only to options whose work does not grow with
 # the value: labels, --radius and --depth (on a graph of 6 vertices), --eps,
-# --seed, --tolerance, and gen's --degree, --coupling and --field.  A huge --n, --rows, --cols or --trials asks for that much work
-# (``spinz gen --family path --n 99999999999999999999999`` does not finish
-# in 10 s), so those options get only the other values.
+# --seed, gen's --degree, --coupling and --field, and gen's sizes --n,
+# --rows and --cols, which are refused above a maximum.  A huge --trials
+# asks for that much work, so it gets only the other values.
 MUTATED = ("0", "-1", "-12", "nan", "inf", "-inf", "-0.0", "1e-320", "x", "")
 HUGE_VALUES = ("99999999999999999999999", "1e300", str(HUGE))
 
@@ -629,12 +655,11 @@ HUGE_VALUES = ("99999999999999999999999", "1e300", str(HUGE))
 OPTIONS = {
     "estimate": [("--eps", "0.1", True)],
     "exact": [("--cond", "1=+", True)],
-    "verify": [("--suite", "lipschitz", False), ("--trials", "1", False),
-               ("--seed", "0", True), ("--tolerance", "1e-9", True)],
+    "verify": [("--suite", "lipschitz", False), ("--trials", "1", False), ("--seed", "0", True)],
     "decay": [("--root", "1", True), ("--radius", "1", True), ("--trials", "2", False),
               ("--seed", "0", True)],
-    "gen": [("--family", "random_regular", False), ("--n", "6", False), ("--rows", "2", False),
-            ("--cols", "3", False), ("--degree", "3", True), ("--model", "ising", False),
+    "gen": [("--family", "random_regular", False), ("--n", "6", True), ("--rows", "2", True),
+            ("--cols", "3", True), ("--degree", "3", True), ("--model", "ising", False),
             ("--coupling", "0.3", True), ("--field", "0.1", True), ("--seed", "0", True)],
     "check": [],
     "sawtree": [("--root", "1", True), ("--depth", "2", True), ("--cond", "2=-", True)],
@@ -646,7 +671,7 @@ FAMILIES = ("path", "cycle", "grid", "complete", "random_regular", "erdos_renyi"
 SAWTREE_LINE = re.compile(r"( {2})*[0-9]+ depth=[0-9]+ (free|frontier|\+|-)")
 # Options whose values the parser checks in full: each of them refused
 # alone with a MUTATED value must be named in the error line.
-PARSER_CHECKED = ("--seed", "--coupling", "--field", "--radius", "--trials", "--tolerance")
+PARSER_CHECKED = ("--seed", "--coupling", "--field", "--radius", "--trials")
 
 
 def _mutated_argv(command, graph, out, rng, mutations):

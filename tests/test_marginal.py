@@ -558,7 +558,7 @@ def test_charge_bounds_the_error_of_every_sweep_walk():
                 free = sum(w > v for w in system.graph.adjacency[v - 1])
                 exact, _, _ = walk_log_ratio(compiled, stops, v, n)
                 split = per_label * (free * (n + 1 - v))
-                weighted = spinz.partition._weighted(compiled, stops, v, split)
+                weighted = spinz.partition._allowance(compiled, stops, v, per_label, n + 1 - v)
                 for allowance in (share * free, split, weighted):
                     log_ratio, _, charge = walk_log_ratio(compiled, stops, v, depth, allowance)
                     assert abs(log_ratio - exact) <= charge + 1e-12, (system, depth, v, charge)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -243,6 +244,26 @@ def test_check_telescoping_reduced():
     report = check_telescoping(instances=10, max_n=9, seed=5)
     assert report.passed
     assert report.max_violation <= 1e-9
+
+
+def test_check_telescoping_enumerates_each_prefix_once(monkeypatch):
+    # Vertex v's numerator is vertex v + 1's denominator and the
+    # unconditioned sum is vertex 1's, so an instance on n vertices takes
+    # n + 1 enumerations, not 2n + 1.
+    from spinz import oracle
+
+    calls = []
+
+    def counting(system, condition=None):
+        calls.append(system)
+        return exact_log_partition(system, condition)
+
+    monkeypatch.setattr(oracle, "exact_log_partition", counting)
+    report = check_telescoping(instances=4, max_n=6, seed=5)
+    # One run of calls per instance; the list keeps each system, and so its id, alive.
+    runs = [list(run) for _, run in itertools.groupby(calls, key=id)]
+    assert report.passed and len(runs) == 4
+    assert [len(run) for run in runs] == [run[0].n + 1 for run in runs]
 
 
 def test_check_report_shape():
